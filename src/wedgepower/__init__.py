@@ -33,12 +33,14 @@ from .design_effects import (
 )
 from .designs import (
     PRESETS,
+    CellTable,
     Contrast,
     DesignKind,
     DesignSpec,
     ExemplaryDataset,
     SpecValidationError,
     dataset_from_csv,
+    cell_table,
     dataset_to_csv,
     decode_spec_document,
     design_matrix,
@@ -59,11 +61,13 @@ from .distributions import (
 )
 from .engine import (
     DDF_POLICIES,
+    Evaluation,
     GlsEstimate,
     PowerAudit,
     analytic_power,
     default_ddf_policy,
-    gls_estimate,
+    evaluate,
+    fit_cells,
     power_audit,
     resolve_ddf,
     wald_f,
@@ -103,10 +107,12 @@ __all__ = [
     "DesignSpec",
     "SpecValidationError",
     "ExemplaryDataset",
+    "CellTable",
     "Contrast",
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
+    "cell_table",
     "design_matrix",
     "hypothesis_contrast",
     "dataset_to_csv",
@@ -131,10 +137,12 @@ __all__ = [
     "DDF_POLICIES",
     "GlsEstimate",
     "PowerAudit",
+    "Evaluation",
     "default_ddf_policy",
-    "gls_estimate",
+    "fit_cells",
     "wald_f",
     "resolve_ddf",
+    "evaluate",
     "analytic_power",
     "power_audit",
     # mc

@@ -4,8 +4,10 @@ A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
 measurements happen, and the cell means under the alternative.  From it
 this module builds the exemplary dataset (one row per measurement whose
-outcome column holds the modeled mean), the fixed effect design matrix,
-and the single-row contrast that carries the hypothesis of interest.
+outcome column holds the modeled mean), its cluster-period cell table
+(the distinct clusters' cells, which the engine fits), the fixed effect
+design matrix, and the single-row contrast that carries the hypothesis
+of interest.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "SpecValidationError",
     "ExemplaryDataset",
     "ClusterBlock",
+    "CellTable",
     "ColumnInfo",
     "Contrast",
     "validate_spec",
@@ -36,6 +39,7 @@ __all__ = [
     "design_columns",
     "hypothesis_contrast",
     "cluster_structure",
+    "cell_table",
     "dataset_to_csv",
     "dataset_from_csv",
     "decode_spec_document",
@@ -541,6 +545,32 @@ def design_columns(spec: DesignSpec) -> tuple[ColumnInfo, ...]:
     return tuple(cols)
 
 
+def _design_rows(
+    spec: DesignSpec, arm: np.ndarray, time: np.ndarray, intervene: np.ndarray
+) -> np.ndarray:
+    n = arm.shape[0]
+    kind = spec.kind
+    if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
+        return np.column_stack([np.ones(n), (arm == 2).astype(float)])
+    if kind in PREPOST_KINDS:
+        treated = (arm == 2).astype(float)
+        post = (time == 2).astype(float)
+        return np.column_stack([np.ones(n), treated, post, treated * post])
+    cols = [np.ones(n)]
+    for t in spec.times[1:]:
+        cols.append((time == t).astype(float))
+    cols.append(intervene.astype(float))
+    return np.column_stack(cols)
+
+
+def _require_full_rank(x: np.ndarray) -> None:
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise ValueError(
+            "design matrix is rank deficient; the schedule does not separate "
+            "the modeled effects (degenerate step layout)"
+        )
+
+
 def design_matrix(spec: DesignSpec, dataset: ExemplaryDataset | None = None) -> np.ndarray:
     """Fixed effect design matrix, one row per dataset row.
 
@@ -556,28 +586,103 @@ def design_matrix(spec: DesignSpec, dataset: ExemplaryDataset | None = None) -> 
     """
     if dataset is None:
         dataset = exemplary_dataset(spec)
-    n = dataset.n_rows
-    kind = spec.kind
-
-    if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-        x = np.column_stack([np.ones(n), (dataset.arm == 2).astype(float)])
-    elif kind in PREPOST_KINDS:
-        treated = (dataset.arm == 2).astype(float)
-        post = (dataset.time == 2).astype(float)
-        x = np.column_stack([np.ones(n), treated, post, treated * post])
-    else:
-        cols = [np.ones(n)]
-        for time in spec.times[1:]:
-            cols.append((dataset.time == time).astype(float))
-        cols.append(dataset.intervene.astype(float))
-        x = np.column_stack(cols)
-
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        raise ValueError(
-            "design matrix is rank deficient; the schedule does not separate "
-            "the modeled effects (degenerate step layout)"
-        )
+    x = _design_rows(spec, dataset.arm, dataset.time, dataset.intervene)
+    _require_full_rank(x)
     return x
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """The design on cluster-period cells, one entry per cluster pattern.
+
+    Every fixed effect is constant within a cluster-period cell, so the
+    clusters that share a randomized group and a cell size are
+    interchangeable for the analysis.  Pattern k stands for count[k]
+    such clusters.  Its T cells are the periods such a cluster is
+    measured in: one for post-only kinds, and one for individually
+    randomized kinds, where every randomized unit is one measurement.
+
+    Attributes:
+        group: (K,) randomized group, as in ExemplaryDataset.arm.
+        m: (K,) subjects per cell.
+        count: (K,) clusters that share the pattern.
+        x: (K, T, p) design matrix rows of the cells.
+        mean: (K, T) modeled cell means.
+        cluster_pattern: (n_clusters,) pattern of each cluster, in
+            dataset order.
+    """
+
+    group: np.ndarray
+    m: np.ndarray
+    count: np.ndarray
+    x: np.ndarray
+    mean: np.ndarray
+    cluster_pattern: np.ndarray
+
+
+def cell_table(spec: DesignSpec) -> CellTable:
+    """Cluster-period cells of the exemplary dataset, grouped by pattern.
+
+    Raises:
+        ValueError: if the design matrix of the cells is rank deficient
+            (see design_matrix); the cells hold every distinct row of the
+            full design matrix.
+    """
+    ensure_valid(spec)
+    kind = spec.kind
+    if kind == DesignKind.RCT_PREPOST:
+        # subjects are measured once: one single-period layout per arm-time cell
+        arm = np.array([[1], [1], [2], [2]])
+        time = np.array([[1], [2], [1], [2]])
+        clusters_per_layout = (spec.per_group_n,) * 4
+    elif kind in SWD_KINDS:
+        arm = np.repeat(np.arange(1, spec.steps_k + 1)[:, None], spec.n_times, axis=1)
+        time = np.tile(np.asarray(spec.times), (spec.steps_k, 1))
+        clusters_per_layout = spec.clusters_per_step
+    else:
+        arm = np.repeat(np.array([[1], [2]]), spec.n_times, axis=1)
+        time = np.tile(np.asarray(spec.times), (2, 1))
+        if kind == DesignKind.RCT_POST:
+            clusters_per_layout = (spec.per_group_n,) * 2
+        else:
+            clusters_per_layout = spec.clusters_per_arm
+
+    if kind in SWD_KINDS:
+        thresholds = spec.baseline_b + (arm - 1) * spec.per_step_t
+        intervene = (time > thresholds).astype(np.int64)
+        mean = np.where(intervene == 1, spec.phase_mean(1), spec.phase_mean(0))
+    else:
+        last = 2 if kind in PREPOST_KINDS else 1
+        intervene = ((arm == 2) & (time == last)).astype(np.int64)
+        mean = np.array(
+            [
+                [spec.mean_for_cell(a, t) for a, t in zip(ar, tr)]
+                for ar, tr in zip(arm.tolist(), time.tolist())
+            ]
+        )
+
+    n_layouts, n_periods = arm.shape
+    x = _design_rows(spec, arm.ravel(), time.ravel(), intervene.ravel())
+    _require_full_rank(x)
+    x = x.reshape(n_layouts, n_periods, -1)
+
+    layout = np.repeat(np.arange(n_layouts), clusters_per_layout)
+    sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
+    _, first, pattern, count = np.unique(
+        layout * (int(sizes.max()) + 1) + sizes,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    chosen = layout[first]
+    return CellTable(
+        group=arm[chosen, 0],
+        m=sizes[first],
+        count=count,
+        x=x[chosen],
+        mean=mean[chosen],
+        cluster_pattern=pattern,
+    )
 
 
 @dataclass(frozen=True)

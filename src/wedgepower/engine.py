@@ -1,16 +1,21 @@
 """Direct power evaluation on exemplary datasets.
 
-The analytic route: build the dataset whose outcome is the modeled mean,
+The analytic route: take the dataset whose outcome is the modeled mean,
 fit it by generalized least squares under the true covariance, and read
 the noncentrality of the contrast of interest straight off the fit.  The
 power is then a noncentral F tail with a denominator degrees of freedom
 chosen by a named policy.
+
+Every fixed effect is constant within a cluster-period cell and the
+covariance is exchangeable within one, so the fit runs on the cell
+means of each distinct cluster pattern (Hussey & Hughes 2007; Hooper et
+al. 2016): its cost follows clusters times periods, not subjects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,11 +28,12 @@ __all__ = [
     "DDF_POLICIES",
     "GlsEstimate",
     "PowerAudit",
+    "Evaluation",
     "default_ddf_policy",
-    "study_blocks",
-    "gls_estimate",
+    "fit_cells",
     "wald_f",
     "resolve_ddf",
+    "evaluate",
     "analytic_power",
     "power_audit",
 ]
@@ -51,6 +57,27 @@ class GlsEstimate:
     beta: np.ndarray
     cov: np.ndarray
     information: np.ndarray
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One analytic evaluation of a design: the fit and the power it gives."""
+
+    result: PowerResult
+    fit: GlsEstimate
+    cells: designs.CellTable
+    components: VarianceComponents
+    contrast: designs.Contrast
+
+    def cell_weights(self) -> np.ndarray:
+        """(K, T) weights of the cell means in the contrast estimate.
+
+        Row k is l' I^-1 X_k' S_k^-1 for a cluster of pattern k; a
+        subject row's weight is its cell's entry divided by the cell's
+        subject count.
+        """
+        lcov = self.contrast.matrix[0] @ self.fit.cov
+        return _precision_x(self.cells, self.components) @ lcov
 
 
 @dataclass(frozen=True)
@@ -98,63 +125,63 @@ def _validate_params_for_kind(spec: DesignSpec, params: CorrelationParams) -> No
         )
 
 
-def study_blocks(
-    spec: DesignSpec, comps: VarianceComponents
-) -> list[np.ndarray]:
-    """Per-cluster covariance matrices, in dataset row order."""
-    structure = designs.cluster_structure(spec)
-    by_size: dict[int, np.ndarray] = {}
-    blocks = []
-    for cb in structure:
-        if cb.n_subjects not in by_size:
-            by_size[cb.n_subjects] = correlation.build_cluster_v(
-                spec, comps, cluster_index=cb.index
-            ).matrix
-        blocks.append(by_size[cb.n_subjects])
-    return blocks
+def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
+    """S_k^-1 X_k for every pattern, S_k the covariance of its cell means.
 
-
-def gls_estimate(
-    x: np.ndarray, v_blocks: Sequence[np.ndarray], y: np.ndarray
-) -> GlsEstimate:
-    """Fit y = x beta + error with block-diagonal error covariance.
-
-    The blocks partition the rows in order; each cluster contributes
-    X_c' V_c^{-1} X_c and X_c' V_c^{-1} y_c through a linear solve, so
-    the study covariance is never formed or inverted as a whole.
+    S_k = a J + b I with a = cluster + subject / m and
+    b = cluster_by_time + (subject_by_time + residual) / m, whose inverse
+    is (I - a / (b + T a) J) / b.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    total = sum(b.shape[0] for b in v_blocks)
-    if total != n:
-        raise ValueError(f"covariance blocks cover {total} rows, design has {n}")
+    n_periods = cells.x.shape[1]
+    within = comps.subject_by_time + comps.residual
+    a = comps.cluster + comps.subject / cells.m
+    b = comps.cluster_by_time + within / cells.m
+    # the subject-level covariance is singular exactly when a cell's
+    # periods are collinear or several subjects share a cell with no
+    # measurement-level variance between them
+    if np.any(b <= 0.0) or (within <= 0.0 and np.any(cells.m > 1)):
+        raise ValueError(
+            "cluster covariance is singular; the correlation parameters "
+            "leave no measurement-level variation"
+        )
+    gamma = a / (b + n_periods * a)
+    column_sums = cells.x.sum(axis=1)
+    return (cells.x - (gamma[:, None] * column_sums)[:, None, :]) / b[:, None, None]
 
-    information = np.zeros((p, p))
-    score = np.zeros(p)
-    at = 0
-    for block in v_blocks:
-        k = block.shape[0]
-        rows = slice(at, at + k)
-        at += k
-        rhs = np.concatenate([x[rows], y[rows, None]], axis=1)
-        try:
-            solved = np.linalg.solve(block, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "cluster covariance is singular; the correlation parameters "
-                "leave no measurement-level variation"
-            ) from exc
-        information += x[rows].T @ solved[:, :p]
-        score += x[rows].T @ solved[:, p]
 
+def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimate:
+    """GLS fit of the cell means under the subject-level covariance.
+
+    Each cluster contributes X_k' S_k^-1 X_k to the information and
+    X_k' S_k^-1 ybar_k to the score, where S_k is the covariance of its
+    cell means; this equals the fit of the subject rows because every
+    fixed effect is constant within a cell.  The modeled means must be
+    exactly representable by the fixed effects.
+
+    Raises:
+        ValueError: if the covariance or the information is singular, or
+            the fixed effects do not reproduce the cell means.
+    """
+    sx = _precision_x(cells, comps)
+    information = np.einsum("k,ktp,ktq->pq", cells.count, cells.x, sx)
+    score = np.einsum("k,ktp,kt->p", cells.count, sx, cells.mean)
+    p = information.shape[0]
     try:
         beta = np.linalg.solve(information, score)
         cov = np.linalg.solve(information, np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("information matrix is singular") from exc
+
+    # residual and outcome norms over the subject rows, cell by cell
+    rows = (cells.count * cells.m)[:, None]
+    y_norm = math.sqrt(float(np.sum(rows * cells.mean**2)))
+    misfit = math.sqrt(float(np.sum(rows * (cells.x @ beta - cells.mean) ** 2)))
+    if misfit > _FIT_RTOL * max(1.0, y_norm):
+        raise ValueError(
+            "exemplary means are not reproduced by the fixed effects "
+            f"(residual norm {misfit:.3e}); the cell means are inconsistent "
+            "with the design model"
+        )
     return GlsEstimate(beta=beta, cov=cov, information=information)
 
 
@@ -189,12 +216,15 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
         tested effect takes the between stratum when it involves a
         cluster-constant factor and the within stratum otherwise.
     """
+    return _ddf_from_cells(spec, policy, designs.cell_table(spec))
+
+
+def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> int:
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
-    dataset = designs.exemplary_dataset(spec)
-    x = designs.design_matrix(spec, dataset)
-    n = x.shape[0]
-    rank_x = int(np.linalg.matrix_rank(x))
+    n = spec.n_observations
+    # cell_table refuses rank-deficient designs
+    rank_x = cells.x.shape[2]
 
     if policy == "residual":
         ddf = n - rank_x
@@ -204,9 +234,8 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
     else:
         _require_clustered(spec, policy)
         columns = designs.design_columns(spec)
-        structure = designs.cluster_structure(spec)
         const_idx = [j for j, c in enumerate(columns) if c.cluster_constant]
-        cluster_level = np.array([x[cb.row_start, const_idx] for cb in structure])
+        cluster_level = cells.x[:, 0, const_idx]
         between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
         within = (n - rank_x) - between
         contrast = designs.hypothesis_contrast(spec)
@@ -222,31 +251,39 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
     return int(ddf)
 
 
-def _fit_exemplary(
-    spec: DesignSpec, params: CorrelationParams
-) -> tuple[GlsEstimate, float, int, VarianceComponents, designs.Contrast]:
+def evaluate(
+    spec: DesignSpec,
+    params: CorrelationParams,
+    *,
+    ddf_policy: str | None = None,
+    alpha: float | None = None,
+) -> Evaluation:
+    """Fit the exemplary cell means and turn the fit into a power figure.
+
+    The one pipeline behind analytic_power, power_audit and the Monte
+    Carlo check.  Its cost follows clusters times periods, never the
+    number of subjects.
+
+    Args:
+        spec: design description.
+        params: marginal correlation description.
+        ddf_policy: one of DDF_POLICIES; defaults per design kind.
+        alpha: type I error rate; defaults to spec.alpha.
+    """
     _validate_params_for_kind(spec, params)
-    family = correlation.family_for_kind(spec.kind)
-    comps = correlation.derive_components(params, family)
-    dataset = designs.exemplary_dataset(spec)
-    x = designs.design_matrix(spec, dataset)
-    y = dataset.mean
-    blocks = study_blocks(spec, comps)
-    fit = gls_estimate(x, blocks, y)
-
-    # the modeled means must be exactly representable by the fixed effects
-    scale = max(1.0, float(np.linalg.norm(y)))
-    misfit = float(np.linalg.norm(x @ fit.beta - y))
-    if misfit > _FIT_RTOL * scale:
-        raise ValueError(
-            "exemplary means are not reproduced by the fixed effects "
-            f"(residual norm {misfit:.3e}); the cell means are inconsistent "
-            "with the design model"
-        )
-
+    policy = ddf_policy or default_ddf_policy(spec.kind)
+    comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
+    cells = designs.cell_table(spec)
+    fit = fit_cells(cells, comps)
     contrast = designs.hypothesis_contrast(spec)
     fvalue, ndf = wald_f(fit.beta, fit.cov, contrast.matrix)
-    return fit, fvalue, ndf, comps, contrast
+    ddf = _ddf_from_cells(spec, policy, cells)
+    result = distributions.power_from_f(
+        fvalue, ndf, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
+    )
+    return Evaluation(
+        result=result, fit=fit, cells=cells, components=comps, contrast=contrast
+    )
 
 
 def analytic_power(
@@ -272,12 +309,7 @@ def analytic_power(
     Returns:
         PowerResult; its ddf_policy field records the policy used.
     """
-    policy = ddf_policy or default_ddf_policy(spec.kind)
-    _, fvalue, ndf, _, _ = _fit_exemplary(spec, params)
-    ddf = resolve_ddf(spec, policy)
-    return distributions.power_from_f(
-        fvalue, ndf, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
-    )
+    return evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha).result
 
 
 def power_audit(
@@ -288,20 +320,15 @@ def power_audit(
     alpha: float | None = None,
 ) -> PowerAudit:
     """analytic_power plus the intermediate quantities that produced it."""
-    policy = ddf_policy or default_ddf_policy(spec.kind)
-    fit, fvalue, ndf, comps, contrast = _fit_exemplary(spec, params)
-    ddf = resolve_ddf(spec, policy)
-    result = distributions.power_from_f(
-        fvalue, ndf, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
-    )
+    run = evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha)
     return PowerAudit(
-        result=result,
+        result=run.result,
         kind=spec.kind.value,
         n_observations=spec.n_observations,
         n_clusters=spec.n_clusters,
         n_times=spec.n_times,
-        contrast=contrast.name,
-        beta=tuple(float(b) for b in fit.beta),
-        components=comps,
-        ddf_policy=policy,
+        contrast=run.contrast.name,
+        beta=tuple(float(b) for b in run.fit.beta),
+        components=run.components,
+        ddf_policy=run.result.ddf_policy,
     )

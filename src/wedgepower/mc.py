@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlation, designs, distributions, engine
+from . import correlation, designs, engine
 from .correlation import CorrelationParams, VarianceComponents
 from .designs import DesignSpec
 
@@ -67,7 +67,12 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class EmpiricalPower:
-    """Rejection rate over simulated replicates, with its Monte Carlo error."""
+    """Rejection rate over simulated replicates, with its Monte Carlo error.
+
+    ci_low and ci_high bound the Wilson score interval at 95%; analytic
+    is the analytic power of the fit the simulation draws its weights,
+    ddf and fcrit from.
+    """
 
     estimate: float
     replicates: int
@@ -79,6 +84,7 @@ class EmpiricalPower:
     seed: int
     ddf: int
     fcrit: float
+    analytic: float
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -94,25 +100,23 @@ class _StudySampler:
         dataset = designs.exemplary_dataset(spec)
         self.mu = dataset.mean.copy()
         self.n = dataset.n_rows
-        blocks = engine.study_blocks(spec, comps)
         self.slices: list[slice] = []
         self.chol: list[np.ndarray] = []
-        factor_by_id: dict[int, np.ndarray] = {}
-        at = 0
-        for block in blocks:
-            k = block.shape[0]
-            self.slices.append(slice(at, at + k))
-            at += k
-            key = id(block)
-            if key not in factor_by_id:
+        self.layout = ""
+        factor_by_size: dict[int, np.ndarray] = {}
+        for cb in designs.cluster_structure(spec):
+            self.slices.append(slice(cb.row_start, cb.row_start + cb.n_rows))
+            if cb.n_subjects not in factor_by_size:
+                block = correlation.build_cluster_v(spec, comps, cluster_index=cb.index)
+                self.layout = block.layout
                 try:
-                    factor_by_id[key] = np.linalg.cholesky(block)
+                    factor_by_size[cb.n_subjects] = np.linalg.cholesky(block.matrix)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError(
                         "cluster covariance is not positive definite; the "
                         "correlation parameters leave no replicate-level noise"
                     ) from exc
-            self.chol.append(factor_by_id[key])
+            self.chol.append(factor_by_size[cb.n_subjects])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal(self.n)
@@ -121,13 +125,20 @@ class _StudySampler:
             y[sl] += factor @ z[sl]
         return y
 
-    def transform(self, z: np.ndarray) -> np.ndarray:
-        """Turn rows of standard normal draws into outcome vectors."""
-        y = np.empty_like(z)
+    def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
+        """Spread each cluster's cell weights over its subject rows."""
+        expand = np.tile if self.layout == "subject_major" else np.repeat
+        per_pattern = [
+            expand(w / m, m) for w, m in zip(cell_weights, cells.m.tolist())
+        ]
+        return np.concatenate([per_pattern[k] for k in cells.cluster_pattern.tolist()])
+
+    def project(self, weights: np.ndarray) -> np.ndarray:
+        """u with z . u = weights . (L z) for a standard normal draw z."""
+        u = np.empty(self.n)
         for sl, factor in zip(self.slices, self.chol):
-            y[:, sl] = z[:, sl] @ factor.T
-        y += self.mu
-        return y
+            u[sl] = weights[sl] @ factor
+        return u
 
 
 def sample_replicate(
@@ -153,54 +164,44 @@ def _worker_count() -> int:
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     """Rejection rate of the primary test over simulated replicates.
 
-    Each replicate draws outcomes from the exact study covariance, fits
-    them by the same known-covariance GLS the analytic route uses, forms
-    the F statistic (Wald numerator over a mean-one chi-square denominator
-    with the policy's degrees of freedom, drawn from the same replicate
-    stream), and rejects when it exceeds the analytic route's critical
-    value.
+    Each replicate draws outcomes from the exact study covariance, takes
+    the contrast estimate with the known-covariance GLS weights of the
+    analytic route's fit, forms the F statistic (Wald numerator over a
+    mean-one chi-square denominator with the policy's degrees of freedom,
+    drawn from the same replicate stream), and rejects when it exceeds
+    the analytic route's critical value.
 
     Thread count is capped by the WEDGEPOWER_THREADS environment
     variable (default 1); the estimate is identical for any cap.
     """
     spec, params = plan.spec, plan.params
     engine._validate_params_for_kind(spec, params)
-    policy = plan.ddf_policy or engine.default_ddf_policy(spec.kind)
     alpha = spec.alpha if plan.alpha is None else plan.alpha
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
     comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
     sampler = _StudySampler(spec, comps)
-    dataset = designs.exemplary_dataset(spec)
-    x = designs.design_matrix(spec, dataset)
-    blocks = engine.study_blocks(spec, comps)
-    fit = engine.gls_estimate(x, blocks, dataset.mean)
-    contrast = designs.hypothesis_contrast(spec)
+    run = engine.evaluate(spec, params, ddf_policy=plan.ddf_policy, alpha=alpha)
+    ddf, fcrit = run.result.ddf, run.result.fcrit
 
-    # weight vector turning an outcome draw into the contrast estimate:
-    # l' (X'V^-1X)^-1 X'V^-1 y, assembled cluster by cluster
-    p = x.shape[1]
-    xtvi = np.zeros((p, sampler.n))
-    for sl, block in zip(sampler.slices, blocks):
-        xtvi[:, sl] = np.linalg.solve(block, x[sl]).T
-    weights = (contrast.matrix @ fit.cov @ xtvi)[0]
-    s2 = float((contrast.matrix @ fit.cov @ contrast.matrix.T)[0, 0])
-
-    ddf = engine.resolve_ddf(spec, policy)
-    fcrit = distributions.central_f_quantile(1.0 - alpha, contrast.ndf, ddf)
+    # a draw mu + L z has contrast estimate mu . w + z . (L' w), with w
+    # the GLS weights l' (X'V^-1X)^-1 X'V^-1 of the subject rows
+    weights = sampler.row_weights(run.cells, run.cell_weights())
+    center = float(sampler.mu @ weights)
+    u = sampler.project(weights)
+    s2 = float((run.contrast.matrix @ run.fit.cov @ run.contrast.matrix.T)[0, 0])
 
     def run_chunk(bounds: tuple[int, int]) -> int:
         start, stop = bounds
         count = stop - start
-        z = np.empty((count, sampler.n))
+        effects = np.empty(count)
         denominator = np.empty(count)
         for i in range(count):
             rng = replicate_stream(plan.seed, start + i)
-            z[i] = rng.standard_normal(sampler.n)
+            effects[i] = rng.standard_normal(sampler.n) @ u
             denominator[i] = rng.chisquare(ddf) / ddf
-        y = sampler.transform(z)
-        effects = y @ weights
+        effects += center
         fstats = effects * effects / s2
         return int(np.count_nonzero(fstats > fcrit * denominator))
 
@@ -215,17 +216,23 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rejections = sum(pool.map(run_chunk, chunks))
 
-    estimate = rejections / plan.replicates
-    stderr = math.sqrt(estimate * (1.0 - estimate) / plan.replicates)
+    n = plan.replicates
+    estimate = rejections / n
+    stderr = math.sqrt(estimate * (1.0 - estimate) / n)
+    # Wilson score interval; rounding may leave an end a hair inside the estimate
+    z2 = _Z95 * _Z95
+    middle = (estimate + z2 / (2 * n)) / (1.0 + z2 / n)
+    half = _Z95 * math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n)) / (1.0 + z2 / n)
     return EmpiricalPower(
         estimate=estimate,
-        replicates=plan.replicates,
+        replicates=n,
         rejections=rejections,
         stderr=stderr,
-        ci_low=max(0.0, estimate - _Z95 * stderr),
-        ci_high=min(1.0, estimate + _Z95 * stderr),
+        ci_low=max(0.0, min(estimate, middle - half)),
+        ci_high=min(1.0, max(estimate, middle + half)),
         alpha=alpha,
         seed=plan.seed,
         ddf=ddf,
         fcrit=fcrit,
+        analytic=run.result.power,
     )

@@ -27,12 +27,12 @@ from wedgepower.designs import (
 from wedgepower.engine import (
     analytic_power,
     default_ddf_policy,
-    gls_estimate,
     power_audit,
     resolve_ddf,
-    study_blocks,
     wald_f,
 )
+
+from dense_oracle import gls_estimate, study_blocks
 
 LAMBDA_TOL = 1e-9
 POWER_REL = 1e-10

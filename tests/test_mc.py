@@ -199,6 +199,15 @@ class TestEmpiricalPower:
         result = empirical_power(preset_plan("example1", 1, seed=0))
         assert result.estimate in (0.0, 1.0)
 
+    def test_reports_analytic_power_of_same_fit(self):
+        result = empirical_power(
+            preset_plan("example4", 10, alpha=0.01, ddf_policy="containment")
+        )
+        spec, params = get_preset("example4")
+        reference = analytic_power(spec, params, ddf_policy="containment", alpha=0.01)
+        assert result.analytic == reference.power
+        assert (result.ddf, result.fcrit) == (reference.ddf, reference.fcrit)
+
     def test_chunk_boundary(self, monkeypatch):
         # one more replicate than a chunk holds, sequential vs threaded
         plan = preset_plan("example1", 1025, seed=3)
@@ -218,3 +227,36 @@ class TestEmpiricalPower:
         )
         with pytest.raises(ValueError, match="icc"):
             empirical_power(plan)
+
+
+Z2 = 1.959963984540054**2
+
+
+class TestWilsonInterval:
+    def test_single_replicate_is_not_a_point(self):
+        result = empirical_power(preset_plan("example1", 1, seed=0))
+        if result.estimate == 0.0:
+            expected = (0.0, Z2 / (1.0 + Z2))
+        else:
+            expected = (1.0 / (1.0 + Z2), 1.0)
+        assert (result.ci_low, result.ci_high) == pytest.approx(expected, rel=1e-12)
+        assert result.ci_high - result.ci_low > 0.7
+
+    def test_all_reject_run(self):
+        from dataclasses import replace
+
+        spec, params = get_preset("example1")
+        strong = replace(spec, cell_means={(1, 1): 59.0, (2, 1): 40.0})
+        plan = SimulationPlan(spec=strong, params=params, replicates=200, seed=1)
+        result = empirical_power(plan)
+        assert result.rejections == 200
+        assert result.ci_high == 1.0
+        assert result.ci_low == pytest.approx(200 / (200 + Z2), rel=1e-12)
+
+    def test_interior_estimate(self):
+        result = empirical_power(preset_plan("example5", 1500, seed=2))
+        p, n = result.estimate, 1500
+        middle = (p + Z2 / (2 * n)) / (1 + Z2 / n)
+        half = np.sqrt(Z2 * p * (1 - p) / n + Z2 * Z2 / (4 * n * n)) / (1 + Z2 / n)
+        assert result.ci_low == pytest.approx(middle - half, rel=1e-12)
+        assert result.ci_high == pytest.approx(middle + half, rel=1e-12)
