@@ -77,7 +77,6 @@ from .mc import (
     SimulationPlan,
     empirical_power,
     replicate_stream,
-    sample_replicate,
 )
 
 __version__ = "1.0.0"
@@ -149,6 +148,5 @@ __all__ = [
     "SimulationPlan",
     "EmpiricalPower",
     "replicate_stream",
-    "sample_replicate",
     "empirical_power",
 ]

@@ -1,16 +1,20 @@
 """Monte Carlo check of the analytic power route.
 
-Simulates the exemplary design end to end: draw outcomes from the exact
-study covariance, refit each replicate by the same GLS the analytic
-route uses, and count rejections of the primary hypothesis.  The
-replicate F statistic divides the contrast's Wald numerator by an
-independent mean-one chi-square draw with the policy's denominator
-degrees of freedom: that is the estimation noise the F(ndf, ddf)
-reference distribution assumes, so under null means the statistic is
-exactly central F and the rejection rate is exactly alpha in
-expectation.  Replicates are keyed to counter-based substreams, so the
-estimate depends only on the seed and replicate count, never on
-chunking or thread count.
+Simulates the exemplary design end to end: draw subject-level outcomes
+from the exact study covariance, take each replicate's contrast
+estimate with the known-covariance GLS weights of the analytic route's
+fit, and count rejections of the primary hypothesis.  The replicate F
+statistic divides the contrast's Wald numerator by an independent
+mean-one chi-square draw with the policy's denominator degrees of
+freedom: that is the estimation noise the F(ndf, ddf) reference
+distribution assumes, so under null means the statistic is exactly
+central F and the rejection rate is exactly alpha in expectation.
+
+Replicates run in fixed chunks of _CHUNK, each with its own Philox
+stream keyed by (seed, chunk index) (Salmon et al. 2011).  A chunk
+draws all its normals first, in row blocks, then all its chi-square
+denominators, so the estimate depends only on the seed and replicate
+count, never on thread count or block size.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "SimulationPlan",
     "EmpiricalPower",
     "replicate_stream",
-    "sample_replicate",
     "empirical_power",
     "THREADS_ENV_VAR",
 ]
@@ -38,6 +41,8 @@ __all__ = [
 THREADS_ENV_VAR = "WEDGEPOWER_THREADS"
 
 _CHUNK = 1024
+# most normals a chunk draws at once (512 KB); a block is at least one row
+_BLOCK_DRAWS = 2**16
 _Z95 = 1.959963984540054
 
 
@@ -88,7 +93,7 @@ class EmpiricalPower:
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for one replicate of one simulation."""
+    """Independent random stream for one chunk of _CHUNK replicates."""
     key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -98,7 +103,7 @@ class _StudySampler:
 
     def __init__(self, spec: DesignSpec, comps: VarianceComponents):
         dataset = designs.exemplary_dataset(spec)
-        self.mu = dataset.mean.copy()
+        self.mu = dataset.mean
         self.n = dataset.n_rows
         self.slices: list[slice] = []
         self.chol: list[np.ndarray] = []
@@ -118,13 +123,6 @@ class _StudySampler:
                     ) from exc
             self.chol.append(factor_by_size[cb.n_subjects])
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal(self.n)
-        y = self.mu.copy()
-        for sl, factor in zip(self.slices, self.chol):
-            y[sl] += factor @ z[sl]
-        return y
-
     def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
         """Spread each cluster's cell weights over its subject rows."""
         expand = np.tile if self.layout == "subject_major" else np.repeat
@@ -141,11 +139,20 @@ class _StudySampler:
         return u
 
 
-def sample_replicate(
-    spec: DesignSpec, comps: VarianceComponents, stream: np.random.Generator
-) -> np.ndarray:
-    """Draw one outcome vector for the design from its exact covariance."""
-    return _StudySampler(spec, comps).sample(stream)
+def _contrast_projection(
+    spec: DesignSpec, run: engine.Evaluation
+) -> tuple[float, np.ndarray, float]:
+    """center, u and s2 with contrast estimate center + z . u for a draw.
+
+    A draw mu + L z has contrast estimate mu . w + z . (L' w), with w the
+    GLS weights l' (X'V^-1X)^-1 X'V^-1 of the subject rows; s2 is the
+    contrast variance l' (X'V^-1X)^-1 l, which equals u . u.
+    """
+    sampler = _StudySampler(spec, run.components)
+    weights = sampler.row_weights(run.cells, run.cell_weights())
+    lmat = run.contrast.matrix
+    s2 = float((lmat @ run.fit.cov @ lmat.T)[0, 0])
+    return float(sampler.mu @ weights), sampler.project(weights), s2
 
 
 def _worker_count() -> int:
@@ -168,47 +175,33 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     the contrast estimate with the known-covariance GLS weights of the
     analytic route's fit, forms the F statistic (Wald numerator over a
     mean-one chi-square denominator with the policy's degrees of freedom,
-    drawn from the same replicate stream), and rejects when it exceeds
-    the analytic route's critical value.
+    drawn from the same chunk stream), and rejects when it exceeds the
+    analytic route's critical value.
 
     Thread count is capped by the WEDGEPOWER_THREADS environment
     variable (default 1); the estimate is identical for any cap.
     """
-    spec, params = plan.spec, plan.params
-    engine._validate_params_for_kind(spec, params)
-    alpha = spec.alpha if plan.alpha is None else plan.alpha
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    run = engine.evaluate(
+        plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
+    )
+    alpha, ddf, fcrit = run.result.alpha, run.result.ddf, run.result.fcrit
+    center, u, s2 = _contrast_projection(plan.spec, run)
+    rows_per_block = max(1, _BLOCK_DRAWS // u.size)
 
-    comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
-    sampler = _StudySampler(spec, comps)
-    run = engine.evaluate(spec, params, ddf_policy=plan.ddf_policy, alpha=alpha)
-    ddf, fcrit = run.result.ddf, run.result.fcrit
-
-    # a draw mu + L z has contrast estimate mu . w + z . (L' w), with w
-    # the GLS weights l' (X'V^-1X)^-1 X'V^-1 of the subject rows
-    weights = sampler.row_weights(run.cells, run.cell_weights())
-    center = float(sampler.mu @ weights)
-    u = sampler.project(weights)
-    s2 = float((run.contrast.matrix @ run.fit.cov @ run.contrast.matrix.T)[0, 0])
-
-    def run_chunk(bounds: tuple[int, int]) -> int:
-        start, stop = bounds
-        count = stop - start
+    def run_chunk(index: int) -> int:
+        start = index * _CHUNK
+        count = min(_CHUNK, plan.replicates - start)
+        rng = replicate_stream(plan.seed, index)
         effects = np.empty(count)
-        denominator = np.empty(count)
-        for i in range(count):
-            rng = replicate_stream(plan.seed, start + i)
-            effects[i] = rng.standard_normal(sampler.n) @ u
-            denominator[i] = rng.chisquare(ddf) / ddf
+        for at in range(0, count, rows_per_block):
+            stop = min(at + rows_per_block, count)
+            effects[at:stop] = rng.standard_normal((stop - at, u.size)) @ u
+        denominator = rng.chisquare(ddf, count) / ddf
         effects += center
         fstats = effects * effects / s2
         return int(np.count_nonzero(fstats > fcrit * denominator))
 
-    chunks = [
-        (start, min(start + _CHUNK, plan.replicates))
-        for start in range(0, plan.replicates, _CHUNK)
-    ]
+    chunks = range(-(-plan.replicates // _CHUNK))
     workers = _worker_count()
     if workers == 1 or len(chunks) == 1:
         rejections = sum(run_chunk(c) for c in chunks)

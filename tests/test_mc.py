@@ -5,24 +5,22 @@ is deterministic; statistical tolerances are set at three to four Monte
 Carlo standard errors of the quantity being checked.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wedgepower.correlation import (
-    CorrelationParams,
-    derive_components,
-    family_for_kind,
-)
-from wedgepower.designs import get_preset
+from wedgepower import mc
+from wedgepower.correlation import CorrelationParams
+from wedgepower.designs import PRESETS, DesignKind, DesignSpec, get_preset
 from wedgepower.distributions import central_f_quantile
-from wedgepower.engine import analytic_power, resolve_ddf
+from wedgepower.engine import analytic_power, evaluate, resolve_ddf
 from wedgepower.mc import (
     THREADS_ENV_VAR,
     EmpiricalPower,
     SimulationPlan,
     empirical_power,
     replicate_stream,
-    sample_replicate,
 )
 
 
@@ -31,11 +29,6 @@ def preset_plan(name: str, replicates: int, seed: int = 1, **kwargs) -> Simulati
     return SimulationPlan(
         spec=spec, params=params, replicates=replicates, seed=seed, **kwargs
     )
-
-
-def preset_comps(name: str):
-    spec, params = get_preset(name)
-    return spec, derive_components(params, family_for_kind(spec.kind))
 
 
 class TestSimulationPlan:
@@ -69,59 +62,81 @@ class TestReplicateStream:
         assert not np.array_equal(a, b)
 
 
-class TestSampleReplicate:
-    def test_shape_and_determinism(self):
-        spec, comps = preset_comps("example5")
-        y1 = sample_replicate(spec, comps, replicate_stream(3, 0))
-        y2 = sample_replicate(spec, comps, replicate_stream(3, 0))
-        assert y1.shape == (180,)
-        np.testing.assert_array_equal(y1, y2)
+class TestContrastProjection:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_projected_variance_is_contrast_variance(self, name):
+        # u . u = w'Vw with V from build_cluster_v must be the engine's
+        # l'(X'V^-1X)^-1 l, or the simulated F would not be the analytic F
+        spec, params = get_preset(name)
+        run = evaluate(spec, params)
+        _, u, _ = mc._contrast_projection(spec, run)
+        lvec = run.contrast.matrix[0]
+        assert u @ u == pytest.approx(lvec @ run.fit.cov @ lvec, rel=1e-10)
 
-    def test_centered_on_modeled_means(self):
-        spec, comps = preset_comps("example2")
-        draws = np.array(
-            [
-                sample_replicate(spec, comps, replicate_stream(11, i))
-                for i in range(2000)
-            ]
-        )
-        # each column is Normal(mu, 25): the mean of 2000 draws has
-        # standard error 0.112, so 4 of those is 0.45
-        np.testing.assert_allclose(draws.mean(axis=0)[:6], 59.0, atol=0.45)
-        np.testing.assert_allclose(draws.mean(axis=0)[-6:], 54.0, atol=0.45)
 
-    def test_reproduces_cluster_covariance(self):
-        spec, comps = preset_comps("example2")
-        replicates = 20_000
-        draws = np.array(
-            [
-                sample_replicate(spec, comps, replicate_stream(5, i))
-                for i in range(replicates)
-            ]
-        )
-        sample_cov = np.cov(draws[:, :6].T)
-        # variance of one sample covariance entry is roughly
-        # (v_ii v_jj + v_ij^2) / R: se 0.25 on the diagonal, 0.18 off it
-        np.testing.assert_allclose(np.diag(sample_cov), 25.0, atol=0.75)
-        off = sample_cov[~np.eye(6, dtype=bool)]
-        np.testing.assert_allclose(off, 2.5, atol=0.53)
-        # across clusters the draws are independent
-        cross = np.cov(draws[:, 0], draws[:, 6])[0, 1]
-        assert abs(cross) <= 0.53
+def reference_rejections(plan: SimulationPlan) -> int:
+    """Rejection count drawn one replicate row at a time from each chunk stream."""
+    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
+    center, u, s2 = mc._contrast_projection(plan.spec, run)
+    ddf, fcrit = run.result.ddf, run.result.fcrit
+    rejections = 0
+    for index, start in enumerate(range(0, plan.replicates, 1024)):
+        count = min(1024, plan.replicates - start)
+        rng = replicate_stream(plan.seed, index)
+        effects = np.array([rng.standard_normal(u.size) @ u for _ in range(count)])
+        denominator = rng.chisquare(ddf, count) / ddf
+        fstats = (center + effects) ** 2 / s2
+        rejections += int(np.count_nonzero(fstats > fcrit * denominator))
+    return rejections
 
-    def test_repeated_measurement_covariance(self):
-        spec, comps = preset_comps("example7")
-        replicates = 20_000
-        draws = np.array(
-            [
-                sample_replicate(spec, comps, replicate_stream(5, i))
-                for i in range(replicates)
-            ]
+
+class TestChunkStreams:
+    @pytest.mark.parametrize("replicates", [1, 1024, 1025, 20_000])
+    def test_one_stream_per_chunk(self, monkeypatch, replicates):
+        keys = []
+
+        def counted(seed, index):
+            keys.append((seed, index))
+            return replicate_stream(seed, index)
+
+        monkeypatch.setattr(mc, "replicate_stream", counted)
+        empirical_power(preset_plan("example1", replicates, seed=5))
+        assert sorted(keys) == [(5, i) for i in range(-(-replicates // 1024))]
+
+    def test_block_size_does_not_change_count(self, monkeypatch):
+        plan = preset_plan("example5", 1025, seed=6)
+        counts = []
+        for block in (1, mc._BLOCK_DRAWS, 2**30):
+            monkeypatch.setattr(mc, "_BLOCK_DRAWS", block)
+            counts.append(empirical_power(plan).rejections)
+        assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("name", ["example1", "example5", "example7"])
+    def test_matches_row_by_row_reference(self, name):
+        plan = preset_plan(name, 1025, seed=2)
+        assert empirical_power(plan).rejections == reference_rejections(plan)
+
+    def test_peak_memory_stays_below_a_chunk_buffer(self):
+        # 12,000 subject rows: a whole chunk of draws would take 94 MB
+        spec = DesignSpec(
+            kind=DesignKind.SWD_XSEC,
+            steps_k=12,
+            baseline_b=1,
+            per_step_t=2,
+            clusters_per_step=(2,) * 12,
+            cluster_size=20,
+            cell_means={(0, 0): 54.0, (1, 0): 55.0},
         )
-        sample_cov = np.cov(draws[:, :15].T)
-        assert abs(sample_cov[0, 1] - 14.5) <= 0.60   # same subject
-        assert abs(sample_cov[0, 3] - 2.5) <= 0.53    # same time
-        assert abs(sample_cov[0, 4] - 1.0) <= 0.53    # neither
+        assert spec.n_observations == 12_000
+        _, params = get_preset("example6")
+        plan = SimulationPlan(spec=spec, params=params, replicates=2048, seed=1)
+        tracemalloc.start()
+        try:
+            empirical_power(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEmpiricalPower:
