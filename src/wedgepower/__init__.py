@@ -51,7 +51,6 @@ from .designs import (
     validate_spec,
 )
 from .distributions import (
-    FTail,
     PowerResult,
     central_f_cdf,
     central_f_quantile,
@@ -84,7 +83,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # distributions
-    "FTail",
     "PowerResult",
     "regularized_incomplete_beta",
     "central_f_cdf",

@@ -308,6 +308,7 @@ def _cmd_mc(args) -> int:
             "ddf": outcome.ddf,
             "alpha": outcome.alpha,
             "analytic": outcome.analytic,
+            "z": outcome.z,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
@@ -321,6 +322,7 @@ def _cmd_mc(args) -> int:
         ("mc stderr", f"{outcome.stderr:.4f}"),
         ("ci95", f"[{_f3(outcome.ci_low)}, {_f3(outcome.ci_high)}]"),
         ("analytic power", _f3(outcome.analytic)),
+        ("z vs analytic", f"{outcome.z:.2f}"),
         ("ddf", str(outcome.ddf)),
         ("alpha", _f3(outcome.alpha)),
     ]

@@ -28,7 +28,6 @@ __all__ = [
     "DesignSpec",
     "SpecValidationError",
     "ExemplaryDataset",
-    "ClusterBlock",
     "CellTable",
     "ColumnInfo",
     "Contrast",
@@ -38,7 +37,6 @@ __all__ = [
     "design_matrix",
     "design_columns",
     "hypothesis_contrast",
-    "cluster_structure",
     "cell_table",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -308,56 +306,6 @@ class ExemplaryDataset:
             and np.array_equal(self.intervene, other.intervene)
             and np.array_equal(self.mean, other.mean)
         )
-
-
-@dataclass(frozen=True)
-class ClusterBlock:
-    """Row extent of one cluster within the exemplary dataset."""
-
-    index: int
-    cluster_id: int
-    group: int
-    n_subjects: int
-    row_start: int
-    n_rows: int
-
-
-def cluster_structure(spec: DesignSpec) -> list[ClusterBlock]:
-    """Per-cluster row layout, in dataset order."""
-    ensure_valid(spec)
-    sizes = spec.cluster_subject_counts()
-    rows = spec.rows_per_cluster()
-    groups = _cluster_groups(spec)
-    blocks = []
-    at = 0
-    for i, (size, n_rows, group) in enumerate(zip(sizes, rows, groups)):
-        blocks.append(
-            ClusterBlock(
-                index=i,
-                cluster_id=i + 1,
-                group=group,
-                n_subjects=size,
-                row_start=at,
-                n_rows=n_rows,
-            )
-        )
-        at += n_rows
-    return blocks
-
-
-def _cluster_groups(spec: DesignSpec) -> list[int]:
-    if spec.kind == DesignKind.RCT_POST:
-        return [1] * spec.per_group_n + [2] * spec.per_group_n
-    if spec.kind == DesignKind.RCT_PREPOST:
-        # arm 1 rows come first (both times), then arm 2
-        return [1] * (2 * spec.per_group_n) + [2] * (2 * spec.per_group_n)
-    if spec.kind in ARM_CLUSTER_KINDS:
-        c1, c2 = spec.clusters_per_arm
-        return [1] * c1 + [2] * c2
-    groups = []
-    for step, count in enumerate(spec.clusters_per_step, start=1):
-        groups.extend([step] * count)
-    return groups
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:

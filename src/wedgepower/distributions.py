@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "FTail",
     "PowerResult",
     "regularized_incomplete_beta",
     "central_f_cdf",
@@ -35,30 +34,6 @@ def _validate_df(ndf: int, ddf: int) -> tuple[int, int]:
         if value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(ndf), int(ddf)
-
-
-@dataclass(frozen=True)
-class FTail:
-    """A point on an F distribution: statistic, degrees of freedom, noncentrality."""
-
-    x: float
-    ndf: int
-    ddf: int
-    noncentrality: float = 0.0
-
-    def __post_init__(self) -> None:
-        ndf, ddf = _validate_df(self.ndf, self.ddf)
-        object.__setattr__(self, "ndf", ndf)
-        object.__setattr__(self, "ddf", ddf)
-        if not math.isfinite(self.x):
-            raise ValueError(f"x must be finite, got {self.x!r}")
-        if not math.isfinite(self.noncentrality) or self.noncentrality < 0:
-            raise ValueError(
-                f"noncentrality must be finite and >= 0, got {self.noncentrality!r}"
-            )
-
-    def cdf(self) -> float:
-        return noncentral_f_cdf(self.x, self.ndf, self.ddf, self.noncentrality)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,13 @@ class Evaluation:
         lcov = self.contrast.matrix[0] @ self.fit.cov
         return _precision_x(self.cells, self.components) @ lcov
 
+    def cell_covariance(self) -> np.ndarray:
+        """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of
+        a cluster of pattern k."""
+        a, b = _cell_variances(self.cells, self.components)
+        n_periods = self.cells.x.shape[1]
+        return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
+
 
 @dataclass(frozen=True)
 class PowerAudit:
@@ -125,14 +132,17 @@ def _validate_params_for_kind(spec: DesignSpec, params: CorrelationParams) -> No
         )
 
 
-def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
-    """S_k^-1 X_k for every pattern, S_k the covariance of its cell means.
+def _cell_variances(
+    cells: designs.CellTable, comps: VarianceComponents
+) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of each pattern's cell-mean covariance S_k = a J + b I.
 
-    S_k = a J + b I with a = cluster + subject / m and
-    b = cluster_by_time + (subject_by_time + residual) / m, whose inverse
-    is (I - a / (b + T a) J) / b.
+    a = cluster + subject / m and
+    b = cluster_by_time + (subject_by_time + residual) / m.
+
+    Raises:
+        ValueError: if the subject-level covariance is singular.
     """
-    n_periods = cells.x.shape[1]
     within = comps.subject_by_time + comps.residual
     a = comps.cluster + comps.subject / cells.m
     b = comps.cluster_by_time + within / cells.m
@@ -144,6 +154,16 @@ def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndar
             "cluster covariance is singular; the correlation parameters "
             "leave no measurement-level variation"
         )
+    return a, b
+
+
+def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
+    """S_k^-1 X_k for every pattern, S_k the covariance of its cell means.
+
+    S_k = a J + b I has inverse (I - a / (b + T a) J) / b.
+    """
+    n_periods = cells.x.shape[1]
+    a, b = _cell_variances(cells, comps)
     gamma = a / (b + n_periods * a)
     column_sums = cells.x.sum(axis=1)
     return (cells.x - (gamma[:, None] * column_sums)[:, None, :]) / b[:, None, None]

@@ -1,10 +1,14 @@
 """Monte Carlo check of the analytic power route.
 
-Simulates the exemplary design end to end: draw subject-level outcomes
-from the exact study covariance, take each replicate's contrast
-estimate with the known-covariance GLS weights of the analytic route's
-fit, and count rejections of the primary hypothesis.  The replicate F
-statistic divides the contrast's Wald numerator by an independent
+Simulates the exemplary design on its cluster-period cells: each
+replicate draws every cluster's T cell means from their exact
+covariance S_k = a_k J + b_k I, the cell average of the subject-level
+covariance, takes the contrast estimate with the known-covariance GLS
+weights of the analytic route's fit, and counts rejections of the
+primary hypothesis.  Every fixed effect is constant within a cell, so
+the cell means carry the whole contrast, and a replicate costs clusters
+times periods draws, however many subjects a cell holds.  The replicate
+F statistic divides the contrast's Wald numerator by an independent
 mean-one chi-square draw with the policy's denominator degrees of
 freedom: that is the estimation noise the F(ndf, ddf) reference
 distribution assumes, so under null means the statistic is exactly
@@ -12,9 +16,9 @@ central F and the rejection rate is exactly alpha in expectation.
 
 Replicates run in fixed chunks of _CHUNK, each with its own Philox
 stream keyed by (seed, chunk index) (Salmon et al. 2011).  A chunk
-draws all its normals first, in row blocks, then all its chi-square
-denominators, so the estimate depends only on the seed and replicate
-count, never on thread count or block size.
+draws all its normals first, in blocks of replicates, then all its
+chi-square denominators, so the estimate depends only on the seed and
+replicate count, never on thread count or block size.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlation, designs, engine
-from .correlation import CorrelationParams, VarianceComponents
+from . import engine
+from .correlation import CorrelationParams
 from .designs import DesignSpec
 
 __all__ = [
@@ -76,7 +80,8 @@ class EmpiricalPower:
 
     ci_low and ci_high bound the Wilson score interval at 95%; analytic
     is the analytic power of the fit the simulation draws its weights,
-    ddf and fcrit from.
+    ddf and fcrit from; z is estimate minus analytic in binomial standard
+    errors of the analytic power, or 0.0 when that error is 0.
     """
 
     estimate: float
@@ -90,6 +95,7 @@ class EmpiricalPower:
     ddf: int
     fcrit: float
     analytic: float
+    z: float
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -98,61 +104,24 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _StudySampler:
-    """Mean vector and per-cluster Cholesky factors of one design."""
+def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, float]:
+    """center, u and s2 with contrast estimate center + z . u for a draw z.
 
-    def __init__(self, spec: DesignSpec, comps: VarianceComponents):
-        dataset = designs.exemplary_dataset(spec)
-        self.mu = dataset.mean
-        self.n = dataset.n_rows
-        self.slices: list[slice] = []
-        self.chol: list[np.ndarray] = []
-        self.layout = ""
-        factor_by_size: dict[int, np.ndarray] = {}
-        for cb in designs.cluster_structure(spec):
-            self.slices.append(slice(cb.row_start, cb.row_start + cb.n_rows))
-            if cb.n_subjects not in factor_by_size:
-                block = correlation.build_cluster_v(spec, comps, cluster_index=cb.index)
-                self.layout = block.layout
-                try:
-                    factor_by_size[cb.n_subjects] = np.linalg.cholesky(block.matrix)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError(
-                        "cluster covariance is not positive definite; the "
-                        "correlation parameters leave no replicate-level noise"
-                    ) from exc
-            self.chol.append(factor_by_size[cb.n_subjects])
-
-    def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
-        """Spread each cluster's cell weights over its subject rows."""
-        expand = np.tile if self.layout == "subject_major" else np.repeat
-        per_pattern = [
-            expand(w / m, m) for w, m in zip(cell_weights, cells.m.tolist())
-        ]
-        return np.concatenate([per_pattern[k] for k in cells.cluster_pattern.tolist()])
-
-    def project(self, weights: np.ndarray) -> np.ndarray:
-        """u with z . u = weights . (L z) for a standard normal draw z."""
-        u = np.empty(self.n)
-        for sl, factor in zip(self.slices, self.chol):
-            u[sl] = weights[sl] @ factor
-        return u
-
-
-def _contrast_projection(
-    spec: DesignSpec, run: engine.Evaluation
-) -> tuple[float, np.ndarray, float]:
-    """center, u and s2 with contrast estimate center + z . u for a draw.
-
-    A draw mu + L z has contrast estimate mu . w + z . (L' w), with w the
-    GLS weights l' (X'V^-1X)^-1 X'V^-1 of the subject rows; s2 is the
-    contrast variance l' (X'V^-1X)^-1 l, which equals u . u.
+    A cluster of pattern k draws its T cell means as mean_k + L_k z_c,
+    L_k the Cholesky factor of the cell-mean covariance S_k, and adds
+    w_k . mean_k + z_c . (L_k' w_k) to the contrast estimate, w_k its
+    row of cell weights.  u stacks L_k' w_k over the clusters in dataset
+    order; s2 is the contrast variance l' (X'V^-1X)^-1 l, which equals
+    u . u.
     """
-    sampler = _StudySampler(spec, run.components)
-    weights = sampler.row_weights(run.cells, run.cell_weights())
+    cells = run.cells
+    weights = run.cell_weights()
+    factors = np.linalg.cholesky(run.cell_covariance())
+    per_pattern = np.einsum("kts,kt->ks", factors, weights)
+    center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
     lmat = run.contrast.matrix
     s2 = float((lmat @ run.fit.cov @ lmat.T)[0, 0])
-    return float(sampler.mu @ weights), sampler.project(weights), s2
+    return center, per_pattern[cells.cluster_pattern].ravel(), s2
 
 
 def _worker_count() -> int:
@@ -171,12 +140,14 @@ def _worker_count() -> int:
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     """Rejection rate of the primary test over simulated replicates.
 
-    Each replicate draws outcomes from the exact study covariance, takes
-    the contrast estimate with the known-covariance GLS weights of the
+    Each replicate draws every cluster's cluster-period cell means from
+    their exact covariance, one standard normal per cell, takes the
+    contrast estimate with the known-covariance GLS weights of the
     analytic route's fit, forms the F statistic (Wald numerator over a
     mean-one chi-square denominator with the policy's degrees of freedom,
     drawn from the same chunk stream), and rejects when it exceeds the
-    analytic route's critical value.
+    analytic route's critical value.  No subject rows are built, so the
+    design may be of any size.
 
     Thread count is capped by the WEDGEPOWER_THREADS environment
     variable (default 1); the estimate is identical for any cap.
@@ -185,7 +156,7 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
         plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
     )
     alpha, ddf, fcrit = run.result.alpha, run.result.ddf, run.result.fcrit
-    center, u, s2 = _contrast_projection(plan.spec, run)
+    center, u, s2 = _contrast_projection(run)
     rows_per_block = max(1, _BLOCK_DRAWS // u.size)
 
     def run_chunk(index: int) -> int:
@@ -216,6 +187,8 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     z2 = _Z95 * _Z95
     middle = (estimate + z2 / (2 * n)) / (1.0 + z2 / n)
     half = _Z95 * math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n)) / (1.0 + z2 / n)
+    analytic = run.result.power
+    analytic_se = math.sqrt(analytic * (1.0 - analytic) / n)
     return EmpiricalPower(
         estimate=estimate,
         replicates=n,
@@ -227,5 +200,6 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
         seed=plan.seed,
         ddf=ddf,
         fcrit=fcrit,
-        analytic=run.result.power,
+        analytic=analytic,
+        z=(estimate - analytic) / analytic_se if analytic_se > 0.0 else 0.0,
     )

@@ -1,32 +1,85 @@
-"""Subject-level GLS: the dense reference for the cluster-period engine.
+"""Subject-level GLS and sampling: the dense reference for the cell routes.
 
-The engine fits cell means of cluster patterns.  This module keeps the
-direct route it replaced: build the exemplary dataset one row per
-measurement, solve each cluster's full covariance block against
-[X y], and take the denominator degrees of freedom from ranks of the
-subject-level design matrix.  Tests compare the two routes.
+The engine fits, and the Monte Carlo check draws, cell means of cluster
+patterns.  This module keeps the direct routes they replaced: build the
+exemplary dataset one row per measurement, solve each cluster's full
+covariance block against [X y], take the denominator degrees of freedom
+from ranks of the subject-level design matrix, and project subject-level
+draws through each cluster's dense Cholesky factor.  Tests compare the
+routes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from wedgepower import correlation, designs
 from wedgepower.correlation import CorrelationParams, VarianceComponents
-from wedgepower.designs import DesignSpec
+from wedgepower.designs import DesignKind, DesignSpec
 from wedgepower.engine import DDF_POLICIES, GlsEstimate
 
 # relative tolerance for the exemplary-mean reproduction check
 FIT_RTOL = 1e-8
 
 
+@dataclass(frozen=True)
+class ClusterBlock:
+    """Row extent of one cluster within the exemplary dataset."""
+
+    index: int
+    cluster_id: int
+    group: int
+    n_subjects: int
+    row_start: int
+    n_rows: int
+
+
+def cluster_structure(spec: DesignSpec) -> list[ClusterBlock]:
+    """Per-cluster row layout, in dataset order."""
+    designs.ensure_valid(spec)
+    sizes = spec.cluster_subject_counts()
+    rows = spec.rows_per_cluster()
+    groups = _cluster_groups(spec)
+    blocks = []
+    at = 0
+    for i, (size, n_rows, group) in enumerate(zip(sizes, rows, groups)):
+        blocks.append(
+            ClusterBlock(
+                index=i,
+                cluster_id=i + 1,
+                group=group,
+                n_subjects=size,
+                row_start=at,
+                n_rows=n_rows,
+            )
+        )
+        at += n_rows
+    return blocks
+
+
+def _cluster_groups(spec: DesignSpec) -> list[int]:
+    if spec.kind == DesignKind.RCT_POST:
+        return [1] * spec.per_group_n + [2] * spec.per_group_n
+    if spec.kind == DesignKind.RCT_PREPOST:
+        # arm 1 rows come first (both times), then arm 2
+        return [1] * (2 * spec.per_group_n) + [2] * (2 * spec.per_group_n)
+    if spec.kind in designs.ARM_CLUSTER_KINDS:
+        c1, c2 = spec.clusters_per_arm
+        return [1] * c1 + [2] * c2
+    groups = []
+    for step, count in enumerate(spec.clusters_per_step, start=1):
+        groups.extend([step] * count)
+    return groups
+
+
 def study_blocks(
     spec: DesignSpec, comps: VarianceComponents
 ) -> list[np.ndarray]:
     """Per-cluster covariance matrices, in dataset row order."""
-    structure = designs.cluster_structure(spec)
+    structure = cluster_structure(spec)
     by_size: dict[int, np.ndarray] = {}
     blocks = []
     for cb in structure:
@@ -128,7 +181,7 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
             ddf = n - spec.n_clusters
         else:
             columns = designs.design_columns(spec)
-            structure = designs.cluster_structure(spec)
+            structure = cluster_structure(spec)
             const_idx = [j for j, c in enumerate(columns) if c.cluster_constant]
             cluster_level = np.array([x[cb.row_start, const_idx] for cb in structure])
             between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
@@ -156,3 +209,59 @@ def contrast_weights(spec: DesignSpec, params: CorrelationParams) -> np.ndarray:
         xtvi[:, at : at + k] = np.linalg.solve(block, x[at : at + k]).T
         at += k
     return (designs.hypothesis_contrast(spec).matrix @ fit.cov @ xtvi)[0]
+
+
+def cell_averaging(block: correlation.BlockCovariance) -> np.ndarray:
+    """A with A y the T cell means of a cluster's measurement vector y."""
+    mean_of = np.full((1, block.n_subjects), 1.0 / block.n_subjects)
+    if block.layout == "subject_major":
+        return np.kron(mean_of, np.eye(block.n_times))
+    return np.kron(np.eye(block.n_times), mean_of)
+
+
+def cell_covariances(
+    spec: DesignSpec, comps: VarianceComponents, cells: designs.CellTable
+) -> np.ndarray:
+    """(K, T, T) A V A' of the first cluster of each pattern, from its dense block."""
+    out = []
+    for pattern in range(cells.m.size):
+        index = int(np.flatnonzero(cells.cluster_pattern == pattern)[0])
+        block = correlation.build_cluster_v(spec, comps, cluster_index=index)
+        average = cell_averaging(block)
+        out.append(average @ block.matrix @ average.T)
+    return np.array(out)
+
+
+class StudySampler:
+    """Mean vector and per-cluster Cholesky factors of one design's subject rows."""
+
+    def __init__(self, spec: DesignSpec, comps: VarianceComponents):
+        dataset = designs.exemplary_dataset(spec)
+        self.mu = dataset.mean
+        self.n = dataset.n_rows
+        self.slices: list[slice] = []
+        self.chol: list[np.ndarray] = []
+        self.layout = ""
+        factor_by_size: dict[int, np.ndarray] = {}
+        for cb in cluster_structure(spec):
+            self.slices.append(slice(cb.row_start, cb.row_start + cb.n_rows))
+            if cb.n_subjects not in factor_by_size:
+                block = correlation.build_cluster_v(spec, comps, cluster_index=cb.index)
+                self.layout = block.layout
+                factor_by_size[cb.n_subjects] = np.linalg.cholesky(block.matrix)
+            self.chol.append(factor_by_size[cb.n_subjects])
+
+    def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
+        """Spread each cluster's cell weights over its subject rows."""
+        expand = np.tile if self.layout == "subject_major" else np.repeat
+        per_pattern = [
+            expand(w / m, m) for w, m in zip(cell_weights, cells.m.tolist())
+        ]
+        return np.concatenate([per_pattern[k] for k in cells.cluster_pattern.tolist()])
+
+    def project(self, weights: np.ndarray) -> np.ndarray:
+        """u with z . u = weights . (L z) for a standard normal draw z."""
+        u = np.empty(self.n)
+        for sl, factor in zip(self.slices, self.chol):
+            u[sl] = weights[sl] @ factor
+        return u

@@ -1,9 +1,11 @@
-"""The cluster-period engine against the dense subject-level oracle.
+"""The cluster-period engine and sampler against the dense subject-level oracle.
 
-The engine fits the cell means of cluster patterns; dense_oracle keeps
-the subject-level GLS it replaced.  Both must give the same information,
-coefficients, degrees of freedom and errors, and the cell route must
-match the Hussey & Hughes closed-form variance of the exposure effect.
+The engine fits, and the Monte Carlo check draws, the cell means of
+cluster patterns; dense_oracle keeps the subject-level GLS and sampler
+they replaced.  Both must give the same information, coefficients,
+degrees of freedom, errors, cell-mean covariances and contrast weights,
+and the cell route must match the Hussey & Hughes closed-form variance
+of the exposure effect.
 """
 
 import dataclasses
@@ -115,6 +117,16 @@ def test_cell_fit_matches_dense_fit(case):
         assert _outcome(lambda: engine.resolve_ddf(spec, policy)) == _outcome(
             lambda: dense_oracle.resolve_ddf(spec, policy)
         ), policy
+    run = _outcome(lambda: engine.evaluate(spec, params, ddf_policy="residual"))
+    if not isinstance(run, tuple):
+        _assert_cell_covariance_matches_dense(spec, run)
+
+
+def _assert_cell_covariance_matches_dense(spec, run):
+    dense = dense_oracle.cell_covariances(spec, run.components, run.cells)
+    np.testing.assert_allclose(
+        run.cell_covariance(), dense, rtol=0.0, atol=1e-12 * np.abs(dense).max()
+    )
 
 
 def test_degenerate_layout_refused_by_both_paths():
@@ -250,7 +262,8 @@ def test_exposure_variance_matches_hussey_hughes(name):
     )
 
 
-def test_simulation_of_over_cap_design_names_the_row_limit():
+def test_simulation_of_over_cap_design_runs():
+    # each cluster's dense covariance would be over the row cap
     spec = DesignSpec(
         kind=DesignKind.SWD_COHORT,
         steps_k=2,
@@ -260,19 +273,35 @@ def test_simulation_of_over_cap_design_names_the_row_limit():
         cluster_size=MAX_MATRIX_ROWS // 3 + 1,
         cell_means={(0, 0): 54.0, (1, 0): 55.0},
     )
+    assert spec.rows_per_cluster()[0] > MAX_MATRIX_ROWS
     params = CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.6, sac=0.5)
-    assert engine.analytic_power(spec, params).power > 0.05
-    plan = mc.SimulationPlan(spec=spec, params=params, replicates=10, seed=1)
-    with pytest.raises(ValueError, match=f"limit is {MAX_MATRIX_ROWS}"):
-        mc.empirical_power(plan)
+    target = engine.analytic_power(spec, params).power
+    assert target > 0.05
+    plan = mc.SimulationPlan(spec=spec, params=params, replicates=4000, seed=1)
+    result = mc.empirical_power(plan)
+    assert abs(result.estimate - target) <= 4.0 * np.sqrt(target * (1 - target) / 4000)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_simulation_weights_match_dense_weights(name):
     spec, params = get_preset(name)
-    sampler = mc._StudySampler(spec, _components(spec, params))
+    sampler = dense_oracle.StudySampler(spec, _components(spec, params))
     run = engine.evaluate(spec, params)
     weights = sampler.row_weights(run.cells, run.cell_weights())
     np.testing.assert_allclose(
         weights, dense_oracle.contrast_weights(spec, params), rtol=1e-10, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cell_covariance_is_cell_average_of_dense_block(name):
+    spec, params = get_preset(name)
+    _assert_cell_covariance_matches_dense(spec, engine.evaluate(spec, params))
+
+
+def test_cluster_structure_layout():
+    spec, _ = get_preset("example7")
+    blocks = dense_oracle.cluster_structure(spec)
+    assert [b.n_rows for b in blocks] == [15] * 6
+    assert [b.row_start for b in blocks] == [0, 15, 30, 45, 60, 75]
+    assert [b.group for b in blocks] == [1, 1, 1, 2, 2, 2]

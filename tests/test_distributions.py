@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wedgepower.distributions import (
-    FTail,
     central_f_cdf,
     central_f_quantile,
     noncentral_f_cdf,
@@ -284,20 +283,6 @@ class TestNoncentralFCdf:
         smaller = noncentral_f_cdf(x, ndf, ddf, lam + extra)
         larger = noncentral_f_cdf(x, ndf, ddf, lam)
         assert smaller <= larger + 1e-12
-
-
-class TestFTail:
-    def test_cdf_method(self):
-        tail = FTail(x=2.0, ndf=3, ddf=17, noncentrality=5.0)
-        assert tail.cdf() == pytest.approx(noncentral_f_cdf(2.0, 3, 17, 5.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FTail(x=1.0, ndf=0, ddf=5)
-        with pytest.raises(ValueError):
-            FTail(x=1.0, ndf=2, ddf=5, noncentrality=-1.0)
-        with pytest.raises(ValueError):
-            FTail(x=float("inf"), ndf=2, ddf=5)
 
 
 class TestPowerFromF:

@@ -23,6 +23,8 @@ from wedgepower.mc import (
     replicate_stream,
 )
 
+import dense_oracle
+
 
 def preset_plan(name: str, replicates: int, seed: int = 1, **kwargs) -> SimulationPlan:
     spec, params = get_preset(name)
@@ -65,19 +67,27 @@ class TestReplicateStream:
 class TestContrastProjection:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_projected_variance_is_contrast_variance(self, name):
-        # u . u = w'Vw with V from build_cluster_v must be the engine's
-        # l'(X'V^-1X)^-1 l, or the simulated F would not be the analytic F
+        # the cell draws' u . u must be the subject draws' w'Vw, with V
+        # from build_cluster_v, and the engine's l'(X'V^-1X)^-1 l, or the
+        # simulated F would not be the analytic F
         spec, params = get_preset(name)
         run = evaluate(spec, params)
-        _, u, _ = mc._contrast_projection(spec, run)
+        center, u, s2 = mc._contrast_projection(run)
+        assert u.size == spec.n_clusters * run.cells.x.shape[1]
+        sampler = dense_oracle.StudySampler(spec, run.components)
+        weights = sampler.row_weights(run.cells, run.cell_weights())
+        dense_u = sampler.project(weights)
         lvec = run.contrast.matrix[0]
-        assert u @ u == pytest.approx(lvec @ run.fit.cov @ lvec, rel=1e-10)
+        assert u @ u == pytest.approx(dense_u @ dense_u, rel=1e-10)
+        assert u @ u == pytest.approx(s2, rel=1e-10)
+        assert s2 == pytest.approx(lvec @ run.fit.cov @ lvec, rel=1e-15)
+        assert center == pytest.approx(sampler.mu @ weights, rel=1e-12)
 
 
 def reference_rejections(plan: SimulationPlan) -> int:
-    """Rejection count drawn one replicate row at a time from each chunk stream."""
+    """Rejection count drawn one replicate's cell vector at a time from each chunk stream."""
     run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
-    center, u, s2 = mc._contrast_projection(plan.spec, run)
+    center, u, s2 = mc._contrast_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
     rejections = 0
     for index, start in enumerate(range(0, plan.replicates, 1024)):
@@ -102,6 +112,28 @@ class TestChunkStreams:
         monkeypatch.setattr(mc, "replicate_stream", counted)
         empirical_power(preset_plan("example1", replicates, seed=5))
         assert sorted(keys) == [(5, i) for i in range(-(-replicates // 1024))]
+
+    @pytest.mark.parametrize("name", ["example3", "example5", "example2_51", "example7"])
+    def test_draws_one_normal_per_cluster_period(self, monkeypatch, name):
+        drawn = []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                drawn.append(int(np.prod(size)))
+                return self.rng.standard_normal(size)
+
+            def chisquare(self, df, size):
+                return self.rng.chisquare(df, size)
+
+        monkeypatch.setattr(mc, "replicate_stream", lambda s, i: Counted(replicate_stream(s, i)))
+        plan = preset_plan(name, 1025, seed=3)
+        empirical_power(plan)
+        spec = plan.spec
+        n_periods = evaluate(spec, plan.params).cells.x.shape[1]
+        assert sum(drawn) == 1025 * spec.n_clusters * n_periods
 
     def test_block_size_does_not_change_count(self, monkeypatch):
         plan = preset_plan("example5", 1025, seed=6)
@@ -222,6 +254,23 @@ class TestEmpiricalPower:
         reference = analytic_power(spec, params, ddf_policy="containment", alpha=0.01)
         assert result.analytic == reference.power
         assert (result.ddf, result.fcrit) == (reference.ddf, reference.fcrit)
+
+    def test_z_against_analytic_power(self):
+        result = empirical_power(preset_plan("example2", 2000, seed=1))
+        spec, params = get_preset("example2")
+        analytic = analytic_power(spec, params).power
+        se = (analytic * (1.0 - analytic) / 2000) ** 0.5
+        assert result.z == pytest.approx((result.rejections / 2000 - analytic) / se, rel=1e-12)
+        assert abs(result.z) < 4.0
+
+    def test_z_is_zero_without_analytic_spread(self):
+        from dataclasses import replace
+
+        spec, params = get_preset("example1")
+        strong = replace(spec, cell_means={(1, 1): 1e6, (2, 1): 0.0})
+        result = empirical_power(SimulationPlan(spec=strong, params=params, replicates=50, seed=1))
+        assert result.analytic == 1.0
+        assert result.z == 0.0
 
     def test_chunk_boundary(self, monkeypatch):
         # one more replicate than a chunk holds, sequential vs threaded
