@@ -7,11 +7,11 @@ Carlo oracle checks either route by simulation.
 """
 
 from .correlation import (
+    MAX_MATRIX_ROWS,
     BlockCovariance,
     CorrelationParams,
     Family,
     VarianceComponents,
-    assemble_study_v,
     build_cluster_v,
     derive_components,
     family_for_kind,
@@ -19,21 +19,19 @@ from .correlation import (
 )
 from .design_effects import (
     DesignEffectResult,
-    EqualClusterPlan,
     SamplePlan,
-    adjust_statistic,
     cluster_mean_correlation,
     de_ancova_prepost,
     de_simple,
     de_stepped_wedge,
     de_three_measurement,
     design_effect_for,
-    equal_cluster_plan,
     inflate_sample_size,
 )
 from .designs import (
     PRESETS,
     CellTable,
+    ColumnInfo,
     Contrast,
     DesignKind,
     DesignSpec,
@@ -43,7 +41,7 @@ from .designs import (
     cell_table,
     dataset_to_csv,
     decode_spec_document,
-    design_matrix,
+    design_columns,
     ensure_valid,
     exemplary_dataset,
     get_preset,
@@ -72,6 +70,7 @@ from .engine import (
     wald_f,
 )
 from .mc import (
+    THREADS_ENV_VAR,
     EmpiricalPower,
     SimulationPlan,
     empirical_power,
@@ -98,19 +97,20 @@ __all__ = [
     "derive_components",
     "build_cluster_v",
     "vcorr",
-    "assemble_study_v",
+    "MAX_MATRIX_ROWS",
     # designs
     "DesignKind",
     "DesignSpec",
     "SpecValidationError",
     "ExemplaryDataset",
     "CellTable",
+    "ColumnInfo",
     "Contrast",
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
     "cell_table",
-    "design_matrix",
+    "design_columns",
     "hypothesis_contrast",
     "dataset_to_csv",
     "dataset_from_csv",
@@ -120,15 +120,12 @@ __all__ = [
     # design effects
     "DesignEffectResult",
     "SamplePlan",
-    "EqualClusterPlan",
     "de_simple",
     "cluster_mean_correlation",
     "de_ancova_prepost",
     "de_stepped_wedge",
     "de_three_measurement",
     "inflate_sample_size",
-    "equal_cluster_plan",
-    "adjust_statistic",
     "design_effect_for",
     # engine
     "DDF_POLICIES",
@@ -143,6 +140,7 @@ __all__ = [
     "analytic_power",
     "power_audit",
     # mc
+    "THREADS_ENV_VAR",
     "SimulationPlan",
     "EmpiricalPower",
     "replicate_stream",

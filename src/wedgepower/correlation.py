@@ -3,7 +3,7 @@
 Maps a marginal description of the outcome (total variance, intracluster
 correlation, cluster autocorrelation, subject autocorrelation) to random
 effect variance components, and builds the block compound symmetric
-covariance matrix of one cluster or of a whole study.
+covariance matrix of one cluster.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "derive_components",
     "build_cluster_v",
     "vcorr",
-    "assemble_study_v",
     "MAX_MATRIX_ROWS",
 ]
 
@@ -314,36 +313,3 @@ def vcorr(v: "BlockCovariance | np.ndarray") -> np.ndarray:
         raise ValueError("covariance matrix has nonpositive diagonal entries")
     scale = 1.0 / np.sqrt(diag)
     return matrix * scale[:, None] * scale[None, :]
-
-
-def assemble_study_v(spec: "DesignSpec", cluster_v: BlockCovariance) -> np.ndarray:
-    """Block-diagonal covariance of the whole study, cluster by cluster.
-
-    Clusters with the same size share cluster_v's matrix; other sizes are
-    rebuilt from its stored components.
-    """
-    sizes = spec.cluster_subject_counts()
-    family = cluster_v.family
-    n_times = cluster_v.n_times
-
-    by_size: dict[int, np.ndarray] = {cluster_v.n_subjects: cluster_v.matrix}
-    blocks = []
-    total = 0
-    for size in sizes:
-        if size not in by_size:
-            by_size[size] = _cluster_matrix(cluster_v.components, family, size, n_times)
-        blocks.append(by_size[size])
-        total += by_size[size].shape[0]
-
-    if total > MAX_MATRIX_ROWS:
-        raise ValueError(
-            f"study covariance would have {total} rows; limit is {MAX_MATRIX_ROWS}"
-        )
-
-    out = np.zeros((total, total))
-    at = 0
-    for block in blocks:
-        k = block.shape[0]
-        out[at : at + k, at : at + k] = block
-        at += k
-    return out

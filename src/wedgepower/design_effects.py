@@ -5,8 +5,8 @@ individually randomized post-only trial into the size a clustered or
 repeated-measures design needs for the same power.  This module carries
 the standard multipliers for parallel cluster designs, baseline-adjusted
 pre-post cluster designs, cross-sectional stepped wedge designs, and
-three-measurement cohort designs, plus helpers to turn a multiplier into
-a sample size plan or to deflate a naive test statistic.
+three-measurement cohort designs, plus a helper to turn a multiplier into
+a sample size plan.
 """
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ from dataclasses import dataclass
 __all__ = [
     "DesignEffectResult",
     "SamplePlan",
-    "EqualClusterPlan",
     "de_simple",
     "cluster_mean_correlation",
     "de_ancova_prepost",
     "de_stepped_wedge",
     "de_three_measurement",
     "inflate_sample_size",
-    "equal_cluster_plan",
-    "adjust_statistic",
     "design_effect_for",
 ]
 
@@ -63,16 +60,6 @@ class SamplePlan:
     observations: int
     participants_raw: float
     participants: int
-
-
-@dataclass(frozen=True)
-class EqualClusterPlan:
-    """Equal-cluster arrangement meeting or exceeding a participant target."""
-
-    clusters: int
-    clusters_per_arm: tuple[int, int]
-    cluster_size: int
-    n_total: int
 
 
 def _check_cluster_size(n: int) -> int:
@@ -282,50 +269,6 @@ def inflate_sample_size(
         observations=observations,
         participants_raw=participants_raw,
         participants=participants,
-    )
-
-
-def equal_cluster_plan(
-    target_participants: float, cluster_size: int, arms: int = 2
-) -> EqualClusterPlan:
-    """Smallest equal-size cluster arrangement reaching a participant target.
-
-    Splits the clusters across arms as evenly as possible, extra cluster
-    to the first arm.
-    """
-    n = _check_cluster_size(cluster_size)
-    if not (math.isfinite(target_participants) and target_participants > 0):
-        raise ValueError(
-            f"target_participants must be positive, got {target_participants!r}"
-        )
-    if arms != 2:
-        raise ValueError(f"only two-arm plans are supported, got arms={arms!r}")
-    clusters = math.ceil(target_participants / n - 1e-9)
-    first = (clusters + 1) // 2
-    return EqualClusterPlan(
-        clusters=clusters,
-        clusters_per_arm=(first, clusters - first),
-        cluster_size=n,
-        n_total=clusters * n,
-    )
-
-
-def adjust_statistic(statistic: float, design_effect: float, statistic_kind: str) -> float:
-    """Deflate a test statistic computed as if observations were independent.
-
-    Chi-square style statistics scale with variance, so they divide by
-    the design effect; t style statistics divide by its square root.
-    """
-    if not math.isfinite(statistic):
-        raise ValueError(f"statistic must be finite, got {statistic!r}")
-    if not (math.isfinite(design_effect) and design_effect > 0):
-        raise ValueError(f"design_effect must be positive, got {design_effect!r}")
-    if statistic_kind == "chi2":
-        return statistic / design_effect
-    if statistic_kind == "t":
-        return statistic / math.sqrt(design_effect)
-    raise ValueError(
-        f"statistic_kind must be 'chi2' or 't', got {statistic_kind!r}"
     )
 
 

@@ -1,13 +1,14 @@
-"""Design descriptions, exemplary datasets, and design matrices.
+"""Design descriptions, exemplary datasets, and cluster-period cells.
 
 A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
-measurements happen, and the cell means under the alternative.  From it
-this module builds the exemplary dataset (one row per measurement whose
-outcome column holds the modeled mean), its cluster-period cell table
-(the distinct clusters' cells, which the engine fits), the fixed effect
-design matrix, and the single-row contrast that carries the hypothesis
-of interest.
+measurements happen, and the cell means under the alternative.  One
+cluster-by-period schedule of randomized group, time, exposure and mean
+underlies everything this module builds from it: the exemplary dataset
+(one row per measurement whose outcome column holds the modeled mean),
+its cluster-period cell table (the distinct clusters' cells, which the
+engine fits), and the single-row contrast that carries the hypothesis of
+interest.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
-    "design_matrix",
     "design_columns",
     "hypothesis_contrast",
     "cell_table",
@@ -150,8 +150,6 @@ class DesignSpec:
 
     def rows_per_cluster(self) -> tuple[int, ...]:
         mult = 1 if self.kind in RCT_KINDS else self.n_times
-        if self.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-            mult = 1
         return tuple(n * mult for n in self.cluster_subject_counts())
 
     @property
@@ -296,163 +294,81 @@ class ExemplaryDataset:
     def n_rows(self) -> int:
         return int(self.mean.shape[0])
 
-    def equals(self, other: "ExemplaryDataset") -> bool:
-        return (
-            self.kind == other.kind
-            and np.array_equal(self.arm, other.arm)
-            and np.array_equal(self.cluster_id, other.cluster_id)
-            and np.array_equal(self.subject_id, other.subject_id)
-            and np.array_equal(self.time, other.time)
-            and np.array_equal(self.intervene, other.intervene)
-            and np.array_equal(self.mean, other.mean)
+
+def _schedule(spec: DesignSpec):
+    """The cluster-by-period schedule of a design.
+
+    Returns (arm, time, intervene, mean, layout).  The first four are
+    (L, T) arrays holding the randomized group, time, exposure flag and
+    modeled mean of each of L cluster layouts in each of its T periods;
+    layout is the (n_clusters,) layout index of every cluster, in
+    dataset order.
+    """
+    ensure_valid(spec)
+    kind = spec.kind
+    if kind == DesignKind.RCT_PREPOST:
+        # subjects are measured once: one single-period layout per arm-time cell
+        arm = np.array([[1], [1], [2], [2]])
+        time = np.array([[1], [2], [1], [2]])
+        clusters_per_layout = (spec.per_group_n,) * 4
+    elif kind in SWD_KINDS:
+        arm = np.repeat(np.arange(1, spec.steps_k + 1)[:, None], spec.n_times, axis=1)
+        time = np.tile(np.asarray(spec.times), (spec.steps_k, 1))
+        clusters_per_layout = spec.clusters_per_step
+    else:
+        arm = np.repeat(np.array([[1], [2]]), spec.n_times, axis=1)
+        time = np.tile(np.asarray(spec.times), (2, 1))
+        if kind == DesignKind.RCT_POST:
+            clusters_per_layout = (spec.per_group_n,) * 2
+        else:
+            clusters_per_layout = spec.clusters_per_arm
+
+    if kind in SWD_KINDS:
+        thresholds = spec.baseline_b + (arm - 1) * spec.per_step_t
+        intervene = (time > thresholds).astype(np.int64)
+        mean = np.where(intervene == 1, spec.phase_mean(1), spec.phase_mean(0))
+    else:
+        last = 2 if kind in PREPOST_KINDS else 1
+        intervene = ((arm == 2) & (time == last)).astype(np.int64)
+        mean = np.array(
+            [
+                [spec.mean_for_cell(a, t) for a, t in zip(ar, tr)]
+                for ar, tr in zip(arm.tolist(), time.tolist())
+            ]
         )
+    layout = np.repeat(np.arange(arm.shape[0]), clusters_per_layout)
+    return arm, time, intervene, mean, layout
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     """Build the dataset whose outcome column is the modeled cell mean.
 
-    Rows are emitted cluster by cluster.  Within a cluster,
-    cross-sectional kinds nest subjects inside times and cohort kinds
-    nest times inside subjects, matching the covariance layout used for
-    that kind.
+    Rows run cluster by cluster.  Within a cluster, cohort kinds nest
+    times inside subjects, who keep their id across periods; every other
+    kind nests fresh subjects inside times.  This matches the covariance
+    layout used for that kind.
     """
-    ensure_valid(spec)
-    kind = spec.kind
-    arm_col: list[int] = []
-    cluster_col: list[int] = []
-    subject_col: list[int] = []
-    time_col: list[int] = []
-    intervene_col: list[int] = []
-    mean_col: list[float] = []
-
-    next_subject = 1
-
-    def emit(group: int, cluster: int, subject: int, time: int, flag: int, mean: float):
-        arm_col.append(group)
-        cluster_col.append(cluster)
-        subject_col.append(subject)
-        time_col.append(time)
-        intervene_col.append(flag)
-        mean_col.append(mean)
-
-    if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):
-        times = spec.times
-        for arm in (1, 2):
-            for time in times:
-                for _ in range(spec.per_group_n):
-                    flag = 1 if (arm == 2 and time == times[-1] and len(times) > 1) else 0
-                    if kind == DesignKind.RCT_POST:
-                        flag = 1 if arm == 2 else 0
-                    emit(
-                        arm,
-                        next_subject,
-                        next_subject,
-                        time,
-                        flag,
-                        spec.mean_for_cell(arm, time),
-                    )
-                    next_subject += 1
-    elif kind == DesignKind.CRT_POST:
-        sizes = spec.cluster_subject_counts()
-        cluster = 0
-        for arm, count in zip((1, 2), spec.clusters_per_arm):
-            for _ in range(count):
-                size = sizes[cluster]
-                cluster += 1
-                for _ in range(size):
-                    emit(
-                        arm,
-                        cluster,
-                        next_subject,
-                        1,
-                        1 if arm == 2 else 0,
-                        spec.mean_for_cell(arm, 1),
-                    )
-                    next_subject += 1
-    elif kind == DesignKind.CRT_PREPOST_XSEC:
-        sizes = spec.cluster_subject_counts()
-        cluster = 0
-        for arm, count in zip((1, 2), spec.clusters_per_arm):
-            for _ in range(count):
-                size = sizes[cluster]
-                cluster += 1
-                for time in (1, 2):
-                    flag = 1 if (arm == 2 and time == 2) else 0
-                    for _ in range(size):
-                        emit(
-                            arm,
-                            cluster,
-                            next_subject,
-                            time,
-                            flag,
-                            spec.mean_for_cell(arm, time),
-                        )
-                        next_subject += 1
-    elif kind == DesignKind.CRT_PREPOST_COHORT:
-        sizes = spec.cluster_subject_counts()
-        cluster = 0
-        for arm, count in zip((1, 2), spec.clusters_per_arm):
-            for _ in range(count):
-                size = sizes[cluster]
-                cluster += 1
-                for _ in range(size):
-                    subject = next_subject
-                    next_subject += 1
-                    for time in (1, 2):
-                        flag = 1 if (arm == 2 and time == 2) else 0
-                        emit(
-                            arm,
-                            cluster,
-                            subject,
-                            time,
-                            flag,
-                            spec.mean_for_cell(arm, time),
-                        )
-    elif kind == DesignKind.SWD_XSEC:
-        sizes = spec.cluster_subject_counts()
-        cluster = 0
-        for step, count in enumerate(spec.clusters_per_step, start=1):
-            threshold = spec.switch_threshold(step)
-            for _ in range(count):
-                size = sizes[cluster]
-                cluster += 1
-                for time in spec.times:
-                    flag = 0 if time <= threshold else 1
-                    for _ in range(size):
-                        emit(
-                            step,
-                            cluster,
-                            next_subject,
-                            time,
-                            flag,
-                            spec.phase_mean(flag),
-                        )
-                        next_subject += 1
-    elif kind == DesignKind.SWD_COHORT:
-        sizes = spec.cluster_subject_counts()
-        cluster = 0
-        for step, count in enumerate(spec.clusters_per_step, start=1):
-            threshold = spec.switch_threshold(step)
-            for _ in range(count):
-                size = sizes[cluster]
-                cluster += 1
-                for _ in range(size):
-                    subject = next_subject
-                    next_subject += 1
-                    for time in spec.times:
-                        flag = 0 if time <= threshold else 1
-                        emit(step, cluster, subject, time, flag, spec.phase_mean(flag))
+    arm, time, intervene, mean, layout = _schedule(spec)
+    n_periods = arm.shape[1]
+    sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
+    if spec.kind in COHORT_KINDS:
+        subject_cluster = np.repeat(np.arange(sizes.size), sizes)
+        cluster = np.repeat(subject_cluster, n_periods)
+        period = np.tile(np.arange(n_periods), subject_cluster.size)
+        subject = np.repeat(np.arange(1, subject_cluster.size + 1), n_periods)
     else:
-        raise ValueError(f"unknown design kind {kind!r}")
-
+        cell = np.repeat(np.arange(sizes.size * n_periods), np.repeat(sizes, n_periods))
+        cluster, period = np.divmod(cell, n_periods)
+        subject = np.arange(1, cell.size + 1)
+    cells = (layout[cluster], period)
     return ExemplaryDataset(
-        kind=kind.value,
-        arm=np.asarray(arm_col, dtype=np.int64),
-        cluster_id=np.asarray(cluster_col, dtype=np.int64),
-        subject_id=np.asarray(subject_col, dtype=np.int64),
-        time=np.asarray(time_col, dtype=np.int64),
-        intervene=np.asarray(intervene_col, dtype=np.int64),
-        mean=np.asarray(mean_col, dtype=float),
+        kind=spec.kind.value,
+        arm=arm[cells],
+        cluster_id=cluster + 1,
+        subject_id=subject,
+        time=time[cells],
+        intervene=intervene[cells],
+        mean=mean[cells],
     )
 
 
@@ -472,7 +388,7 @@ class ColumnInfo:
 
 
 def design_columns(spec: DesignSpec) -> tuple[ColumnInfo, ...]:
-    """Column metadata matching design_matrix, in column order."""
+    """Column metadata of the fixed effect design rows, in column order."""
     kind = spec.kind
     if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
         return (
@@ -511,34 +427,6 @@ def _design_rows(
     return np.column_stack(cols)
 
 
-def _require_full_rank(x: np.ndarray) -> None:
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        raise ValueError(
-            "design matrix is rank deficient; the schedule does not separate "
-            "the modeled effects (degenerate step layout)"
-        )
-
-
-def design_matrix(spec: DesignSpec, dataset: ExemplaryDataset | None = None) -> np.ndarray:
-    """Fixed effect design matrix, one row per dataset row.
-
-    Parallel kinds use an intercept, a treated-arm indicator, and for
-    two-period kinds a post-period indicator plus their product.
-    Stepped wedge kinds use an intercept, indicators for every time
-    after the first, and the intervention exposure flag.
-
-    Raises:
-        ValueError: if the matrix is rank deficient, which signals a
-            degenerate schedule (for example a single-step wedge whose
-            exposure flag duplicates a time indicator).
-    """
-    if dataset is None:
-        dataset = exemplary_dataset(spec)
-    x = _design_rows(spec, dataset.arm, dataset.time, dataset.intervene)
-    _require_full_rank(x)
-    return x
-
-
 @dataclass(frozen=True)
 class CellTable:
     """The design on cluster-period cells, one entry per cluster pattern.
@@ -571,50 +459,28 @@ class CellTable:
 def cell_table(spec: DesignSpec) -> CellTable:
     """Cluster-period cells of the exemplary dataset, grouped by pattern.
 
+    Parallel kinds have an intercept, a treated-arm indicator, and for
+    two-period kinds a post-period indicator plus their product.
+    Stepped wedge kinds have an intercept, indicators for every time
+    after the first, and the intervention exposure flag.
+
     Raises:
-        ValueError: if the design matrix of the cells is rank deficient
-            (see design_matrix); the cells hold every distinct row of the
-            full design matrix.
+        ValueError: if the design rows of the cells are rank deficient,
+            which signals a degenerate schedule (for example a
+            single-step wedge whose exposure flag duplicates a time
+            indicator); the cells hold every distinct row of the
+            subject-level design matrix.
     """
-    ensure_valid(spec)
-    kind = spec.kind
-    if kind == DesignKind.RCT_PREPOST:
-        # subjects are measured once: one single-period layout per arm-time cell
-        arm = np.array([[1], [1], [2], [2]])
-        time = np.array([[1], [2], [1], [2]])
-        clusters_per_layout = (spec.per_group_n,) * 4
-    elif kind in SWD_KINDS:
-        arm = np.repeat(np.arange(1, spec.steps_k + 1)[:, None], spec.n_times, axis=1)
-        time = np.tile(np.asarray(spec.times), (spec.steps_k, 1))
-        clusters_per_layout = spec.clusters_per_step
-    else:
-        arm = np.repeat(np.array([[1], [2]]), spec.n_times, axis=1)
-        time = np.tile(np.asarray(spec.times), (2, 1))
-        if kind == DesignKind.RCT_POST:
-            clusters_per_layout = (spec.per_group_n,) * 2
-        else:
-            clusters_per_layout = spec.clusters_per_arm
-
-    if kind in SWD_KINDS:
-        thresholds = spec.baseline_b + (arm - 1) * spec.per_step_t
-        intervene = (time > thresholds).astype(np.int64)
-        mean = np.where(intervene == 1, spec.phase_mean(1), spec.phase_mean(0))
-    else:
-        last = 2 if kind in PREPOST_KINDS else 1
-        intervene = ((arm == 2) & (time == last)).astype(np.int64)
-        mean = np.array(
-            [
-                [spec.mean_for_cell(a, t) for a, t in zip(ar, tr)]
-                for ar, tr in zip(arm.tolist(), time.tolist())
-            ]
-        )
-
+    arm, time, intervene, mean, layout = _schedule(spec)
     n_layouts, n_periods = arm.shape
     x = _design_rows(spec, arm.ravel(), time.ravel(), intervene.ravel())
-    _require_full_rank(x)
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise ValueError(
+            "design matrix is rank deficient; the schedule does not separate "
+            "the modeled effects (degenerate step layout)"
+        )
     x = x.reshape(n_layouts, n_periods, -1)
 
-    layout = np.repeat(np.arange(n_layouts), clusters_per_layout)
     sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
     _, first, pattern, count = np.unique(
         layout * (int(sizes.max()) + 1) + sizes,
@@ -719,15 +585,14 @@ def dataset_from_csv(text: str) -> ExemplaryDataset:
 # document decoding
 
 
-_DDF_POLICIES = ("residual", "containment", "between_within")
-
-
 def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, str | None]:
     """Decode a JSON-style document into a spec, correlation, and policy.
 
     All problems are collected and raised together as a
     SpecValidationError whose messages carry field paths.
     """
+    from .engine import DDF_POLICIES
+
     errors: list[str] = []
     if not isinstance(doc, Mapping):
         raise SpecValidationError(["document: must be a JSON object"])
@@ -824,9 +689,9 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
         alpha = 0.05
 
     ddf_policy = analysis.get("ddf_policy")
-    if ddf_policy is not None and ddf_policy not in _DDF_POLICIES:
+    if ddf_policy is not None and ddf_policy not in DDF_POLICIES:
         errors.append(
-            f"analysis.ddf_policy: must be one of {list(_DDF_POLICIES)}, "
+            f"analysis.ddf_policy: must be one of {list(DDF_POLICIES)}, "
             f"got {ddf_policy!r}"
         )
         ddf_policy = None

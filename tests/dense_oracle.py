@@ -1,8 +1,10 @@
 """Subject-level GLS and sampling: the dense reference for the cell routes.
 
 The engine fits, and the Monte Carlo check draws, cell means of cluster
-patterns.  This module keeps the direct routes they replaced: build the
-exemplary dataset one row per measurement, solve each cluster's full
+patterns, and the package builds the exemplary dataset from the same
+cluster-by-period schedule.  This module keeps the direct routes they
+replaced: emit the exemplary dataset one row per measurement in a branch
+per design kind, build its design matrix, solve each cluster's full
 covariance block against [X y], take the denominator degrees of freedom
 from ranks of the subject-level design matrix, and project subject-level
 draws through each cluster's dense Cholesky factor.  Tests compare the
@@ -18,11 +20,192 @@ import numpy as np
 
 from wedgepower import correlation, designs
 from wedgepower.correlation import CorrelationParams, VarianceComponents
-from wedgepower.designs import DesignKind, DesignSpec
+from wedgepower.designs import DesignKind, DesignSpec, ExemplaryDataset
 from wedgepower.engine import DDF_POLICIES, GlsEstimate
 
 # relative tolerance for the exemplary-mean reproduction check
 FIT_RTOL = 1e-8
+
+
+def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
+    """The exemplary dataset, emitted one row at a time per design kind.
+
+    Rows are emitted cluster by cluster.  Within a cluster,
+    cross-sectional kinds nest subjects inside times and cohort kinds
+    nest times inside subjects, matching the covariance layout used for
+    that kind.
+    """
+    designs.ensure_valid(spec)
+    kind = spec.kind
+    arm_col: list[int] = []
+    cluster_col: list[int] = []
+    subject_col: list[int] = []
+    time_col: list[int] = []
+    intervene_col: list[int] = []
+    mean_col: list[float] = []
+
+    next_subject = 1
+
+    def emit(group: int, cluster: int, subject: int, time: int, flag: int, mean: float):
+        arm_col.append(group)
+        cluster_col.append(cluster)
+        subject_col.append(subject)
+        time_col.append(time)
+        intervene_col.append(flag)
+        mean_col.append(mean)
+
+    if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):
+        times = spec.times
+        for arm in (1, 2):
+            for time in times:
+                for _ in range(spec.per_group_n):
+                    flag = 1 if (arm == 2 and time == times[-1] and len(times) > 1) else 0
+                    if kind == DesignKind.RCT_POST:
+                        flag = 1 if arm == 2 else 0
+                    emit(
+                        arm,
+                        next_subject,
+                        next_subject,
+                        time,
+                        flag,
+                        spec.mean_for_cell(arm, time),
+                    )
+                    next_subject += 1
+    elif kind == DesignKind.CRT_POST:
+        sizes = spec.cluster_subject_counts()
+        cluster = 0
+        for arm, count in zip((1, 2), spec.clusters_per_arm):
+            for _ in range(count):
+                size = sizes[cluster]
+                cluster += 1
+                for _ in range(size):
+                    emit(
+                        arm,
+                        cluster,
+                        next_subject,
+                        1,
+                        1 if arm == 2 else 0,
+                        spec.mean_for_cell(arm, 1),
+                    )
+                    next_subject += 1
+    elif kind == DesignKind.CRT_PREPOST_XSEC:
+        sizes = spec.cluster_subject_counts()
+        cluster = 0
+        for arm, count in zip((1, 2), spec.clusters_per_arm):
+            for _ in range(count):
+                size = sizes[cluster]
+                cluster += 1
+                for time in (1, 2):
+                    flag = 1 if (arm == 2 and time == 2) else 0
+                    for _ in range(size):
+                        emit(
+                            arm,
+                            cluster,
+                            next_subject,
+                            time,
+                            flag,
+                            spec.mean_for_cell(arm, time),
+                        )
+                        next_subject += 1
+    elif kind == DesignKind.CRT_PREPOST_COHORT:
+        sizes = spec.cluster_subject_counts()
+        cluster = 0
+        for arm, count in zip((1, 2), spec.clusters_per_arm):
+            for _ in range(count):
+                size = sizes[cluster]
+                cluster += 1
+                for _ in range(size):
+                    subject = next_subject
+                    next_subject += 1
+                    for time in (1, 2):
+                        flag = 1 if (arm == 2 and time == 2) else 0
+                        emit(
+                            arm,
+                            cluster,
+                            subject,
+                            time,
+                            flag,
+                            spec.mean_for_cell(arm, time),
+                        )
+    elif kind == DesignKind.SWD_XSEC:
+        sizes = spec.cluster_subject_counts()
+        cluster = 0
+        for step, count in enumerate(spec.clusters_per_step, start=1):
+            threshold = spec.switch_threshold(step)
+            for _ in range(count):
+                size = sizes[cluster]
+                cluster += 1
+                for time in spec.times:
+                    flag = 0 if time <= threshold else 1
+                    for _ in range(size):
+                        emit(
+                            step,
+                            cluster,
+                            next_subject,
+                            time,
+                            flag,
+                            spec.phase_mean(flag),
+                        )
+                        next_subject += 1
+    elif kind == DesignKind.SWD_COHORT:
+        sizes = spec.cluster_subject_counts()
+        cluster = 0
+        for step, count in enumerate(spec.clusters_per_step, start=1):
+            threshold = spec.switch_threshold(step)
+            for _ in range(count):
+                size = sizes[cluster]
+                cluster += 1
+                for _ in range(size):
+                    subject = next_subject
+                    next_subject += 1
+                    for time in spec.times:
+                        flag = 0 if time <= threshold else 1
+                        emit(step, cluster, subject, time, flag, spec.phase_mean(flag))
+    else:
+        raise ValueError(f"unknown design kind {kind!r}")
+
+    return ExemplaryDataset(
+        kind=kind.value,
+        arm=np.asarray(arm_col, dtype=np.int64),
+        cluster_id=np.asarray(cluster_col, dtype=np.int64),
+        subject_id=np.asarray(subject_col, dtype=np.int64),
+        time=np.asarray(time_col, dtype=np.int64),
+        intervene=np.asarray(intervene_col, dtype=np.int64),
+        mean=np.asarray(mean_col, dtype=float),
+    )
+
+
+def design_matrix(spec: DesignSpec, dataset: ExemplaryDataset | None = None) -> np.ndarray:
+    """Fixed effect design matrix, one row per dataset row.
+
+    Parallel kinds use an intercept, a treated-arm indicator, and for
+    two-period kinds a post-period indicator plus their product.
+    Stepped wedge kinds use an intercept, indicators for every time
+    after the first, and the intervention exposure flag.
+
+    Raises:
+        ValueError: if the matrix is rank deficient, which signals a
+            degenerate schedule (for example a single-step wedge whose
+            exposure flag duplicates a time indicator).
+    """
+    if dataset is None:
+        dataset = reference_dataset(spec)
+    ones = np.ones(dataset.n_rows)
+    treated = (dataset.arm == 2).astype(float)
+    if spec.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
+        x = np.column_stack([ones, treated])
+    elif spec.kind in designs.PREPOST_KINDS:
+        post = (dataset.time == 2).astype(float)
+        x = np.column_stack([ones, treated, post, treated * post])
+    else:
+        periods = [(dataset.time == t).astype(float) for t in spec.times[1:]]
+        x = np.column_stack([ones, *periods, dataset.intervene.astype(float)])
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise ValueError(
+            "design matrix is rank deficient; the schedule does not separate "
+            "the modeled effects (degenerate step layout)"
+        )
+    return x
 
 
 @dataclass(frozen=True)
@@ -154,8 +337,8 @@ def exemplary_fit(
 def fit_design(spec: DesignSpec, params: CorrelationParams):
     """(components, design matrix, dataset, fit) of a design's subject rows."""
     comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
-    dataset = designs.exemplary_dataset(spec)
-    x = designs.design_matrix(spec, dataset)
+    dataset = reference_dataset(spec)
+    x = design_matrix(spec, dataset)
     fit = exemplary_fit(x, study_blocks(spec, comps), dataset.mean)
     return comps, x, dataset, fit
 
@@ -164,8 +347,8 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
     """Denominator degrees of freedom from ranks of the subject rows."""
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
-    dataset = designs.exemplary_dataset(spec)
-    x = designs.design_matrix(spec, dataset)
+    dataset = reference_dataset(spec)
+    x = design_matrix(spec, dataset)
     n = x.shape[0]
     rank_x = int(np.linalg.matrix_rank(x))
 
@@ -236,7 +419,7 @@ class StudySampler:
     """Mean vector and per-cluster Cholesky factors of one design's subject rows."""
 
     def __init__(self, spec: DesignSpec, comps: VarianceComponents):
-        dataset = designs.exemplary_dataset(spec)
+        dataset = reference_dataset(spec)
         self.mu = dataset.mean
         self.n = dataset.n_rows
         self.slices: list[slice] = []
@@ -265,3 +448,12 @@ class StudySampler:
         for sl, factor in zip(self.slices, self.chol):
             u[sl] = weights[sl] @ factor
         return u
+
+
+def assert_same_dataset(actual: ExemplaryDataset, expected: ExemplaryDataset) -> None:
+    """Both datasets carry the same label and every column, dtype included."""
+    assert actual.kind == expected.kind
+    for name in ("arm", "cluster_id", "subject_id", "time", "intervene", "mean"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)

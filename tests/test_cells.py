@@ -5,7 +5,8 @@ cluster patterns; dense_oracle keeps the subject-level GLS and sampler
 they replaced.  Both must give the same information, coefficients,
 degrees of freedom, errors, cell-mean covariances and contrast weights,
 and the cell route must match the Hussey & Hughes closed-form variance
-of the exposure effect.
+of the exposure effect.  The package's exemplary dataset, expanded from
+the same schedule as the cells, must equal the oracle's row-by-row one.
 """
 
 import dataclasses
@@ -122,6 +123,18 @@ def test_cell_fit_matches_dense_fit(case):
         _assert_cell_covariance_matches_dense(spec, run)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(specs_and_params())
+def test_dataset_matches_reference_builder(case):
+    # single-step wedges stay in: the dataset builds designs that
+    # cell_table refuses as degenerate
+    spec, _ = case
+    built = designs.exemplary_dataset(spec)
+    reference = dense_oracle.reference_dataset(spec)
+    dense_oracle.assert_same_dataset(built, reference)
+    assert designs.dataset_to_csv(built) == designs.dataset_to_csv(reference)
+
+
 def _assert_cell_covariance_matches_dense(spec, run):
     dense = dense_oracle.cell_covariances(spec, run.components, run.cells)
     np.testing.assert_allclose(
@@ -194,7 +207,7 @@ class TestCellTable:
         ]
         sizes = np.array(spec.cluster_subject_counts())
         np.testing.assert_array_equal(cells.m[cells.cluster_pattern], sizes)
-        x = designs.design_matrix(spec)
+        x = dense_oracle.design_matrix(spec)
         np.testing.assert_array_equal(
             np.unique(x, axis=0), np.unique(cells.x.reshape(-1, x.shape[1]), axis=0)
         )

@@ -12,6 +12,8 @@ import pytest
 from wedgepower.cli import main
 from wedgepower.designs import dataset_from_csv, exemplary_dataset, get_preset
 
+from dense_oracle import assert_same_dataset
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -194,7 +196,7 @@ class TestDatasetCommand:
         )
         assert code == 0
         spec, _ = get_preset("example6")
-        assert dataset_from_csv(out).equals(exemplary_dataset(spec))
+        assert_same_dataset(dataset_from_csv(out), exemplary_dataset(spec))
 
     def test_table_head(self, capsys):
         code, out, _ = run(capsys, "dataset", "--preset", "example1")
@@ -213,7 +215,7 @@ class TestDatasetCommand:
         assert code == 0
         assert out == ""
         spec, _ = get_preset("example2")
-        assert dataset_from_csv(target.read_text()).equals(exemplary_dataset(spec))
+        assert_same_dataset(dataset_from_csv(target.read_text()), exemplary_dataset(spec))
 
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run(
@@ -283,6 +285,21 @@ class TestSpecDocuments:
             "analysis": {"alpha": 0.05},
         }
 
+    def over_cap_doc(self):
+        # 13,000 subject rows per cluster, over MAX_MATRIX_ROWS
+        return {
+            "design": {
+                "kind": "swd_cohort",
+                "steps_k": 6,
+                "baseline_b": 1,
+                "per_step_t": 2,
+                "clusters_per_step": [1] * 6,
+                "cluster_size": 1000,
+                "means": [54.0, 55.0],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.05, "cac": 0.6, "sac": 0.5},
+        }
+
     def write_doc(self, tmp_path, doc):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -298,20 +315,8 @@ class TestSpecDocuments:
         assert json.loads(from_file) == json.loads(from_preset)
 
     def test_mc_runs_over_the_row_cap(self, capsys, tmp_path):
-        # 13,000 subject rows per cluster: only the cell draws can run it
-        doc = {
-            "design": {
-                "kind": "swd_cohort",
-                "steps_k": 6,
-                "baseline_b": 1,
-                "per_step_t": 2,
-                "clusters_per_step": [1] * 6,
-                "cluster_size": 1000,
-                "means": [54.0, 55.0],
-            },
-            "correlation": {"sigma_y_sq": 25.0, "icc": 0.05, "cac": 0.6, "sac": 0.5},
-        }
-        path = self.write_doc(tmp_path, doc)
+        # only the cell draws can run it
+        path = self.write_doc(tmp_path, self.over_cap_doc())
         code, out, err = run(
             capsys, "mc", "--spec", path, "--reps", "500", "--seed", "1", "--format", "json"
         )
@@ -320,6 +325,15 @@ class TestSpecDocuments:
         assert payload["design"] == "swd_cohort"
         assert payload["replicates"] == 500
         assert 0.0 <= payload["estimate"] <= 1.0
+
+    def test_dataset_runs_over_the_row_cap(self, capsys, tmp_path):
+        # the dataset is rows, not a covariance: no cap applies
+        path = self.write_doc(tmp_path, self.over_cap_doc())
+        code, out, err = run(capsys, "dataset", "--spec", path, "--format", "csv")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "design,arm,cluster_id,subject_id,time,intervene,mean"
+        assert len(lines) == 1 + 6 * 1000 * 13
 
     def test_document_policy_honored(self, capsys, tmp_path):
         doc = self.doc()

@@ -15,7 +15,6 @@ from wedgepower.correlation import (
     BlockCovariance,
     CorrelationParams,
     Family,
-    assemble_study_v,
     build_cluster_v,
     derive_components,
     family_for_kind,
@@ -304,50 +303,3 @@ class TestVcorr:
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
             vcorr(np.array([[0.0, 0.0], [0.0, 1.0]]))
-
-
-class TestAssembleStudyV:
-    def test_equal_sizes_block_diagonal(self):
-        spec, params = get_preset("example2")
-        comps = derive_components(params, family_for_kind(spec.kind))
-        block = build_cluster_v(spec, comps)
-        study = assemble_study_v(spec, block)
-        assert study.shape == (54, 54)
-        for c in range(9):
-            sl = slice(6 * c, 6 * c + 6)
-            np.testing.assert_array_equal(study[sl, sl], block.matrix)
-        # nothing crosses cluster boundaries
-        np.testing.assert_array_equal(study[:6, 6:], 0.0)
-        np.testing.assert_array_equal(study[6:, :6], 0.0)
-
-    def test_unequal_sizes(self):
-        spec, params = get_preset("example2_51")
-        comps = derive_components(params, family_for_kind(spec.kind))
-        block = build_cluster_v(spec, comps)
-        study = assemble_study_v(spec, block)
-        assert study.shape == (51, 51)
-        np.testing.assert_array_equal(study[:7, :7], cs_matrix(7, 25.0, 2.5))
-        np.testing.assert_array_equal(study[14:20, 14:20], cs_matrix(6, 25.0, 2.5))
-        np.testing.assert_array_equal(study[:7, 7:14], 0.0)
-
-    def test_repeated_measurement_study(self):
-        spec, params = get_preset("example7")
-        comps = derive_components(params, family_for_kind(spec.kind))
-        block = build_cluster_v(spec, comps)
-        study = assemble_study_v(spec, block)
-        assert study.shape == (90, 90)
-        np.testing.assert_array_equal(study[:15, :15], block.matrix)
-
-    def test_total_size_guard(self):
-        spec = DesignSpec(
-            kind=DesignKind.CRT_POST,
-            clusters_per_arm=(2, 2),
-            cluster_size=MAX_MATRIX_ROWS // 2,
-            cell_means={(1, 1): 0.0, (2, 1): 1.0},
-        )
-        comps = derive_components(
-            CorrelationParams(sigma_y_sq=25.0, icc=0.1), Family.SINGLE
-        )
-        block = build_cluster_v(spec, comps)
-        with pytest.raises(ValueError, match="limit"):
-            assemble_study_v(spec, block)

@@ -4,21 +4,17 @@ Frozen decimals below are exact evaluations of the formulas in rational
 arithmetic (fractions.Fraction), so they hold to full float precision.
 """
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wedgepower.design_effects import (
-    adjust_statistic,
     cluster_mean_correlation,
     de_ancova_prepost,
     de_simple,
     de_stepped_wedge,
     de_three_measurement,
     design_effect_for,
-    equal_cluster_plan,
     inflate_sample_size,
 )
 from wedgepower.designs import get_preset
@@ -214,54 +210,6 @@ class TestInflateSampleSize:
             inflate_sample_size(34, 0.0)
         with pytest.raises(ValueError):
             inflate_sample_size(34, 1.5, measurements_per_participant=0)
-
-
-class TestEqualClusterPlan:
-    def test_reference_plan(self):
-        plan = equal_cluster_plan(51, 6)
-        assert plan.clusters == 9
-        assert plan.clusters_per_arm == (5, 4)
-        assert plan.n_total == 54
-
-    def test_exact_fit(self):
-        plan = equal_cluster_plan(48, 6)
-        assert plan.clusters == 8
-        assert plan.clusters_per_arm == (4, 4)
-        assert plan.n_total == 48
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            equal_cluster_plan(0, 6)
-        with pytest.raises(ValueError):
-            equal_cluster_plan(51, 6, arms=3)
-
-    @given(target=st.integers(1, 5000), size=st.integers(1, 60))
-    def test_meets_target_minimally(self, target, size):
-        plan = equal_cluster_plan(target, size)
-        assert plan.n_total >= target
-        assert plan.n_total - size < target
-        assert abs(plan.clusters_per_arm[0] - plan.clusters_per_arm[1]) <= 1
-
-
-class TestAdjustStatistic:
-    def test_chi2_divides_by_de(self):
-        assert adjust_statistic(3.0, 1.5, "chi2") == pytest.approx(2.0, rel=REL)
-
-    def test_t_divides_by_sqrt(self):
-        assert adjust_statistic(3.0, 1.5, "t") == pytest.approx(
-            3.0 / math.sqrt(1.5), rel=REL
-        )
-
-    def test_consistency(self):
-        # squaring a t statistic gives a chi-square style statistic, and
-        # the two adjustments agree under that mapping
-        t = adjust_statistic(3.0, 1.7, "t")
-        chi = adjust_statistic(9.0, 1.7, "chi2")
-        assert t * t == pytest.approx(chi, rel=REL)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            adjust_statistic(3.0, 1.5, "z")
 
 
 class TestDesignEffectFor:

@@ -10,17 +10,16 @@ test_distributions.  Both routes were cross-checked independently.
 import numpy as np
 import pytest
 
+from scipy.linalg import block_diag
+
 from wedgepower.correlation import (
     CorrelationParams,
-    assemble_study_v,
     derive_components,
     family_for_kind,
 )
 from wedgepower.designs import (
     DesignKind,
     DesignSpec,
-    design_matrix,
-    exemplary_dataset,
     get_preset,
     hypothesis_contrast,
 )
@@ -32,7 +31,7 @@ from wedgepower.engine import (
     wald_f,
 )
 
-from dense_oracle import gls_estimate, study_blocks
+from dense_oracle import design_matrix, gls_estimate, reference_dataset, study_blocks
 
 LAMBDA_TOL = 1e-9
 POWER_REL = 1e-10
@@ -66,7 +65,7 @@ DEFAULT_POLICIES = {
 def fit_preset(name):
     spec, params = get_preset(name)
     comps = derive_components(params, family_for_kind(spec.kind))
-    dataset = exemplary_dataset(spec)
+    dataset = reference_dataset(spec)
     x = design_matrix(spec, dataset)
     return spec, params, comps, x, dataset, gls_estimate(
         x, study_blocks(spec, comps), dataset.mean
@@ -92,9 +91,7 @@ class TestGlsEstimate:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_blockwise_matches_dense_gls(self, name):
         spec, params, comps, x, dataset, fit = fit_preset(name)
-        from wedgepower.correlation import build_cluster_v
-
-        study_v = assemble_study_v(spec, build_cluster_v(spec, comps))
+        study_v = block_diag(*study_blocks(spec, comps))
         vinv_x = np.linalg.solve(study_v, x)
         info = x.T @ vinv_x
         beta = np.linalg.solve(info, vinv_x.T @ dataset.mean)
