@@ -37,15 +37,12 @@ from .designs import (
     DesignSpec,
     ExemplaryDataset,
     SpecValidationError,
-    dataset_from_csv,
     cell_table,
     dataset_to_csv,
     decode_spec_document,
-    design_columns,
     ensure_valid,
     exemplary_dataset,
     get_preset,
-    hypothesis_contrast,
     validate_spec,
 )
 from .distributions import (
@@ -70,7 +67,6 @@ from .engine import (
     wald_f,
 )
 from .mc import (
-    THREADS_ENV_VAR,
     EmpiricalPower,
     SimulationPlan,
     empirical_power,
@@ -110,10 +106,7 @@ __all__ = [
     "ensure_valid",
     "exemplary_dataset",
     "cell_table",
-    "design_columns",
-    "hypothesis_contrast",
     "dataset_to_csv",
-    "dataset_from_csv",
     "decode_spec_document",
     "PRESETS",
     "get_preset",
@@ -140,7 +133,6 @@ __all__ = [
     "analytic_power",
     "power_audit",
     # mc
-    "THREADS_ENV_VAR",
     "SimulationPlan",
     "EmpiricalPower",
     "replicate_stream",

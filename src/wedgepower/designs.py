@@ -2,13 +2,12 @@
 
 A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
-measurements happen, and the cell means under the alternative.  One
-cluster-by-period schedule of randomized group, time, exposure and mean
-underlies everything this module builds from it: the exemplary dataset
-(one row per measurement whose outcome column holds the modeled mean),
-its cluster-period cell table (the distinct clusters' cells, which the
-engine fits), and the single-row contrast that carries the hypothesis of
-interest.
+measurements happen, and the cell means under the alternative.
+cell_table turns it into the design's one cluster-by-period schedule:
+randomized group, time, exposure, design columns and mean of each
+distinct cluster's cells, with the tested effect in the last column.
+The engine fits that table, and exemplary_dataset expands it into one
+row per measurement whose outcome column holds the modeled mean.
 """
 
 from __future__ import annotations
@@ -35,11 +34,8 @@ __all__ = [
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
-    "design_columns",
-    "hypothesis_contrast",
     "cell_table",
     "dataset_to_csv",
-    "dataset_from_csv",
     "decode_spec_document",
     "PRESETS",
     "get_preset",
@@ -125,10 +121,6 @@ class DesignSpec:
         return int(self.baseline_b) + int(self.steps_k) * int(self.per_step_t)
 
     @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n_times + 1))
-
-    @property
     def n_clusters(self) -> int:
         """Number of randomized units (for rct kinds, each subject)."""
         if self.kind == DesignKind.RCT_POST:
@@ -155,16 +147,6 @@ class DesignSpec:
     @property
     def n_observations(self) -> int:
         return int(sum(self.rows_per_cluster()))
-
-    def switch_threshold(self, step: int) -> int:
-        """Last control time for clusters switching at the given step (1-based)."""
-        return int(self.baseline_b) + (step - 1) * int(self.per_step_t)
-
-    def mean_for_cell(self, arm: int, time: int) -> float:
-        return float(self.cell_means[(arm, time)])
-
-    def phase_mean(self, intervene: int) -> float:
-        return float(self.cell_means[(int(intervene), 0)])
 
 
 def _check_count(errors: list[str], path: str, value, minimum: int = 1) -> bool:
@@ -295,83 +277,6 @@ class ExemplaryDataset:
         return int(self.mean.shape[0])
 
 
-def _schedule(spec: DesignSpec):
-    """The cluster-by-period schedule of a design.
-
-    Returns (arm, time, intervene, mean, layout).  The first four are
-    (L, T) arrays holding the randomized group, time, exposure flag and
-    modeled mean of each of L cluster layouts in each of its T periods;
-    layout is the (n_clusters,) layout index of every cluster, in
-    dataset order.
-    """
-    ensure_valid(spec)
-    kind = spec.kind
-    if kind == DesignKind.RCT_PREPOST:
-        # subjects are measured once: one single-period layout per arm-time cell
-        arm = np.array([[1], [1], [2], [2]])
-        time = np.array([[1], [2], [1], [2]])
-        clusters_per_layout = (spec.per_group_n,) * 4
-    elif kind in SWD_KINDS:
-        arm = np.repeat(np.arange(1, spec.steps_k + 1)[:, None], spec.n_times, axis=1)
-        time = np.tile(np.asarray(spec.times), (spec.steps_k, 1))
-        clusters_per_layout = spec.clusters_per_step
-    else:
-        arm = np.repeat(np.array([[1], [2]]), spec.n_times, axis=1)
-        time = np.tile(np.asarray(spec.times), (2, 1))
-        if kind == DesignKind.RCT_POST:
-            clusters_per_layout = (spec.per_group_n,) * 2
-        else:
-            clusters_per_layout = spec.clusters_per_arm
-
-    if kind in SWD_KINDS:
-        thresholds = spec.baseline_b + (arm - 1) * spec.per_step_t
-        intervene = (time > thresholds).astype(np.int64)
-        mean = np.where(intervene == 1, spec.phase_mean(1), spec.phase_mean(0))
-    else:
-        last = 2 if kind in PREPOST_KINDS else 1
-        intervene = ((arm == 2) & (time == last)).astype(np.int64)
-        mean = np.array(
-            [
-                [spec.mean_for_cell(a, t) for a, t in zip(ar, tr)]
-                for ar, tr in zip(arm.tolist(), time.tolist())
-            ]
-        )
-    layout = np.repeat(np.arange(arm.shape[0]), clusters_per_layout)
-    return arm, time, intervene, mean, layout
-
-
-def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
-    """Build the dataset whose outcome column is the modeled cell mean.
-
-    Rows run cluster by cluster.  Within a cluster, cohort kinds nest
-    times inside subjects, who keep their id across periods; every other
-    kind nests fresh subjects inside times.  This matches the covariance
-    layout used for that kind.
-    """
-    arm, time, intervene, mean, layout = _schedule(spec)
-    n_periods = arm.shape[1]
-    sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
-    if spec.kind in COHORT_KINDS:
-        subject_cluster = np.repeat(np.arange(sizes.size), sizes)
-        cluster = np.repeat(subject_cluster, n_periods)
-        period = np.tile(np.arange(n_periods), subject_cluster.size)
-        subject = np.repeat(np.arange(1, subject_cluster.size + 1), n_periods)
-    else:
-        cell = np.repeat(np.arange(sizes.size * n_periods), np.repeat(sizes, n_periods))
-        cluster, period = np.divmod(cell, n_periods)
-        subject = np.arange(1, cell.size + 1)
-    cells = (layout[cluster], period)
-    return ExemplaryDataset(
-        kind=spec.kind.value,
-        arm=arm[cells],
-        cluster_id=cluster + 1,
-        subject_id=subject,
-        time=time[cells],
-        intervene=intervene[cells],
-        mean=mean[cells],
-    )
-
-
 @dataclass(frozen=True)
 class ColumnInfo:
     """Metadata of one design matrix column.
@@ -387,49 +292,9 @@ class ColumnInfo:
     involves_cluster_constant: bool
 
 
-def design_columns(spec: DesignSpec) -> tuple[ColumnInfo, ...]:
-    """Column metadata of the fixed effect design rows, in column order."""
-    kind = spec.kind
-    if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-        return (
-            ColumnInfo("intercept", True, True),
-            ColumnInfo("treated", True, True),
-        )
-    if kind in PREPOST_KINDS:
-        return (
-            ColumnInfo("intercept", True, True),
-            ColumnInfo("treated", True, True),
-            ColumnInfo("post", False, False),
-            ColumnInfo("treated_post", False, True),
-        )
-    cols = [ColumnInfo("intercept", True, True)]
-    for time in spec.times[1:]:
-        cols.append(ColumnInfo(f"time_{time}", False, False))
-    cols.append(ColumnInfo("intervene", False, False))
-    return tuple(cols)
-
-
-def _design_rows(
-    spec: DesignSpec, arm: np.ndarray, time: np.ndarray, intervene: np.ndarray
-) -> np.ndarray:
-    n = arm.shape[0]
-    kind = spec.kind
-    if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-        return np.column_stack([np.ones(n), (arm == 2).astype(float)])
-    if kind in PREPOST_KINDS:
-        treated = (arm == 2).astype(float)
-        post = (time == 2).astype(float)
-        return np.column_stack([np.ones(n), treated, post, treated * post])
-    cols = [np.ones(n)]
-    for t in spec.times[1:]:
-        cols.append((time == t).astype(float))
-    cols.append(intervene.astype(float))
-    return np.column_stack(cols)
-
-
 @dataclass(frozen=True)
 class CellTable:
-    """The design on cluster-period cells, one entry per cluster pattern.
+    """The design's cluster-by-period schedule, one entry per cluster pattern.
 
     Every fixed effect is constant within a cluster-period cell, so the
     clusters that share a randomized group and a cell size are
@@ -437,50 +302,94 @@ class CellTable:
     such clusters.  Its T cells are the periods such a cluster is
     measured in: one for post-only kinds, and one for individually
     randomized kinds, where every randomized unit is one measurement.
+    The last design column is the effect under test; its values are the
+    exposure flags.
 
     Attributes:
         group: (K,) randomized group, as in ExemplaryDataset.arm.
         m: (K,) subjects per cell.
         count: (K,) clusters that share the pattern.
+        time: (K, T) measurement time of each cell.
+        intervene: (K, T) intervention exposure flag of each cell.
         x: (K, T, p) design matrix rows of the cells.
         mean: (K, T) modeled cell means.
+        columns: the p design columns, the tested one last.
         cluster_pattern: (n_clusters,) pattern of each cluster, in
             dataset order.
+        cohort: each cluster follows one cohort of subjects across its
+            periods, rather than recruiting fresh subjects each period.
     """
 
     group: np.ndarray
     m: np.ndarray
     count: np.ndarray
+    time: np.ndarray
+    intervene: np.ndarray
     x: np.ndarray
     mean: np.ndarray
+    columns: tuple[ColumnInfo, ...]
     cluster_pattern: np.ndarray
+    cohort: bool
 
 
 def cell_table(spec: DesignSpec) -> CellTable:
-    """Cluster-period cells of the exemplary dataset, grouped by pattern.
+    """The design's one cluster-by-period schedule, grouped by pattern.
 
-    Parallel kinds have an intercept, a treated-arm indicator, and for
-    two-period kinds a post-period indicator plus their product.
-    Stepped wedge kinds have an intercept, indicators for every time
-    after the first, and the intervention exposure flag.
-
-    Raises:
-        ValueError: if the design rows of the cells are rank deficient,
-            which signals a degenerate schedule (for example a
-            single-step wedge whose exposure flag duplicates a time
-            indicator); the cells hold every distinct row of the
-            subject-level design matrix.
+    This is where a kind's structural fields become arrays: the engine
+    fits the table and exemplary_dataset expands it.  Parallel kinds
+    have an intercept, a treated-arm indicator, and for two-period kinds
+    a post-period indicator plus their product.  Stepped wedge kinds
+    have an intercept, indicators for every time after the first, and
+    the intervention exposure flag.  The last column is the one tested.
+    The table is built for any valid spec, a degenerate step layout
+    included; the engine refuses that when it fits or counts ranks.
     """
-    arm, time, intervene, mean, layout = _schedule(spec)
-    n_layouts, n_periods = arm.shape
-    x = _design_rows(spec, arm.ravel(), time.ravel(), intervene.ravel())
-    if np.linalg.matrix_rank(x) < x.shape[1]:
-        raise ValueError(
-            "design matrix is rank deficient; the schedule does not separate "
-            "the modeled effects (degenerate step layout)"
-        )
-    x = x.reshape(n_layouts, n_periods, -1)
+    ensure_valid(spec)
+    kind = spec.kind
+    periods = np.arange(1, spec.n_times + 1)
+    # one schedule row per randomized group, and the clusters each row stands for
+    if kind in SWD_KINDS:
+        group = np.arange(1, spec.steps_k + 1)
+        clusters = spec.clusters_per_step
+    elif kind == DesignKind.RCT_PREPOST:
+        # subjects are measured once: one single-period row per arm-time cell
+        group = np.array([1, 1, 2, 2])
+        periods = np.array([[1], [2], [1], [2]])
+        clusters = (spec.per_group_n,) * 4
+    else:
+        group = np.array([1, 2])
+        if kind == DesignKind.RCT_POST:
+            clusters = (spec.per_group_n,) * 2
+        else:
+            clusters = spec.clusters_per_arm
+    time = np.broadcast_to(periods, (group.size, periods.shape[-1]))
 
+    if kind in SWD_KINDS:
+        exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
+        columns = [("intercept", True, True, 1)]
+        for t in periods[1:]:
+            columns.append((f"time_{t}", False, False, time == t))
+        columns.append(("intervene", False, False, exposed))
+        means = spec.cell_means
+        mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
+    else:
+        treated = group[:, None] == 2
+        columns = [("intercept", True, True, 1), ("treated", True, True, treated)]
+        if kind in PREPOST_KINDS:
+            post = time == 2
+            columns.append(("post", False, False, post))
+            columns.append(("treated_post", False, True, treated & post))
+        mean = np.array(
+            [
+                [float(spec.cell_means[(a, t)]) for t in row]
+                for a, row in zip(group.tolist(), time.tolist())
+            ]
+        )
+    x = np.empty((*time.shape, len(columns)))
+    for j, (*_, values) in enumerate(columns):
+        x[..., j] = values
+
+    layout = np.repeat(np.arange(group.size), clusters)
     sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
     _, first, pattern, count = np.unique(
         layout * (int(sizes.max()) + 1) + sizes,
@@ -490,12 +399,48 @@ def cell_table(spec: DesignSpec) -> CellTable:
     )
     chosen = layout[first]
     return CellTable(
-        group=arm[chosen, 0],
+        group=group[chosen],
         m=sizes[first],
         count=count,
+        time=time[chosen],
+        intervene=x[chosen, :, -1].astype(np.int64),
         x=x[chosen],
         mean=mean[chosen],
+        columns=tuple(ColumnInfo(*info) for *info, _ in columns),
         cluster_pattern=pattern,
+        cohort=kind in COHORT_KINDS,
+    )
+
+
+def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
+    """Build the dataset whose outcome column is the modeled cell mean.
+
+    Rows expand the cell table cluster by cluster.  Within a cluster,
+    cohort designs nest times inside subjects, who keep their id across
+    periods; every other design nests fresh subjects inside times.  This
+    matches the covariance layout used for that kind.
+    """
+    cells = cell_table(spec)
+    n_periods = cells.time.shape[1]
+    sizes = cells.m[cells.cluster_pattern]
+    if cells.cohort:
+        subject_cluster = np.repeat(np.arange(sizes.size), sizes)
+        cluster = np.repeat(subject_cluster, n_periods)
+        period = np.tile(np.arange(n_periods), subject_cluster.size)
+        subject = np.repeat(np.arange(1, subject_cluster.size + 1), n_periods)
+    else:
+        cell = np.repeat(np.arange(sizes.size * n_periods), np.repeat(sizes, n_periods))
+        cluster, period = np.divmod(cell, n_periods)
+        subject = np.arange(1, cell.size + 1)
+    pattern = cells.cluster_pattern[cluster]
+    return ExemplaryDataset(
+        kind=spec.kind.value,
+        arm=cells.group[pattern],
+        cluster_id=cluster + 1,
+        subject_id=subject,
+        time=cells.time[pattern, period],
+        intervene=cells.intervene[pattern, period],
+        mean=cells.mean[pattern, period],
     )
 
 
@@ -509,28 +454,6 @@ class Contrast:
     @property
     def ndf(self) -> int:
         return int(self.matrix.shape[0])
-
-
-def hypothesis_contrast(spec: DesignSpec) -> Contrast:
-    """The one-row contrast for the design's primary hypothesis.
-
-    Post-only kinds test the treated-arm coefficient, two-period kinds
-    the treated-by-post interaction, stepped wedge kinds the exposure
-    coefficient.
-    """
-    columns = design_columns(spec)
-    if spec.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-        target = "treated"
-    elif spec.kind in PREPOST_KINDS:
-        target = "treated_post"
-    else:
-        target = "intervene"
-    row = np.zeros((1, len(columns)))
-    for j, col in enumerate(columns):
-        if col.name == target:
-            row[0, j] = 1.0
-            return Contrast(matrix=row, name=target)
-    raise ValueError(f"column {target!r} not present")
 
 
 def dataset_to_csv(dataset: ExemplaryDataset) -> str:
@@ -553,36 +476,13 @@ def dataset_to_csv(dataset: ExemplaryDataset) -> str:
     return buf.getvalue()
 
 
-def dataset_from_csv(text: str) -> ExemplaryDataset:
-    """Parse a dataset serialized by dataset_to_csv."""
-    reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    kinds: set[str] = set()
-    cols: list[list] = [[], [], [], [], [], []]
-    for row in reader:
-        if not row:
-            continue
-        kinds.add(row[0])
-        for j in range(5):
-            cols[j].append(int(row[j + 1]))
-        cols[5].append(float(row[6]))
-    if len(kinds) != 1:
-        raise ValueError(f"dataset rows carry {len(kinds)} design labels, expected 1")
-    return ExemplaryDataset(
-        kind=kinds.pop(),
-        arm=np.asarray(cols[0], dtype=np.int64),
-        cluster_id=np.asarray(cols[1], dtype=np.int64),
-        subject_id=np.asarray(cols[2], dtype=np.int64),
-        time=np.asarray(cols[3], dtype=np.int64),
-        intervene=np.asarray(cols[4], dtype=np.int64),
-        mean=np.asarray(cols[5], dtype=float),
-    )
-
-
 # ---------------------------------------------------------------------------
 # document decoding
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, str | None]:
@@ -620,30 +520,24 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
             f"{sorted(k.value for k in DesignKind)}, got {kind_raw!r}"
         )
 
-    def _int_or_none(obj: Mapping, key: str, path: str):
-        value = obj.get(key)
-        if value is None:
-            return None
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or float(value) != int(value)
-        ):
+    def _integer(value, path: str):
+        if not _is_number(value) or not float(value).is_integer():
             errors.append(f"{path}: must be an integer, got {value!r}")
             return None
         return int(value)
 
-    per_group_n = _int_or_none(design, "per_group_n", "design.per_group_n")
-    steps_k = _int_or_none(design, "steps_k", "design.steps_k")
-    baseline_b = _int_or_none(design, "baseline_b", "design.baseline_b")
-    per_step_t = _int_or_none(design, "per_step_t", "design.per_step_t")
+    def _int_or_none(key: str):
+        value = design.get(key)
+        return None if value is None else _integer(value, f"design.{key}")
 
     def _int_tuple(value, path: str):
-        try:
-            return tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            errors.append(f"{path}: must be a list of integers, got {value!r}")
-            return None
+        counts = tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(value))
+        return None if None in counts else counts
+
+    per_group_n = _int_or_none("per_group_n")
+    steps_k = _int_or_none("steps_k")
+    baseline_b = _int_or_none("baseline_b")
+    per_step_t = _int_or_none("per_step_t")
 
     clusters_per_arm = design.get("clusters_per_arm")
     if clusters_per_arm is not None:
@@ -676,15 +570,11 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
     cluster_size = design.get("cluster_size")
     if isinstance(cluster_size, Sequence) and not isinstance(cluster_size, str):
         cluster_size = _int_tuple(cluster_size, "design.cluster_size")
-    elif cluster_size is not None:
-        try:
-            cluster_size = int(cluster_size)
-        except (TypeError, ValueError):
-            errors.append(f"design.cluster_size: must be an integer, got {cluster_size!r}")
-            cluster_size = None
+    else:
+        cluster_size = _int_or_none("cluster_size")
 
     alpha = analysis.get("alpha", 0.05)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+    if not _is_number(alpha):
         errors.append(f"analysis.alpha: must be a number, got {alpha!r}")
         alpha = 0.05
 
@@ -703,7 +593,7 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
             if (
                 isinstance(means, Sequence)
                 and len(means) == 2
-                and all(isinstance(v, (int, float)) for v in means)
+                and all(_is_number(v) for v in means)
             ):
                 cell_means = {(0, 0): float(means[0]), (1, 0): float(means[1])}
             else:
@@ -720,7 +610,7 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
                     isinstance(row, Sequence)
                     and not isinstance(row, str)
                     and len(row) == n_times
-                    and all(isinstance(v, (int, float)) for v in row)
+                    and all(_is_number(v) for v in row)
                     for row in means
                 )
             )
@@ -746,9 +636,7 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
     ):
         if value is None and required:
             errors.append(f"{path}: required")
-        elif value is not None and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
+        elif value is not None and not _is_number(value):
             errors.append(f"{path}: must be a number, got {value!r}")
 
     params: CorrelationParams | None = None

@@ -169,6 +169,22 @@ def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndar
     return (cells.x - (gamma[:, None] * column_sums)[:, None, :]) / b[:, None, None]
 
 
+def _require_full_rank(cells: designs.CellTable) -> None:
+    """Refuse cells whose design rows are rank deficient.
+
+    The cells hold every distinct row of the subject-level design
+    matrix, so this is its rank.  A deficient rank signals a degenerate
+    schedule, for example a single-step wedge whose exposure flag
+    duplicates a time indicator.
+    """
+    x = cells.x.reshape(-1, cells.x.shape[2])
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise ValueError(
+            "design matrix is rank deficient; the schedule does not separate "
+            "the modeled effects (degenerate step layout)"
+        )
+
+
 def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimate:
     """GLS fit of the cell means under the subject-level covariance.
 
@@ -179,9 +195,11 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     exactly representable by the fixed effects.
 
     Raises:
-        ValueError: if the covariance or the information is singular, or
-            the fixed effects do not reproduce the cell means.
+        ValueError: if the design rows are rank deficient (a degenerate
+            step layout), the covariance or the information is singular,
+            or the fixed effects do not reproduce the cell means.
     """
+    _require_full_rank(cells)
     sx = _precision_x(cells, comps)
     information = np.einsum("k,ktp,ktq->pq", cells.count, cells.x, sx)
     score = np.einsum("k,ktp,kt->p", cells.count, sx, cells.mean)
@@ -235,33 +253,38 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
         cluster-constant columns) and a within-cluster remainder; the
         tested effect takes the between stratum when it involves a
         cluster-constant factor and the within stratum otherwise.
+
+    Raises:
+        ValueError: if the design rows are rank deficient (a degenerate
+            step layout), or the policy is unknown, does not apply to
+            the design, or leaves no degrees of freedom.
     """
-    return _ddf_from_cells(spec, policy, designs.cell_table(spec))
+    cells = designs.cell_table(spec)
+    _require_full_rank(cells)
+    return _ddf_from_cells(spec, policy, cells)
 
 
 def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> int:
+    """resolve_ddf on cells whose design rows have full rank."""
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
-    n = spec.n_observations
-    # cell_table refuses rank-deficient designs
+    n_clusters = int(cells.count.sum())
+    n = int(cells.count @ cells.m) * cells.x.shape[1]
     rank_x = cells.x.shape[2]
 
     if policy == "residual":
         ddf = n - rank_x
     elif policy == "containment":
         _require_clustered(spec, policy)
-        ddf = n - spec.n_clusters
+        ddf = n - n_clusters
     else:
         _require_clustered(spec, policy)
-        columns = designs.design_columns(spec)
-        const_idx = [j for j, c in enumerate(columns) if c.cluster_constant]
+        const_idx = [j for j, c in enumerate(cells.columns) if c.cluster_constant]
         cluster_level = cells.x[:, 0, const_idx]
-        between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
+        between = n_clusters - int(np.linalg.matrix_rank(cluster_level))
         within = (n - rank_x) - between
-        contrast = designs.hypothesis_contrast(spec)
-        selected = np.flatnonzero(contrast.matrix[0])
-        uses_between = any(columns[j].involves_cluster_constant for j in selected)
-        ddf = between if uses_between else within
+        tested = cells.columns[-1]
+        ddf = between if tested.involves_cluster_constant else within
 
     if ddf < 1:
         raise ValueError(
@@ -295,7 +318,9 @@ def evaluate(
     comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
     cells = designs.cell_table(spec)
     fit = fit_cells(cells, comps)
-    contrast = designs.hypothesis_contrast(spec)
+    # the tested effect is the last design column
+    p = len(cells.columns)
+    contrast = designs.Contrast(matrix=np.eye(1, p, p - 1), name=cells.columns[-1].name)
     fvalue, ndf = wald_f(fit.beta, fit.cov, contrast.matrix)
     ddf = _ddf_from_cells(spec, policy, cells)
     result = distributions.power_from_f(

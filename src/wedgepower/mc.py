@@ -18,14 +18,12 @@ Replicates run in fixed chunks of _CHUNK, each with its own Philox
 stream keyed by (seed, chunk index) (Salmon et al. 2011).  A chunk
 draws all its normals first, in blocks of replicates, then all its
 chi-square denominators, so the estimate depends only on the seed and
-replicate count, never on thread count or block size.
+replicate count, never on block size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +37,7 @@ __all__ = [
     "EmpiricalPower",
     "replicate_stream",
     "empirical_power",
-    "THREADS_ENV_VAR",
 ]
-
-THREADS_ENV_VAR = "WEDGEPOWER_THREADS"
 
 _CHUNK = 1024
 # most normals a chunk draws at once (512 KB); a block is at least one row
@@ -66,8 +61,9 @@ class SimulationPlan:
     ddf_policy: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.replicates, bool) or self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates!r}")
+        reps = self.replicates
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+            raise ValueError(f"replicates must be an integer >= 1, got {reps!r}")
         if isinstance(self.seed, bool) or not float(self.seed).is_integer():
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0 or self.seed > 2**64 - 1:
@@ -124,19 +120,6 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, flo
     return center, per_pattern[cells.cluster_pattern].ravel(), s2
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, count)
-
-
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     """Rejection rate of the primary test over simulated replicates.
 
@@ -148,9 +131,6 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     drawn from the same chunk stream), and rejects when it exceeds the
     analytic route's critical value.  No subject rows are built, so the
     design may be of any size.
-
-    Thread count is capped by the WEDGEPOWER_THREADS environment
-    variable (default 1); the estimate is identical for any cap.
     """
     run = engine.evaluate(
         plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
@@ -159,8 +139,8 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     center, u, s2 = _contrast_projection(run)
     rows_per_block = max(1, _BLOCK_DRAWS // u.size)
 
-    def run_chunk(index: int) -> int:
-        start = index * _CHUNK
+    rejections = 0
+    for index, start in enumerate(range(0, plan.replicates, _CHUNK)):
         count = min(_CHUNK, plan.replicates - start)
         rng = replicate_stream(plan.seed, index)
         effects = np.empty(count)
@@ -170,15 +150,7 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
         denominator = rng.chisquare(ddf, count) / ddf
         effects += center
         fstats = effects * effects / s2
-        return int(np.count_nonzero(fstats > fcrit * denominator))
-
-    chunks = range(-(-plan.replicates // _CHUNK))
-    workers = _worker_count()
-    if workers == 1 or len(chunks) == 1:
-        rejections = sum(run_chunk(c) for c in chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rejections = sum(pool.map(run_chunk, chunks))
+        rejections += int(np.count_nonzero(fstats > fcrit * denominator))
 
     n = plan.replicates
     estimate = rejections / n

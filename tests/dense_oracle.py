@@ -2,17 +2,20 @@
 
 The engine fits, and the Monte Carlo check draws, cell means of cluster
 patterns, and the package builds the exemplary dataset from the same
-cluster-by-period schedule.  This module keeps the direct routes they
+cluster-by-period cell table.  This module keeps the direct routes they
 replaced: emit the exemplary dataset one row per measurement in a branch
 per design kind, build its design matrix, solve each cluster's full
 covariance block against [X y], take the denominator degrees of freedom
 from ranks of the subject-level design matrix, and project subject-level
-draws through each cluster's dense Cholesky factor.  Tests compare the
-routes.
+draws through each cluster's dense Cholesky factor.  The design columns,
+their flags and the tested column are spelled out here per kind, apart
+from the package's cell table.  Tests compare the routes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,11 +23,54 @@ import numpy as np
 
 from wedgepower import correlation, designs
 from wedgepower.correlation import CorrelationParams, VarianceComponents
-from wedgepower.designs import DesignKind, DesignSpec, ExemplaryDataset
+from wedgepower.designs import CSV_HEADER, DesignKind, DesignSpec, ExemplaryDataset
 from wedgepower.engine import DDF_POLICIES, GlsEstimate
 
 # relative tolerance for the exemplary-mean reproduction check
 FIT_RTOL = 1e-8
+
+POST_ONLY = (DesignKind.RCT_POST, DesignKind.CRT_POST)
+PREPOST = (
+    DesignKind.RCT_PREPOST,
+    DesignKind.CRT_PREPOST_XSEC,
+    DesignKind.CRT_PREPOST_COHORT,
+)
+
+
+def times(spec: DesignSpec) -> range:
+    """Measurement times 1..n_times."""
+    return range(1, spec.n_times + 1)
+
+
+def switch_threshold(spec: DesignSpec, step: int) -> int:
+    """Last control time of the clusters that switch at the given step (1-based)."""
+    return spec.baseline_b + (step - 1) * spec.per_step_t
+
+
+def columns(spec: DesignSpec) -> list[tuple[str, bool, bool]]:
+    """(name, cluster_constant, involves_cluster_constant) of each design column."""
+    if spec.kind in POST_ONLY:
+        return [("intercept", True, True), ("treated", True, True)]
+    if spec.kind in PREPOST:
+        return [
+            ("intercept", True, True),
+            ("treated", True, True),
+            ("post", False, False),
+            ("treated_post", False, True),
+        ]
+    periods = [(f"time_{t}", False, False) for t in times(spec)[1:]]
+    return [("intercept", True, True), *periods, ("intervene", False, False)]
+
+
+def contrast_column(spec: DesignSpec) -> int:
+    """Index of the design column that the primary hypothesis tests."""
+    if spec.kind in POST_ONLY:
+        target = "treated"
+    elif spec.kind in PREPOST:
+        target = "treated_post"
+    else:
+        target = "intervene"
+    return [name for name, _, _ in columns(spec)].index(target)
 
 
 def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
@@ -55,11 +101,12 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
         mean_col.append(mean)
 
     if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):
-        times = spec.times
+        study_times = times(spec)
         for arm in (1, 2):
-            for time in times:
+            for time in study_times:
                 for _ in range(spec.per_group_n):
-                    flag = 1 if (arm == 2 and time == times[-1] and len(times) > 1) else 0
+                    prepost = len(study_times) > 1
+                    flag = 1 if (arm == 2 and time == study_times[-1] and prepost) else 0
                     if kind == DesignKind.RCT_POST:
                         flag = 1 if arm == 2 else 0
                     emit(
@@ -68,7 +115,7 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
                         next_subject,
                         time,
                         flag,
-                        spec.mean_for_cell(arm, time),
+                        float(spec.cell_means[(arm, time)]),
                     )
                     next_subject += 1
     elif kind == DesignKind.CRT_POST:
@@ -85,7 +132,7 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
                         next_subject,
                         1,
                         1 if arm == 2 else 0,
-                        spec.mean_for_cell(arm, 1),
+                        float(spec.cell_means[(arm, 1)]),
                     )
                     next_subject += 1
     elif kind == DesignKind.CRT_PREPOST_XSEC:
@@ -104,7 +151,7 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
                             next_subject,
                             time,
                             flag,
-                            spec.mean_for_cell(arm, time),
+                            float(spec.cell_means[(arm, time)]),
                         )
                         next_subject += 1
     elif kind == DesignKind.CRT_PREPOST_COHORT:
@@ -125,17 +172,17 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
                             subject,
                             time,
                             flag,
-                            spec.mean_for_cell(arm, time),
+                            float(spec.cell_means[(arm, time)]),
                         )
     elif kind == DesignKind.SWD_XSEC:
         sizes = spec.cluster_subject_counts()
         cluster = 0
         for step, count in enumerate(spec.clusters_per_step, start=1):
-            threshold = spec.switch_threshold(step)
+            threshold = switch_threshold(spec, step)
             for _ in range(count):
                 size = sizes[cluster]
                 cluster += 1
-                for time in spec.times:
+                for time in times(spec):
                     flag = 0 if time <= threshold else 1
                     for _ in range(size):
                         emit(
@@ -144,23 +191,24 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
                             next_subject,
                             time,
                             flag,
-                            spec.phase_mean(flag),
+                            float(spec.cell_means[(flag, 0)]),
                         )
                         next_subject += 1
     elif kind == DesignKind.SWD_COHORT:
         sizes = spec.cluster_subject_counts()
         cluster = 0
         for step, count in enumerate(spec.clusters_per_step, start=1):
-            threshold = spec.switch_threshold(step)
+            threshold = switch_threshold(spec, step)
             for _ in range(count):
                 size = sizes[cluster]
                 cluster += 1
                 for _ in range(size):
                     subject = next_subject
                     next_subject += 1
-                    for time in spec.times:
+                    for time in times(spec):
                         flag = 0 if time <= threshold else 1
-                        emit(step, cluster, subject, time, flag, spec.phase_mean(flag))
+                        mean = float(spec.cell_means[(flag, 0)])
+                        emit(step, cluster, subject, time, flag, mean)
     else:
         raise ValueError(f"unknown design kind {kind!r}")
 
@@ -192,13 +240,13 @@ def design_matrix(spec: DesignSpec, dataset: ExemplaryDataset | None = None) -> 
         dataset = reference_dataset(spec)
     ones = np.ones(dataset.n_rows)
     treated = (dataset.arm == 2).astype(float)
-    if spec.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
+    if spec.kind in POST_ONLY:
         x = np.column_stack([ones, treated])
-    elif spec.kind in designs.PREPOST_KINDS:
+    elif spec.kind in PREPOST:
         post = (dataset.time == 2).astype(float)
         x = np.column_stack([ones, treated, post, treated * post])
     else:
-        periods = [(dataset.time == t).astype(float) for t in spec.times[1:]]
+        periods = [(dataset.time == t).astype(float) for t in times(spec)[1:]]
         x = np.column_stack([ones, *periods, dataset.intervene.astype(float)])
     if np.linalg.matrix_rank(x) < x.shape[1]:
         raise ValueError(
@@ -363,15 +411,13 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
         if policy == "containment":
             ddf = n - spec.n_clusters
         else:
-            columns = designs.design_columns(spec)
+            flags = columns(spec)
             structure = cluster_structure(spec)
-            const_idx = [j for j, c in enumerate(columns) if c.cluster_constant]
+            const_idx = [j for j, (_, constant, _) in enumerate(flags) if constant]
             cluster_level = np.array([x[cb.row_start, const_idx] for cb in structure])
             between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
             within = (n - rank_x) - between
-            contrast = designs.hypothesis_contrast(spec)
-            selected = np.flatnonzero(contrast.matrix[0])
-            uses_between = any(columns[j].involves_cluster_constant for j in selected)
+            uses_between = flags[contrast_column(spec)][2]
             ddf = between if uses_between else within
 
     if ddf < 1:
@@ -391,7 +437,7 @@ def contrast_weights(spec: DesignSpec, params: CorrelationParams) -> np.ndarray:
         k = block.shape[0]
         xtvi[:, at : at + k] = np.linalg.solve(block, x[at : at + k]).T
         at += k
-    return (designs.hypothesis_contrast(spec).matrix @ fit.cov @ xtvi)[0]
+    return fit.cov[contrast_column(spec)] @ xtvi
 
 
 def cell_averaging(block: correlation.BlockCovariance) -> np.ndarray:
@@ -457,3 +503,31 @@ def assert_same_dataset(actual: ExemplaryDataset, expected: ExemplaryDataset) ->
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def dataset_from_csv(text: str) -> ExemplaryDataset:
+    """Parse a dataset serialized by dataset_to_csv."""
+    reader = csv.reader(io.StringIO(text))
+    header = tuple(next(reader))
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    kinds: set[str] = set()
+    cols: list[list] = [[], [], [], [], [], []]
+    for row in reader:
+        if not row:
+            continue
+        kinds.add(row[0])
+        for j in range(5):
+            cols[j].append(int(row[j + 1]))
+        cols[5].append(float(row[6]))
+    if len(kinds) != 1:
+        raise ValueError(f"dataset rows carry {len(kinds)} design labels, expected 1")
+    return ExemplaryDataset(
+        kind=kinds.pop(),
+        arm=np.asarray(cols[0], dtype=np.int64),
+        cluster_id=np.asarray(cols[1], dtype=np.int64),
+        subject_id=np.asarray(cols[2], dtype=np.int64),
+        time=np.asarray(cols[3], dtype=np.int64),
+        intervene=np.asarray(cols[4], dtype=np.int64),
+        mean=np.asarray(cols[5], dtype=float),
+    )

@@ -127,7 +127,7 @@ def test_cell_fit_matches_dense_fit(case):
 @given(specs_and_params())
 def test_dataset_matches_reference_builder(case):
     # single-step wedges stay in: the dataset builds designs that
-    # cell_table refuses as degenerate
+    # fit_cells and resolve_ddf refuse as degenerate
     spec, _ = case
     built = designs.exemplary_dataset(spec)
     reference = dense_oracle.reference_dataset(spec)
@@ -153,6 +153,8 @@ def test_degenerate_layout_refused_by_both_paths():
         cell_means={(0, 0): 54.0, (1, 0): 59.0},
     )
     params = CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=0.5)
+    # the schedule itself is fine: the dataset builds
+    assert designs.exemplary_dataset(spec).n_rows == spec.n_observations
     cell = _outcome(lambda: engine.analytic_power(spec, params))
     assert cell == _outcome(lambda: dense_oracle.fit_design(spec, params))
     assert "degenerate step layout" in cell[1]
@@ -190,7 +192,7 @@ class TestCellTable:
         spec, _ = get_preset(name)
         cells = cell_table(spec)
         n_patterns, n_periods, p = cells.x.shape
-        assert p == len(designs.design_columns(spec))
+        assert p == len(cells.columns) == len(dense_oracle.columns(spec))
         assert cells.mean.shape == (n_patterns, n_periods)
         assert int(cells.count.sum()) == spec.n_clusters
         assert int(np.sum(cells.count * cells.m) * n_periods) == spec.n_observations
@@ -232,13 +234,13 @@ def _hussey_hughes_variance(spec, params):
     subject = (1.0 - icc) * s2
     tau2 = cac * icc * s2 + (sac * subject / m if cohort else 0.0)
     sigma2 = (1.0 - cac) * icc * s2 + ((1.0 - sac) if cohort else 1.0) * subject / m
-    exposure = np.array(
-        [
-            [float(t > spec.switch_threshold(step)) for t in spec.times]
-            for step, n in enumerate(spec.clusters_per_step, start=1)
-            for _ in range(n)
-        ]
-    )
+    thresholds = [
+        dense_oracle.switch_threshold(spec, step)
+        for step, n in enumerate(spec.clusters_per_step, start=1)
+        for _ in range(n)
+    ]
+    times = dense_oracle.times(spec)
+    exposure = np.array([[float(t > b) for t in times] for b in thresholds])
     n_clusters, n_times = exposure.shape
     u = exposure.sum()
     w = np.sum(exposure.sum(axis=0) ** 2)

@@ -10,9 +10,9 @@ import re
 import pytest
 
 from wedgepower.cli import main
-from wedgepower.designs import dataset_from_csv, exemplary_dataset, get_preset
+from wedgepower.designs import exemplary_dataset, get_preset
 
-from dense_oracle import assert_same_dataset
+from dense_oracle import assert_same_dataset, dataset_from_csv
 
 
 def run(capsys, *argv):

@@ -1,7 +1,7 @@
 """Tests for design descriptions, exemplary datasets, and design matrices.
 
 The subject-level design matrix lives in the dense oracle; the package
-builds only the design rows of cluster-period cells.
+builds only the design rows of cluster-period cells, in its cell table.
 """
 
 import numpy as np
@@ -13,18 +13,24 @@ from wedgepower.designs import (
     DesignSpec,
     PRESETS,
     SpecValidationError,
-    dataset_from_csv,
+    cell_table,
     dataset_to_csv,
     decode_spec_document,
-    design_columns,
     ensure_valid,
     exemplary_dataset,
     get_preset,
-    hypothesis_contrast,
     validate_spec,
 )
+from wedgepower.engine import evaluate
 
-from dense_oracle import assert_same_dataset, cluster_structure, design_matrix
+from dense_oracle import (
+    assert_same_dataset,
+    cluster_structure,
+    dataset_from_csv,
+    design_matrix,
+    switch_threshold,
+    contrast_column,
+)
 
 EXPECTED_ROWS = {
     "example1": 34,
@@ -228,7 +234,7 @@ class TestExemplaryDataset:
         for spec in specs:
             data = exemplary_dataset(spec)
             for block in cluster_structure(spec):
-                threshold = spec.switch_threshold(block.group)
+                threshold = switch_threshold(spec, block.group)
                 rows = slice(block.row_start, block.row_start + block.n_rows)
                 expected = (data.time[rows] > threshold).astype(int)
                 np.testing.assert_array_equal(data.intervene[rows], expected)
@@ -278,17 +284,32 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="rank deficient"):
             design_matrix(spec)
 
-    def test_column_metadata(self):
-        cols = {c.name: c for c in design_columns(get_preset("example4")[0])}
-        assert cols["treated"].cluster_constant
-        assert cols["treated_post"].involves_cluster_constant
-        assert not cols["treated_post"].cluster_constant
-        assert not cols["post"].involves_cluster_constant
+    # (name, cluster_constant, involves_cluster_constant), one preset per kind
+    POST = [("intercept", True, True), ("treated", True, True)]
+    PREPOST = POST + [("post", False, False), ("treated_post", False, True)]
+    WEDGE = [
+        ("intercept", True, True),
+        ("time_2", False, False),
+        ("time_3", False, False),
+        ("intervene", False, False),
+    ]
 
-        wedge_cols = {c.name: c for c in design_columns(get_preset("example6")[0])}
-        assert set(wedge_cols) == {"intercept", "time_2", "time_3", "intervene"}
-        assert not wedge_cols["intervene"].involves_cluster_constant
-        assert not wedge_cols["intervene"].cluster_constant
+    COLUMNS = {
+        "example1": POST,
+        "example2": POST,
+        "example3": PREPOST,
+        "example4": PREPOST,
+        "example5": PREPOST,
+        "example6": WEDGE,
+        "example7": WEDGE,
+    }
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_column_metadata(self, name):
+        columns = cell_table(get_preset(name)[0]).columns
+        assert [
+            (c.name, c.cluster_constant, c.involves_cluster_constant) for c in columns
+        ] == self.COLUMNS[name]
 
 
 class TestContrast:
@@ -303,13 +324,14 @@ class TestContrast:
         ],
     )
     def test_targets(self, name, target):
-        spec, _ = get_preset(name)
-        contrast = hypothesis_contrast(spec)
+        spec, params = get_preset(name)
+        contrast = evaluate(spec, params).contrast
         assert contrast.name == target
         assert contrast.ndf == 1
-        columns = [c.name for c in design_columns(spec)]
+        columns = [c.name for c in cell_table(spec).columns]
         row = contrast.matrix[0]
         assert row[columns.index(target)] == 1.0
+        assert columns.index(target) == contrast_column(spec)
         assert np.count_nonzero(row) == 1
 
 
@@ -359,8 +381,8 @@ class TestDecodeSpecDocument:
         assert params == preset_params
         assert policy == "containment"
 
-    def test_wedge_means_form(self):
-        doc = {
+    def make_wedge_doc(self):
+        return {
             "design": {
                 "kind": "swd_xsec",
                 "steps_k": 2,
@@ -372,7 +394,9 @@ class TestDecodeSpecDocument:
             },
             "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, "cac": 1.0},
         }
-        spec, params, policy = decode_spec_document(doc)
+
+    def test_wedge_means_form(self):
+        spec, params, policy = decode_spec_document(self.make_wedge_doc())
         assert spec == get_preset("example6")[0]
         assert policy is None
 
@@ -413,6 +437,25 @@ class TestDecodeSpecDocument:
     def test_non_mapping_document(self):
         with pytest.raises(SpecValidationError):
             decode_spec_document([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "kind,field,value,path",
+        [
+            ("crt_post", "cluster_size", 6.5, "design.cluster_size"),
+            ("crt_post", "cluster_size", [6.5] * 9, "design.cluster_size[0]"),
+            ("crt_post", "cluster_size", True, "design.cluster_size"),
+            ("crt_post", "clusters_per_arm", [5.7, 4], "design.clusters_per_arm[0]"),
+            ("crt_post", "means", [[59.0], [True]], "design.means"),
+            ("swd_xsec", "clusters_per_step", [2.5, 2], "design.clusters_per_step[0]"),
+            ("swd_xsec", "means", [True, 59.0], "design.means"),
+        ],
+    )
+    def test_non_integral_counts_and_boolean_means(self, kind, field, value, path):
+        doc = self.make_doc() if kind == "crt_post" else self.make_wedge_doc()
+        doc["design"][field] = value
+        with pytest.raises(SpecValidationError) as info:
+            decode_spec_document(doc)
+        assert any(e.startswith(f"{path}: ") for e in info.value.errors)
 
     def test_per_cluster_sizes(self):
         doc = self.make_doc()

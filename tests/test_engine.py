@@ -21,11 +21,11 @@ from wedgepower.designs import (
     DesignKind,
     DesignSpec,
     get_preset,
-    hypothesis_contrast,
 )
 from wedgepower.engine import (
     analytic_power,
     default_ddf_policy,
+    evaluate,
     power_audit,
     resolve_ddf,
     wald_f,
@@ -334,6 +334,6 @@ class TestPowerAudit:
     def test_contrast_effect_size(self):
         spec, params = get_preset("example6")
         audit = power_audit(spec, params)
-        contrast = hypothesis_contrast(spec)
+        contrast = evaluate(spec, params).contrast
         effect = float((contrast.matrix @ np.asarray(audit.beta))[0])
         assert effect == pytest.approx(5.0, abs=1e-9)

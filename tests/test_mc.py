@@ -16,7 +16,6 @@ from wedgepower.designs import PRESETS, DesignKind, DesignSpec, get_preset
 from wedgepower.distributions import central_f_quantile
 from wedgepower.engine import analytic_power, evaluate, resolve_ddf
 from wedgepower.mc import (
-    THREADS_ENV_VAR,
     EmpiricalPower,
     SimulationPlan,
     empirical_power,
@@ -38,6 +37,8 @@ class TestSimulationPlan:
         spec, params = get_preset("example1")
         with pytest.raises(ValueError):
             SimulationPlan(spec=spec, params=params, replicates=0, seed=1)
+        with pytest.raises(ValueError, match="replicates"):
+            SimulationPlan(spec=spec, params=params, replicates=2.5, seed=1)
 
     def test_seed_validated(self):
         spec, params = get_preset("example1")
@@ -183,19 +184,6 @@ class TestEmpiricalPower:
         b = empirical_power(preset_plan("example2", 2000, seed=2))
         assert a.rejections != b.rejections
 
-    def test_thread_count_does_not_change_estimate(self, monkeypatch):
-        plan = preset_plan("example4", 3000, seed=4)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        sequential = empirical_power(plan)
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        threaded = empirical_power(plan)
-        assert sequential.rejections == threaded.rejections
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-            empirical_power(preset_plan("example1", 10))
-
     def test_result_fields_consistent(self):
         result = empirical_power(preset_plan("example5", 1500, seed=2))
         assert isinstance(result, EmpiricalPower)
@@ -271,15 +259,6 @@ class TestEmpiricalPower:
         result = empirical_power(SimulationPlan(spec=strong, params=params, replicates=50, seed=1))
         assert result.analytic == 1.0
         assert result.z == 0.0
-
-    def test_chunk_boundary(self, monkeypatch):
-        # one more replicate than a chunk holds, sequential vs threaded
-        plan = preset_plan("example1", 1025, seed=3)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        a = empirical_power(plan)
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        b = empirical_power(plan)
-        assert a.rejections == b.rejections
 
     def test_icc_rejected_for_individual_randomization(self):
         spec, _ = get_preset("example1")
