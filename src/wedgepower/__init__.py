@@ -32,7 +32,6 @@ from .designs import (
     PRESETS,
     CellTable,
     ColumnInfo,
-    Contrast,
     DesignKind,
     DesignSpec,
     ExemplaryDataset,
@@ -64,7 +63,6 @@ from .engine import (
     fit_cells,
     power_audit,
     resolve_ddf,
-    wald_f,
 )
 from .mc import (
     EmpiricalPower,
@@ -101,7 +99,6 @@ __all__ = [
     "ExemplaryDataset",
     "CellTable",
     "ColumnInfo",
-    "Contrast",
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
@@ -127,7 +124,6 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "wald_f",
     "resolve_ddf",
     "evaluate",
     "analytic_power",

@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(args) -> tuple[designs.DesignSpec, correlation.CorrelationParams, str | None]:
+def _load_scenario(
+    args,
+) -> tuple[designs.DesignSpec, correlation.CorrelationParams, str | None]:
     if args.preset is not None:
         spec, params = designs.get_preset(args.preset)
         policy = None
@@ -162,13 +164,14 @@ def _f3(x: float) -> str:
 
 
 def _plan_conversion(spec: designs.DesignSpec) -> tuple[float, int]:
-    """(observation multiplier, measurements per participant) for plans."""
-    if spec.kind in designs.SWD_KINDS:
-        per_participant = spec.n_times if spec.kind in designs.COHORT_KINDS else 1
-        return float(spec.n_times), per_participant
-    if spec.kind == designs.DesignKind.CRT_PREPOST_COHORT:
-        return 1.0, 2
-    return 1.0, 1
+    """(observation multiplier, measurements per participant) for plans.
+
+    Wedge design effects count comparisons, so every period multiplies
+    the observations; a cohort's participants are measured every period.
+    """
+    multiplier = spec.n_times if spec.kind in designs.SWD_KINDS else 1
+    per_participant = spec.n_times if spec.kind in designs.COHORT_KINDS else 1
+    return float(multiplier), per_participant
 
 
 def _cmd_de(args) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .distributions import is_whole
+
 __all__ = [
     "DesignEffectResult",
     "SamplePlan",
@@ -63,7 +65,7 @@ class SamplePlan:
 
 
 def _check_cluster_size(n: int) -> int:
-    if isinstance(n, bool) or not float(n).is_integer() or n < 1:
+    if not is_whole(n) or n < 1:
         raise ValueError(f"cluster size must be a positive integer, got {n!r}")
     return int(n)
 
@@ -164,7 +166,7 @@ def de_stepped_wedge(
         ("baseline_b", baseline_b),
         ("per_step_t", per_step_t),
     ):
-        if isinstance(value, bool) or not float(value).is_integer() or value < 1:
+        if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if steps_k < 2:
         raise ValueError(
@@ -245,15 +247,15 @@ def inflate_sample_size(
         SamplePlan with raw and rounded-up observation and participant
         totals.
     """
-    if isinstance(n_unclustered, bool) or not float(n_unclustered).is_integer():
+    if not is_whole(n_unclustered):
         raise ValueError(f"n_unclustered must be an integer, got {n_unclustered!r}")
     if n_unclustered < 1:
         raise ValueError(f"n_unclustered must be >= 1, got {n_unclustered!r}")
     if not (math.isfinite(design_effect) and design_effect > 0):
         raise ValueError(f"design_effect must be positive, got {design_effect!r}")
-    if measurements_per_participant < 1:
+    if not is_whole(measurements_per_participant) or measurements_per_participant < 1:
         raise ValueError(
-            "measurements_per_participant must be >= 1, "
+            "measurements_per_participant must be a positive integer, "
             f"got {measurements_per_participant!r}"
         )
 

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .correlation import CorrelationParams
+from .distributions import is_whole
 
 __all__ = [
     "DesignKind",
@@ -30,7 +31,6 @@ __all__ = [
     "ExemplaryDataset",
     "CellTable",
     "ColumnInfo",
-    "Contrast",
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
@@ -149,21 +149,51 @@ class DesignSpec:
         return int(sum(self.rows_per_cluster()))
 
 
-def _check_count(errors: list[str], path: str, value, minimum: int = 1) -> bool:
+# the count fields that may hold one count per entry, and all seven
+_LISTED = ("clusters_per_arm", "clusters_per_step", "cluster_size")
+_COUNT_FIELDS = ("per_group_n", "steps_k", "baseline_b", "per_step_t", *_LISTED)
+_MISSING = {
+    "clusters_per_arm": "exactly two cluster counts required, got None",
+    "clusters_per_step": "required for stepped wedge kinds",
+    "cluster_size": "required for clustered kinds",
+}
+
+
+def _kind_counts(kind: DesignKind) -> tuple[str, ...]:
+    """The count fields a design kind is built from."""
+    if kind in RCT_KINDS:
+        return ("per_group_n",)
+    if kind in ARM_CLUSTER_KINDS:
+        return ("clusters_per_arm", "cluster_size")
+    return ("steps_k", "baseline_b", "per_step_t", "clusters_per_step", "cluster_size")
+
+
+def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
+    """Check one count field, as validate_spec describes; True if usable."""
+    path = f"design.{name}"
     if value is None:
-        errors.append(f"{path}: required for this design kind")
+        if used:
+            missing = _MISSING.get(name, "required for this design kind")
+            errors.append(f"{path}: {missing}")
         return False
-    try:
-        integral = not isinstance(value, bool) and float(value).is_integer()
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
-        errors.append(f"{path}: must be an integer, got {value!r}")
+    listed = name in _LISTED and isinstance(value, (list, tuple))
+    if name == "clusters_per_arm" and not (listed and len(value) == 2):
+        errors.append(f"{path}: exactly two cluster counts required, got {value!r}")
         return False
-    if value < minimum:
-        errors.append(f"{path}: must be >= {minimum}, got {value!r}")
+    if name == "clusters_per_step" and not listed:
+        errors.append(f"{path}: must be a list, got {value!r}")
         return False
-    return True
+    if listed:
+        entries = [(f"{path}[{i}]", count) for i, count in enumerate(value)]
+    else:
+        entries = [(path, value)]
+    before = len(errors)
+    for where, count in entries:
+        if not is_whole(count):
+            errors.append(f"{where}: must be an integer, got {count!r}")
+        elif used and count < 1:
+            errors.append(f"{where}: must be >= 1, got {count!r}")
+    return len(errors) == before
 
 
 def _expected_mean_keys(spec: DesignSpec) -> set[tuple[int, int]]:
@@ -177,61 +207,49 @@ def _expected_mean_keys(spec: DesignSpec) -> set[tuple[int, int]]:
 def validate_spec(spec: DesignSpec) -> list[str]:
     """Check a design description and return every violation found.
 
-    Each message starts with the path of the offending field, so callers
-    can surface all problems at once rather than the first one.
+    This is the one check of a spec's kind and counts.  It takes any
+    value in a count field and reports each problem once, never raising.
+    A count field that is set must be well formed even when the kind
+    does not use it: a whole number (a real, not a bool, with no
+    fraction, so numeric strings are refused), a pair of them for
+    clusters_per_arm, a list for clusters_per_step, or either for
+    cluster_size.  A field the kind uses must be set, each count at
+    least 1.  Each message starts with the path of the offending field,
+    so callers can surface all problems at once rather than the first.
     """
     errors: list[str] = []
+    kind = spec.kind
+    known = isinstance(kind, DesignKind)
+    if not known:
+        errors.append(
+            f"design.kind: must be one of {sorted(k.value for k in DesignKind)}, "
+            f"got {kind!r}"
+        )
+    used = _kind_counts(kind) if known else ()
+    ok = {
+        name: _check_count_field(errors, name, getattr(spec, name), name in used)
+        for name in _COUNT_FIELDS
+    }
 
-    if not isinstance(spec.kind, DesignKind):
-        errors.append(f"design.kind: unknown kind {spec.kind!r}")
-        return errors
-
-    if spec.kind in RCT_KINDS:
-        _check_count(errors, "design.per_group_n", spec.per_group_n)
-    elif spec.kind in ARM_CLUSTER_KINDS:
-        cpa = spec.clusters_per_arm
-        if cpa is None or len(cpa) != 2:
-            errors.append(
-                "design.clusters_per_arm: exactly two cluster counts required, "
-                f"got {cpa!r}"
-            )
-        else:
-            _check_count(errors, "design.clusters_per_arm[0]", cpa[0])
-            _check_count(errors, "design.clusters_per_arm[1]", cpa[1])
-    else:
-        have_steps = _check_count(errors, "design.steps_k", spec.steps_k)
-        _check_count(errors, "design.baseline_b", spec.baseline_b)
-        _check_count(errors, "design.per_step_t", spec.per_step_t)
+    if "steps_k" in used and ok["steps_k"] and ok["clusters_per_step"]:
         cps = spec.clusters_per_step
-        if cps is None:
-            errors.append("design.clusters_per_step: required for stepped wedge kinds")
-        else:
-            if have_steps and len(cps) != spec.steps_k:
-                errors.append(
-                    f"design.clusters_per_step: length {len(cps)} does not match "
-                    f"steps_k={spec.steps_k}"
-                )
-            for i, count in enumerate(cps):
-                _check_count(errors, f"design.clusters_per_step[{i}]", count)
+        if len(cps) != spec.steps_k:
+            errors.append(
+                f"design.clusters_per_step: length {len(cps)} does not match "
+                f"steps_k={spec.steps_k}"
+            )
+            ok["clusters_per_step"] = False
+    size = spec.cluster_size
+    counted = all(ok[name] for name in used if name != "cluster_size")
+    if "cluster_size" in used and counted and isinstance(size, (list, tuple)):
+        if len(size) != spec.n_clusters:
+            errors.append(
+                f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
+            )
 
-    if spec.kind not in RCT_KINDS and not errors:
-        size = spec.cluster_size
-        if size is None:
-            errors.append("design.cluster_size: required for clustered kinds")
-        elif isinstance(size, (tuple, list)):
-            if len(size) != spec.n_clusters:
-                errors.append(
-                    f"design.cluster_size: {len(size)} entries for "
-                    f"{spec.n_clusters} clusters"
-                )
-            for i, n in enumerate(size):
-                _check_count(errors, f"design.cluster_size[{i}]", n)
-        else:
-            _check_count(errors, "design.cluster_size", size)
-
-    expected = _expected_mean_keys(spec) if not errors else None
-    if expected is not None:
+    if not errors:
         got = set(spec.cell_means)
+        expected = _expected_mean_keys(spec)
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         if missing:
@@ -444,18 +462,6 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     )
 
 
-@dataclass(frozen=True)
-class Contrast:
-    """Single-row contrast selecting the effect under test."""
-
-    matrix: np.ndarray
-    name: str
-
-    @property
-    def ndf(self) -> int:
-        return int(self.matrix.shape[0])
-
-
 def dataset_to_csv(dataset: ExemplaryDataset) -> str:
     """Serialize a dataset with full-precision means."""
     buf = io.StringIO()
@@ -485,11 +491,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, str | None]:
+def decode_spec_document(
+    doc: Mapping,
+) -> tuple[DesignSpec, CorrelationParams, str | None]:
     """Decode a JSON-style document into a spec, correlation, and policy.
 
-    All problems are collected and raised together as a
-    SpecValidationError whose messages carry field paths.
+    The decoder checks the document's shape, means, correlation, alpha
+    and policy.  It passes the seven count fields and the kind through
+    to validate_spec, the one check of a spec's kind and counts, turning
+    only whole numbers into ints and lists into tuples, so each problem
+    is reported once.  All problems are collected and raised together
+    as a SpecValidationError whose messages carry field paths.
     """
     from .engine import DDF_POLICIES
 
@@ -510,68 +522,18 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
         errors.append("analysis: must be an object")
         analysis = {}
 
-    kind_raw = design.get("kind")
-    kind: DesignKind | None = None
+    kind = design.get("kind")
     try:
-        kind = DesignKind(kind_raw)
+        kind = DesignKind(kind)
     except ValueError:
-        errors.append(
-            f"design.kind: must be one of "
-            f"{sorted(k.value for k in DesignKind)}, got {kind_raw!r}"
-        )
+        pass  # validate_spec names the kinds
 
-    def _integer(value, path: str):
-        if not _is_number(value) or not float(value).is_integer():
-            errors.append(f"{path}: must be an integer, got {value!r}")
-            return None
-        return int(value)
+    def count(value):
+        if isinstance(value, list):
+            return tuple(map(count, value))
+        return int(value) if is_whole(value) else value
 
-    def _int_or_none(key: str):
-        value = design.get(key)
-        return None if value is None else _integer(value, f"design.{key}")
-
-    def _int_tuple(value, path: str):
-        counts = tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(value))
-        return None if None in counts else counts
-
-    per_group_n = _int_or_none("per_group_n")
-    steps_k = _int_or_none("steps_k")
-    baseline_b = _int_or_none("baseline_b")
-    per_step_t = _int_or_none("per_step_t")
-
-    clusters_per_arm = design.get("clusters_per_arm")
-    if clusters_per_arm is not None:
-        if (
-            not isinstance(clusters_per_arm, Sequence)
-            or isinstance(clusters_per_arm, str)
-            or len(clusters_per_arm) != 2
-        ):
-            errors.append(
-                f"design.clusters_per_arm: must be a pair, got {clusters_per_arm!r}"
-            )
-            clusters_per_arm = None
-        else:
-            clusters_per_arm = _int_tuple(clusters_per_arm, "design.clusters_per_arm")
-
-    clusters_per_step = design.get("clusters_per_step")
-    if clusters_per_step is not None:
-        if not isinstance(clusters_per_step, Sequence) or isinstance(
-            clusters_per_step, str
-        ):
-            errors.append(
-                f"design.clusters_per_step: must be a list, got {clusters_per_step!r}"
-            )
-            clusters_per_step = None
-        else:
-            clusters_per_step = _int_tuple(
-                clusters_per_step, "design.clusters_per_step"
-            )
-
-    cluster_size = design.get("cluster_size")
-    if isinstance(cluster_size, Sequence) and not isinstance(cluster_size, str):
-        cluster_size = _int_tuple(cluster_size, "design.cluster_size")
-    else:
-        cluster_size = _int_or_none("cluster_size")
+    counts = {name: count(design.get(name)) for name in _COUNT_FIELDS}
 
     alpha = analysis.get("alpha", 0.05)
     if not _is_number(alpha):
@@ -588,41 +550,42 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
 
     cell_means: dict[tuple[int, int], float] = {}
     means = design.get("means")
-    if kind is not None:
-        if kind in SWD_KINDS:
-            if (
-                isinstance(means, Sequence)
-                and len(means) == 2
-                and all(_is_number(v) for v in means)
-            ):
-                cell_means = {(0, 0): float(means[0]), (1, 0): float(means[1])}
-            else:
-                errors.append(
-                    "design.means: stepped wedge kinds take [control, intervention], "
-                    f"got {means!r}"
-                )
+    means_ok = True
+    if isinstance(kind, DesignKind) and kind in SWD_KINDS:
+        means_ok = (
+            isinstance(means, Sequence)
+            and len(means) == 2
+            and all(_is_number(v) for v in means)
+        )
+        if means_ok:
+            cell_means = {(0, 0): float(means[0]), (1, 0): float(means[1])}
         else:
-            n_times = 1 if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST) else 2
-            ok = (
-                isinstance(means, Sequence)
-                and len(means) == 2
-                and all(
-                    isinstance(row, Sequence)
-                    and not isinstance(row, str)
-                    and len(row) == n_times
-                    and all(_is_number(v) for v in row)
-                    for row in means
-                )
+            errors.append(
+                "design.means: stepped wedge kinds take [control, intervention], "
+                f"got {means!r}"
             )
-            if ok:
-                for arm_index, row in enumerate(means, start=1):
-                    for time_index, value in enumerate(row, start=1):
-                        cell_means[(arm_index, time_index)] = float(value)
-            else:
-                errors.append(
-                    "design.means: parallel kinds take two per-arm lists of "
-                    f"{n_times} mean(s), got {means!r}"
-                )
+    elif isinstance(kind, DesignKind):
+        n_times = 1 if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST) else 2
+        means_ok = (
+            isinstance(means, Sequence)
+            and len(means) == 2
+            and all(
+                isinstance(row, Sequence)
+                and not isinstance(row, str)
+                and len(row) == n_times
+                and all(_is_number(v) for v in row)
+                for row in means
+            )
+        )
+        if means_ok:
+            for arm_index, row in enumerate(means, start=1):
+                for time_index, value in enumerate(row, start=1):
+                    cell_means[(arm_index, time_index)] = float(value)
+        else:
+            errors.append(
+                "design.means: parallel kinds take two per-arm lists of "
+                f"{n_times} mean(s), got {means!r}"
+            )
 
     sigma_y_sq = corr.get("sigma_y_sq")
     icc = corr.get("icc")
@@ -651,24 +614,13 @@ def decode_spec_document(doc: Mapping) -> tuple[DesignSpec, CorrelationParams, s
         except ValueError as exc:
             errors.append(f"correlation: {exc}")
 
-    spec: DesignSpec | None = None
-    if kind is not None:
-        spec = DesignSpec(
-            kind=kind,
-            per_group_n=per_group_n,
-            clusters_per_arm=clusters_per_arm,
-            cluster_size=cluster_size,
-            steps_k=steps_k,
-            baseline_b=baseline_b,
-            per_step_t=per_step_t,
-            clusters_per_step=clusters_per_step,
-            cell_means=cell_means,
-            alpha=float(alpha),
-        )
-        errors.extend(validate_spec(spec))
-
-    if errors or spec is None or params is None:
-        raise SpecValidationError(errors or ["document: could not be decoded"])
+    spec = DesignSpec(kind=kind, cell_means=cell_means, alpha=float(alpha), **counts)
+    # validate_spec would call malformed means missing cells; they were reported above
+    errors.extend(
+        e for e in validate_spec(spec) if means_ok or not e.startswith("design.means")
+    )
+    if errors:
+        raise SpecValidationError(errors)
     return spec, params, ddf_policy
 
 

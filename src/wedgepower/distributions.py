@@ -10,6 +10,7 @@ at runtime.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -27,11 +28,16 @@ _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 500
 
 
+def is_whole(value) -> bool:
+    """A whole number: a real that is not a bool and has no fraction part."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 def _validate_df(ndf: int, ddf: int) -> tuple[int, int]:
     for name, value in (("ndf", ndf), ("ddf", ddf)):
-        if isinstance(value, bool) or not float(value).is_integer():
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if value < 1:
+        if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(ndf), int(ddf)
 

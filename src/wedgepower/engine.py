@@ -31,7 +31,6 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "wald_f",
     "resolve_ddf",
     "evaluate",
     "analytic_power",
@@ -61,23 +60,25 @@ class GlsEstimate:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One analytic evaluation of a design: the fit and the power it gives."""
+    """One analytic evaluation of a design: the fit and the power it gives.
+
+    contrast names the tested effect, the last design column.
+    """
 
     result: PowerResult
     fit: GlsEstimate
     cells: designs.CellTable
     components: VarianceComponents
-    contrast: designs.Contrast
+    contrast: str
 
     def cell_weights(self) -> np.ndarray:
-        """(K, T) weights of the cell means in the contrast estimate.
+        """(K, T) weights of the cell means in the tested coefficient.
 
-        Row k is l' I^-1 X_k' S_k^-1 for a cluster of pattern k; a
-        subject row's weight is its cell's entry divided by the cell's
-        subject count.
+        Row k is the last row of I^-1 times X_k' S_k^-1 for a cluster of
+        pattern k; a subject row's weight is its cell's entry divided by
+        the cell's subject count.
         """
-        lcov = self.contrast.matrix[0] @ self.fit.cov
-        return _precision_x(self.cells, self.components) @ lcov
+        return _precision_x(self.cells, self.components) @ self.fit.cov[-1]
 
     def cell_covariance(self) -> np.ndarray:
         """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of
@@ -223,26 +224,6 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     return GlsEstimate(beta=beta, cov=cov, information=information)
 
 
-def wald_f(
-    beta: np.ndarray, cov: np.ndarray, contrast: np.ndarray
-) -> tuple[float, int]:
-    """F statistic of a linear hypothesis about fitted coefficients.
-
-    Returns the statistic and its numerator degrees of freedom (the
-    number of contrast rows).
-    """
-    contrast = np.atleast_2d(np.asarray(contrast, dtype=float))
-    q = contrast.shape[0]
-    estimate = contrast @ beta
-    middle = contrast @ cov @ contrast.T
-    try:
-        solved = np.linalg.solve(middle, estimate)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("contrast covariance is singular") from exc
-    fvalue = float(estimate @ solved) / q
-    return fvalue, q
-
-
 def resolve_ddf(spec: DesignSpec, policy: str) -> int:
     """Denominator degrees of freedom under a named policy.
 
@@ -318,16 +299,16 @@ def evaluate(
     comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
     cells = designs.cell_table(spec)
     fit = fit_cells(cells, comps)
-    # the tested effect is the last design column
-    p = len(cells.columns)
-    contrast = designs.Contrast(matrix=np.eye(1, p, p - 1), name=cells.columns[-1].name)
-    fvalue, ndf = wald_f(fit.beta, fit.cov, contrast.matrix)
+    # the tested effect is the last design column: a one-row Wald F
+    b = fit.beta[-1]
+    fvalue = float(b * (b / fit.cov[-1, -1]))
     ddf = _ddf_from_cells(spec, policy, cells)
     result = distributions.power_from_f(
-        fvalue, ndf, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
+        fvalue, 1, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
     )
+    tested = cells.columns[-1].name
     return Evaluation(
-        result=result, fit=fit, cells=cells, components=comps, contrast=contrast
+        result=result, fit=fit, cells=cells, components=comps, contrast=tested
     )
 
 
@@ -372,7 +353,7 @@ def power_audit(
         n_observations=spec.n_observations,
         n_clusters=spec.n_clusters,
         n_times=spec.n_times,
-        contrast=run.contrast.name,
+        contrast=run.contrast,
         beta=tuple(float(b) for b in run.fit.beta),
         components=run.components,
         ddf_policy=run.result.ddf_policy,

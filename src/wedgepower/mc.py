@@ -31,6 +31,7 @@ import numpy as np
 from . import engine
 from .correlation import CorrelationParams
 from .designs import DesignSpec
+from .distributions import is_whole
 
 __all__ = [
     "SimulationPlan",
@@ -64,7 +65,7 @@ class SimulationPlan:
         reps = self.replicates
         if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {reps!r}")
-        if isinstance(self.seed, bool) or not float(self.seed).is_integer():
+        if not is_whole(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
@@ -107,16 +108,15 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, flo
     L_k the Cholesky factor of the cell-mean covariance S_k, and adds
     w_k . mean_k + z_c . (L_k' w_k) to the contrast estimate, w_k its
     row of cell weights.  u stacks L_k' w_k over the clusters in dataset
-    order; s2 is the contrast variance l' (X'V^-1X)^-1 l, which equals
-    u . u.
+    order; s2 is the tested coefficient's variance, the last diagonal
+    entry of (X'V^-1X)^-1, which equals u . u.
     """
     cells = run.cells
     weights = run.cell_weights()
     factors = np.linalg.cholesky(run.cell_covariance())
     per_pattern = np.einsum("kts,kt->ks", factors, weights)
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
-    lmat = run.contrast.matrix
-    s2 = float((lmat @ run.fit.cov @ lmat.T)[0, 0])
+    s2 = float(run.fit.cov[-1, -1])
     return center, per_pattern[cells.cluster_pattern].ravel(), s2
 
 
@@ -158,7 +158,8 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     # Wilson score interval; rounding may leave an end a hair inside the estimate
     z2 = _Z95 * _Z95
     middle = (estimate + z2 / (2 * n)) / (1.0 + z2 / n)
-    half = _Z95 * math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n)) / (1.0 + z2 / n)
+    spread = math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n))
+    half = _Z95 * spread / (1.0 + z2 / n)
     analytic = run.result.power
     analytic_se = math.sqrt(analytic * (1.0 - analytic) / n)
     return EmpiricalPower(

@@ -10,6 +10,7 @@ the same schedule as the cells, must equal the oracle's row-by-row one.
 """
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -133,6 +134,42 @@ def test_dataset_matches_reference_builder(case):
     reference = dense_oracle.reference_dataset(spec)
     dense_oracle.assert_same_dataset(built, reference)
     assert designs.dataset_to_csv(built) == designs.dataset_to_csv(reference)
+
+
+def _document(spec, params):
+    """The JSON scenario document that describes spec and params."""
+    design = {"kind": spec.kind.value}
+    for name in (
+        "per_group_n",
+        "steps_k",
+        "baseline_b",
+        "per_step_t",
+        "clusters_per_arm",
+        "clusters_per_step",
+        "cluster_size",
+    ):
+        value = getattr(spec, name)
+        if value is not None:
+            design[name] = list(value) if isinstance(value, tuple) else value
+    means = spec.cell_means
+    if spec.kind in SWD_KINDS:
+        design["means"] = [means[(0, 0)], means[(1, 0)]]
+    else:
+        times = sorted({t for _, t in means})
+        design["means"] = [[means[(arm, t)] for t in times] for arm in (1, 2)]
+    return {
+        "design": design,
+        "correlation": dataclasses.asdict(params),
+        "analysis": {"alpha": spec.alpha},
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs_and_params())
+def test_spec_document_round_trip(case):
+    spec, params = case
+    doc = json.loads(json.dumps(_document(spec, params)))
+    assert designs.decode_spec_document(doc) == (spec, params, None)
 
 
 def _assert_cell_covariance_matches_dense(spec, run):

@@ -43,6 +43,8 @@ class TestDeSimple:
             de_simple(0, 0.1)
         with pytest.raises(ValueError):
             de_simple(6, 1.0)
+        with pytest.raises(ValueError, match="cluster size must be a positive integer"):
+            de_simple("6", 0.1)
 
     @given(n=st.integers(1, 500), icc=st.floats(0.0, 0.99))
     def test_monotone_in_size_and_icc(self, n, icc):
@@ -141,6 +143,8 @@ class TestDeSteppedWedge:
             de_stepped_wedge(2, 0, 1, 5, 0.1)
         with pytest.raises(ValueError):
             de_stepped_wedge(2, 1, 1, 5, -0.1)
+        with pytest.raises(ValueError, match="steps_k must be a positive integer"):
+            de_stepped_wedge("2", 1, 1, 5, 0.1)
 
 
 class TestDeThreeMeasurement:
@@ -210,6 +214,10 @@ class TestInflateSampleSize:
             inflate_sample_size(34, 0.0)
         with pytest.raises(ValueError):
             inflate_sample_size(34, 1.5, measurements_per_participant=0)
+        with pytest.raises(ValueError, match="n_unclustered must be an integer"):
+            inflate_sample_size("34", 1.2)
+        with pytest.raises(ValueError, match="measurements_per_participant"):
+            inflate_sample_size(34, 1.2, measurements_per_participant=1.5)
 
 
 class TestDesignEffectFor:

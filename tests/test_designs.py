@@ -4,8 +4,13 @@ The subject-level design matrix lives in the dense oracle; the package
 builds only the design rows of cluster-period cells, in its cell table.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgepower.designs import (
     CSV_HEADER,
@@ -21,7 +26,7 @@ from wedgepower.designs import (
     get_preset,
     validate_spec,
 )
-from wedgepower.engine import evaluate
+from wedgepower.engine import analytic_power, evaluate
 
 from dense_oracle import (
     assert_same_dataset,
@@ -30,6 +35,16 @@ from dense_oracle import (
     design_matrix,
     switch_threshold,
     contrast_column,
+)
+
+COUNT_FIELDS = (
+    "per_group_n",
+    "steps_k",
+    "baseline_b",
+    "per_step_t",
+    "clusters_per_arm",
+    "clusters_per_step",
+    "cluster_size",
 )
 
 EXPECTED_ROWS = {
@@ -115,6 +130,43 @@ class TestValidation:
             cell_means={(1, 1): float("nan"), (2, 1): 54.0},
         )
         assert any("finite" in e for e in validate_spec(spec))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("cluster_size", "6", "design.cluster_size: must be an integer, got '6'"),
+            ("cluster_size", np.bool_(True), "design.cluster_size: must be an integer"),
+            ("clusters_per_arm", 5, "design.clusters_per_arm: exactly two cluster counts"),
+            ("clusters_per_arm", (5, "4"), "design.clusters_per_arm[1]: must be an integer"),
+            # crt_post has no steps, but a malformed count is refused anyway
+            ("steps_k", 2.5, "design.steps_k: must be an integer, got 2.5"),
+        ],
+    )
+    def test_malformed_count_reported_once(self, field, value, message):
+        spec = dataclasses.replace(get_preset("example2")[0], **{field: value})
+        errors = validate_spec(spec)
+        assert len(errors) == 1 and errors[0].startswith(message), errors
+
+    def test_unused_counts_need_only_be_whole(self):
+        spec = get_preset("example1")[0]
+        assert validate_spec(dataclasses.replace(spec, cluster_size=0)) == []
+        assert validate_spec(dataclasses.replace(spec, cluster_size="six")) == [
+            "design.cluster_size: must be an integer, got 'six'"
+        ]
+
+    @pytest.mark.parametrize("name", ["example1", "example2_51", "example5", "example7"])
+    def test_numpy_integer_counts(self, name):
+        spec, params = get_preset(name)
+        counts = {}
+        for field in COUNT_FIELDS:
+            value = getattr(spec, field)
+            if isinstance(value, tuple):
+                counts[field] = tuple(np.int64(v) for v in value)
+            elif value is not None:
+                counts[field] = np.int64(value)
+        numpy_spec = dataclasses.replace(spec, **counts)
+        assert validate_spec(numpy_spec) == []
+        assert analytic_power(numpy_spec, params) == analytic_power(spec, params)
 
     def test_ensure_valid_raises_with_messages(self):
         with pytest.raises(SpecValidationError) as info:
@@ -325,14 +377,11 @@ class TestContrast:
     )
     def test_targets(self, name, target):
         spec, params = get_preset(name)
-        contrast = evaluate(spec, params).contrast
-        assert contrast.name == target
-        assert contrast.ndf == 1
+        run = evaluate(spec, params)
+        assert run.contrast == target
+        assert run.result.ndf == 1
         columns = [c.name for c in cell_table(spec).columns]
-        row = contrast.matrix[0]
-        assert row[columns.index(target)] == 1.0
-        assert columns.index(target) == contrast_column(spec)
-        assert np.count_nonzero(row) == 1
+        assert columns.index(target) == len(columns) - 1 == contrast_column(spec)
 
 
 class TestCsvRoundTrip:
@@ -448,6 +497,16 @@ class TestDecodeSpecDocument:
             ("crt_post", "means", [[59.0], [True]], "design.means"),
             ("swd_xsec", "clusters_per_step", [2.5, 2], "design.clusters_per_step[0]"),
             ("swd_xsec", "means", [True, 59.0], "design.means"),
+            ("crt_post", "cluster_size", "six", "design.cluster_size"),
+            ("crt_post", "cluster_size", "6", "design.cluster_size"),
+            ("crt_post", "cluster_size", {"x": 1}, "design.cluster_size"),
+            ("crt_post", "cluster_size", math.inf, "design.cluster_size"),
+            ("crt_post", "cluster_size", math.nan, "design.cluster_size"),
+            ("crt_post", "clusters_per_arm", 5, "design.clusters_per_arm"),
+            ("crt_post", "clusters_per_arm", {"a": 1}, "design.clusters_per_arm"),
+            ("crt_post", "clusters_per_arm", [1, 2, 3], "design.clusters_per_arm"),
+            ("swd_xsec", "clusters_per_step", 4, "design.clusters_per_step"),
+            ("swd_xsec", "steps_k", "2", "design.steps_k"),
         ],
     )
     def test_non_integral_counts_and_boolean_means(self, kind, field, value, path):
@@ -455,7 +514,10 @@ class TestDecodeSpecDocument:
         doc["design"][field] = value
         with pytest.raises(SpecValidationError) as info:
             decode_spec_document(doc)
-        assert any(e.startswith(f"{path}: ") for e in info.value.errors)
+        errors = [e for e in info.value.errors if e.startswith(f"design.{field}")]
+        assert sum(e.startswith(f"{path}: ") for e in errors) == 1, errors
+        # one error per refused entry, or one for the whole field, never both
+        assert len(errors) == 1 or all(e.startswith(f"design.{field}[") for e in errors)
 
     def test_per_cluster_sizes(self):
         doc = self.make_doc()
@@ -463,6 +525,45 @@ class TestDecodeSpecDocument:
         doc["design"]["cluster_size"] = [7, 7, 6, 6, 7, 6, 6, 6]
         spec, _, _ = decode_spec_document(doc)
         assert spec == get_preset("example2_51")[0]
+
+
+# any JSON value, with small counts and count lists mixed in to reach the
+# length checks
+JSON_COUNTS = st.one_of(
+    st.integers(-1, 4),
+    st.lists(st.integers(-1, 4), max_size=4),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(DesignKind)),
+    counts=st.fixed_dictionaries({field: JSON_COUNTS for field in COUNT_FIELDS}),
+)
+def test_any_count_values_give_errors_never_exceptions(kind, counts):
+    errors = validate_spec(DesignSpec(kind=kind, **counts))
+    assert all(isinstance(e, str) and e.startswith("design.") for e in errors)
+    if kind in (DesignKind.SWD_XSEC, DesignKind.SWD_COHORT):
+        means = [54.0, 59.0]
+    elif kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
+        means = [[59.0], [54.0]]
+    else:
+        means = [[54.0, 56.0], [54.0, 61.0]]
+    doc = {
+        "design": {"kind": kind.value, "means": means, **counts},
+        "correlation": {"sigma_y_sq": 25.0, "icc": 0.1},
+    }
+    try:
+        decoded, _, _ = decode_spec_document(doc)
+    except SpecValidationError:
+        return
+    assert validate_spec(decoded) == []
 
 
 class TestPresets:

@@ -180,6 +180,8 @@ class TestCentralFCdf:
             central_f_cdf(1.0, 2, -1)
         with pytest.raises(ValueError):
             central_f_cdf(1.0, 2.5, 5)
+        with pytest.raises(ValueError, match="ndf must be a positive integer"):
+            central_f_cdf(2.0, "1", 10)
 
 
 class TestCentralFQuantile:

@@ -28,7 +28,6 @@ from wedgepower.engine import (
     evaluate,
     power_audit,
     resolve_ddf,
-    wald_f,
 )
 
 from dense_oracle import design_matrix, gls_estimate, reference_dataset, study_blocks
@@ -120,29 +119,9 @@ class TestGlsEstimate:
 class TestWaldF:
     def test_two_arm_f(self):
         # difference -5 with variance 25 * (2/17): F = 25 / (50/17) = 8.5
-        _, _, _, _, _, fit = fit_preset("example1")
-        fvalue, ndf = wald_f(fit.beta, fit.cov, np.array([[0.0, 1.0]]))
-        assert ndf == 1
-        assert fvalue == pytest.approx(8.5, abs=LAMBDA_TOL)
-
-    def test_scales_inversely_with_cov(self):
-        _, _, _, _, _, fit = fit_preset("example1")
-        base, _ = wald_f(fit.beta, fit.cov, np.array([[0.0, 1.0]]))
-        scaled, _ = wald_f(fit.beta, 4.0 * fit.cov, np.array([[0.0, 1.0]]))
-        assert scaled == pytest.approx(base / 4.0, rel=1e-12)
-
-    def test_multi_row_contrast(self):
-        _, _, _, _, _, fit = fit_preset("example5")
-        rows = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        fvalue, ndf = wald_f(fit.beta, fit.cov, rows)
-        assert ndf == 2
-        assert np.isfinite(fvalue) and fvalue > 0
-
-    def test_singular_contrast_covariance(self):
-        _, _, _, _, _, fit = fit_preset("example5")
-        rows = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="singular"):
-            wald_f(fit.beta, fit.cov, rows)
+        result = evaluate(*get_preset("example1")).result
+        assert result.ndf == 1
+        assert result.fvalue == pytest.approx(8.5, abs=LAMBDA_TOL)
 
 
 class TestResolveDdf:
@@ -334,6 +313,6 @@ class TestPowerAudit:
     def test_contrast_effect_size(self):
         spec, params = get_preset("example6")
         audit = power_audit(spec, params)
-        contrast = evaluate(spec, params).contrast
-        effect = float((contrast.matrix @ np.asarray(audit.beta))[0])
+        assert evaluate(spec, params).contrast == audit.contrast == "intervene"
+        effect = audit.beta[-1]
         assert effect == pytest.approx(5.0, abs=1e-9)

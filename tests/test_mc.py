@@ -46,6 +46,8 @@ class TestSimulationPlan:
             SimulationPlan(spec=spec, params=params, replicates=10, seed=-1)
         with pytest.raises(ValueError):
             SimulationPlan(spec=spec, params=params, replicates=10, seed=2**64)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimulationPlan(spec=spec, params=params, replicates=10, seed="1")
 
 
 class TestReplicateStream:
@@ -78,10 +80,9 @@ class TestContrastProjection:
         sampler = dense_oracle.StudySampler(spec, run.components)
         weights = sampler.row_weights(run.cells, run.cell_weights())
         dense_u = sampler.project(weights)
-        lvec = run.contrast.matrix[0]
         assert u @ u == pytest.approx(dense_u @ dense_u, rel=1e-10)
         assert u @ u == pytest.approx(s2, rel=1e-10)
-        assert s2 == pytest.approx(lvec @ run.fit.cov @ lvec, rel=1e-15)
+        assert s2 == pytest.approx(run.fit.cov[-1, -1], rel=1e-15)
         assert center == pytest.approx(sampler.mu @ weights, rel=1e-12)
 
 
