@@ -38,6 +38,7 @@ from .designs import (
     SpecValidationError,
     cell_table,
     dataset_to_csv,
+    dataset_to_table,
     decode_spec_document,
     ensure_valid,
     exemplary_dataset,
@@ -50,7 +51,6 @@ from .distributions import (
     central_f_quantile,
     noncentral_f_cdf,
     power_from_f,
-    regularized_incomplete_beta,
 )
 from .engine import (
     DDF_POLICIES,
@@ -77,7 +77,6 @@ __all__ = [
     "__version__",
     # distributions
     "PowerResult",
-    "regularized_incomplete_beta",
     "central_f_cdf",
     "central_f_quantile",
     "noncentral_f_cdf",
@@ -104,6 +103,7 @@ __all__ = [
     "exemplary_dataset",
     "cell_table",
     "dataset_to_csv",
+    "dataset_to_table",
     "decode_spec_document",
     "PRESETS",
     "get_preset",

@@ -337,24 +337,7 @@ def _cmd_dataset(args) -> int:
     spec, _, _ = _load_scenario(args)
     dataset = designs.exemplary_dataset(spec)
     if args.fmt == "table":
-        header = "%-18s %4s %10s %10s %5s %9s %8s" % (
-            "design", "arm", "cluster_id", "subject_id", "time", "intervene", "mean"
-        )
-        lines = [header]
-        for i in range(dataset.n_rows):
-            lines.append(
-                "%-18s %4d %10d %10d %5d %9d %8.3f"
-                % (
-                    dataset.kind,
-                    dataset.arm[i],
-                    dataset.cluster_id[i],
-                    dataset.subject_id[i],
-                    dataset.time[i],
-                    dataset.intervene[i],
-                    dataset.mean[i],
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(designs.dataset_to_table(dataset), args.out)
         return 0
     # csv serves as the default and the json spelling is not meaningful here
     _emit(designs.dataset_to_csv(dataset), args.out)

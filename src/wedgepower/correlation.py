@@ -9,11 +9,12 @@ covariance matrix of one cluster.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .distributions import is_real
 
 if TYPE_CHECKING:
     from .designs import DesignSpec
@@ -87,13 +88,13 @@ class CorrelationParams:
     sac: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_y_sq) and self.sigma_y_sq > 0):
+        if not (is_real(self.sigma_y_sq) and self.sigma_y_sq > 0):
             raise ValueError(f"sigma_y_sq must be positive, got {self.sigma_y_sq!r}")
-        if not (0.0 <= self.icc < 1.0):
+        if not (is_real(self.icc) and 0.0 <= self.icc < 1.0):
             raise ValueError(f"icc must lie in [0, 1), got {self.icc!r}")
-        if not (0.0 <= self.cac <= 1.0):
+        if not (is_real(self.cac) and 0.0 <= self.cac <= 1.0):
             raise ValueError(f"cac must lie in [0, 1], got {self.cac!r}")
-        if not (0.0 <= self.sac <= 1.0):
+        if not (is_real(self.sac) and 0.0 <= self.sac <= 1.0):
             raise ValueError(f"sac must lie in [0, 1], got {self.sac!r}")
 
 

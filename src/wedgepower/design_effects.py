@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import is_whole
+from .distributions import is_real, is_whole
 
 __all__ = [
     "DesignEffectResult",
@@ -71,13 +71,13 @@ def _check_cluster_size(n: int) -> int:
 
 
 def _check_icc(icc: float) -> float:
-    if not (0.0 <= icc < 1.0):
+    if not (is_real(icc) and 0.0 <= icc < 1.0):
         raise ValueError(f"icc must lie in [0, 1), got {icc!r}")
     return float(icc)
 
 
 def _check_share(name: str, value: float) -> float:
-    if not (0.0 <= value <= 1.0):
+    if not (is_real(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
 
@@ -251,8 +251,15 @@ def inflate_sample_size(
         raise ValueError(f"n_unclustered must be an integer, got {n_unclustered!r}")
     if n_unclustered < 1:
         raise ValueError(f"n_unclustered must be >= 1, got {n_unclustered!r}")
-    if not (math.isfinite(design_effect) and design_effect > 0):
-        raise ValueError(f"design_effect must be positive, got {design_effect!r}")
+    if not (is_real(design_effect) and design_effect > 0):
+        raise ValueError(
+            f"design_effect must be a positive real number, got {design_effect!r}"
+        )
+    if not (is_real(observation_multiplier) and observation_multiplier > 0):
+        raise ValueError(
+            "observation_multiplier must be a positive real number, "
+            f"got {observation_multiplier!r}"
+        )
     if not is_whole(measurements_per_participant) or measurements_per_participant < 1:
         raise ValueError(
             "measurements_per_participant must be a positive integer, "

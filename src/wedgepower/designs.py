@@ -12,17 +12,14 @@ row per measurement whose outcome column holds the modeled mean.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .correlation import CorrelationParams
-from .distributions import is_whole
+from .distributions import is_real, is_whole
 
 __all__ = [
     "DesignKind",
@@ -36,6 +33,7 @@ __all__ = [
     "exemplary_dataset",
     "cell_table",
     "dataset_to_csv",
+    "dataset_to_table",
     "decode_spec_document",
     "PRESETS",
     "get_preset",
@@ -207,14 +205,16 @@ def _expected_mean_keys(spec: DesignSpec) -> set[tuple[int, int]]:
 def validate_spec(spec: DesignSpec) -> list[str]:
     """Check a design description and return every violation found.
 
-    This is the one check of a spec's kind and counts.  It takes any
-    value in a count field and reports each problem once, never raising.
-    A count field that is set must be well formed even when the kind
-    does not use it: a whole number (a real, not a bool, with no
+    This is the one check of a spec's kind, counts, means and alpha.  It
+    takes any value in these fields and reports each problem once, never
+    raising.  A count field that is set must be well formed even when
+    the kind does not use it: a whole number (a real, not a bool, with no
     fraction, so numeric strings are refused), a pair of them for
     clusters_per_arm, a list for clusters_per_step, or either for
     cluster_size.  A field the kind uses must be set, each count at
-    least 1.  Each message starts with the path of the offending field,
+    least 1.  Cell means must map the kind's cells to finite reals, and
+    alpha must be a real in (0, 1); bools and strings are refused there
+    too.  Each message starts with the path of the offending field,
     so callers can surface all problems at once rather than the first.
     """
     errors: list[str] = []
@@ -247,8 +247,12 @@ def validate_spec(spec: DesignSpec) -> list[str]:
                 f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
             )
 
-    if not errors:
-        got = set(spec.cell_means)
+    means = spec.cell_means
+    if not isinstance(means, Mapping):
+        errors.append(f"design.means: must map cells to means, got {means!r}")
+        means = {}
+    elif not errors:
+        got = set(means)
         expected = _expected_mean_keys(spec)
         missing = sorted(expected - got)
         extra = sorted(got - expected)
@@ -256,12 +260,16 @@ def validate_spec(spec: DesignSpec) -> list[str]:
             errors.append(f"design.means: missing cells {missing}")
         if extra:
             errors.append(f"design.means: unexpected cells {extra}")
-        for key, value in spec.cell_means.items():
-            if not math.isfinite(float(value)):
-                errors.append(f"design.means[{key}]: must be finite, got {value!r}")
+    for key, value in means.items():
+        if not is_real(value):
+            errors.append(
+                f"design.means[{key}]: must be a finite real number, got {value!r}"
+            )
 
-    if not (0.0 < spec.alpha < 1.0):
-        errors.append(f"analysis.alpha: must lie in (0, 1), got {spec.alpha!r}")
+    if not (is_real(spec.alpha) and 0.0 < spec.alpha < 1.0):
+        errors.append(
+            f"analysis.alpha: must be a real number in (0, 1), got {spec.alpha!r}"
+        )
 
     return errors
 
@@ -462,24 +470,38 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     )
 
 
+def _column_text(values: np.ndarray, fmt: str) -> list[str]:
+    """fmt % value for every entry, formatting each distinct bit pattern once."""
+    values = np.ascontiguousarray(values)
+    bits = values.view(f"u{values.itemsize}")
+    _, first, index = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array([fmt % value for value in values[first].tolist()])
+    return text[index].tolist()
+
+
+def _dataset_text(
+    dataset: ExemplaryDataset, header: str, kind: str, formats: Sequence[str], sep: str
+) -> str:
+    # one line per row: the kind, then each CSV_HEADER column in its format
+    columns = [
+        _column_text(getattr(dataset, name), fmt)
+        for name, fmt in zip(CSV_HEADER[1:], formats)
+    ]
+    rows = (sep.join(row) for row in zip(*columns))
+    return "".join([header, "\n", *(f"{kind}{sep}{row}\n" for row in rows)])
+
+
 def dataset_to_csv(dataset: ExemplaryDataset) -> str:
     """Serialize a dataset with full-precision means."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i in range(dataset.n_rows):
-        writer.writerow(
-            [
-                dataset.kind,
-                int(dataset.arm[i]),
-                int(dataset.cluster_id[i]),
-                int(dataset.subject_id[i]),
-                int(dataset.time[i]),
-                int(dataset.intervene[i]),
-                f"{float(dataset.mean[i]):.17g}",
-            ]
-        )
-    return buf.getvalue()
+    formats = ("%d",) * 5 + ("%.17g",)
+    return _dataset_text(dataset, ",".join(CSV_HEADER), dataset.kind, formats, ",")
+
+
+def dataset_to_table(dataset: ExemplaryDataset) -> str:
+    """Render a dataset as fixed-width text with means to three decimals."""
+    header = "%-18s %4s %10s %10s %5s %9s %8s" % CSV_HEADER
+    formats = ("%4d", "%10d", "%10d", "%5d", "%9d", "%8.3f")
+    return _dataset_text(dataset, header, "%-18s" % dataset.kind, formats, " ")
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +613,7 @@ def decode_spec_document(
     icc = corr.get("icc")
     cac = corr.get("cac", 0.0)
     sac = corr.get("sac", 0.0)
+    before = len(errors)
     for path, value, required in (
         ("correlation.sigma_y_sq", sigma_y_sq, True),
         ("correlation.icc", icc, True),
@@ -603,7 +626,7 @@ def decode_spec_document(
             errors.append(f"{path}: must be a number, got {value!r}")
 
     params: CorrelationParams | None = None
-    if not errors:
+    if len(errors) == before:
         try:
             params = CorrelationParams(
                 sigma_y_sq=float(sigma_y_sq),

@@ -1,21 +1,27 @@
 """F-distribution tail machinery for power evaluation.
 
-Implements the regularized incomplete beta function, central F cdf and
-quantile, the noncentral F cdf, and the power of a Wald-type F test with
-a given noncentrality.  Everything is evaluated with double-precision
-series and continued fractions; no external statistics library is used
-at runtime.
+Implements the central F cdf and quantile, the noncentral F cdf, and the
+power of a Wald-type F test with a given noncentrality, on top of the
+regularized incomplete beta function I_x(a, b).  Everything is evaluated
+with double-precision series and continued fractions; no external
+statistics library is used at runtime.
+
+The power of a level-alpha test is computed in the upper tail throughout:
+the critical value solves P(F > x) = alpha by inverting the incomplete
+beta at alpha itself, and the power sums upper-tail mixture terms, so
+neither ever forms 1 - alpha or 1 - cdf and tiny alphas keep their
+relative precision.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass
 
 __all__ = [
     "PowerResult",
-    "regularized_incomplete_beta",
     "central_f_cdf",
     "central_f_quantile",
     "noncentral_f_cdf",
@@ -26,6 +32,16 @@ __all__ = [
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 500
+# incomplete beta inverse: Halley steps until a step moves the smaller of
+# x and 1 - x by less than _INV_STEP_TOL of itself, then bisection
+_INV_STEP_TOL = 1e-9
+_INV_MAX_HALLEY = 10
+_INV_MAX_BISECT = 2200
+# Poisson mass the noncentral mixture may leave out
+_MIXTURE_TOL = 1e-13
+_MIXTURE_MAX_TERMS = 100_000
+
+_log = logging.getLogger(__name__)
 
 
 def is_whole(value) -> bool:
@@ -35,11 +51,66 @@ def is_whole(value) -> bool:
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
+def is_real(value) -> bool:
+    """A finite real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return math.isfinite(value)
+
+
 def _validate_df(ndf: int, ddf: int) -> tuple[int, int]:
     for name, value in (("ndf", ndf), ("ddf", ddf)):
         if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(ndf), int(ddf)
+
+
+# Stirling series of log Gamma(x) - ((x - 0.5) log x - x + log sqrt(2 pi)):
+# B_2k / (2k (2k - 1)) for k = 1..8, enough for 1e-17 at x >= 10
+_STIRLING = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+    1.0 / 156.0,
+    -3617.0 / 122400.0,
+)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(x: float) -> float:
+    inv_sq = 1.0 / (x * x)
+    total = 0.0
+    for coefficient in reversed(_STIRLING):
+        total = total * inv_sq + coefficient
+    return total / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).
+
+    When a shape reaches 10 the leading Stirling terms are differenced in
+    closed form, as in R's lbeta, because lgamma's large values cancel:
+    lgamma(a + b) - lgamma(a) loses 1e-11 absolute at a = 5e4.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    corr = _stirling_tail(q) - _stirling_tail(p + q)
+    share = p / (p + q)
+    if p < 10.0:
+        corr += math.lgamma(p) + p - p * math.log(p + q)
+        return corr + (q - 0.5) * math.log1p(-share)
+    corr += _stirling_tail(p)
+    return (
+        _LOG_SQRT_2PI
+        - 0.5 * math.log(q)
+        + corr
+        + (p - 0.5) * math.log(share)
+        + q * math.log1p(-share)
+    )
 
 
 @dataclass(frozen=True)
@@ -50,7 +121,8 @@ class PowerResult:
         power: rejection probability of the alternative at level alpha.
         fvalue: noncentrality divided by the numerator degrees of freedom.
         noncentrality: noncentrality parameter of the F statistic.
-        fcrit: critical value, the (1 - alpha) quantile of the central F.
+        fcrit: critical value, exceeded with probability alpha by the
+            central F.
         ndf: numerator degrees of freedom.
         ddf: denominator degrees of freedom.
         alpha: two-sided type I error rate of the test.
@@ -108,40 +180,19 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def _ibeta(a: float, b: float, x: float, one_minus_x: float) -> float:
     # x and its complement are passed separately so callers can supply an
-    # exact complement and avoid cancellation when x is close to 1.
+    # exact complement and avoid cancellation when x is close to 1; each
+    # logarithm is taken of whichever of the two is exact.
     if x <= 0.0:
         return 0.0
     if one_minus_x <= 0.0:
         return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(one_minus_x)
-    )
+    log_x = math.log(x) if x <= 0.5 else math.log1p(-one_minus_x)
+    log_omx = math.log(one_minus_x) if one_minus_x <= 0.5 else math.log1p(-x)
+    log_front = a * log_x + b * log_omx - _log_beta(a, b)
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, one_minus_x) / b
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Args:
-        a: first shape parameter, > 0.
-        b: second shape parameter, > 0.
-        x: integration limit in [0, 1].
-
-    Returns:
-        The probability that a Beta(a, b) variate is <= x.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    return _ibeta(a, b, x, 1.0 - x)
 
 
 def _f_to_beta(x: float, ndf: int, ddf: int) -> tuple[float, float]:
@@ -153,34 +204,126 @@ def _f_to_beta(x: float, ndf: int, ddf: int) -> tuple[float, float]:
 def central_f_cdf(x: float, ndf: int, ddf: int) -> float:
     """Cdf of the central F distribution with ndf and ddf degrees of freedom."""
     ndf, ddf = _validate_df(ndf, ddf)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    if not is_real(x):
+        raise ValueError(f"x must be a finite real number, got {x!r}")
     if x <= 0.0:
         return 0.0
     u, omu = _f_to_beta(x, ndf, ddf)
     return _ibeta(0.5 * ndf, 0.5 * ddf, u, omu)
 
 
-def _central_f_logpdf(x: float, a: float, b: float, ndf: int, ddf: int) -> float:
-    nx = ndf * x
-    u = nx / (nx + ddf)
-    omu = ddf / (nx + ddf)
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return (
-        (a - 1.0) * math.log(u)
-        + (b - 1.0) * math.log(omu)
-        - log_beta
-        + math.log(ndf)
-        + math.log(ddf)
-        - 2.0 * math.log(nx + ddf)
+def _beta_start(a: float, b: float, p: float) -> tuple[float, float]:
+    # Numerical Recipes' invbetai starting guess for I_x(a, b) = p, as x
+    # and 1 - x, each computed without cancellation
+    if a >= 1.0 and b >= 1.0:
+        # normal approximation; x = 1 / (1 + exp(r))
+        t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        if p >= 0.5:
+            z = -z
+        al = (z * z - 3.0) / 6.0
+        inv_a, inv_b = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+        h = 2.0 / (inv_a + inv_b)
+        w = z * math.sqrt(al + h) / h
+        w -= (inv_b - inv_a) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        r = math.log(b / a) + 2.0 * w
+        e = math.exp(-abs(r))
+        small = max(e / (1.0 + e), _CF_FPMIN)
+        big = 1.0 / (1.0 + e)
+        return (small, big) if r > 0.0 else (big, small)
+    # power laws in x near 0 and in 1 - x near 1
+    t = math.exp(a * math.log(a / (a + b))) / a
+    u = math.exp(b * math.log(b / (a + b))) / b
+    w = t + u
+    if p < t / w:
+        log_x = math.log(a * w * p) / a
+        return math.exp(log_x), -math.expm1(log_x)
+    log_omx = math.log(b * w * (1.0 - p)) / b
+    return -math.expm1(log_omx), math.exp(log_omx)
+
+
+def _beta_inverse(a: float, b: float, p: float) -> tuple[float, float]:
+    """Solve I_x(a, b) = p for 0 < p < 1; return x and 1 - x.
+
+    Takes Halley steps on g = log(I_x(a, b) / p), whose derivative is the
+    beta density over I_x.  Each step moves the smaller of x and 1 - x,
+    so that one keeps full relative precision: x on a log scale, where
+    the lower tail is a power law, and 1 - x on a linear scale, where
+    log I_x falls about linearly as x leaves 1.  The residual signs
+    bracket the root; a step that would leave the bracket, which starts
+    as (0, 1), or that starts where I_x underflows, goes halfway to the
+    bracket's edge instead.  Bisection of the bracket takes over if the
+    steps do not converge.
+    """
+    log_beta = _log_beta(a, b)
+    lo, hi = (0.0, 1.0), (1.0, 0.0)
+    x, omx = _beta_start(a, b, p)
+    for _ in range(_INV_MAX_HALLEY):
+        value = _ibeta(a, b, x, omx)
+        if value == p:
+            return x, omx
+        if value > p:
+            hi = (x, omx)
+            edge = lo
+        else:
+            lo = (x, omx)
+            edge = hi
+        halfway = (0.5 * (x + edge[0]), 0.5 * (omx + edge[1]))
+        if value == 0.0:
+            x, omx = halfway
+            continue
+        g = math.log(value / p)
+        # log of g' = density / I_x, and d(log density)/dx
+        log_g1 = (a - 1.0) * math.log(x) + (b - 1.0) * math.log(omx) - log_beta
+        log_g1 -= math.log(value)
+        curvature = (a - 1.0) / x - (b - 1.0) / omx - math.exp(min(log_g1, 700.0))
+        if x <= omx:
+            # in t = log x: g_t = x g', g_tt / g_t = 1 + x g'' / g'
+            step = g * math.exp(min(-log_g1 - math.log(x), 700.0))
+            step /= 1.0 - 0.5 * min(1.0, step * (1.0 + x * curvature))
+            new_x = x * math.exp(min(-step, 700.0))
+            new = (new_x, 1.0 - new_x)
+            moved = abs(new_x - x)
+            inside = lo[0] < new_x < hi[0]
+        else:
+            step = g * math.exp(min(-log_g1, 700.0))
+            step /= 1.0 - 0.5 * min(1.0, step * curvature)
+            new = (1.0 - (omx + step), omx + step)
+            moved = abs(step)
+            inside = hi[1] < new[1] < lo[1]
+        if moved <= _INV_STEP_TOL * min(x, omx):
+            return new
+        x, omx = new if inside else halfway
+    _log.debug(
+        "incomplete beta inverse: Halley steps did not converge for a=%r, b=%r, "
+        "p=%r; bisecting",
+        a,
+        b,
+        p,
     )
+    for _ in range(_INV_MAX_BISECT):
+        mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+        if mid == lo or mid == hi:
+            break
+        if _ibeta(a, b, *mid) > p:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _f_upper_quantile(q: float, ndf: int, ddf: int) -> float:
+    # P(F > x) = I_y(ddf/2, ndf/2) with y = ddf / (ndf * x + ddf)
+    y, omy = _beta_inverse(0.5 * ddf, 0.5 * ndf, q)
+    return ddf * omy / (ndf * y)
 
 
 def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
     """Quantile of the central F distribution.
 
-    Solves central_f_cdf(x) = p with a bracketed Newton iteration; falls
-    back to bisection whenever a Newton step leaves the bracket.
+    Inverts the regularized incomplete beta in the smaller tail: the
+    lower tail I_u(ndf/2, ddf/2) = p with u = ndf x / (ndf x + ddf) for
+    p < 0.5, else the upper tail at q = 1 - p, which is exact there.
 
     Args:
         p: probability in [0, 1).
@@ -188,47 +331,94 @@ def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
         ddf: denominator degrees of freedom.
 
     Returns:
-        The smallest x with cdf(x) >= p; 0.0 for p = 0.
+        The x with cdf(x) = p; 0.0 for p = 0.
     """
     ndf, ddf = _validate_df(ndf, ddf)
-    if not (0.0 <= p < 1.0):
+    if not (is_real(p) and 0.0 <= p < 1.0):
         raise ValueError(f"p must lie in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
+    if p >= 0.5:
+        return _f_upper_quantile(1.0 - p, ndf, ddf)
+    u, omu = _beta_inverse(0.5 * ndf, 0.5 * ddf, p)
+    return ddf * u / (ndf * omu)
 
-    a = 0.5 * ndf
-    b = 0.5 * ddf
 
-    lo, hi = 0.0, 1.0
-    for _ in range(1200):
-        if central_f_cdf(hi, ndf, ddf) >= p:
-            break
-        lo, hi = hi, hi * 2.0
+def _mixture(
+    a: float,
+    b: float,
+    u: float,
+    omu: float,
+    half_lam: float,
+    *,
+    upper: bool,
+    tol: float,
+    max_terms: int,
+) -> float:
+    """Poisson(half_lam) mixture of Beta(a + j, b) tails at u.
+
+    Sums the lower tails I_u(a + j, b), or with upper the upper tails
+    I_{1-u}(b, a + j), outward from the Poisson mode so that large
+    noncentralities never underflow.  Neighbouring tails differ by
+    t_j = I_u(a + j, b) - I_u(a + j + 1, b), which a two-term recurrence
+    updates, so only the mode's tail costs a continued fraction.  Each
+    sweep stops once the Poisson mass it has left, bounded by a geometric
+    series, times the largest tail it would meet is at most tol.
+    """
+    # Poisson weight and tail at the mode
+    mode = int(half_lam)
+    pois_mode = math.exp(mode * math.log(half_lam) - half_lam - math.lgamma(mode + 1.0))
+    if upper:
+        tail_mode = _ibeta(b, a + mode, omu, u)
     else:
-        raise ValueError(f"failed to bracket quantile for p={p}, ndf={ndf}, ddf={ddf}")
+        tail_mode = _ibeta(a + mode, b, u, omu)
+    log_t = (
+        (a + mode) * math.log(u)
+        + b * math.log(omu)
+        - math.log(a + mode)
+        - _log_beta(a + mode, b)
+    )
+    t_mode = math.exp(log_t)
+    # tail(j + 1) = tail(j) + sign * t_j
+    sign = 1.0 if upper else -1.0
+    total = pois_mode * tail_mode
 
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        err = central_f_cdf(x, ndf, ddf) - p
-        if err == 0.0:
-            return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        step_ok = False
-        if x > 0.0:
-            logpdf = _central_f_logpdf(x, a, b, ndf, ddf)
-            if logpdf > -700.0:
-                x_new = x - err / math.exp(logpdf)
-                if lo < x_new < hi:
-                    step_ok = True
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-13 * max(1.0, x):
-            return x_new
-        x = x_new
-    return x
+    # upward sweep: j = mode+1, mode+2, ...; lower tails shrink, upper
+    # tails grow toward 1
+    pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
+    for _ in range(max_terms):
+        tail = min(max(tail + sign * t_term, 0.0), 1.0)
+        t_term *= u * (a + j + b) / (a + j + 1.0)
+        pois *= half_lam / (j + 1.0)
+        j += 1
+        total += pois * tail
+        # Poisson ratios beyond j are at most half_lam / (j + 2) < 1
+        rest = pois * half_lam / (j + 1.0) / (1.0 - half_lam / (j + 2.0))
+        if rest * (1.0 if upper else tail) <= tol:
+            break
+
+    # downward sweep: j = mode-1, ..., 0; lower tails grow toward 1, upper
+    # tails shrink
+    pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
+    for _ in range(min(mode, max_terms)):
+        t_term *= (a + j) / (u * (a + j - 1.0 + b))
+        tail = min(max(tail - sign * t_term, 0.0), 1.0)
+        pois *= j / half_lam
+        j -= 1
+        total += pois * tail
+        # Poisson ratios below j are at most (j - 1) / half_lam < 1
+        rest = pois * j / half_lam / (1.0 - (j - 1.0) / half_lam)
+        if rest * (tail if upper else 1.0) <= tol:
+            break
+
+    return min(max(total, 0.0), 1.0)
+
+
+def _check_noncentrality(noncentrality: float) -> None:
+    if not (is_real(noncentrality) and noncentrality >= 0.0):
+        raise ValueError(
+            f"noncentrality must be finite and >= 0, got {noncentrality!r}"
+        )
 
 
 def noncentral_f_cdf(
@@ -237,8 +427,8 @@ def noncentral_f_cdf(
     ddf: int,
     noncentrality: float,
     *,
-    tol: float = 1e-13,
-    max_terms: int = 100_000,
+    tol: float = _MIXTURE_TOL,
+    max_terms: int = _MIXTURE_MAX_TERMS,
 ) -> float:
     """Cdf of the noncentral F distribution.
 
@@ -260,87 +450,21 @@ def noncentral_f_cdf(
         The probability that the noncentral F variate is <= x.
     """
     ndf, ddf = _validate_df(ndf, ddf)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if not math.isfinite(noncentrality) or noncentrality < 0.0:
-        raise ValueError(
-            f"noncentrality must be finite and >= 0, got {noncentrality!r}"
-        )
+    if not is_real(x):
+        raise ValueError(f"x must be a finite real number, got {x!r}")
+    _check_noncentrality(noncentrality)
     if tol < 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if x <= 0.0:
         return 0.0
-    if noncentrality == 0.0:
-        return central_f_cdf(x, ndf, ddf)
-
-    a = 0.5 * ndf
-    b = 0.5 * ddf
     u, omu = _f_to_beta(x, ndf, ddf)
     half_lam = 0.5 * noncentrality
     # subnormal noncentrality can halve to exactly zero
     if half_lam == 0.0:
-        return central_f_cdf(x, ndf, ddf)
-
-    # Poisson weight and beta term at the mode
-    mode = int(half_lam)
-    log_pois = mode * math.log(half_lam) - half_lam - math.lgamma(mode + 1.0)
-    pois_mode = math.exp(log_pois)
-    ibeta_mode = _ibeta(a + mode, b, u, omu)
-    # increment t_j with I(a+j+1) = I(a+j) - t_j
-    log_t = (
-        (a + mode) * math.log(u)
-        + b * math.log(omu)
-        - math.log(a + mode)
-        - (
-            math.lgamma(a + mode)
-            + math.lgamma(b)
-            - math.lgamma(a + mode + b)
-        )
+        return _ibeta(0.5 * ndf, 0.5 * ddf, u, omu)
+    return _mixture(
+        0.5 * ndf, 0.5 * ddf, u, omu, half_lam, upper=False, tol=tol, max_terms=max_terms
     )
-    t_mode = math.exp(log_t)
-
-    total = pois_mode * ibeta_mode
-    mass_used = pois_mode
-
-    # upward sweep: j = mode+1, mode+2, ...
-    pois = pois_mode
-    ibeta_term = ibeta_mode
-    t_term = t_mode
-    j = mode
-    for _ in range(max_terms):
-        ibeta_term -= t_term
-        if ibeta_term < 0.0:
-            ibeta_term = 0.0
-        t_term *= u * (a + j + b) / (a + j + 1.0)
-        pois *= half_lam / (j + 1.0)
-        j += 1
-        total += pois * ibeta_term
-        mass_used += pois
-        remaining = 1.0 - mass_used
-        if remaining * ibeta_term <= tol:
-            break
-
-    # downward sweep: j = mode-1, ..., 0; beta terms grow toward 1 so the
-    # remaining Poisson mass itself bounds the neglected contribution
-    pois = pois_mode
-    ibeta_term = ibeta_mode
-    t_term = t_mode
-    j = mode
-    for _ in range(min(mode, max_terms)):
-        t_term *= (a + j) / (u * (a + j - 1.0 + b))
-        ibeta_term += t_term
-        if ibeta_term > 1.0:
-            ibeta_term = 1.0
-        pois *= j / half_lam
-        j -= 1
-        total += pois * ibeta_term
-        mass_used += pois
-        # 1 - mass_used bounds the remaining downward mass, and each
-        # remaining beta factor is <= 1
-        if 1.0 - mass_used <= tol:
-            break
-
-    return min(max(total, 0.0), 1.0)
 
 
 def power_from_f(
@@ -353,9 +477,11 @@ def power_from_f(
 ) -> PowerResult:
     """Power of an F test given its observed-scale statistic under the alternative.
 
-    The noncentrality is ndf * fvalue.  The critical value is the
-    (1 - alpha) quantile of the central F with the same degrees of
+    The noncentrality is ndf * fvalue.  The critical value solves
+    P(F > fcrit) = alpha for the central F with the same degrees of
     freedom, and the power is the upper tail of the noncentral F there.
+    Both are computed in the upper tail, so a null fvalue gives power
+    alpha to near machine precision for alpha down to 1e-100.
 
     Args:
         fvalue: expected F statistic under the alternative, >= 0.
@@ -368,13 +494,43 @@ def power_from_f(
         PowerResult with the rejection probability and its ingredients.
     """
     ndf, ddf = _validate_df(ndf, ddf)
-    if not math.isfinite(fvalue) or fvalue < 0.0:
+    if not (is_real(fvalue) and fvalue >= 0.0):
         raise ValueError(f"fvalue must be finite and >= 0, got {fvalue!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be a real number in (0, 1), got {alpha!r}")
     noncentrality = ndf * fvalue
-    fcrit = central_f_quantile(1.0 - alpha, ndf, ddf)
-    power = 1.0 - noncentral_f_cdf(fcrit, ndf, ddf, noncentrality)
+    _check_noncentrality(noncentrality)
+    fcrit = _f_upper_quantile(alpha, ndf, ddf)
+    if not math.isfinite(fcrit):
+        raise ValueError(
+            f"alpha={alpha!r} is too small: the F({ndf}, {ddf}) critical value "
+            "overflows"
+        )
+    a = 0.5 * ndf
+    b = 0.5 * ddf
+    u, omu = _f_to_beta(fcrit, ndf, ddf)
+    half_lam = 0.5 * noncentrality
+    if half_lam == 0.0:
+        power = _ibeta(b, a, omu, u)
+    else:
+        # Sum the tails that are small at the Poisson mode, where u lies
+        # above the mean of Beta(a + mode, b) or below it, and complement
+        # the sum only when it is the lower one, so that powers near alpha
+        # keep their relative precision and powers near 1 need no sweep
+        # over all of the Poisson mass.
+        mode = int(half_lam)
+        upper = u >= (a + mode + 1.0) / (a + mode + b + 2.0)
+        tail = _mixture(
+            a,
+            b,
+            u,
+            omu,
+            half_lam,
+            upper=upper,
+            tol=_MIXTURE_TOL,
+            max_terms=_MIXTURE_MAX_TERMS,
+        )
+        power = tail if upper else 1.0 - tail
     return PowerResult(
         power=power,
         fvalue=fvalue,

@@ -9,7 +9,9 @@ covariance block against [X y], take the denominator degrees of freedom
 from ranks of the subject-level design matrix, and project subject-level
 draws through each cluster's dense Cholesky factor.  The design columns,
 their flags and the tested column are spelled out here per kind, apart
-from the package's cell table.  Tests compare the routes.
+from the package's cell table.  The dataset's CSV and table text are
+also written here one row at a time, as the package's column-wise
+writers must reproduce them.  Tests compare the routes.
 """
 
 from __future__ import annotations
@@ -531,3 +533,42 @@ def dataset_from_csv(text: str) -> ExemplaryDataset:
         intervene=np.asarray(cols[4], dtype=np.int64),
         mean=np.asarray(cols[5], dtype=float),
     )
+
+
+def reference_csv(dataset: ExemplaryDataset) -> str:
+    """dataset_to_csv's output, written one row at a time with csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for i in range(dataset.n_rows):
+        writer.writerow(
+            [
+                dataset.kind,
+                int(dataset.arm[i]),
+                int(dataset.cluster_id[i]),
+                int(dataset.subject_id[i]),
+                int(dataset.time[i]),
+                int(dataset.intervene[i]),
+                f"{float(dataset.mean[i]):.17g}",
+            ]
+        )
+    return buf.getvalue()
+
+
+def reference_table(dataset: ExemplaryDataset) -> str:
+    """dataset_to_table's output, formatted one row at a time."""
+    lines = ["%-18s %4s %10s %10s %5s %9s %8s" % CSV_HEADER]
+    for i in range(dataset.n_rows):
+        lines.append(
+            "%-18s %4d %10d %10d %5d %9d %8.3f"
+            % (
+                dataset.kind,
+                dataset.arm[i],
+                dataset.cluster_id[i],
+                dataset.subject_id[i],
+                dataset.time[i],
+                dataset.intervene[i],
+                dataset.mean[i],
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,93 @@
+"""Reference F-tail computations that the package's faster paths replaced.
+
+The package solves the F critical value in the upper tail by Halley steps
+on the inverse incomplete beta and sums upper-tail mixture terms for the
+power.  This module keeps the slower forms they replaced, as oracles for
+the differential tests:
+
+* ``central_f_quantile`` brackets the root of ``central_f_cdf(x) - p`` by
+  doubling, then refines it with Newton steps that fall back to bisection
+  whenever a step leaves the bracket.  It solves at p = 1 - alpha.
+* ``power_from_f`` takes that quantile at 1 - alpha and the power as
+  ``1 - noncentral_f_cdf`` there.
+* ``regularized_incomplete_beta`` is the validated wrapper over the
+  package's private ``_ibeta`` that tests call.
+"""
+
+from __future__ import annotations
+
+import math
+
+from wedgepower.distributions import _ibeta, central_f_cdf, noncentral_f_cdf
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1]."""
+    if not (a > 0 and b > 0):
+        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
+    if not (0.0 <= x <= 1.0):
+        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    return _ibeta(a, b, x, 1.0 - x)
+
+
+def _central_f_logpdf(x: float, a: float, b: float, ndf: int, ddf: int) -> float:
+    nx = ndf * x
+    u = nx / (nx + ddf)
+    omu = ddf / (nx + ddf)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (
+        (a - 1.0) * math.log(u)
+        + (b - 1.0) * math.log(omu)
+        - log_beta
+        + math.log(ndf)
+        + math.log(ddf)
+        - 2.0 * math.log(nx + ddf)
+    )
+
+
+def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
+    """Quantile of the central F by bracketed Newton on the cdf."""
+    if not (0.0 <= p < 1.0):
+        raise ValueError(f"p must lie in [0, 1), got {p!r}")
+    if p == 0.0:
+        return 0.0
+
+    a = 0.5 * ndf
+    b = 0.5 * ddf
+
+    lo, hi = 0.0, 1.0
+    for _ in range(1200):
+        if central_f_cdf(hi, ndf, ddf) >= p:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise ValueError(f"failed to bracket quantile for p={p}, ndf={ndf}, ddf={ddf}")
+
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        err = central_f_cdf(x, ndf, ddf) - p
+        if err == 0.0:
+            return x
+        if err > 0.0:
+            hi = x
+        else:
+            lo = x
+        step_ok = False
+        if x > 0.0:
+            logpdf = _central_f_logpdf(x, a, b, ndf, ddf)
+            if logpdf > -700.0:
+                x_new = x - err / math.exp(logpdf)
+                if lo < x_new < hi:
+                    step_ok = True
+        if not step_ok:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-13 * max(1.0, x):
+            return x_new
+        x = x_new
+    return x
+
+
+def power_from_f(fvalue: float, ndf: int, ddf: int, alpha: float) -> tuple[float, float]:
+    """Critical value and power at level alpha, both through the lower tail."""
+    fcrit = central_f_quantile(1.0 - alpha, ndf, ddf)
+    return fcrit, 1.0 - noncentral_f_cdf(fcrit, ndf, ddf, ndf * fvalue)

@@ -219,6 +219,15 @@ class TestInflateSampleSize:
         with pytest.raises(ValueError, match="measurements_per_participant"):
             inflate_sample_size(34, 1.2, measurements_per_participant=1.5)
 
+    @pytest.mark.parametrize("value", ["1.2", None, True, float("nan"), float("inf")])
+    def test_non_real_inputs_name_the_argument(self, value):
+        with pytest.raises(ValueError, match="design_effect must be a positive real"):
+            inflate_sample_size(34, value)
+        with pytest.raises(ValueError, match="observation_multiplier must be a positive"):
+            inflate_sample_size(34, 1.2, observation_multiplier=value)
+        with pytest.raises(ValueError, match="icc must lie"):
+            de_simple(6, value)
+
 
 class TestDesignEffectFor:
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from wedgepower.designs import (
     SpecValidationError,
     cell_table,
     dataset_to_csv,
+    dataset_to_table,
     decode_spec_document,
     ensure_valid,
     exemplary_dataset,
@@ -33,6 +34,8 @@ from dense_oracle import (
     cluster_structure,
     dataset_from_csv,
     design_matrix,
+    reference_csv,
+    reference_table,
     switch_threshold,
     contrast_column,
 )
@@ -146,6 +149,30 @@ class TestValidation:
         spec = dataclasses.replace(get_preset("example2")[0], **{field: value})
         errors = validate_spec(spec)
         assert len(errors) == 1 and errors[0].startswith(message), errors
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (
+                {"cell_means": {(1, 1): "x", (2, 1): 54.0}},
+                "design.means[(1, 1)]: must be a finite real number, got 'x'",
+            ),
+            (
+                {"cell_means": {(1, 1): None, (2, 1): 54.0}},
+                "design.means[(1, 1)]: must be a finite real number, got None",
+            ),
+            (
+                {"cell_means": {(1, 1): True, (2, 1): 54.0}},
+                "design.means[(1, 1)]: must be a finite real number, got True",
+            ),
+            ({"cell_means": None}, "design.means: must map cells to means, got None"),
+            ({"alpha": "0.05"}, "analysis.alpha: must be a real number in (0, 1), got '0.05'"),
+            ({"alpha": None}, "analysis.alpha: must be a real number in (0, 1), got None"),
+        ],
+    )
+    def test_malformed_mean_or_alpha_reported(self, change, message):
+        spec = dataclasses.replace(get_preset("example2")[0], **change)
+        assert validate_spec(spec) == [message]
 
     def test_unused_counts_need_only_be_whole(self):
         spec = get_preset("example1")[0]
@@ -410,6 +437,39 @@ class TestCsvRoundTrip:
             dataset_from_csv("\n".join(lines) + "\n")
 
 
+SWD_COHORT_6X1000X13 = DesignSpec(
+    kind=DesignKind.SWD_COHORT,
+    steps_k=6,
+    baseline_b=1,
+    per_step_t=2,
+    clusters_per_step=(1,) * 6,
+    cluster_size=1000,
+    cell_means={(0, 0): 54.0, (1, 0): 55.0},
+)
+
+
+class TestDatasetText:
+    @pytest.mark.parametrize("name", sorted(EXPECTED_ROWS) + ["swd_cohort_6x1000x13"])
+    def test_matches_row_by_row_writers(self, name):
+        if name in PRESETS:
+            spec = get_preset(name)[0]
+        else:
+            spec = SWD_COHORT_6X1000X13
+        data = exemplary_dataset(spec)
+        assert dataset_to_csv(data) == reference_csv(data)
+        assert dataset_to_table(data) == reference_table(data)
+
+    def test_means_that_compare_equal_keep_their_own_text(self):
+        # -0.0 == 0.0, and 0.1 + 0.2 differs from 0.3 only in the 17th digit
+        for means in ((-0.0, 0.0), (0.1 + 0.2, 0.3)):
+            spec = dataclasses.replace(
+                get_preset("example2")[0], cell_means={(1, 1): means[0], (2, 1): means[1]}
+            )
+            data = exemplary_dataset(spec)
+            assert dataset_to_csv(data) == reference_csv(data)
+            assert dataset_to_table(data) == reference_table(data)
+
+
 class TestDecodeSpecDocument:
     def make_doc(self):
         return {
@@ -518,6 +578,17 @@ class TestDecodeSpecDocument:
         assert sum(e.startswith(f"{path}: ") for e in errors) == 1, errors
         # one error per refused entry, or one for the whole field, never both
         assert len(errors) == 1 or all(e.startswith(f"design.{field}[") for e in errors)
+
+    def test_correlation_ranges_reported_with_other_errors(self):
+        doc = self.make_doc()
+        doc["analysis"]["alpha"] = "x"
+        doc["correlation"]["icc"] = 1.5
+        with pytest.raises(SpecValidationError) as info:
+            decode_spec_document(doc)
+        assert info.value.errors == [
+            "analysis.alpha: must be a number, got 'x'",
+            "correlation: icc must lie in [0, 1), got 1.5",
+        ]
 
     def test_per_cluster_sizes(self):
         doc = self.make_doc()

@@ -9,7 +9,9 @@ below were computed with those oracles and are asserted against the
 package's own continued-fraction and recurrence implementations.
 """
 
+import logging
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -17,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import f_oracle
+from f_oracle import regularized_incomplete_beta
+from wedgepower import distributions
 from wedgepower.distributions import (
     central_f_cdf,
     central_f_quantile,
     noncentral_f_cdf,
     power_from_f,
-    regularized_incomplete_beta,
 )
 
 REL = 1e-12
@@ -346,3 +350,131 @@ class TestPowerFromF:
         assert 0.0 <= result.power <= 1.0
         # a noncentral F is stochastically larger than the central one
         assert result.power >= alpha - 1e-9
+
+
+# the grid of the quantile differential test and of the evaluation count
+GRID_NDF = range(1, 11)
+GRID_DDF = (1, 2, 3, 5, 10, 30, 100, 1000, 10**4, 10**5)
+GRID_ALPHA = (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5)
+
+
+def oracle_rounding(x: float, ndf: int, ddf: int) -> float:
+    """Relative shift of the oracle's quantile from a few ulps of error in
+    its cdf, which it solves near 1 at p = 1 - alpha."""
+    density = math.exp(f_oracle._central_f_logpdf(x, ndf / 2, ddf / 2, ndf, ddf))
+    return 4 * sys.float_info.epsilon / (x * density)
+
+
+def mp_upper_quantile(alpha: float, ndf: int, ddf: int, guess: float) -> float:
+    """Oracle: x with P(F > x) = alpha, solved at 50 working digits."""
+    with mp.workdps(50):
+        a, b = mp.mpf(ndf) / 2, mp.mpf(ddf) / 2
+
+        def excess(x):
+            return mp.betainc(b, a, 0, ddf / (ndf * x + ddf), regularized=True) - alpha
+
+        return float(mp.findroot(excess, mp.mpf(guess)))
+
+
+class TestUpperTailSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ndf=st.integers(1, 10),
+        log_ddf=st.floats(0.0, 5.0),
+        log_alpha=st.floats(-6.0, math.log10(0.5)),
+    )
+    def test_fcrit_matches_oracle_quantile(self, ndf, log_ddf, log_alpha):
+        ddf = round(10**log_ddf)
+        alpha = 10**log_alpha
+        fcrit = power_from_f(0.0, ndf, ddf, alpha).fcrit
+        oracle = f_oracle.central_f_quantile(1.0 - alpha, ndf, ddf)
+        slack = oracle_rounding(oracle, ndf, ddf)
+        assert fcrit == pytest.approx(oracle, rel=1e-10 + slack)
+
+    @pytest.mark.parametrize(
+        "ndf,ddf,alpha",
+        [
+            (1, 1, 1e-6),
+            (6, 1, 1.2021214274662129e-06),
+            (1, 2, 1e-6),
+            (3, 17, 0.01),
+            (1, 32, 0.05),
+            (10, 100000, 1e-6),
+            (2, 1000, 1e-6),
+            (1, 9, 1e-20),
+            (3, 5, 1e-100),
+            (10, 100000, 1e-100),
+        ],
+    )
+    def test_fcrit_matches_high_precision_quantile(self, ndf, ddf, alpha):
+        # the oracle above is off by up to 1.3e-10 at ddf = 1, alpha = 1e-6
+        fcrit = power_from_f(0.0, ndf, ddf, alpha).fcrit
+        assert fcrit == pytest.approx(mp_upper_quantile(alpha, ndf, ddf, fcrit), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "alpha", [1e-100, 1e-50, 1e-20, 1e-14, 1e-10, 1e-6, 0.01, 0.05, 0.3, 0.5]
+    )
+    @pytest.mark.parametrize(
+        "ndf,ddf",
+        [(1, 1), (1, 9), (2, 2), (3, 17), (10, 1), (5, 40), (1, 10**5), (10, 10**5)],
+    )
+    def test_null_power_is_alpha(self, ndf, ddf, alpha):
+        assert power_from_f(0.0, ndf, ddf, alpha).power == pytest.approx(alpha, rel=1e-10)
+
+    def test_alpha_with_no_representable_critical_value(self):
+        # F(1, 1) exceeds 4e399 with probability 1e-200
+        with pytest.raises(ValueError, match="alpha=1e-200 is too small"):
+            power_from_f(0.0, 1, 1, 1e-200)
+
+    def test_few_incomplete_beta_evaluations_per_quantile(self, monkeypatch):
+        calls = []
+        real = distributions._ibeta
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distributions, "_ibeta", counting)
+        counts = []
+        for ndf in GRID_NDF:
+            for ddf in GRID_DDF:
+                for alpha in GRID_ALPHA:
+                    # the upper tail that power_from_f solves, and the lower
+                    # tail that central_f_quantile solves below 1/2
+                    for solve in (
+                        lambda: distributions._f_upper_quantile(alpha, ndf, ddf),
+                        lambda: central_f_quantile(alpha, ndf, ddf),
+                    ):
+                        calls.clear()
+                        solve()
+                        counts.append(len(calls))
+        assert max(counts) <= 6
+
+    def test_bisection_fallback_is_logged_and_agrees(self, monkeypatch, caplog):
+        halley = [central_f_quantile(p, 3, 17) for p in (0.01, 0.95)]
+        monkeypatch.setattr(distributions, "_INV_MAX_HALLEY", 1)
+        with caplog.at_level(logging.DEBUG, logger="wedgepower"):
+            bisected = [central_f_quantile(p, 3, 17) for p in (0.01, 0.95)]
+        assert bisected == pytest.approx(halley, rel=1e-14)
+        assert sum("bisecting" in r.getMessage() for r in caplog.records) == 2
+
+    def test_power_tail_matches_series_at_small_alpha(self):
+        # upper-tail mixture at the solved critical value against 40 digits
+        for fvalue, ndf, ddf, alpha in ((8.5, 1, 32, 1e-8), (3.0, 3, 100, 1e-8)):
+            result = power_from_f(fvalue, ndf, ddf, alpha)
+            lower = ncf_cdf_series(result.fcrit, ndf, ddf, result.noncentrality)
+            assert result.power == pytest.approx(1.0 - lower, abs=1e-13)
+
+    def test_non_real_inputs_name_the_argument(self):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            power_from_f(1.0, 1, 9, "0.05")
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            power_from_f(1.0, 1, 9, True)
+        with pytest.raises(ValueError, match="fvalue must be finite"):
+            power_from_f(None, 1, 9, 0.05)
+        with pytest.raises(ValueError, match="p must lie"):
+            central_f_quantile("0.5", 1, 9)
+        with pytest.raises(ValueError, match="x must be a finite real number"):
+            central_f_cdf("2", 1, 9)
+        with pytest.raises(ValueError, match="noncentrality must be finite"):
+            noncentral_f_cdf(2.0, 1, 9, "1")

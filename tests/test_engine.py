@@ -18,11 +18,13 @@ from wedgepower.correlation import (
     family_for_kind,
 )
 from wedgepower.designs import (
+    PRESETS,
     DesignKind,
     DesignSpec,
     get_preset,
 )
 from wedgepower.engine import (
+    DDF_POLICIES,
     analytic_power,
     default_ddf_policy,
     evaluate,
@@ -30,6 +32,7 @@ from wedgepower.engine import (
     resolve_ddf,
 )
 
+import f_oracle
 from dense_oracle import design_matrix, gls_estimate, reference_dataset, study_blocks
 
 LAMBDA_TOL = 1e-9
@@ -316,3 +319,23 @@ class TestPowerAudit:
         assert evaluate(spec, params).contrast == audit.contrast == "intervene"
         effect = audit.beta[-1]
         assert effect == pytest.approx(5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_power_matches_lower_tail_oracle(name):
+    # the upper-tail solve and mixture against bracketed Newton at 1 - alpha
+    # and 1 - noncentral_f_cdf, under every policy the design accepts
+    spec, params = get_preset(name)
+    checked = 0
+    for policy in DDF_POLICIES:
+        for alpha in (spec.alpha, 0.01):
+            try:
+                result = analytic_power(spec, params, ddf_policy=policy, alpha=alpha)
+            except ValueError as exc:
+                assert "needs a clustered design" in str(exc)
+                continue
+            fcrit, power = f_oracle.power_from_f(result.fvalue, 1, result.ddf, alpha)
+            assert result.fcrit == pytest.approx(fcrit, rel=1e-12)
+            assert result.power == pytest.approx(power, abs=1e-12)
+            checked += 1
+    assert checked >= 2

@@ -27,3 +27,10 @@ def test_every_export_resolves():
         for name in module.__all__:
             assert getattr(wedgepower, name) is getattr(module, name), name
     assert isinstance(wedgepower.__version__, str)
+
+
+def test_test_only_helpers_are_not_exported():
+    # regularized_incomplete_beta moved to tests/f_oracle.py
+    for name in ("regularized_incomplete_beta", "dataset_from_csv"):
+        assert name not in wedgepower.__all__
+        assert not hasattr(wedgepower, name)
