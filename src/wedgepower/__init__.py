@@ -14,7 +14,6 @@ from .correlation import (
     VarianceComponents,
     build_cluster_v,
     derive_components,
-    family_for_kind,
     vcorr,
 )
 from .design_effects import (
@@ -62,7 +61,7 @@ from .engine import (
     evaluate,
     fit_cells,
     power_audit,
-    resolve_ddf,
+    variance_components,
 )
 from .mc import (
     EmpiricalPower,
@@ -86,7 +85,6 @@ __all__ = [
     "CorrelationParams",
     "VarianceComponents",
     "BlockCovariance",
-    "family_for_kind",
     "derive_components",
     "build_cluster_v",
     "vcorr",
@@ -124,7 +122,7 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "resolve_ddf",
+    "variance_components",
     "evaluate",
     "analytic_power",
     "power_audit",

@@ -4,13 +4,15 @@ Subcommands:
     de       closed-form design effect and optional sample size plan
     power    analytic power by direct GLS evaluation
     mc       Monte Carlo empirical power
-    dataset  exemplary dataset as CSV
+    dataset  exemplary dataset as CSV or a table
     vmatrix  one cluster's covariance (or correlation) matrix
 
 Every subcommand takes a scenario, either --preset NAME (built in) or
 --spec FILE (a JSON document with design, correlation, and analysis
-sections).  Exit status is 0 on success, 2 on a validation or usage
-problem, 1 on an I/O failure.
+sections).  --format offers only what a subcommand writes: table and
+json for de and mc, table and csv for dataset, and table, json and csv
+for power (--audit not as csv) and vmatrix.  Exit status is 0 on
+success, 2 on a validation or usage problem, 1 on an I/O failure.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from . import __version__, correlation, design_effects, designs, engine, mc
 _FORMATS = ("table", "json", "csv")
 
 
-def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_options(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...] = _FORMATS
+) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--preset",
@@ -43,7 +47,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=_FORMATS,
+        choices=formats,
         default="table",
         dest="fmt",
         help="output format (default table)",
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_de = sub.add_parser("de", help="closed-form design effect and sample plan")
-    _add_scenario_options(p_de)
+    _add_scenario_options(p_de, ("table", "json"))
     p_de.add_argument(
         "--n-unclustered",
         type=int,
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_mc = sub.add_parser("mc", help="Monte Carlo empirical power")
-    _add_scenario_options(p_mc)
+    _add_scenario_options(p_mc, ("table", "json"))
     p_mc.add_argument(
         "--ddf-policy", choices=engine.DDF_POLICIES, default=None,
         help="denominator df rule (default depends on the design kind)",
@@ -100,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_dataset = sub.add_parser("dataset", help="exemplary dataset as CSV")
-    _add_scenario_options(p_dataset)
+    _add_scenario_options(p_dataset, ("table", "csv"))
 
     p_vmatrix = sub.add_parser("vmatrix", help="one cluster's covariance matrix")
     _add_scenario_options(p_vmatrix)
@@ -247,6 +251,8 @@ def _power_payload(audit: engine.PowerAudit, with_audit: bool) -> dict:
 
 
 def _cmd_power(args) -> int:
+    if args.audit and args.fmt == "csv":
+        raise ValueError("--audit is not available with --format csv")
     spec, params, doc_policy = _load_scenario(args)
     policy = args.ddf_policy or doc_policy
     audit = engine.power_audit(spec, params, ddf_policy=policy)
@@ -338,23 +344,21 @@ def _cmd_dataset(args) -> int:
     dataset = designs.exemplary_dataset(spec)
     if args.fmt == "table":
         _emit(designs.dataset_to_table(dataset), args.out)
-        return 0
-    # csv serves as the default and the json spelling is not meaningful here
-    _emit(designs.dataset_to_csv(dataset), args.out)
+    else:
+        _emit(designs.dataset_to_csv(dataset), args.out)
     return 0
 
 
 def _cmd_vmatrix(args) -> int:
     spec, params, _ = _load_scenario(args)
-    comps = correlation.derive_components(
-        params, correlation.family_for_kind(spec.kind)
-    )
-    n_clusters = spec.n_clusters
+    cells = designs.cell_table(spec)
+    comps = correlation.derive_components(params, cells.family)
+    n_clusters = cells.cluster_pattern.size
     if not (1 <= args.cluster_index <= n_clusters):
         raise designs.SpecValidationError(
             [f"--cluster-index: must lie in [1, {n_clusters}], got {args.cluster_index}"]
         )
-    block = correlation.build_cluster_v(spec, comps, cluster_index=args.cluster_index - 1)
+    block = correlation.build_cluster_v(cells, comps, args.cluster_index - 1)
     matrix = correlation.vcorr(block) if args.correlation else block.matrix
 
     if args.fmt == "csv":

@@ -17,14 +17,13 @@ import numpy as np
 from .distributions import is_real
 
 if TYPE_CHECKING:
-    from .designs import DesignSpec
+    from .designs import CellTable
 
 __all__ = [
     "Family",
     "CorrelationParams",
     "VarianceComponents",
     "BlockCovariance",
-    "family_for_kind",
     "derive_components",
     "build_cluster_v",
     "vcorr",
@@ -46,26 +45,6 @@ class Family(str, enum.Enum):
     SINGLE = "single"
     CROSS_SECTIONAL = "cross_sectional"
     COHORT = "cohort"
-
-
-_FAMILY_BY_KIND = {
-    "rct_post": Family.SINGLE,
-    "crt_post": Family.SINGLE,
-    "rct_prepost": Family.CROSS_SECTIONAL,
-    "crt_prepost_xsec": Family.CROSS_SECTIONAL,
-    "crt_prepost_cohort": Family.COHORT,
-    "swd_xsec": Family.CROSS_SECTIONAL,
-    "swd_cohort": Family.COHORT,
-}
-
-
-def family_for_kind(kind) -> Family:
-    """Measurement family implied by a design kind."""
-    key = getattr(kind, "value", kind)
-    try:
-        return _FAMILY_BY_KIND[key]
-    except KeyError:
-        raise ValueError(f"unknown design kind {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -213,12 +192,12 @@ class BlockCovariance:
     components: VarianceComponents
 
 
-def _layout_for_family(family: Family) -> str:
-    if family is Family.SINGLE:
-        return "single"
-    if family is Family.CROSS_SECTIONAL:
-        return "time_major"
-    return "subject_major"
+# row ordering of each family's covariance block
+_LAYOUTS = {
+    Family.SINGLE: "single",
+    Family.CROSS_SECTIONAL: "time_major",
+    Family.COHORT: "subject_major",
+}
 
 
 def _cluster_matrix(
@@ -233,19 +212,14 @@ def _cluster_matrix(
     if family is Family.SINGLE and n_times != 1:
         raise ValueError("single-measurement structures have exactly one time")
 
-    if family is Family.SINGLE:
-        size = n_subjects
-        subject = np.arange(n_subjects)
-        time = np.zeros(n_subjects, dtype=int)
-    elif family is Family.CROSS_SECTIONAL:
-        size = n_subjects * n_times
+    size = n_subjects * n_times
+    if family is Family.COHORT:
+        subject = np.repeat(np.arange(n_subjects), n_times)
+        time = np.tile(np.arange(n_times), n_subjects)
+    else:
         # fresh subjects at every time: globally distinct subject labels
         subject = np.arange(size)
         time = np.repeat(np.arange(n_times), n_subjects)
-    else:
-        size = n_subjects * n_times
-        subject = np.repeat(np.arange(n_subjects), n_times)
-        time = np.tile(np.arange(n_times), n_subjects)
 
     if size > MAX_MATRIX_ROWS:
         raise ValueError(
@@ -266,40 +240,34 @@ def _cluster_matrix(
     return matrix.astype(float)
 
 
-# kinds whose randomized unit is a single observation
-_SINGLETON_KINDS = frozenset({"rct_post", "rct_prepost"})
-
-
 def build_cluster_v(
-    spec: "DesignSpec", comps: VarianceComponents, cluster_index: int = 0
+    cells: "CellTable", comps: VarianceComponents, cluster_index: int = 0
 ) -> BlockCovariance:
     """Covariance matrix of one cluster of a design.
 
     Args:
-        spec: design whose measurement schedule fixes the matrix layout.
+        cells: the design's cell table; its family, periods and the
+            cluster's subjects per cell fix the matrix layout.
         comps: variance components from derive_components.
-        cluster_index: which cluster, 0-based; sizes can differ when the
-            design carries a per-cluster size list.
+        cluster_index: which cluster, 0-based in dataset order; sizes
+            can differ when the design carries a per-cluster size list.
 
     Returns:
         BlockCovariance for that cluster.
     """
-    family = family_for_kind(spec.kind)
-    if getattr(spec.kind, "value", spec.kind) in _SINGLETON_KINDS:
-        # individually randomized: every block is one observation
-        family = Family.SINGLE
-    sizes = spec.cluster_subject_counts()
-    if not (0 <= cluster_index < len(sizes)):
+    n_clusters = cells.cluster_pattern.size
+    if not (0 <= cluster_index < n_clusters):
         raise ValueError(
-            f"cluster_index must lie in [0, {len(sizes) - 1}], got {cluster_index}"
+            f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
         )
-    n_subjects = sizes[cluster_index]
-    n_times = 1 if family is Family.SINGLE else spec.n_times
+    family = cells.family
+    n_subjects = int(cells.m[cells.cluster_pattern[cluster_index]])
+    n_times = cells.time.shape[1]
     matrix = _cluster_matrix(comps, family, n_subjects, n_times)
     return BlockCovariance(
         matrix=matrix,
         family=family,
-        layout=_layout_for_family(family),
+        layout=_LAYOUTS[family],
         n_subjects=n_subjects,
         n_times=n_times,
         components=comps,

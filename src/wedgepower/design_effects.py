@@ -289,9 +289,12 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     stepped wedges to the stepped wedge formula, and cohort stepped
     wedges with exactly three measurement times to the three-measurement
     formula; other cohort wedge layouts have no closed form here.
+    Correlation inputs that power refuses are refused with its message.
     """
     from .designs import DesignKind
+    from .engine import variance_components
 
+    variance_components(spec, params, spec.family)
     kind = spec.kind
     sizes = set(spec.cluster_subject_counts())
     if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):

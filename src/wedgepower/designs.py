@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .correlation import CorrelationParams
+from .correlation import CorrelationParams, Family
 from .distributions import is_real, is_whole
 
 __all__ = [
@@ -112,39 +112,74 @@ class DesignSpec:
 
     @property
     def n_times(self) -> int:
-        if self.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-            return 1
-        if self.kind in PREPOST_KINDS:
-            return 2
-        return int(self.baseline_b) + int(self.steps_k) * int(self.per_step_t)
+        return max(map(max, _layout(self).times))
 
     @property
     def n_clusters(self) -> int:
         """Number of randomized units (for rct kinds, each subject)."""
-        if self.kind == DesignKind.RCT_POST:
-            return 2 * int(self.per_group_n)
-        if self.kind == DesignKind.RCT_PREPOST:
-            return 4 * int(self.per_group_n)
-        if self.kind in ARM_CLUSTER_KINDS:
-            return int(sum(self.clusters_per_arm))
-        return int(sum(self.clusters_per_step))
+        return sum(_layout(self).clusters)
+
+    @property
+    def family(self) -> Family:
+        """Measurement family of one cluster, as cell_table records it."""
+        return _layout(self).family
 
     def cluster_subject_counts(self) -> tuple[int, ...]:
         """Subjects per cluster (per time for cross-sectional kinds)."""
-        if self.kind in RCT_KINDS:
-            return (1,) * self.n_clusters
-        n_clusters = self.n_clusters
-        if isinstance(self.cluster_size, (tuple, list)):
-            return tuple(int(v) for v in self.cluster_size)
-        return (int(self.cluster_size),) * n_clusters
+        layout = _layout(self)
+        if isinstance(layout.size, (tuple, list)):
+            return tuple(int(v) for v in layout.size)
+        return (int(layout.size),) * sum(layout.clusters)
 
     def rows_per_cluster(self) -> tuple[int, ...]:
-        mult = 1 if self.kind in RCT_KINDS else self.n_times
-        return tuple(n * mult for n in self.cluster_subject_counts())
+        n_periods = len(_layout(self).times[0])
+        return tuple(n * n_periods for n in self.cluster_subject_counts())
 
     @property
     def n_observations(self) -> int:
         return int(sum(self.rows_per_cluster()))
+
+
+class _Layout(NamedTuple):
+    """A design's schedule rows, one per randomized group, without means."""
+
+    group: tuple[int, ...]  # as in ExemplaryDataset.arm
+    clusters: tuple[int, ...]  # clusters the row stands for
+    times: tuple[tuple[int, ...], ...]  # one such cluster's T periods
+    size: int | tuple[int, ...]  # subjects per cluster-period
+    family: Family  # measurement structure of one cluster
+
+
+def _layout(spec: DesignSpec) -> _Layout:
+    """The one place a kind's count fields become groups, clusters and times.
+
+    Individually randomized kinds make every subject a cluster of one
+    measured once; rct_prepost has one single-period row per arm-time
+    cell.  A cluster measured in one period is SINGLE, a cohort kind's
+    cluster COHORT, any other CROSS_SECTIONAL.  Reads no means.
+    """
+    kind = spec.kind
+    if kind in SWD_KINDS:
+        group = tuple(range(1, int(spec.steps_k) + 1))
+        clusters = tuple(map(int, spec.clusters_per_step))
+        last = int(spec.baseline_b) + int(spec.steps_k) * int(spec.per_step_t)
+        times = (tuple(range(1, last + 1)),) * len(group)
+    elif kind == DesignKind.RCT_PREPOST:
+        group = (1, 1, 2, 2)
+        clusters = (int(spec.per_group_n),) * 4
+        times = ((1,), (2,)) * 2
+    else:
+        group = (1, 2)
+        if kind == DesignKind.RCT_POST:
+            clusters = (int(spec.per_group_n),) * 2
+        else:
+            clusters = tuple(map(int, spec.clusters_per_arm))
+        times = ((1, 2) if kind in PREPOST_KINDS else (1,),) * 2
+    family = Family.SINGLE if len(times[0]) == 1 else Family.CROSS_SECTIONAL
+    if kind in COHORT_KINDS:
+        family = Family.COHORT
+    size = 1 if kind in RCT_KINDS else spec.cluster_size
+    return _Layout(group, clusters, times, size, family)
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -197,9 +232,8 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
 def _expected_mean_keys(spec: DesignSpec) -> set[tuple[int, int]]:
     if spec.kind in SWD_KINDS:
         return {(0, 0), (1, 0)}
-    if spec.kind in (DesignKind.RCT_POST, DesignKind.CRT_POST):
-        return {(1, 1), (2, 1)}
-    return {(arm, time) for arm in (1, 2) for time in (1, 2)}
+    layout = _layout(spec)
+    return {(arm, t) for arm, times in zip(layout.group, layout.times) for t in times}
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:
@@ -342,8 +376,8 @@ class CellTable:
         columns: the p design columns, the tested one last.
         cluster_pattern: (n_clusters,) pattern of each cluster, in
             dataset order.
-        cohort: each cluster follows one cohort of subjects across its
-            periods, rather than recruiting fresh subjects each period.
+        family: measurement structure of one cluster: SINGLE with one
+            period, else COHORT or CROSS_SECTIONAL.
     """
 
     group: np.ndarray
@@ -355,14 +389,16 @@ class CellTable:
     mean: np.ndarray
     columns: tuple[ColumnInfo, ...]
     cluster_pattern: np.ndarray
-    cohort: bool
+    family: Family
 
 
 def cell_table(spec: DesignSpec) -> CellTable:
     """The design's one cluster-by-period schedule, grouped by pattern.
 
-    This is where a kind's structural fields become arrays: the engine
-    fits the table and exemplary_dataset expands it.  Parallel kinds
+    The schedule rows of the kind's layout become arrays here, with
+    design columns and means: the engine fits the table, correlation
+    sizes covariance blocks from it and exemplary_dataset expands it.
+    It records the measurement family of a cluster.  Parallel kinds
     have an intercept, a treated-arm indicator, and for two-period kinds
     a post-period indicator plus their product.  Stepped wedge kinds
     have an intercept, indicators for every time after the first, and
@@ -372,28 +408,14 @@ def cell_table(spec: DesignSpec) -> CellTable:
     """
     ensure_valid(spec)
     kind = spec.kind
-    periods = np.arange(1, spec.n_times + 1)
-    # one schedule row per randomized group, and the clusters each row stands for
-    if kind in SWD_KINDS:
-        group = np.arange(1, spec.steps_k + 1)
-        clusters = spec.clusters_per_step
-    elif kind == DesignKind.RCT_PREPOST:
-        # subjects are measured once: one single-period row per arm-time cell
-        group = np.array([1, 1, 2, 2])
-        periods = np.array([[1], [2], [1], [2]])
-        clusters = (spec.per_group_n,) * 4
-    else:
-        group = np.array([1, 2])
-        if kind == DesignKind.RCT_POST:
-            clusters = (spec.per_group_n,) * 2
-        else:
-            clusters = spec.clusters_per_arm
-    time = np.broadcast_to(periods, (group.size, periods.shape[-1]))
+    layout = _layout(spec)
+    group = np.array(layout.group)
+    time = np.array(layout.times)
 
     if kind in SWD_KINDS:
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         columns = [("intercept", True, True, 1)]
-        for t in periods[1:]:
+        for t in time[0, 1:]:
             columns.append((f"time_{t}", False, False, time == t))
         columns.append(("intervene", False, False, exposed))
         means = spec.cell_means
@@ -408,22 +430,22 @@ def cell_table(spec: DesignSpec) -> CellTable:
         mean = np.array(
             [
                 [float(spec.cell_means[(a, t)]) for t in row]
-                for a, row in zip(group.tolist(), time.tolist())
+                for a, row in zip(layout.group, layout.times)
             ]
         )
     x = np.empty((*time.shape, len(columns)))
     for j, (*_, values) in enumerate(columns):
         x[..., j] = values
 
-    layout = np.repeat(np.arange(group.size), clusters)
+    row = np.repeat(np.arange(group.size), layout.clusters)
     sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
     _, first, pattern, count = np.unique(
-        layout * (int(sizes.max()) + 1) + sizes,
+        row * (int(sizes.max()) + 1) + sizes,
         return_index=True,
         return_inverse=True,
         return_counts=True,
     )
-    chosen = layout[first]
+    chosen = row[first]
     return CellTable(
         group=group[chosen],
         m=sizes[first],
@@ -434,7 +456,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
         mean=mean[chosen],
         columns=tuple(ColumnInfo(*info) for *info, _ in columns),
         cluster_pattern=pattern,
-        cohort=kind in COHORT_KINDS,
+        family=layout.family,
     )
 
 
@@ -449,7 +471,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     cells = cell_table(spec)
     n_periods = cells.time.shape[1]
     sizes = cells.m[cells.cluster_pattern]
-    if cells.cohort:
+    if cells.family is Family.COHORT:
         subject_cluster = np.repeat(np.arange(sizes.size), sizes)
         cluster = np.repeat(subject_cluster, n_periods)
         period = np.tile(np.arange(n_periods), subject_cluster.size)

@@ -31,7 +31,7 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "resolve_ddf",
+    "variance_components",
     "evaluate",
     "analytic_power",
     "power_audit",
@@ -125,12 +125,21 @@ def _require_clustered(spec: DesignSpec, policy: str) -> None:
         )
 
 
-def _validate_params_for_kind(spec: DesignSpec, params: CorrelationParams) -> None:
+def variance_components(
+    spec: DesignSpec, params: CorrelationParams, family: correlation.Family
+) -> VarianceComponents:
+    """derive_components for a design whose clusters have this family.
+
+    Raises:
+        ValueError: if an individually randomized kind has a nonzero
+            icc, or derive_components refuses params for the family.
+    """
     if spec.kind in designs.RCT_KINDS and params.icc != 0.0:
         raise ValueError(
             "individually randomized kinds model independent subjects; "
             f"icc must be 0, got {params.icc!r}"
         )
+    return correlation.derive_components(params, family)
 
 
 def _cell_variances(
@@ -224,7 +233,7 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     return GlsEstimate(beta=beta, cov=cov, information=information)
 
 
-def resolve_ddf(spec: DesignSpec, policy: str) -> int:
+def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> int:
     """Denominator degrees of freedom under a named policy.
 
     residual: observations minus the design matrix rank.
@@ -235,18 +244,12 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
         tested effect takes the between stratum when it involves a
         cluster-constant factor and the within stratum otherwise.
 
+    The cells' design rows must have full rank, as fit_cells checks.
+
     Raises:
-        ValueError: if the design rows are rank deficient (a degenerate
-            step layout), or the policy is unknown, does not apply to
-            the design, or leaves no degrees of freedom.
+        ValueError: if the policy is unknown, does not apply to the
+            design, or leaves no degrees of freedom.
     """
-    cells = designs.cell_table(spec)
-    _require_full_rank(cells)
-    return _ddf_from_cells(spec, policy, cells)
-
-
-def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> int:
-    """resolve_ddf on cells whose design rows have full rank."""
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
     n_clusters = int(cells.count.sum())
@@ -294,10 +297,9 @@ def evaluate(
         ddf_policy: one of DDF_POLICIES; defaults per design kind.
         alpha: type I error rate; defaults to spec.alpha.
     """
-    _validate_params_for_kind(spec, params)
     policy = ddf_policy or default_ddf_policy(spec.kind)
-    comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
     cells = designs.cell_table(spec)
+    comps = variance_components(spec, params, cells.family)
     fit = fit_cells(cells, comps)
     # the tested effect is the last design column: a one-row Wald F
     b = fit.beta[-1]
@@ -347,12 +349,13 @@ def power_audit(
 ) -> PowerAudit:
     """analytic_power plus the intermediate quantities that produced it."""
     run = evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha)
+    cells = run.cells
     return PowerAudit(
         result=run.result,
         kind=spec.kind.value,
-        n_observations=spec.n_observations,
-        n_clusters=spec.n_clusters,
-        n_times=spec.n_times,
+        n_observations=int(cells.count @ cells.m) * cells.time.shape[1],
+        n_clusters=cells.cluster_pattern.size,
+        n_times=int(cells.time.max()),
         contrast=run.contrast,
         beta=tuple(float(b) for b in run.fit.beta),
         components=run.components,

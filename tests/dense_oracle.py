@@ -8,8 +8,9 @@ per design kind, build its design matrix, solve each cluster's full
 covariance block against [X y], take the denominator degrees of freedom
 from ranks of the subject-level design matrix, and project subject-level
 draws through each cluster's dense Cholesky factor.  The design columns,
-their flags and the tested column are spelled out here per kind, apart
-from the package's cell table.  The dataset's CSV and table text are
+their flags, the tested column and each kind's cluster-level
+measurement family are spelled out here per kind, apart from the
+package's cell table.  The dataset's CSV and table text are
 also written here one row at a time, as the package's column-wise
 writers must reproduce them.  Tests compare the routes.
 """
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from wedgepower import correlation, designs
-from wedgepower.correlation import CorrelationParams, VarianceComponents
+from wedgepower.correlation import CorrelationParams, Family, VarianceComponents
 from wedgepower.designs import CSV_HEADER, DesignKind, DesignSpec, ExemplaryDataset
 from wedgepower.engine import DDF_POLICIES, GlsEstimate
 
@@ -37,6 +38,18 @@ PREPOST = (
     DesignKind.CRT_PREPOST_XSEC,
     DesignKind.CRT_PREPOST_COHORT,
 )
+
+# how one cluster is measured: individually randomized subjects are
+# clusters measured once, rct_prepost's second-period subjects included
+FAMILY = {
+    DesignKind.RCT_POST: Family.SINGLE,
+    DesignKind.CRT_POST: Family.SINGLE,
+    DesignKind.RCT_PREPOST: Family.SINGLE,
+    DesignKind.CRT_PREPOST_XSEC: Family.CROSS_SECTIONAL,
+    DesignKind.CRT_PREPOST_COHORT: Family.COHORT,
+    DesignKind.SWD_XSEC: Family.CROSS_SECTIONAL,
+    DesignKind.SWD_COHORT: Family.COHORT,
+}
 
 
 def times(spec: DesignSpec) -> range:
@@ -308,6 +321,28 @@ def _cluster_groups(spec: DesignSpec) -> list[int]:
     return groups
 
 
+def cluster_v(
+    spec: DesignSpec, comps: VarianceComponents, index: int
+) -> correlation.BlockCovariance:
+    """Dense covariance of cluster index (0-based), laid out by FAMILY."""
+    family = FAMILY[spec.kind]
+    n_subjects = spec.cluster_subject_counts()[index]
+    n_times = 1 if family is Family.SINGLE else spec.n_times
+    layout = {
+        Family.SINGLE: "single",
+        Family.CROSS_SECTIONAL: "time_major",
+        Family.COHORT: "subject_major",
+    }[family]
+    return correlation.BlockCovariance(
+        matrix=correlation._cluster_matrix(comps, family, n_subjects, n_times),
+        family=family,
+        layout=layout,
+        n_subjects=n_subjects,
+        n_times=n_times,
+        components=comps,
+    )
+
+
 def study_blocks(
     spec: DesignSpec, comps: VarianceComponents
 ) -> list[np.ndarray]:
@@ -317,9 +352,7 @@ def study_blocks(
     blocks = []
     for cb in structure:
         if cb.n_subjects not in by_size:
-            by_size[cb.n_subjects] = correlation.build_cluster_v(
-                spec, comps, cluster_index=cb.index
-            ).matrix
+            by_size[cb.n_subjects] = cluster_v(spec, comps, cb.index).matrix
         blocks.append(by_size[cb.n_subjects])
     return blocks
 
@@ -386,7 +419,7 @@ def exemplary_fit(
 
 def fit_design(spec: DesignSpec, params: CorrelationParams):
     """(components, design matrix, dataset, fit) of a design's subject rows."""
-    comps = correlation.derive_components(params, correlation.family_for_kind(spec.kind))
+    comps = correlation.derive_components(params, FAMILY[spec.kind])
     dataset = reference_dataset(spec)
     x = design_matrix(spec, dataset)
     fit = exemplary_fit(x, study_blocks(spec, comps), dataset.mean)
@@ -457,7 +490,7 @@ def cell_covariances(
     out = []
     for pattern in range(cells.m.size):
         index = int(np.flatnonzero(cells.cluster_pattern == pattern)[0])
-        block = correlation.build_cluster_v(spec, comps, cluster_index=index)
+        block = cluster_v(spec, comps, index)
         average = cell_averaging(block)
         out.append(average @ block.matrix @ average.T)
     return np.array(out)
@@ -477,7 +510,7 @@ class StudySampler:
         for cb in cluster_structure(spec):
             self.slices.append(slice(cb.row_start, cb.row_start + cb.n_rows))
             if cb.n_subjects not in factor_by_size:
-                block = correlation.build_cluster_v(spec, comps, cluster_index=cb.index)
+                block = cluster_v(spec, comps, cb.index)
                 self.layout = block.layout
                 factor_by_size[cb.n_subjects] = np.linalg.cholesky(block.matrix)
             self.chol.append(factor_by_size[cb.n_subjects])

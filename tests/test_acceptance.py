@@ -18,7 +18,6 @@ from wedgepower.correlation import (
     Family,
     build_cluster_v,
     derive_components,
-    family_for_kind,
     vcorr,
 )
 from wedgepower.design_effects import (
@@ -28,7 +27,7 @@ from wedgepower.design_effects import (
     de_three_measurement,
     inflate_sample_size,
 )
-from wedgepower.designs import DesignKind, DesignSpec, PRESETS, get_preset
+from wedgepower.designs import DesignKind, DesignSpec, PRESETS, cell_table, get_preset
 from wedgepower.distributions import (
     central_f_cdf,
     central_f_quantile,
@@ -144,8 +143,8 @@ def test_criterion_3_covariance_reproduction():
 
     def block(name):
         spec, params = get_preset(name)
-        comps = derive_components(params, family_for_kind(spec.kind))
-        return build_cluster_v(spec, comps)
+        cells = cell_table(spec)
+        return build_cluster_v(cells, derive_components(params, cells.family))
 
     # post-only cluster: 6x6 exchangeable, and its correlation matrix
     v2 = block("example2")
@@ -289,8 +288,8 @@ def test_criterion_7_property_suite():
     # every preset's cluster covariance is positive semidefinite
     for name in sorted(PRESETS):
         spec, params = get_preset(name)
-        comps = derive_components(params, family_for_kind(spec.kind))
-        matrix = build_cluster_v(spec, comps).matrix
+        cells = cell_table(spec)
+        matrix = build_cluster_v(cells, derive_components(params, cells.family)).matrix
         assert np.linalg.eigvalsh(matrix).min() >= -1e-10, name
 
     # relabeling arms or phases leaves the F statistic unchanged

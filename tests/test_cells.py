@@ -44,7 +44,15 @@ def _outcome(fn):
 
 
 def _components(spec, params):
-    return correlation.derive_components(params, correlation.family_for_kind(spec.kind))
+    return correlation.derive_components(params, cell_table(spec).family)
+
+
+def _ddf(spec, policy):
+    # fixed params that every kind accepts and that never make the fit
+    # singular, so evaluate fails only where the degrees of freedom do
+    icc = 0.0 if spec.kind in RCT_KINDS else 0.1
+    params = CorrelationParams(sigma_y_sq=25.0, icc=icc, cac=0.5)
+    return engine.evaluate(spec, params, ddf_policy=policy).result.ddf
 
 
 def _policies(kind):
@@ -86,7 +94,7 @@ def specs_and_params(draw):
     sigma = draw(st.floats(1.0, 50.0))
     if kind in RCT_KINDS:
         return spec, CorrelationParams(sigma_y_sq=sigma, icc=0.0)
-    cohort = correlation.family_for_kind(kind) is correlation.Family.COHORT
+    cohort = dense_oracle.FAMILY[kind] is correlation.Family.COHORT
     params = CorrelationParams(
         sigma_y_sq=sigma,
         icc=draw(st.floats(0.0, 0.6)),
@@ -116,7 +124,7 @@ def test_cell_fit_matches_dense_fit(case):
     np.testing.assert_allclose(cell.cov, dense.cov, rtol=1e-9, atol=1e-12 * np.abs(dense.cov).max())
     np.testing.assert_allclose(cell.beta, dense.beta, rtol=1e-9, atol=1e-9 * 100.0)
     for policy in _policies(spec.kind):
-        assert _outcome(lambda: engine.resolve_ddf(spec, policy)) == _outcome(
+        assert _outcome(lambda: _ddf(spec, policy)) == _outcome(
             lambda: dense_oracle.resolve_ddf(spec, policy)
         ), policy
     run = _outcome(lambda: engine.evaluate(spec, params, ddf_policy="residual"))
@@ -128,7 +136,7 @@ def test_cell_fit_matches_dense_fit(case):
 @given(specs_and_params())
 def test_dataset_matches_reference_builder(case):
     # single-step wedges stay in: the dataset builds designs that
-    # fit_cells and resolve_ddf refuse as degenerate
+    # fit_cells refuses as degenerate
     spec, _ = case
     built = designs.exemplary_dataset(spec)
     reference = dense_oracle.reference_dataset(spec)
@@ -172,6 +180,42 @@ def test_spec_document_round_trip(case):
     assert designs.decode_spec_document(doc) == (spec, params, None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(specs_and_params())
+def test_counts_match_cells_and_reference_dataset(case):
+    spec, _ = case
+    cells = cell_table(spec)
+    dataset = dense_oracle.reference_dataset(spec)
+    rows = tuple(np.bincount(dataset.cluster_id)[1:].tolist())
+    n_periods = cells.time.shape[1]
+    sizes = tuple(cells.m[cells.cluster_pattern].tolist())
+    assert tuple(n * n_periods for n in sizes) == rows
+    # the counts need no means: the benchmark reads them on mean-less specs
+    for design in (spec, dataclasses.replace(spec, cell_means={})):
+        assert design.n_times == int(cells.time.max()) == int(dataset.time.max())
+        assert design.n_clusters == cells.cluster_pattern.size == len(rows)
+        assert design.cluster_subject_counts() == sizes
+        assert design.rows_per_cluster() == rows
+        assert design.n_observations == dataset.n_rows == sum(rows)
+        assert design.family is cells.family
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_cluster_blocks_match_dense_oracle(name):
+    spec, params = get_preset(name)
+    cells = cell_table(spec)
+    comps = _components(spec, params)
+    for index in range(cells.cluster_pattern.size):
+        block = correlation.build_cluster_v(cells, comps, index)
+        reference = dense_oracle.cluster_v(spec, comps, index)
+        assert block.family is reference.family
+        assert block.layout == reference.layout
+        assert (block.n_subjects, block.n_times) == (
+            reference.n_subjects, reference.n_times
+        )
+        np.testing.assert_array_equal(block.matrix, reference.matrix)
+
+
 def _assert_cell_covariance_matches_dense(spec, run):
     dense = dense_oracle.cell_covariances(spec, run.components, run.cells)
     np.testing.assert_allclose(
@@ -196,7 +240,7 @@ def test_degenerate_layout_refused_by_both_paths():
     assert cell == _outcome(lambda: dense_oracle.fit_design(spec, params))
     assert "degenerate step layout" in cell[1]
     for policy in engine.DDF_POLICIES:
-        assert _outcome(lambda: engine.resolve_ddf(spec, policy)) == cell
+        assert _outcome(lambda: _ddf(spec, policy)) == cell
 
 
 @pytest.mark.parametrize("name", ["example6", "example7"])
@@ -250,6 +294,11 @@ class TestCellTable:
         np.testing.assert_array_equal(
             np.unique(x, axis=0), np.unique(cells.x.reshape(-1, x.shape[1]), axis=0)
         )
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_family_matches_oracle_table(self, kind):
+        spec = next(spec for spec, _ in PRESETS.values() if spec.kind == kind)
+        assert cell_table(spec).family is spec.family is dense_oracle.FAMILY[kind]
 
     def test_individual_randomization_uses_one_pattern_per_cell(self):
         spec, _ = get_preset("example3")

@@ -378,7 +378,66 @@ class TestSpecDocuments:
         assert "error:" in err
 
 
+# one design document per kind that refuses some correlation input
+REFUSING_DESIGNS = {
+    "crt_post": {"clusters_per_arm": [5, 4], "cluster_size": 6, "means": [[59], [54]]},
+    "crt_prepost_xsec": {
+        "clusters_per_arm": [6, 6],
+        "cluster_size": 10,
+        "means": [[54, 56], [54, 61]],
+    },
+    "swd_xsec": {
+        "steps_k": 2,
+        "baseline_b": 1,
+        "per_step_t": 1,
+        "clusters_per_step": [4, 4],
+        "cluster_size": 5,
+        "means": [54, 59],
+    },
+    "rct_post": {"per_group_n": 17, "means": [[59], [54]]},
+    "rct_prepost": {"per_group_n": 32, "means": [[54, 56], [54, 61]]},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, correlation",
+    [(kind, {"icc": 0.0 if kind.startswith("rct") else 0.1, "sac": 0.5})
+     for kind in REFUSING_DESIGNS]
+    + [("rct_post", {"icc": 0.2}), ("rct_prepost", {"icc": 0.2})],
+    ids=[f"{kind}-sac" for kind in REFUSING_DESIGNS] + ["rct_post-icc", "rct_prepost-icc"],
+)
+def test_de_refuses_what_power_refuses(capsys, tmp_path, kind, correlation):
+    doc = {
+        "design": {"kind": kind, **REFUSING_DESIGNS[kind]},
+        "correlation": {"sigma_y_sq": 25.0, **correlation},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    de_code, de_out, de_err = run(capsys, "de", "--spec", str(path))
+    power_code, _, power_err = run(capsys, "power", "--spec", str(path))
+    assert de_code == power_code == 2
+    assert de_out == ""
+    assert de_err == power_err
+    assert re.match(r"error: (sac|.*icc) must be 0", de_err), de_err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, fmt", [("de", "csv"), ("mc", "csv"), ("dataset", "json")]
+    )
+    def test_format_the_command_does_not_write(self, capsys, command, fmt):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--preset", "example2", "--format", fmt])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_audit_refused_as_csv(self, capsys):
+        code, out, err = run(
+            capsys, "power", "--preset", "example2", "--audit", "--format", "csv"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --audit is not available with --format csv\n"
+
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "power", "--preset", "example99")
         assert code == 2

@@ -17,10 +17,9 @@ from wedgepower.correlation import (
     Family,
     build_cluster_v,
     derive_components,
-    family_for_kind,
     vcorr,
 )
-from wedgepower.designs import DesignKind, DesignSpec, get_preset
+from wedgepower.designs import DesignKind, DesignSpec, cell_table, get_preset
 
 COMPONENT_TOL = 1e-12
 
@@ -31,21 +30,9 @@ def cs_matrix(size: int, diag: float, off: float) -> np.ndarray:
 
 def preset_block(name: str, cluster_index: int = 0) -> BlockCovariance:
     spec, params = get_preset(name)
-    comps = derive_components(params, family_for_kind(spec.kind))
-    return build_cluster_v(spec, comps, cluster_index)
-
-
-class TestFamilyForKind:
-    def test_mapping(self):
-        assert family_for_kind(DesignKind.CRT_POST) is Family.SINGLE
-        assert family_for_kind("crt_prepost_xsec") is Family.CROSS_SECTIONAL
-        assert family_for_kind("swd_xsec") is Family.CROSS_SECTIONAL
-        assert family_for_kind(DesignKind.CRT_PREPOST_COHORT) is Family.COHORT
-        assert family_for_kind(DesignKind.SWD_COHORT) is Family.COHORT
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            family_for_kind("crossover")
+    cells = cell_table(spec)
+    comps = derive_components(params, cells.family)
+    return build_cluster_v(cells, comps, cluster_index)
 
 
 class TestCorrelationParams:
@@ -213,7 +200,7 @@ class TestBuildClusterV:
             CorrelationParams(sigma_y_sq=25.0, icc=0.1), Family.SINGLE
         )
         with pytest.raises(ValueError, match="limit"):
-            build_cluster_v(spec, comps)
+            build_cluster_v(cell_table(spec), comps)
 
     def test_positive_semidefinite_for_presets(self):
         for name in ("example2", "example4", "example5", "example6", "example7"):
@@ -271,8 +258,8 @@ class TestLayoutEquivalence:
                 CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=cac),
                 Family.CROSS_SECTIONAL,
             )
-            v_cohort = build_cluster_v(cohort_spec, cohort_comps).matrix
-            v_xsec = build_cluster_v(xsec_spec, xsec_comps).matrix
+            v_cohort = build_cluster_v(cell_table(cohort_spec), cohort_comps).matrix
+            v_xsec = build_cluster_v(cell_table(xsec_spec), xsec_comps).matrix
 
             n, t = 5, 3
             # map time-major position (time, subject) to subject-major

@@ -12,11 +12,7 @@ import pytest
 
 from scipy.linalg import block_diag
 
-from wedgepower.correlation import (
-    CorrelationParams,
-    derive_components,
-    family_for_kind,
-)
+from wedgepower.correlation import CorrelationParams, derive_components
 from wedgepower.designs import (
     PRESETS,
     DesignKind,
@@ -29,11 +25,16 @@ from wedgepower.engine import (
     default_ddf_policy,
     evaluate,
     power_audit,
-    resolve_ddf,
 )
 
 import f_oracle
-from dense_oracle import design_matrix, gls_estimate, reference_dataset, study_blocks
+from dense_oracle import (
+    FAMILY,
+    design_matrix,
+    gls_estimate,
+    reference_dataset,
+    study_blocks,
+)
 
 LAMBDA_TOL = 1e-9
 POWER_REL = 1e-10
@@ -66,7 +67,7 @@ DEFAULT_POLICIES = {
 
 def fit_preset(name):
     spec, params = get_preset(name)
-    comps = derive_components(params, family_for_kind(spec.kind))
+    comps = derive_components(params, FAMILY[spec.kind])
     dataset = reference_dataset(spec)
     x = design_matrix(spec, dataset)
     return spec, params, comps, x, dataset, gls_estimate(
@@ -112,7 +113,7 @@ class TestGlsEstimate:
 
     def test_block_cache_reuses_matrices(self):
         spec, params = get_preset("example2_51")
-        comps = derive_components(params, family_for_kind(spec.kind))
+        comps = derive_components(params, FAMILY[spec.kind])
         blocks = study_blocks(spec, comps)
         assert [b.shape[0] for b in blocks] == [7, 7, 6, 6, 7, 6, 6, 6]
         assert blocks[0] is blocks[1]
@@ -127,12 +128,19 @@ class TestWaldF:
         assert result.fvalue == pytest.approx(8.5, abs=LAMBDA_TOL)
 
 
-class TestResolveDdf:
+def preset_ddf(name, policy, spec=None):
+    """ddf of the preset's evaluation under a policy, on spec if given."""
+    preset, params = get_preset(name)
+    run = evaluate(spec or preset, params, ddf_policy=policy)
+    return run.result.ddf
+
+
+class TestDdfPolicies:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_default_policy_values(self, name):
         spec, _ = get_preset(name)
         policy = default_ddf_policy(spec.kind)
-        assert resolve_ddf(spec, policy) == FROZEN[name][1]
+        assert preset_ddf(name, policy) == FROZEN[name][1]
 
     def test_policy_defaults(self):
         for name, policy in DEFAULT_POLICIES.items():
@@ -140,34 +148,28 @@ class TestResolveDdf:
             assert default_ddf_policy(spec.kind) == policy
 
     def test_residual_rule(self):
-        spec, _ = get_preset("example2")
-        assert resolve_ddf(spec, "residual") == 54 - 2
+        assert preset_ddf("example2", "residual") == 54 - 2
 
     def test_containment_rule(self):
-        spec, _ = get_preset("example4")
-        assert resolve_ddf(spec, "containment") == 240 - 12
+        assert preset_ddf("example4", "containment") == 240 - 12
 
     def test_between_within_strata(self):
         # example6: 8 clusters, one cluster-constant column (intercept),
         # so 7 between; the exposure effect varies within clusters and
         # takes the remainder 116 - 7 = 109
-        spec, _ = get_preset("example6")
-        assert resolve_ddf(spec, "between_within") == 109
+        assert preset_ddf("example6", "between_within") == 109
         # example4: the treated-by-post product involves the randomized
         # arm, so it takes the between stratum 12 - 2 = 10
-        spec, _ = get_preset("example4")
-        assert resolve_ddf(spec, "between_within") == 10
+        assert preset_ddf("example4", "between_within") == 10
 
     def test_cluster_policies_rejected_for_individual_randomization(self):
-        spec, _ = get_preset("example1")
         for policy in ("containment", "between_within"):
             with pytest.raises(ValueError, match="residual"):
-                resolve_ddf(spec, policy)
+                preset_ddf("example1", policy)
 
     def test_unknown_policy(self):
-        spec, _ = get_preset("example2")
         with pytest.raises(ValueError, match="policy"):
-            resolve_ddf(spec, "satterthwaite")
+            preset_ddf("example2", "satterthwaite")
 
     def test_exhausted_ddf(self):
         spec = DesignSpec(
@@ -177,7 +179,7 @@ class TestResolveDdf:
             cell_means={(1, 1): 59.0, (2, 1): 54.0},
         )
         with pytest.raises(ValueError, match="degrees of freedom"):
-            resolve_ddf(spec, "containment")
+            preset_ddf("example2", "containment", spec)
 
 
 class TestAnalyticPower:

@@ -14,7 +14,7 @@ from wedgepower import mc
 from wedgepower.correlation import CorrelationParams
 from wedgepower.designs import PRESETS, DesignKind, DesignSpec, get_preset
 from wedgepower.distributions import central_f_quantile
-from wedgepower.engine import analytic_power, evaluate, resolve_ddf
+from wedgepower.engine import analytic_power, evaluate
 from wedgepower.mc import (
     EmpiricalPower,
     SimulationPlan,
@@ -194,7 +194,7 @@ class TestEmpiricalPower:
         assert result.stderr == pytest.approx(expected_se, rel=1e-12)
         assert 0.0 <= result.ci_low <= result.estimate <= result.ci_high <= 1.0
         spec, _ = get_preset("example5")
-        assert result.ddf == resolve_ddf(spec, "between_within")
+        assert result.ddf == dense_oracle.resolve_ddf(spec, "between_within")
         assert result.fcrit == pytest.approx(
             central_f_quantile(0.95, 1, result.ddf), rel=1e-12
         )

@@ -1,5 +1,6 @@
 """Layout rules for the package source."""
 
+import re
 from pathlib import Path
 
 import wedgepower
@@ -16,3 +17,20 @@ def test_no_source_line_is_over_90_characters():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def test_covariance_and_simulation_name_no_design_kind():
+    # designs is the one module that turns a kind into structure: the
+    # covariance blocks and the simulation read it from the cell table
+    kinds = [kind.value for kind in wedgepower.DesignKind]
+    banned = re.compile(r"DesignKind|_KINDS|\.kind\b|" + "|".join(kinds))
+    source = Path(wedgepower.__file__).parent
+    found = [
+        f"{name}:{number}: {line.strip()}"
+        for name in ("correlation.py", "mc.py")
+        for number, line in enumerate(
+            (source / name).read_text(encoding="utf-8").splitlines(), 1
+        )
+        if banned.search(line)
+    ]
+    assert found == []
