@@ -61,7 +61,6 @@ from .engine import (
     evaluate,
     fit_cells,
     power_audit,
-    variance_components,
 )
 from .mc import (
     EmpiricalPower,
@@ -122,7 +121,6 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "variance_components",
     "evaluate",
     "analytic_power",
     "power_audit",

@@ -167,28 +167,20 @@ def _f3(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _plan_conversion(spec: designs.DesignSpec) -> tuple[float, int]:
-    """(observation multiplier, measurements per participant) for plans.
-
-    Wedge design effects count comparisons, so every period multiplies
-    the observations; a cohort's participants are measured every period.
-    """
-    multiplier = spec.n_times if spec.kind in designs.SWD_KINDS else 1
-    per_participant = spec.n_times if spec.kind in designs.COHORT_KINDS else 1
-    return float(multiplier), per_participant
-
-
 def _cmd_de(args) -> int:
     spec, params, _ = _load_scenario(args)
     result = design_effects.design_effect_for(spec, params)
     plan = None
     if args.n_unclustered is not None:
-        multiplier, per_participant = _plan_conversion(spec)
+        # the wedge closed forms count comparisons, so every period
+        # multiplies the observations; a cohort is measured every period
+        per_comparison = result.formula in ("stepped_wedge", "three_measurement")
+        cohort = spec.family is correlation.Family.COHORT
         plan = design_effects.inflate_sample_size(
             args.n_unclustered,
             result.value,
-            observation_multiplier=multiplier,
-            measurements_per_participant=per_participant,
+            observation_multiplier=float(spec.n_times if per_comparison else 1),
+            measurements_per_participant=spec.n_times if cohort else 1,
         )
 
     if args.fmt == "json":
@@ -352,7 +344,7 @@ def _cmd_dataset(args) -> int:
 def _cmd_vmatrix(args) -> int:
     spec, params, _ = _load_scenario(args)
     cells = designs.cell_table(spec)
-    comps = correlation.derive_components(params, cells.family)
+    comps = engine.variance_components(spec, params)
     n_clusters = cells.cluster_pattern.size
     if not (1 <= args.cluster_index <= n_clusters):
         raise designs.SpecValidationError(

@@ -294,7 +294,7 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     from .designs import DesignKind
     from .engine import variance_components
 
-    variance_components(spec, params, spec.family)
+    variance_components(spec, params)
     kind = spec.kind
     sizes = set(spec.cluster_subject_counts())
     if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):

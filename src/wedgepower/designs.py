@@ -126,14 +126,12 @@ class DesignSpec:
 
     def cluster_subject_counts(self) -> tuple[int, ...]:
         """Subjects per cluster (per time for cross-sectional kinds)."""
-        layout = _layout(self)
-        if isinstance(layout.size, (tuple, list)):
-            return tuple(int(v) for v in layout.size)
-        return (int(layout.size),) * sum(layout.clusters)
+        return _subject_counts(_layout(self))
 
     def rows_per_cluster(self) -> tuple[int, ...]:
-        n_periods = len(_layout(self).times[0])
-        return tuple(n * n_periods for n in self.cluster_subject_counts())
+        layout = _layout(self)
+        n_periods = len(layout.times[0])
+        return tuple(n * n_periods for n in _subject_counts(layout))
 
     @property
     def n_observations(self) -> int:
@@ -180,6 +178,13 @@ def _layout(spec: DesignSpec) -> _Layout:
         family = Family.COHORT
     size = 1 if kind in RCT_KINDS else spec.cluster_size
     return _Layout(group, clusters, times, size, family)
+
+
+def _subject_counts(layout: _Layout) -> tuple[int, ...]:
+    """Subjects per cluster-period of each cluster, in dataset order."""
+    if isinstance(layout.size, (tuple, list)):
+        return tuple(int(v) for v in layout.size)
+    return (int(layout.size),) * sum(layout.clusters)
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -438,7 +443,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
         x[..., j] = values
 
     row = np.repeat(np.arange(group.size), layout.clusters)
-    sizes = np.asarray(spec.cluster_subject_counts(), dtype=np.int64)
+    sizes = np.asarray(_subject_counts(layout), dtype=np.int64)
     _, first, pattern, count = np.unique(
         row * (int(sizes.max()) + 1) + sizes,
         return_index=True,

@@ -31,7 +31,6 @@ __all__ = [
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
-    "variance_components",
     "evaluate",
     "analytic_power",
     "power_audit",
@@ -126,9 +125,9 @@ def _require_clustered(spec: DesignSpec, policy: str) -> None:
 
 
 def variance_components(
-    spec: DesignSpec, params: CorrelationParams, family: correlation.Family
+    spec: DesignSpec, params: CorrelationParams
 ) -> VarianceComponents:
-    """derive_components for a design whose clusters have this family.
+    """derive_components for the measurement family of the design's clusters.
 
     Raises:
         ValueError: if an individually randomized kind has a nonzero
@@ -139,7 +138,7 @@ def variance_components(
             "individually randomized kinds model independent subjects; "
             f"icc must be 0, got {params.icc!r}"
         )
-    return correlation.derive_components(params, family)
+    return correlation.derive_components(params, spec.family)
 
 
 def _cell_variances(
@@ -299,7 +298,7 @@ def evaluate(
     """
     policy = ddf_policy or default_ddf_policy(spec.kind)
     cells = designs.cell_table(spec)
-    comps = variance_components(spec, params, cells.family)
+    comps = variance_components(spec, params)
     fit = fit_cells(cells, comps)
     # the tested effect is the last design column: a one-row Wald F
     b = fit.beta[-1]
@@ -349,13 +348,12 @@ def power_audit(
 ) -> PowerAudit:
     """analytic_power plus the intermediate quantities that produced it."""
     run = evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha)
-    cells = run.cells
     return PowerAudit(
         result=run.result,
         kind=spec.kind.value,
-        n_observations=int(cells.count @ cells.m) * cells.time.shape[1],
-        n_clusters=cells.cluster_pattern.size,
-        n_times=int(cells.time.max()),
+        n_observations=spec.n_observations,
+        n_clusters=spec.n_clusters,
+        n_times=spec.n_times,
         contrast=run.contrast,
         beta=tuple(float(b) for b in run.fit.beta),
         components=run.components,

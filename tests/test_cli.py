@@ -399,26 +399,38 @@ REFUSING_DESIGNS = {
 }
 
 
-@pytest.mark.parametrize(
+refusing_inputs = pytest.mark.parametrize(
     "kind, correlation",
     [(kind, {"icc": 0.0 if kind.startswith("rct") else 0.1, "sac": 0.5})
      for kind in REFUSING_DESIGNS]
     + [("rct_post", {"icc": 0.2}), ("rct_prepost", {"icc": 0.2})],
     ids=[f"{kind}-sac" for kind in REFUSING_DESIGNS] + ["rct_post-icc", "rct_prepost-icc"],
 )
-def test_de_refuses_what_power_refuses(capsys, tmp_path, kind, correlation):
+
+
+def refusals_match_power(capsys, tmp_path, command, kind, correlation):
     doc = {
         "design": {"kind": kind, **REFUSING_DESIGNS[kind]},
         "correlation": {"sigma_y_sq": 25.0, **correlation},
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    de_code, de_out, de_err = run(capsys, "de", "--spec", str(path))
+    code, out, err = run(capsys, command, "--spec", str(path))
     power_code, _, power_err = run(capsys, "power", "--spec", str(path))
-    assert de_code == power_code == 2
-    assert de_out == ""
-    assert de_err == power_err
-    assert re.match(r"error: (sac|.*icc) must be 0", de_err), de_err
+    assert code == power_code == 2
+    assert out == ""
+    assert err == power_err
+    assert re.match(r"error: (sac|.*icc) must be 0", err), err
+
+
+@refusing_inputs
+def test_de_refuses_what_power_refuses(capsys, tmp_path, kind, correlation):
+    refusals_match_power(capsys, tmp_path, "de", kind, correlation)
+
+
+@refusing_inputs
+def test_vmatrix_refuses_what_power_refuses(capsys, tmp_path, kind, correlation):
+    refusals_match_power(capsys, tmp_path, "vmatrix", kind, correlation)
 
 
 class TestUsageErrors:

@@ -34,3 +34,16 @@ def test_covariance_and_simulation_name_no_design_kind():
         if banned.search(line)
     ]
     assert found == []
+
+
+def test_cli_reads_no_kind_set():
+    # the command line prints a spec's kind but takes its structure from
+    # designs and its plan conversion from the closed form's name
+    source = Path(wedgepower.__file__).parent / "cli.py"
+    lines = source.read_text(encoding="utf-8").splitlines()
+    found = [
+        f"cli.py:{number}: {line.strip()}"
+        for number, line in enumerate(lines, 1)
+        if re.search(r"DesignKind|_KINDS", line)
+    ]
+    assert found == []
