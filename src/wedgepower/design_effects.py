@@ -284,20 +284,23 @@ def inflate_sample_size(
 def design_effect_for(spec, params) -> DesignEffectResult:
     """Closed-form design effect matching a design description.
 
-    Individually randomized kinds have no inflation.  Parallel cluster
-    kinds map to the simple or baseline-adjusted formula, cross-sectional
-    stepped wedges to the stepped wedge formula, and cohort stepped
-    wedges with exactly three measurement times to the three-measurement
-    formula; other cohort wedge layouts have no closed form here.
-    Correlation inputs that power refuses are refused with its message.
+    Individually randomized kinds have no inflation.  Post-only and
+    pre-post cluster kinds map to the simple and baseline-adjusted
+    formulas, cross-sectional stepped wedges to the stepped wedge formula,
+    and cohort stepped wedges with exactly three measurement times to the
+    three-measurement formula; other cohort wedge layouts have no closed
+    form here.  Counts and correlation inputs that power refuses are
+    refused with its messages; the cell means are not read.
     """
-    from .designs import DesignKind
+    from .designs import ensure_counts, kind_traits
     from .engine import variance_components
 
+    ensure_counts(spec)
+    # sac is 0 unless a cluster is a cohort: variance_components refuses it
     variance_components(spec, params)
-    kind = spec.kind
+    traits = kind_traits(spec.kind)
     sizes = set(spec.cluster_subject_counts())
-    if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):
+    if not traits.clustered:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
@@ -307,21 +310,17 @@ def design_effect_for(spec, params) -> DesignEffectResult:
             f"got sizes {sorted(sizes)}"
         )
     n = sizes.pop()
-    if kind == DesignKind.CRT_POST:
+    if traits.periods == "post":
         return de_simple(n, params.icc)
-    if kind == DesignKind.CRT_PREPOST_XSEC:
-        return de_ancova_prepost(n, params.icc, params.cac, 0.0)
-    if kind == DesignKind.CRT_PREPOST_COHORT:
+    if traits.periods == "prepost":
         return de_ancova_prepost(n, params.icc, params.cac, params.sac)
-    if kind == DesignKind.SWD_XSEC:
+    if not traits.cohort:
         return de_stepped_wedge(
             spec.steps_k, spec.baseline_b, spec.per_step_t, n, params.icc
         )
-    if kind == DesignKind.SWD_COHORT:
-        if spec.n_times != 3:
-            raise ValueError(
-                "the cohort wedge closed form covers exactly 3 measurement "
-                f"times, this design has {spec.n_times}"
-            )
-        return de_three_measurement(n, params.icc, params.cac, params.sac)
-    raise ValueError(f"unknown design kind {kind!r}")
+    if spec.n_times != 3:
+        raise ValueError(
+            "the cohort wedge closed form covers exactly 3 measurement "
+            f"times, this design has {spec.n_times}"
+        )
+    return de_three_measurement(n, params.icc, params.cac, params.sac)

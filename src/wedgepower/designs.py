@@ -54,15 +54,40 @@ class DesignKind(str, enum.Enum):
     SWD_COHORT = "swd_cohort"
 
 
-RCT_KINDS = frozenset({DesignKind.RCT_POST, DesignKind.RCT_PREPOST})
-ARM_CLUSTER_KINDS = frozenset(
-    {DesignKind.CRT_POST, DesignKind.CRT_PREPOST_XSEC, DesignKind.CRT_PREPOST_COHORT}
-)
-SWD_KINDS = frozenset({DesignKind.SWD_XSEC, DesignKind.SWD_COHORT})
-PREPOST_KINDS = frozenset(
-    {DesignKind.RCT_PREPOST, DesignKind.CRT_PREPOST_XSEC, DesignKind.CRT_PREPOST_COHORT}
-)
-COHORT_KINDS = frozenset({DesignKind.CRT_PREPOST_COHORT, DesignKind.SWD_COHORT})
+class KindTraits(NamedTuple):
+    """The structural facts a design kind fixes."""
+
+    counts: tuple[str, ...]  # the count fields the kind is built from
+    periods: str  # "post" (one period), "prepost" (two) or "wedge"
+    clustered: bool  # clusters are randomized; else subjects are
+    cohort: bool  # a cluster's subjects are followed across periods
+    mean_keys: frozenset[tuple[int, int]]  # the cells cell_means maps
+
+
+_RCT = ("per_group_n",)
+_ARM = ("clusters_per_arm", "cluster_size")
+_WEDGE = ("steps_k", "baseline_b", "per_step_t", "clusters_per_step", "cluster_size")
+_POST = frozenset({(1, 1), (2, 1)})  # (arm, time)
+_PREPOST = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+_PHASES = frozenset({(0, 0), (1, 0)})  # (phase, 0): control, intervention
+# a row per kind: count fields, period model, clustered, cohort, mean keys
+_CATALOG = {
+    DesignKind.RCT_POST: KindTraits(_RCT, "post", False, False, _POST),
+    DesignKind.CRT_POST: KindTraits(_ARM, "post", True, False, _POST),
+    DesignKind.RCT_PREPOST: KindTraits(_RCT, "prepost", False, False, _PREPOST),
+    DesignKind.CRT_PREPOST_XSEC: KindTraits(_ARM, "prepost", True, False, _PREPOST),
+    DesignKind.CRT_PREPOST_COHORT: KindTraits(_ARM, "prepost", True, True, _PREPOST),
+    DesignKind.SWD_XSEC: KindTraits(_WEDGE, "wedge", True, False, _PHASES),
+    DesignKind.SWD_COHORT: KindTraits(_WEDGE, "wedge", True, True, _PHASES),
+}
+# measurement times of the parallel period models
+_PARALLEL_TIMES = {"post": (1,), "prepost": (1, 2)}
+RCT_KINDS = frozenset(kind for kind, row in _CATALOG.items() if not row.clustered)
+
+
+def kind_traits(kind: DesignKind | str) -> KindTraits:
+    """The catalog row of a design kind or its value; every kind decision reads it."""
+    return _CATALOG[kind]
 
 
 class SpecValidationError(ValueError):
@@ -152,31 +177,29 @@ def _layout(spec: DesignSpec) -> _Layout:
     """The one place a kind's count fields become groups, clusters and times.
 
     Individually randomized kinds make every subject a cluster of one
-    measured once; rct_prepost has one single-period row per arm-time
+    measured once, so they have one single-period row per arm-time
     cell.  A cluster measured in one period is SINGLE, a cohort kind's
     cluster COHORT, any other CROSS_SECTIONAL.  Reads no means.
     """
-    kind = spec.kind
-    if kind in SWD_KINDS:
+    row = _CATALOG[spec.kind]
+    if row.periods == "wedge":
         group = tuple(range(1, int(spec.steps_k) + 1))
         clusters = tuple(map(int, spec.clusters_per_step))
         last = int(spec.baseline_b) + int(spec.steps_k) * int(spec.per_step_t)
         times = (tuple(range(1, last + 1)),) * len(group)
-    elif kind == DesignKind.RCT_PREPOST:
-        group = (1, 1, 2, 2)
-        clusters = (int(spec.per_group_n),) * 4
-        times = ((1,), (2,)) * 2
-    else:
+    elif row.clustered:
         group = (1, 2)
-        if kind == DesignKind.RCT_POST:
-            clusters = (int(spec.per_group_n),) * 2
-        else:
-            clusters = tuple(map(int, spec.clusters_per_arm))
-        times = ((1, 2) if kind in PREPOST_KINDS else (1,),) * 2
-    family = Family.SINGLE if len(times[0]) == 1 else Family.CROSS_SECTIONAL
-    if kind in COHORT_KINDS:
-        family = Family.COHORT
-    size = 1 if kind in RCT_KINDS else spec.cluster_size
+        clusters = tuple(map(int, spec.clusters_per_arm))
+        times = (_PARALLEL_TIMES[row.periods],) * 2
+    else:
+        periods = _PARALLEL_TIMES[row.periods]
+        group = tuple(arm for arm in (1, 2) for _ in periods)
+        clusters = (int(spec.per_group_n),) * len(group)
+        times = tuple((t,) for _ in (1, 2) for t in periods)
+    family = Family.COHORT if row.cohort else Family.CROSS_SECTIONAL
+    if len(times[0]) == 1:
+        family = Family.SINGLE
+    size = spec.cluster_size if row.clustered else 1
     return _Layout(group, clusters, times, size, family)
 
 
@@ -195,15 +218,6 @@ _MISSING = {
     "clusters_per_step": "required for stepped wedge kinds",
     "cluster_size": "required for clustered kinds",
 }
-
-
-def _kind_counts(kind: DesignKind) -> tuple[str, ...]:
-    """The count fields a design kind is built from."""
-    if kind in RCT_KINDS:
-        return ("per_group_n",)
-    if kind in ARM_CLUSTER_KINDS:
-        return ("clusters_per_arm", "cluster_size")
-    return ("steps_k", "baseline_b", "per_step_t", "clusters_per_step", "cluster_size")
 
 
 def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
@@ -234,37 +248,16 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
     return len(errors) == before
 
 
-def _expected_mean_keys(spec: DesignSpec) -> set[tuple[int, int]]:
-    if spec.kind in SWD_KINDS:
-        return {(0, 0), (1, 0)}
-    layout = _layout(spec)
-    return {(arm, t) for arm, times in zip(layout.group, layout.times) for t in times}
-
-
-def validate_spec(spec: DesignSpec) -> list[str]:
-    """Check a design description and return every violation found.
-
-    This is the one check of a spec's kind, counts, means and alpha.  It
-    takes any value in these fields and reports each problem once, never
-    raising.  A count field that is set must be well formed even when
-    the kind does not use it: a whole number (a real, not a bool, with no
-    fraction, so numeric strings are refused), a pair of them for
-    clusters_per_arm, a list for clusters_per_step, or either for
-    cluster_size.  A field the kind uses must be set, each count at
-    least 1.  Cell means must map the kind's cells to finite reals, and
-    alpha must be a real in (0, 1); bools and strings are refused there
-    too.  Each message starts with the path of the offending field,
-    so callers can surface all problems at once rather than the first.
-    """
+def _count_errors(spec: DesignSpec) -> list[str]:
+    """validate_spec's messages on the spec's kind and count fields."""
     errors: list[str] = []
-    kind = spec.kind
-    known = isinstance(kind, DesignKind)
+    known = isinstance(spec.kind, DesignKind)
     if not known:
         errors.append(
             f"design.kind: must be one of {sorted(k.value for k in DesignKind)}, "
-            f"got {kind!r}"
+            f"got {spec.kind!r}"
         )
-    used = _kind_counts(kind) if known else ()
+    used = _CATALOG[spec.kind].counts if known else ()
     ok = {
         name: _check_count_field(errors, name, getattr(spec, name), name in used)
         for name in _COUNT_FIELDS
@@ -285,14 +278,39 @@ def validate_spec(spec: DesignSpec) -> list[str]:
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
             )
+    return errors
 
+
+def ensure_counts(spec: DesignSpec) -> None:
+    """Raise validate_spec's kind and count errors, leaving means and alpha."""
+    errors = _count_errors(spec)
+    if errors:
+        raise SpecValidationError(errors)
+
+
+def validate_spec(spec: DesignSpec) -> list[str]:
+    """Check a design description and return every violation found.
+
+    This is the one check of a spec's kind, counts, means and alpha.  It
+    takes any value in these fields and reports each problem once, never
+    raising.  A count field that is set must be well formed even when
+    the kind does not use it: a whole number (a real, not a bool, with no
+    fraction, so numeric strings are refused), a pair of them for
+    clusters_per_arm, a list for clusters_per_step, or either for
+    cluster_size.  A field the kind uses must be set, each count at
+    least 1.  Cell means must map the kind's cells to finite reals, and
+    alpha must be a real in (0, 1); bools and strings are refused there
+    too.  Each message starts with the path of the offending field,
+    so callers can surface all problems at once rather than the first.
+    """
+    errors = _count_errors(spec)
     means = spec.cell_means
     if not isinstance(means, Mapping):
         errors.append(f"design.means: must map cells to means, got {means!r}")
         means = {}
     elif not errors:
         got = set(means)
-        expected = _expected_mean_keys(spec)
+        expected = _CATALOG[spec.kind].mean_keys
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         if missing:
@@ -412,12 +430,12 @@ def cell_table(spec: DesignSpec) -> CellTable:
     included; the engine refuses that when it fits or counts ranks.
     """
     ensure_valid(spec)
-    kind = spec.kind
+    periods = _CATALOG[spec.kind].periods
     layout = _layout(spec)
     group = np.array(layout.group)
     time = np.array(layout.times)
 
-    if kind in SWD_KINDS:
+    if periods == "wedge":
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         columns = [("intercept", True, True, 1)]
         for t in time[0, 1:]:
@@ -428,7 +446,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
     else:
         treated = group[:, None] == 2
         columns = [("intercept", True, True, 1), ("treated", True, True, treated)]
-        if kind in PREPOST_KINDS:
+        if periods == "prepost":
             post = time == 2
             columns.append(("post", False, False, post))
             columns.append(("treated_post", False, True, treated & post))
@@ -600,41 +618,32 @@ def decode_spec_document(
     cell_means: dict[tuple[int, int], float] = {}
     means = design.get("means")
     means_ok = True
-    if isinstance(kind, DesignKind) and kind in SWD_KINDS:
-        means_ok = (
-            isinstance(means, Sequence)
-            and len(means) == 2
-            and all(_is_number(v) for v in means)
-        )
-        if means_ok:
-            cell_means = {(0, 0): float(means[0]), (1, 0): float(means[1])}
+    if isinstance(kind, DesignKind):
+        keys = sorted(_CATALOG[kind].mean_keys)
+        if _CATALOG[kind].periods == "wedge":
+            values, shape = means, "stepped wedge kinds take [control, intervention]"
         else:
-            errors.append(
-                "design.means: stepped wedge kinds take [control, intervention], "
-                f"got {means!r}"
-            )
-    elif isinstance(kind, DesignKind):
-        n_times = 1 if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST) else 2
-        means_ok = (
-            isinstance(means, Sequence)
-            and len(means) == 2
-            and all(
-                isinstance(row, Sequence)
+            n_times = len(keys) // 2
+            # a malformed arm row drops out, so the count check below fails
+            arms = means if isinstance(means, Sequence) and len(means) == 2 else ()
+            values = [
+                value
+                for row in arms
+                if isinstance(row, Sequence)
                 and not isinstance(row, str)
                 and len(row) == n_times
-                and all(_is_number(v) for v in row)
-                for row in means
-            )
+                for value in row
+            ]
+            shape = f"parallel kinds take two per-arm lists of {n_times} mean(s)"
+        means_ok = (
+            isinstance(values, Sequence)
+            and len(values) == len(keys)
+            and all(_is_number(v) for v in values)
         )
         if means_ok:
-            for arm_index, row in enumerate(means, start=1):
-                for time_index, value in enumerate(row, start=1):
-                    cell_means[(arm_index, time_index)] = float(value)
+            cell_means = {key: float(value) for key, value in zip(keys, values)}
         else:
-            errors.append(
-                "design.means: parallel kinds take two per-arm lists of "
-                f"{n_times} mean(s), got {means!r}"
-            )
+            errors.append(f"design.means: {shape}, got {means!r}")
 
     sigma_y_sq = corr.get("sigma_y_sq")
     icc = corr.get("icc")

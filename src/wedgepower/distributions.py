@@ -40,6 +40,8 @@ _INV_MAX_BISECT = 2200
 # Poisson mass the noncentral mixture may leave out
 _MIXTURE_TOL = 1e-13
 _MIXTURE_MAX_TERMS = 100_000
+# Poisson standard deviations to the far end of the mass a sweep may leave out
+_FAR_SD = 40.0
 
 _log = logging.getLogger(__name__)
 
@@ -344,16 +346,17 @@ def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
     return ddf * u / (ndf * omu)
 
 
+def _require_left_out_within_tol(left_out: float, half_lam: float) -> None:
+    if left_out > _MIXTURE_TOL:
+        raise ValueError(
+            f"noncentrality {2.0 * half_lam!r} is too large: "
+            f"{_MIXTURE_MAX_TERMS} noncentral F mixture terms leave out up to "
+            f"{left_out:.3g} of the probability"
+        )
+
+
 def _mixture(
-    a: float,
-    b: float,
-    u: float,
-    omu: float,
-    half_lam: float,
-    *,
-    upper: bool,
-    tol: float,
-    max_terms: int,
+    a: float, b: float, u: float, omu: float, half_lam: float, *, upper: bool
 ) -> float:
     """Poisson(half_lam) mixture of Beta(a + j, b) tails at u.
 
@@ -363,7 +366,14 @@ def _mixture(
     t_j = I_u(a + j, b) - I_u(a + j + 1, b), which a two-term recurrence
     updates, so only the mode's tail costs a continued fraction.  Each
     sweep stops once the Poisson mass it has left, bounded by a geometric
-    series, times the largest tail it would meet is at most tol.
+    series, times the largest tail it would meet is at most _MIXTURE_TOL.
+    A sweep that runs out of terms first bounds what it left out: the
+    tails are monotone in j, so the one at the far end of the Poisson
+    mass, _FAR_SD standard deviations from the mode, bounds every tail
+    between, and Bernstein's inequality the Poisson mass beyond.
+
+    Raises:
+        ValueError: if the terms a sweep left out may exceed _MIXTURE_TOL.
     """
     # Poisson weight and tail at the mode
     mode = int(half_lam)
@@ -382,11 +392,12 @@ def _mixture(
     # tail(j + 1) = tail(j) + sign * t_j
     sign = 1.0 if upper else -1.0
     total = pois_mode * tail_mode
+    spread = _FAR_SD * math.sqrt(half_lam)
 
     # upward sweep: j = mode+1, mode+2, ...; lower tails shrink, upper
     # tails grow toward 1
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
-    for _ in range(max_terms):
+    for _ in range(_MIXTURE_MAX_TERMS):
         tail = min(max(tail + sign * t_term, 0.0), 1.0)
         t_term *= u * (a + j + b) / (a + j + 1.0)
         pois *= half_lam / (j + 1.0)
@@ -394,13 +405,18 @@ def _mixture(
         total += pois * tail
         # Poisson ratios beyond j are at most half_lam / (j + 2) < 1
         rest = pois * half_lam / (j + 1.0) / (1.0 - half_lam / (j + 2.0))
-        if rest * (1.0 if upper else tail) <= tol:
+        if rest * (1.0 if upper else tail) <= _MIXTURE_TOL:
             break
+    else:
+        far = int(half_lam + spread) + 1
+        top = _ibeta(b, a + far, omu, u) if upper else tail
+        beyond = math.exp(-spread * spread / (2.0 * (half_lam + spread / 3.0)))
+        _require_left_out_within_tol(min(rest, 1.0) * top + beyond, half_lam)
 
     # downward sweep: j = mode-1, ..., 0; lower tails grow toward 1, upper
     # tails shrink
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
-    for _ in range(min(mode, max_terms)):
+    for _ in range(min(mode, _MIXTURE_MAX_TERMS)):
         t_term *= (a + j) / (u * (a + j - 1.0 + b))
         tail = min(max(tail - sign * t_term, 0.0), 1.0)
         pois *= j / half_lam
@@ -408,8 +424,14 @@ def _mixture(
         total += pois * tail
         # Poisson ratios below j are at most (j - 1) / half_lam < 1
         rest = pois * j / half_lam / (1.0 - (j - 1.0) / half_lam)
-        if rest * (tail if upper else 1.0) <= tol:
+        if rest * (tail if upper else 1.0) <= _MIXTURE_TOL:
             break
+    else:
+        if j > 0:
+            far = max(int(half_lam - spread), 0)
+            top = tail if upper else _ibeta(a + far, b, u, omu)
+            below = math.exp(-spread * spread / (2.0 * half_lam))
+            _require_left_out_within_tol(min(rest, 1.0) * top + below, half_lam)
 
     return min(max(total, 0.0), 1.0)
 
@@ -426,9 +448,6 @@ def noncentral_f_cdf(
     ndf: int,
     ddf: int,
     noncentrality: float,
-    *,
-    tol: float = _MIXTURE_TOL,
-    max_terms: int = _MIXTURE_MAX_TERMS,
 ) -> float:
     """Cdf of the noncentral F distribution.
 
@@ -442,19 +461,18 @@ def noncentral_f_cdf(
         ndf: numerator degrees of freedom.
         ddf: denominator degrees of freedom.
         noncentrality: noncentrality parameter, >= 0.
-        tol: truncation bound on the neglected mixture mass; pass 0.0 to
-            spend the full term budget.
-        max_terms: hard cap on mixture terms in each direction.
 
     Returns:
         The probability that the noncentral F variate is <= x.
+
+    Raises:
+        ValueError: if the noncentrality is so large that the mixture's
+            term budget may leave out more than 1e-13.
     """
     ndf, ddf = _validate_df(ndf, ddf)
     if not is_real(x):
         raise ValueError(f"x must be a finite real number, got {x!r}")
     _check_noncentrality(noncentrality)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if x <= 0.0:
         return 0.0
     u, omu = _f_to_beta(x, ndf, ddf)
@@ -462,9 +480,7 @@ def noncentral_f_cdf(
     # subnormal noncentrality can halve to exactly zero
     if half_lam == 0.0:
         return _ibeta(0.5 * ndf, 0.5 * ddf, u, omu)
-    return _mixture(
-        0.5 * ndf, 0.5 * ddf, u, omu, half_lam, upper=False, tol=tol, max_terms=max_terms
-    )
+    return _mixture(0.5 * ndf, 0.5 * ddf, u, omu, half_lam, upper=False)
 
 
 def power_from_f(
@@ -492,6 +508,11 @@ def power_from_f(
 
     Returns:
         PowerResult with the rejection probability and its ingredients.
+
+    Raises:
+        ValueError: on invalid inputs, an alpha whose critical value
+            overflows, or a noncentrality so large that the mixture's
+            term budget may leave out more than 1e-13.
     """
     ndf, ddf = _validate_df(ndf, ddf)
     if not (is_real(fvalue) and fvalue >= 0.0):
@@ -520,16 +541,7 @@ def power_from_f(
         # over all of the Poisson mass.
         mode = int(half_lam)
         upper = u >= (a + mode + 1.0) / (a + mode + b + 2.0)
-        tail = _mixture(
-            a,
-            b,
-            u,
-            omu,
-            half_lam,
-            upper=upper,
-            tol=_MIXTURE_TOL,
-            max_terms=_MIXTURE_MAX_TERMS,
-        )
+        tail = _mixture(a, b, u, omu, half_lam, upper=upper)
         power = tail if upper else 1.0 - tail
     return PowerResult(
         power=power,

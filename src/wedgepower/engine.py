@@ -102,22 +102,21 @@ class PowerAudit:
     ddf_policy: str
 
 
-def default_ddf_policy(kind: designs.DesignKind) -> str:
-    """Policy used when the caller does not pick one.
+def default_ddf_policy(kind: str) -> str:
+    """Policy used when the caller does not pick one for a design kind or its value.
 
     Individually randomized kinds use the residual rule; post-only
     cluster designs the containment rule; repeated-measures cluster
     designs the between-within rule.
     """
-    if kind in designs.RCT_KINDS:
+    traits = designs.kind_traits(kind)
+    if not traits.clustered:
         return "residual"
-    if kind == designs.DesignKind.CRT_POST:
-        return "containment"
-    return "between_within"
+    return "containment" if traits.periods == "post" else "between_within"
 
 
 def _require_clustered(spec: DesignSpec, policy: str) -> None:
-    if spec.kind in designs.RCT_KINDS:
+    if not designs.kind_traits(spec.kind).clustered:
         raise ValueError(
             f"ddf policy {policy!r} needs a clustered design; use 'residual' "
             f"for {spec.kind.value}"
@@ -133,7 +132,7 @@ def variance_components(
         ValueError: if an individually randomized kind has a nonzero
             icc, or derive_components refuses params for the family.
     """
-    if spec.kind in designs.RCT_KINDS and params.icc != 0.0:
+    if not designs.kind_traits(spec.kind).clustered and params.icc != 0.0:
         raise ValueError(
             "individually randomized kinds model independent subjects; "
             f"icc must be 0, got {params.icc!r}"
@@ -296,8 +295,8 @@ def evaluate(
         ddf_policy: one of DDF_POLICIES; defaults per design kind.
         alpha: type I error rate; defaults to spec.alpha.
     """
-    policy = ddf_policy or default_ddf_policy(spec.kind)
     cells = designs.cell_table(spec)
+    policy = ddf_policy or default_ddf_policy(spec.kind)
     comps = variance_components(spec, params)
     fit = fit_cells(cells, comps)
     # the tested effect is the last design column: a one-row Wald F

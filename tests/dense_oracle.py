@@ -38,6 +38,47 @@ PREPOST = (
     DesignKind.CRT_PREPOST_XSEC,
     DesignKind.CRT_PREPOST_COHORT,
 )
+RCT_KINDS = (DesignKind.RCT_POST, DesignKind.RCT_PREPOST)
+ARM_CLUSTER_KINDS = (
+    DesignKind.CRT_POST,
+    DesignKind.CRT_PREPOST_XSEC,
+    DesignKind.CRT_PREPOST_COHORT,
+)
+SWD_KINDS = (DesignKind.SWD_XSEC, DesignKind.SWD_COHORT)
+
+# the ddf policy each kind gets by default
+DEFAULT_DDF_POLICY = {
+    DesignKind.RCT_POST: "residual",
+    DesignKind.CRT_POST: "containment",
+    DesignKind.RCT_PREPOST: "residual",
+    DesignKind.CRT_PREPOST_XSEC: "between_within",
+    DesignKind.CRT_PREPOST_COHORT: "between_within",
+    DesignKind.SWD_XSEC: "between_within",
+    DesignKind.SWD_COHORT: "between_within",
+}
+
+# the closed-form design effect of each kind with a common cluster size
+# (a cohort wedge needs exactly three measurement times)
+DESIGN_EFFECT_FORMULA = {
+    DesignKind.RCT_POST: "unclustered",
+    DesignKind.CRT_POST: "simple",
+    DesignKind.RCT_PREPOST: "unclustered",
+    DesignKind.CRT_PREPOST_XSEC: "ancova_prepost",
+    DesignKind.CRT_PREPOST_COHORT: "ancova_prepost",
+    DesignKind.SWD_XSEC: "stepped_wedge",
+    DesignKind.SWD_COHORT: "three_measurement",
+}
+
+# the cells a kind's cell_means must map: (arm, time), or (phase, 0)
+MEAN_KEYS = {
+    DesignKind.RCT_POST: [(1, 1), (2, 1)],
+    DesignKind.CRT_POST: [(1, 1), (2, 1)],
+    DesignKind.RCT_PREPOST: [(1, 1), (1, 2), (2, 1), (2, 2)],
+    DesignKind.CRT_PREPOST_XSEC: [(1, 1), (1, 2), (2, 1), (2, 2)],
+    DesignKind.CRT_PREPOST_COHORT: [(1, 1), (1, 2), (2, 1), (2, 2)],
+    DesignKind.SWD_XSEC: [(0, 0), (1, 0)],
+    DesignKind.SWD_COHORT: [(0, 0), (1, 0)],
+}
 
 # how one cluster is measured: individually randomized subjects are
 # clusters measured once, rct_prepost's second-period subjects included
@@ -52,9 +93,18 @@ FAMILY = {
 }
 
 
+def period_count(spec: DesignSpec) -> int:
+    """Measurement times of the design: one or two, or b + k t for a wedge."""
+    if spec.kind in POST_ONLY:
+        return 1
+    if spec.kind in PREPOST:
+        return 2
+    return spec.baseline_b + spec.steps_k * spec.per_step_t
+
+
 def times(spec: DesignSpec) -> range:
-    """Measurement times 1..n_times."""
-    return range(1, spec.n_times + 1)
+    """Measurement times 1..period_count."""
+    return range(1, period_count(spec) + 1)
 
 
 def switch_threshold(spec: DesignSpec, step: int) -> int:
@@ -115,7 +165,7 @@ def reference_dataset(spec: DesignSpec) -> ExemplaryDataset:
         intervene_col.append(flag)
         mean_col.append(mean)
 
-    if kind in (DesignKind.RCT_POST, DesignKind.RCT_PREPOST):
+    if kind in RCT_KINDS:
         study_times = times(spec)
         for arm in (1, 2):
             for time in study_times:
@@ -312,7 +362,7 @@ def _cluster_groups(spec: DesignSpec) -> list[int]:
     if spec.kind == DesignKind.RCT_PREPOST:
         # arm 1 rows come first (both times), then arm 2
         return [1] * (2 * spec.per_group_n) + [2] * (2 * spec.per_group_n)
-    if spec.kind in designs.ARM_CLUSTER_KINDS:
+    if spec.kind in ARM_CLUSTER_KINDS:
         c1, c2 = spec.clusters_per_arm
         return [1] * c1 + [2] * c2
     groups = []
@@ -438,7 +488,7 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
     if policy == "residual":
         ddf = n - rank_x
     else:
-        if spec.kind in designs.RCT_KINDS:
+        if spec.kind in RCT_KINDS:
             raise ValueError(
                 f"ddf policy {policy!r} needs a clustered design; use 'residual' "
                 f"for {spec.kind.value}"

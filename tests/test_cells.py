@@ -18,19 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wedgepower import correlation, designs, engine, mc
+from wedgepower import correlation, design_effects, designs, engine, mc
 from wedgepower.correlation import MAX_MATRIX_ROWS, CorrelationParams
-from wedgepower.designs import (
-    PRESETS,
-    RCT_KINDS,
-    SWD_KINDS,
-    DesignKind,
-    DesignSpec,
-    cell_table,
-    get_preset,
-)
+from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
 
 import dense_oracle
+from dense_oracle import RCT_KINDS, SWD_KINDS
 
 INFO_RTOL = 1e-12
 
@@ -299,6 +292,19 @@ class TestCellTable:
     def test_family_matches_oracle_table(self, kind):
         spec = next(spec for spec, _ in PRESETS.values() if spec.kind == kind)
         assert cell_table(spec).family is spec.family is dense_oracle.FAMILY[kind]
+
+    @pytest.mark.parametrize("kind", list(DesignKind))
+    def test_kind_traits_match_oracle_tables(self, kind):
+        # every preset has a common cluster size and a three-time wedge
+        spec, params = next(pair for pair in PRESETS.values() if pair[0].kind == kind)
+        for name in (kind, kind.value):
+            assert engine.default_ddf_policy(name) == dense_oracle.DEFAULT_DDF_POLICY[kind]
+        formula = design_effects.design_effect_for(spec, params).formula
+        assert formula == dense_oracle.DESIGN_EFFECT_FORMULA[kind]
+        assert spec.n_times == dense_oracle.period_count(spec)
+        keys = dense_oracle.MEAN_KEYS[kind]
+        unkeyed = dataclasses.replace(spec, cell_means={})
+        assert designs.validate_spec(unkeyed) == [f"design.means: missing cells {keys}"]
 
     def test_individual_randomization_uses_one_pattern_per_cell(self):
         spec, _ = get_preset("example3")

@@ -4,6 +4,8 @@ Frozen decimals below are exact evaluations of the formulas in rational
 arithmetic (fractions.Fraction), so they hold to full float precision.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from wedgepower.design_effects import (
     design_effect_for,
     inflate_sample_size,
 )
-from wedgepower.designs import get_preset
+from wedgepower.designs import SpecValidationError, get_preset, validate_spec
 
 REL = 1e-12
 EXACT_MATCH_TOL = 1e-12
@@ -268,3 +270,31 @@ class TestDesignEffectFor:
         _, params = get_preset("example7")
         with pytest.raises(ValueError, match="3 measurement"):
             design_effect_for(spec, params)
+
+    @pytest.mark.parametrize(
+        "name,changes,message",
+        [
+            (
+                "example6",
+                {"clusters_per_step": (2,)},
+                "design.clusters_per_step: length 1 does not match steps_k=2",
+            ),
+            (
+                "example2",
+                {"cluster_size": None},
+                "design.cluster_size: required for clustered kinds",
+            ),
+        ],
+    )
+    def test_counts_refused_as_power_refuses(self, name, changes, message):
+        spec, params = get_preset(name)
+        spec = dataclasses.replace(spec, **changes)
+        assert validate_spec(spec) == [message]
+        with pytest.raises(SpecValidationError) as caught:
+            design_effect_for(spec, params)
+        assert caught.value.errors == [message]
+
+    def test_means_not_required(self):
+        spec, params = get_preset("example2")
+        result = design_effect_for(dataclasses.replace(spec, cell_means={}), params)
+        assert result.value == pytest.approx(1.5, rel=REL)

@@ -260,16 +260,31 @@ class TestNoncentralFCdf:
             assert got == pytest.approx(frozen, rel=1e-11)
             assert got == pytest.approx(ncf_cdf_series(x, ndf, ddf, lam), rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "call,lam",
+        [
+            (lambda: power_from_f(1e9, 1, 1, 1e-6), 1e9),
+            (lambda: power_from_f(1e10, 1, 1, 1e-6), 1e10),
+            (lambda: noncentral_f_cdf(1.2e10, 1, 32, 1e10), 1e10),
+            (lambda: noncentral_f_cdf(1.2e11, 1, 32, 1e11), 1e11),
+        ],
+    )
+    def test_out_of_terms_refused_not_truncated(self, call, lam):
+        # a partial sum was 3e-7 to 0.48 off mpmath's values here; the
+        # power stays exact when the terms left out are negligible
+        # (test_mc's power of 1 at a noncentrality of about 3e11)
+        with pytest.raises(ValueError, match=rf"noncentrality {lam!r} is too large"):
+            call()
+
     def test_large_noncentrality_stays_stable(self):
         # the mode-centered expansion must not underflow to garbage
         value = noncentral_f_cdf(120.0, 2, 30, 3000.0)
         assert 0.0 <= value <= 1e-40
 
-    def test_term_budget_doubling(self):
+    def test_default_truncation_matches_series(self):
         for lam in (3.0, 18.0, 80.0):
-            low = noncentral_f_cdf(3.0, 2, 20, lam, tol=0.0, max_terms=300)
-            high = noncentral_f_cdf(3.0, 2, 20, lam, tol=0.0, max_terms=600)
-            assert abs(low - high) < 1e-10
+            got = noncentral_f_cdf(3.0, 2, 20, lam)
+            assert got == pytest.approx(ncf_cdf_series(3.0, 2, 20, lam), rel=1e-11)
 
     def test_domain(self):
         with pytest.raises(ValueError):

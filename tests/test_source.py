@@ -6,44 +6,48 @@ from pathlib import Path
 import wedgepower
 
 MAX_LINE = 90
+SOURCE = Path(wedgepower.__file__).parent
+KIND_STRINGS = "|".join(kind.value for kind in wedgepower.DesignKind)
 
 
 def test_no_source_line_is_over_90_characters():
     # keeps line counts honest: code is not packed onto fewer, longer lines
     long_lines = [
         f"{path.name}:{number}: {len(line)}"
-        for path in sorted(Path(wedgepower.__file__).parent.glob("*.py"))
+        for path in sorted(SOURCE.glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
 
 
-def test_covariance_and_simulation_name_no_design_kind():
-    # designs is the one module that turns a kind into structure: the
-    # covariance blocks and the simulation read it from the cell table
-    kinds = [kind.value for kind in wedgepower.DesignKind]
-    banned = re.compile(r"DesignKind|_KINDS|\.kind\b|" + "|".join(kinds))
-    source = Path(wedgepower.__file__).parent
-    found = [
+def _lines_matching(pattern: str, *names: str) -> list[str]:
+    banned = re.compile(pattern)
+    return [
         f"{name}:{number}: {line.strip()}"
-        for name in ("correlation.py", "mc.py")
+        for name in names
         for number, line in enumerate(
-            (source / name).read_text(encoding="utf-8").splitlines(), 1
+            (SOURCE / name).read_text(encoding="utf-8").splitlines(), 1
         )
         if banned.search(line)
     ]
-    assert found == []
+
+
+def test_covariance_and_simulation_name_no_design_kind():
+    # designs is the one module that turns a kind into structure: the
+    # covariance blocks and the simulation read it from the cell table
+    pattern = r"DesignKind|_KINDS|\.kind\b|" + KIND_STRINGS
+    assert _lines_matching(pattern, "correlation.py", "mc.py") == []
 
 
 def test_cli_reads_no_kind_set():
     # the command line prints a spec's kind but takes its structure from
     # designs and its plan conversion from the closed form's name
-    source = Path(wedgepower.__file__).parent / "cli.py"
-    lines = source.read_text(encoding="utf-8").splitlines()
-    found = [
-        f"cli.py:{number}: {line.strip()}"
-        for number, line in enumerate(lines, 1)
-        if re.search(r"DesignKind|_KINDS", line)
-    ]
-    assert found == []
+    assert _lines_matching(r"DesignKind|_KINDS", "cli.py") == []
+
+
+def test_engine_and_design_effects_read_kind_traits():
+    # designs holds the one kind catalog: the analysis rules and the
+    # closed forms read a kind's traits from it, never the kind itself
+    pattern = r"DesignKind|_KINDS|" + KIND_STRINGS
+    assert _lines_matching(pattern, "engine.py", "design_effects.py") == []
