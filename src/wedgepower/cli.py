@@ -167,14 +167,44 @@ def _f3(x: float) -> str:
     return f"{x:.3f}"
 
 
+# the wedge closed forms, which count comparisons rather than measurements
+_WEDGE_FORMULAS = ("stepped_wedge", "three_measurement")
+
+
+def _closed_form_gaps(
+    spec: designs.DesignSpec, params: correlation.CorrelationParams, formula: str
+) -> list[str]:
+    """Where a wedge closed form departs from the GLS analysis it stands for.
+
+    Both wedge formulas assume the same number of clusters at every
+    step, and the stepped wedge one also a cluster autocorrelation of 1.
+    """
+    advice = "; run `power` for the GLS figure"
+    gaps = []
+    if formula == "stepped_wedge" and params.cac < 1.0:
+        gaps.append(
+            f"correlation.cac: the {formula} closed form assumes cac = 1, "
+            f"got {params.cac!r}{advice}"
+        )
+    if formula in _WEDGE_FORMULAS and len(set(spec.clusters_per_step)) > 1:
+        gaps.append(
+            f"design.clusters_per_step: the {formula} closed form assumes the same "
+            f"cluster count at every step, got {list(spec.clusters_per_step)}{advice}"
+        )
+    return gaps
+
+
 def _cmd_de(args) -> int:
     spec, params, _ = _load_scenario(args)
     result = design_effects.design_effect_for(spec, params)
+    gaps = _closed_form_gaps(spec, params, result.formula)
+    if gaps:
+        raise designs.SpecValidationError(gaps)
     plan = None
     if args.n_unclustered is not None:
         # the wedge closed forms count comparisons, so every period
         # multiplies the observations; a cohort is measured every period
-        per_comparison = result.formula in ("stepped_wedge", "three_measurement")
+        per_comparison = result.formula in _WEDGE_FORMULAS
         cohort = spec.family is correlation.Family.COHORT
         plan = design_effects.inflate_sample_size(
             args.n_unclustered,
@@ -217,11 +247,13 @@ def _cmd_de(args) -> int:
     return 0
 
 
-def _power_payload(audit: engine.PowerAudit, with_audit: bool) -> dict:
-    result = audit.result
+def _power_payload(
+    spec: designs.DesignSpec, run: engine.Evaluation, audit: bool
+) -> dict:
+    result = run.result
     payload = {
-        "design": audit.kind,
-        "ddf_policy": audit.ddf_policy,
+        "design": spec.kind.value,
+        "ddf_policy": result.ddf_policy,
         "power": result.power,
         "fvalue": result.fvalue,
         "noncentrality": result.noncentrality,
@@ -230,14 +262,14 @@ def _power_payload(audit: engine.PowerAudit, with_audit: bool) -> dict:
         "ddf": result.ddf,
         "alpha": result.alpha,
     }
-    if with_audit:
+    if audit:
         payload["audit"] = {
-            "observations": audit.n_observations,
-            "clusters": audit.n_clusters,
-            "times": audit.n_times,
-            "contrast": audit.contrast,
-            "beta": list(audit.beta),
-            "components": dataclasses.asdict(audit.components),
+            "observations": run.cells.n_observations,
+            "clusters": run.cells.n_clusters,
+            "times": int(run.cells.time.max()),
+            "contrast": run.contrast,
+            "beta": run.fit.beta.tolist(),
+            "components": dataclasses.asdict(run.components),
         }
     return payload
 
@@ -247,16 +279,17 @@ def _cmd_power(args) -> int:
         raise ValueError("--audit is not available with --format csv")
     spec, params, doc_policy = _load_scenario(args)
     policy = args.ddf_policy or doc_policy
-    audit = engine.power_audit(spec, params, ddf_policy=policy)
-    result = audit.result
+    run = engine.evaluate(spec, params, ddf_policy=policy)
+    result = run.result
 
     if args.fmt == "json":
-        _emit(json.dumps(_power_payload(audit, args.audit), indent=2) + "\n", args.out)
+        payload = _power_payload(spec, run, args.audit)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
     if args.fmt == "csv":
         header = "design,ddf_policy,power,fvalue,noncentrality,fcrit,ndf,ddf,alpha"
         row = (
-            f"{audit.kind},{audit.ddf_policy},{result.power:.17g},"
+            f"{spec.kind.value},{result.ddf_policy},{result.power:.17g},"
             f"{result.fvalue:.17g},{result.noncentrality:.17g},"
             f"{result.fcrit:.17g},{result.ndf},{result.ddf},{result.alpha:.17g}"
         )
@@ -264,10 +297,10 @@ def _cmd_power(args) -> int:
         return 0
 
     rows = [
-        ("design", audit.kind),
-        ("ddf policy", audit.ddf_policy),
-        ("observations", str(audit.n_observations)),
-        ("clusters", str(audit.n_clusters)),
+        ("design", spec.kind.value),
+        ("ddf policy", result.ddf_policy),
+        ("observations", str(run.cells.n_observations)),
+        ("clusters", str(run.cells.n_clusters)),
         ("ndf", str(result.ndf)),
         ("ddf", str(result.ddf)),
         ("noncentrality", _f3(result.noncentrality)),
@@ -276,9 +309,9 @@ def _cmd_power(args) -> int:
         ("power", _f3(result.power)),
     ]
     if args.audit:
-        rows.append(("contrast", audit.contrast))
-        rows.append(("beta", "  ".join(_f3(b) for b in audit.beta)))
-        comps = dataclasses.asdict(audit.components)
+        rows.append(("contrast", run.contrast))
+        rows.append(("beta", "  ".join(_f3(b) for b in run.fit.beta)))
+        comps = dataclasses.asdict(run.components)
         for name, value in comps.items():
             rows.append((f"  var[{name}]", _f3(value)))
     _emit(_table(rows), args.out)

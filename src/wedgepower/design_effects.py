@@ -159,7 +159,10 @@ def de_stepped_wedge(
             * 3*(1 - icc) / [2*t*(k - 1/k)]
 
     The resulting multiplier applies to measurement counts; see
-    inflate_sample_size for the participant conversion.
+    inflate_sample_size for the participant conversion.  It equals the
+    GLS contrast variance only with the same number of clusters at every
+    step and a cluster autocorrelation of 1: a lower cac or an unequal
+    allocation to steps makes the GLS variance larger.
     """
     for name, value in (
         ("steps_k", steps_k),
@@ -207,7 +210,9 @@ def de_three_measurement(
 
     With cac = 1 and sac = 0 this coincides with the two-step,
     one-baseline stepped wedge multiplier for the same cluster size.
-    Like the stepped wedge multiplier it applies to measurement counts.
+    Like the stepped wedge multiplier it applies to measurement counts,
+    and it equals the GLS contrast variance of a two-step cohort wedge
+    only with the same number of clusters at both steps.
     """
     n = _check_cluster_size(cluster_size)
     rho = _check_icc(icc)
@@ -290,7 +295,10 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     and cohort stepped wedges with exactly three measurement times to the
     three-measurement formula; other cohort wedge layouts have no closed
     form here.  Counts and correlation inputs that power refuses are
-    refused with its messages; the cell means are not read.
+    refused with its messages; the cell means are not read.  The wedge
+    formulas are returned even where they depart from GLS: with unequal
+    clusters per step, and for cross-sectional wedges with cac < 1 (see
+    de_stepped_wedge); the de command refuses those cases.
     """
     from .designs import ensure_counts, kind_traits
     from .engine import variance_components

@@ -27,7 +27,6 @@ __all__ = [
     "SpecValidationError",
     "ExemplaryDataset",
     "CellTable",
-    "ColumnInfo",
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
@@ -361,21 +360,6 @@ class ExemplaryDataset:
 
 
 @dataclass(frozen=True)
-class ColumnInfo:
-    """Metadata of one design matrix column.
-
-    cluster_constant: the column never varies within a cluster.
-    involves_cluster_constant: some factor entering the column is itself
-        constant within clusters (an interaction with a randomized group
-        qualifies even though the product varies within a cluster).
-    """
-
-    name: str
-    cluster_constant: bool
-    involves_cluster_constant: bool
-
-
-@dataclass(frozen=True)
 class CellTable:
     """The design's cluster-by-period schedule, one entry per cluster pattern.
 
@@ -396,7 +380,7 @@ class CellTable:
         intervene: (K, T) intervention exposure flag of each cell.
         x: (K, T, p) design matrix rows of the cells.
         mean: (K, T) modeled cell means.
-        columns: the p design columns, the tested one last.
+        columns: the names of the p design columns, the tested one last.
         cluster_pattern: (n_clusters,) pattern of each cluster, in
             dataset order.
         family: measurement structure of one cluster: SINGLE with one
@@ -410,9 +394,19 @@ class CellTable:
     intervene: np.ndarray
     x: np.ndarray
     mean: np.ndarray
-    columns: tuple[ColumnInfo, ...]
+    columns: tuple[str, ...]
     cluster_pattern: np.ndarray
     family: Family
+
+    @property
+    def n_clusters(self) -> int:
+        """Number of randomized units (for rct kinds, each subject)."""
+        return int(self.count.sum())
+
+    @property
+    def n_observations(self) -> int:
+        """Number of measurements, the rows of the exemplary dataset."""
+        return int(self.count @ self.m) * self.x.shape[1]
 
 
 def cell_table(spec: DesignSpec) -> CellTable:
@@ -427,7 +421,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
     have an intercept, indicators for every time after the first, and
     the intervention exposure flag.  The last column is the one tested.
     The table is built for any valid spec, a degenerate step layout
-    included; the engine refuses that when it fits or counts ranks.
+    included; the engine refuses that when it fits.
     """
     ensure_valid(spec)
     periods = _CATALOG[spec.kind].periods
@@ -437,28 +431,29 @@ def cell_table(spec: DesignSpec) -> CellTable:
 
     if periods == "wedge":
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
-        columns = [("intercept", True, True, 1)]
+        columns = [("intercept", 1)]
         for t in time[0, 1:]:
-            columns.append((f"time_{t}", False, False, time == t))
-        columns.append(("intervene", False, False, exposed))
+            columns.append((f"time_{t}", time == t))
+        columns.append(("intervene", exposed))
         means = spec.cell_means
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
         treated = group[:, None] == 2
-        columns = [("intercept", True, True, 1), ("treated", True, True, treated)]
+        columns = [("intercept", 1), ("treated", treated)]
         if periods == "prepost":
             post = time == 2
-            columns.append(("post", False, False, post))
-            columns.append(("treated_post", False, True, treated & post))
+            columns.append(("post", post))
+            columns.append(("treated_post", treated & post))
         mean = np.array(
             [
                 [float(spec.cell_means[(a, t)]) for t in row]
                 for a, row in zip(layout.group, layout.times)
             ]
         )
-    x = np.empty((*time.shape, len(columns)))
-    for j, (*_, values) in enumerate(columns):
-        x[..., j] = values
+    names, values = zip(*columns)
+    x = np.empty((*time.shape, len(names)))
+    for j, column in enumerate(values):
+        x[..., j] = column
 
     row = np.repeat(np.arange(group.size), layout.clusters)
     sizes = np.asarray(_subject_counts(layout), dtype=np.int64)
@@ -477,7 +472,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
         intervene=x[chosen, :, -1].astype(np.int64),
         x=x[chosen],
         mean=mean[chosen],
-        columns=tuple(ColumnInfo(*info) for *info, _ in columns),
+        columns=names,
         cluster_pattern=pattern,
         family=layout.family,
     )

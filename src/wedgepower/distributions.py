@@ -346,13 +346,65 @@ def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
     return ddf * u / (ndf * omu)
 
 
-def _require_left_out_within_tol(left_out: float, half_lam: float) -> None:
+def _poisson_pmf(j: int, half_lam: float) -> float:
+    return math.exp(j * math.log(half_lam) - half_lam - math.lgamma(j + 1.0))
+
+
+def _sweep_matters(
+    a: float,
+    b: float,
+    u: float,
+    omu: float,
+    half_lam: float,
+    tail_mode: float,
+    *,
+    upper: bool,
+    step: int,
+) -> bool:
+    """Whether a sweep from the Poisson mode (step 1 up, -1 down) can add
+    more than _MIXTURE_TOL, for a window longer than the term budget.
+
+    The tails are monotone in j.  Where they shrink along the sweep none
+    exceeds the mode's; where they grow none up to the far end of the
+    Poisson mass, _FAR_SD standard deviations from the mode, exceeds the
+    one there, and Bernstein's inequality bounds the mass beyond.  A sweep
+    whose largest tail plus that mass is at most _MIXTURE_TOL is skipped.
+    Otherwise the Poisson mass past the budget's end, bounded by a
+    geometric series, times the largest tail past it, plus the mass
+    beyond, bounds what the budget leaves out.
+
+    Raises:
+        ValueError: if that bound exceeds _MIXTURE_TOL.
+    """
+    spread = _FAR_SD * math.sqrt(half_lam)
+    end = int(half_lam) + step * _MIXTURE_MAX_TERMS
+    if step > 0:
+        far = int(half_lam + spread) + 1
+        beyond = math.exp(-spread * spread / (2.0 * (half_lam + spread / 3.0)))
+        # Poisson ratios beyond end are at most half_lam / (end + 2) < 1
+        ratio = half_lam / (end + 1.0) / (1.0 - half_lam / (end + 2.0))
+    else:
+        far = max(int(half_lam - spread), 0)
+        beyond = math.exp(-spread * spread / (2.0 * half_lam))
+        # Poisson ratios below end are at most (end - 1) / half_lam < 1
+        ratio = end / half_lam / (1.0 - (end - 1.0) / half_lam)
+
+    def tail(j: int) -> float:
+        return _ibeta(b, a + j, omu, u) if upper else _ibeta(a + j, b, u, omu)
+
+    grows = (step > 0) == upper
+    largest = tail(far) if grows else tail_mode
+    if largest + beyond <= _MIXTURE_TOL:
+        return False
+    rest = _poisson_pmf(end, half_lam) * ratio
+    left_out = min(rest, 1.0) * (largest if grows else tail(end)) + beyond
     if left_out > _MIXTURE_TOL:
         raise ValueError(
             f"noncentrality {2.0 * half_lam!r} is too large: "
             f"{_MIXTURE_MAX_TERMS} noncentral F mixture terms leave out up to "
             f"{left_out:.3g} of the probability"
         )
+    return True
 
 
 def _mixture(
@@ -367,17 +419,19 @@ def _mixture(
     updates, so only the mode's tail costs a continued fraction.  Each
     sweep stops once the Poisson mass it has left, bounded by a geometric
     series, times the largest tail it would meet is at most _MIXTURE_TOL.
-    A sweep that runs out of terms first bounds what it left out: the
-    tails are monotone in j, so the one at the far end of the Poisson
-    mass, _FAR_SD standard deviations from the mode, bounds every tail
-    between, and Bernstein's inequality the Poisson mass beyond.
+    While _FAR_SD Poisson standard deviations fit in the term budget
+    (half_lam up to 6.25e6) that happens within the budget, because the
+    Poisson weights underflow there.  Beyond, _sweep_matters decides
+    before the sweeps start: it skips a sweep that cannot matter and
+    refuses one whose budget would leave out too much.
 
     Raises:
-        ValueError: if the terms a sweep left out may exceed _MIXTURE_TOL.
+        ValueError: if the terms a sweep would leave out may exceed
+            _MIXTURE_TOL.
     """
     # Poisson weight and tail at the mode
     mode = int(half_lam)
-    pois_mode = math.exp(mode * math.log(half_lam) - half_lam - math.lgamma(mode + 1.0))
+    pois_mode = _poisson_pmf(mode, half_lam)
     if upper:
         tail_mode = _ibeta(b, a + mode, omu, u)
     else:
@@ -392,12 +446,16 @@ def _mixture(
     # tail(j + 1) = tail(j) + sign * t_j
     sign = 1.0 if upper else -1.0
     total = pois_mode * tail_mode
-    spread = _FAR_SD * math.sqrt(half_lam)
+    sweep_up = sweep_down = True
+    if _FAR_SD * math.sqrt(half_lam) > _MIXTURE_MAX_TERMS:
+        args = (a, b, u, omu, half_lam, tail_mode)
+        sweep_up = _sweep_matters(*args, upper=upper, step=1)
+        sweep_down = _sweep_matters(*args, upper=upper, step=-1)
 
     # upward sweep: j = mode+1, mode+2, ...; lower tails shrink, upper
     # tails grow toward 1
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
-    for _ in range(_MIXTURE_MAX_TERMS):
+    for _ in range(_MIXTURE_MAX_TERMS if sweep_up else 0):
         tail = min(max(tail + sign * t_term, 0.0), 1.0)
         t_term *= u * (a + j + b) / (a + j + 1.0)
         pois *= half_lam / (j + 1.0)
@@ -407,16 +465,11 @@ def _mixture(
         rest = pois * half_lam / (j + 1.0) / (1.0 - half_lam / (j + 2.0))
         if rest * (1.0 if upper else tail) <= _MIXTURE_TOL:
             break
-    else:
-        far = int(half_lam + spread) + 1
-        top = _ibeta(b, a + far, omu, u) if upper else tail
-        beyond = math.exp(-spread * spread / (2.0 * (half_lam + spread / 3.0)))
-        _require_left_out_within_tol(min(rest, 1.0) * top + beyond, half_lam)
 
     # downward sweep: j = mode-1, ..., 0; lower tails grow toward 1, upper
     # tails shrink
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
-    for _ in range(min(mode, _MIXTURE_MAX_TERMS)):
+    for _ in range(min(mode, _MIXTURE_MAX_TERMS) if sweep_down else 0):
         t_term *= (a + j) / (u * (a + j - 1.0 + b))
         tail = min(max(tail - sign * t_term, 0.0), 1.0)
         pois *= j / half_lam
@@ -426,12 +479,6 @@ def _mixture(
         rest = pois * j / half_lam / (1.0 - (j - 1.0) / half_lam)
         if rest * (tail if upper else 1.0) <= _MIXTURE_TOL:
             break
-    else:
-        if j > 0:
-            far = max(int(half_lam - spread), 0)
-            top = tail if upper else _ibeta(a + far, b, u, omu)
-            below = math.exp(-spread * spread / (2.0 * half_lam))
-            _require_left_out_within_tol(min(rest, 1.0) * top + below, half_lam)
 
     return min(max(total, 0.0), 1.0)
 

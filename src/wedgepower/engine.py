@@ -27,7 +27,6 @@ from .distributions import PowerResult
 __all__ = [
     "DDF_POLICIES",
     "GlsEstimate",
-    "PowerAudit",
     "Evaluation",
     "default_ddf_policy",
     "fit_cells",
@@ -85,21 +84,6 @@ class Evaluation:
         a, b = _cell_variances(self.cells, self.components)
         n_periods = self.cells.x.shape[1]
         return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
-
-
-@dataclass(frozen=True)
-class PowerAudit:
-    """Everything that went into one analytic power figure."""
-
-    result: PowerResult
-    kind: str
-    n_observations: int
-    n_clusters: int
-    n_times: int
-    contrast: str
-    beta: tuple[float, ...]
-    components: VarianceComponents
-    ddf_policy: str
 
 
 def default_ddf_policy(kind: str) -> str:
@@ -239,10 +223,12 @@ def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> 
     between_within: the residual degrees of freedom are split into a
         between-cluster stratum (clusters minus the rank of the
         cluster-constant columns) and a within-cluster remainder; the
-        tested effect takes the between stratum when it involves a
-        cluster-constant factor and the within stratum otherwise.
+        tested effect of a parallel design is the randomized group's
+        and takes the between stratum, a wedge's exposure varies within
+        clusters and takes the within stratum.
 
-    The cells' design rows must have full rank, as fit_cells checks.
+    The cells' design rows must have full rank, as fit_cells checks, so
+    the rank of the cluster-constant columns is their number.
 
     Raises:
         ValueError: if the policy is unknown, does not apply to the
@@ -250,23 +236,22 @@ def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> 
     """
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
-    n_clusters = int(cells.count.sum())
-    n = int(cells.count @ cells.m) * cells.x.shape[1]
+    n = cells.n_observations
     rank_x = cells.x.shape[2]
 
     if policy == "residual":
         ddf = n - rank_x
     elif policy == "containment":
         _require_clustered(spec, policy)
-        ddf = n - n_clusters
+        ddf = n - cells.n_clusters
     else:
         _require_clustered(spec, policy)
-        const_idx = [j for j, c in enumerate(cells.columns) if c.cluster_constant]
-        cluster_level = cells.x[:, 0, const_idx]
-        between = n_clusters - int(np.linalg.matrix_rank(cluster_level))
+        x = cells.x
+        constant = int(np.count_nonzero(np.all(x == x[:, :1], axis=(0, 1))))
+        between = cells.n_clusters - constant
         within = (n - rank_x) - between
-        tested = cells.columns[-1]
-        ddf = between if tested.involves_cluster_constant else within
+        wedge = designs.kind_traits(spec.kind).periods == "wedge"
+        ddf = within if wedge else between
 
     if ddf < 1:
         raise ValueError(
@@ -306,9 +291,8 @@ def evaluate(
     result = distributions.power_from_f(
         fvalue, 1, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
     )
-    tested = cells.columns[-1].name
     return Evaluation(
-        result=result, fit=fit, cells=cells, components=comps, contrast=tested
+        result=result, fit=fit, cells=cells, components=comps, contrast=cells.columns[-1]
     )
 
 
@@ -338,23 +322,5 @@ def analytic_power(
     return evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha).result
 
 
-def power_audit(
-    spec: DesignSpec,
-    params: CorrelationParams,
-    *,
-    ddf_policy: str | None = None,
-    alpha: float | None = None,
-) -> PowerAudit:
-    """analytic_power plus the intermediate quantities that produced it."""
-    run = evaluate(spec, params, ddf_policy=ddf_policy, alpha=alpha)
-    return PowerAudit(
-        result=run.result,
-        kind=spec.kind.value,
-        n_observations=spec.n_observations,
-        n_clusters=spec.n_clusters,
-        n_times=spec.n_times,
-        contrast=run.contrast,
-        beta=tuple(float(b) for b in run.fit.beta),
-        components=run.components,
-        ddf_policy=run.result.ddf_policy,
-    )
+# the audit of a power figure is the Evaluation that produced it
+power_audit = evaluate

@@ -14,11 +14,11 @@ freedom: that is the estimation noise the F(ndf, ddf) reference
 distribution assumes, so under null means the statistic is exactly
 central F and the rejection rate is exactly alpha in expectation.
 
-Replicates run in fixed chunks of _CHUNK, each with its own Philox
-stream keyed by (seed, chunk index) (Salmon et al. 2011).  A chunk
-draws all its normals first, in blocks of replicates, then all its
-chi-square denominators, so the estimate depends only on the seed and
-replicate count, never on block size.
+A run draws from one Philox stream keyed by (seed, 0) (Salmon et al.
+2011).  Replicates run in fixed chunks of _CHUNK: a chunk draws all its
+normals first, in blocks of replicates, then all its chi-square
+denominators, so the estimate depends only on the seed and replicate
+count, never on block size.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .distributions import is_whole
 __all__ = [
     "SimulationPlan",
     "EmpiricalPower",
-    "replicate_stream",
     "empirical_power",
 ]
 
@@ -95,12 +94,6 @@ class EmpiricalPower:
     z: float
 
 
-def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent random stream for one chunk of _CHUNK replicates."""
-    key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, float]:
     """center, u and s2 with contrast estimate center + z . u for a draw z.
 
@@ -128,7 +121,7 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     contrast estimate with the known-covariance GLS weights of the
     analytic route's fit, forms the F statistic (Wald numerator over a
     mean-one chi-square denominator with the policy's degrees of freedom,
-    drawn from the same chunk stream), and rejects when it exceeds the
+    drawn from the same stream), and rejects when it exceeds the
     analytic route's critical value.  No subject rows are built, so the
     design may be of any size.
     """
@@ -139,10 +132,11 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     center, u, s2 = _contrast_projection(run)
     rows_per_block = max(1, _BLOCK_DRAWS // u.size)
 
+    key = np.array([plan.seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     rejections = 0
-    for index, start in enumerate(range(0, plan.replicates, _CHUNK)):
+    for start in range(0, plan.replicates, _CHUNK):
         count = min(_CHUNK, plan.replicates - start)
-        rng = replicate_stream(plan.seed, index)
         effects = np.empty(count)
         for at in range(0, count, rows_per_block):
             stop = min(at + rows_per_block, count)

@@ -186,10 +186,12 @@ def test_counts_match_cells_and_reference_dataset(case):
     # the counts need no means: the benchmark reads them on mean-less specs
     for design in (spec, dataclasses.replace(spec, cell_means={})):
         assert design.n_times == int(cells.time.max()) == int(dataset.time.max())
-        assert design.n_clusters == cells.cluster_pattern.size == len(rows)
+        assert design.n_clusters == cells.n_clusters == cells.cluster_pattern.size
+        assert cells.n_clusters == len(rows)
         assert design.cluster_subject_counts() == sizes
         assert design.rows_per_cluster() == rows
-        assert design.n_observations == dataset.n_rows == sum(rows)
+        assert design.n_observations == cells.n_observations == dataset.n_rows
+        assert cells.n_observations == sum(rows)
         assert design.family is cells.family
 
 

@@ -10,7 +10,8 @@ import re
 import pytest
 
 from wedgepower.cli import main
-from wedgepower.designs import exemplary_dataset, get_preset
+from wedgepower.design_effects import design_effect_for
+from wedgepower.designs import decode_spec_document, exemplary_dataset, get_preset
 
 from dense_oracle import assert_same_dataset, dataset_from_csv
 
@@ -149,6 +150,49 @@ class TestDeCommand:
         code, _, err = run(capsys, "de", "--preset", "example2_51")
         assert code == 2
         assert "common cluster size" in err
+
+    # example6 and example7 as spec documents
+    WEDGES = {
+        "swd_xsec": {"cac": 1.0, "clusters_per_step": [4, 4]},
+        "swd_cohort": {"cac": 0.4, "sac": 0.6, "clusters_per_step": [3, 3]},
+    }
+
+    @pytest.mark.parametrize(
+        "kind,change,field",
+        [
+            ("swd_xsec", {"cac": 0.5}, "correlation.cac"),
+            ("swd_xsec", {"clusters_per_step": [1, 7]}, "design.clusters_per_step"),
+            ("swd_cohort", {"clusters_per_step": [1, 5]}, "design.clusters_per_step"),
+        ],
+    )
+    def test_refuses_wedge_closed_forms_that_miss_gls(
+        self, capsys, tmp_path, kind, change, field
+    ):
+        # the wedge formulas assume cac = 1 (cross-sectional) and equal
+        # clusters per step; elsewhere they understate the GLS variance
+        values = {**self.WEDGES[kind], **change}
+        doc = {
+            "design": {
+                "kind": kind,
+                "steps_k": 2,
+                "baseline_b": 1,
+                "per_step_t": 1,
+                "clusters_per_step": values.pop("clusters_per_step"),
+                "cluster_size": 5,
+                "means": [54.0, 59.0],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, **values},
+        }
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "de", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field}: ") and "`power`" in err
+        assert run(capsys, "power", "--spec", str(path))[0] == 0
+        # the library still returns the formula, which reads neither
+        spec, params, _ = decode_spec_document(doc)
+        preset = "example6" if kind == "swd_xsec" else "example7"
+        assert design_effect_for(spec, params) == design_effect_for(*get_preset(preset))
 
 
 class TestMcCommand:

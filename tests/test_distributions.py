@@ -11,6 +11,7 @@ package's own continued-fraction and recurrence implementations.
 
 import logging
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -71,6 +72,25 @@ def f_quantile_bisection(p: float, ndf: int, ddf: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def work_of(call):
+    """Python and builtin calls made while call() runs, a count of its
+    work, and what it returned or the ValueError it raised."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        outcome = call()
+    except ValueError as exc:
+        outcome = exc
+    finally:
+        sys.setprofile(None)
+    return count, outcome
 
 
 class TestRegularizedIncompleteBeta:
@@ -275,6 +295,29 @@ class TestNoncentralFCdf:
         # (test_mc's power of 1 at a noncentrality of about 3e11)
         with pytest.raises(ValueError, match=rf"noncentrality {lam!r} is too large"):
             call()
+
+    @pytest.mark.parametrize(
+        "call,lam",
+        [
+            (lambda: power_from_f(1e9, 1, 1, 1e-6), 1e9),
+            (lambda: power_from_f(1e10, 1, 1, 1e-6), 1e10),
+            (lambda: noncentral_f_cdf(1.2e10, 1, 32, 1e10), 1e10),
+        ],
+    )
+    def test_refuses_before_sweeping(self, call, lam):
+        # the bound at the end of the term budget is known before a sweep
+        # starts; a sweep of the whole budget makes 200,000 calls
+        calls, error = work_of(call)
+        assert isinstance(error, ValueError)
+        assert re.match(rf"noncentrality {lam!r} is too large", str(error))
+        assert calls < 5_000
+
+    def test_power_one_skips_sweeps_that_add_nothing(self):
+        # example1 with means 1e6 apart: every tail a sweep could meet is
+        # below the tolerance, so neither sweep runs
+        calls, result = work_of(lambda: power_from_f(3.4e11, 1, 32, 0.05))
+        assert result.power == 1.0
+        assert calls < 5_000
 
     def test_large_noncentrality_stays_stable(self):
         # the mode-centered expansion must not underflow to garbage

@@ -162,6 +162,25 @@ class TestDdfPolicies:
         # arm, so it takes the between stratum 12 - 2 = 10
         assert preset_ddf("example4", "between_within") == 10
 
+    @pytest.mark.parametrize(
+        "name",
+        ["example2", "example2_51", "example4", "example5", "example6", "example7"],
+    )
+    def test_one_rank_solve_per_evaluation(self, monkeypatch, name):
+        # the full-rank check fixes the rank of the cluster-constant
+        # columns at their number, so the strata need no second SVD
+        ranks = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted(x, *args, **kwargs):
+            ranks.append(x.shape)
+            return matrix_rank(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        spec, params = get_preset(name)
+        evaluate(spec, params, ddf_policy="between_within")
+        assert len(ranks) == 1
+
     def test_cluster_policies_rejected_for_individual_randomization(self):
         for policy in ("containment", "between_within"):
             with pytest.raises(ValueError, match="residual"):
@@ -297,30 +316,28 @@ class TestAnalyticPower:
 
 class TestPowerAudit:
     def test_fields(self):
+        # the audit of a power figure is its Evaluation
+        assert power_audit is evaluate
         spec, params = get_preset("example7")
-        audit = power_audit(spec, params)
-        assert audit.kind == "swd_cohort"
-        assert audit.n_observations == 90
-        assert audit.n_clusters == 6
-        assert audit.n_times == 3
-        assert audit.contrast == "intervene"
-        assert audit.ddf_policy == "between_within"
-        assert audit.result.power == pytest.approx(
-            FROZEN["example7"][2], rel=POWER_REL
-        )
-        assert audit.components.total == pytest.approx(25.0, rel=1e-12)
+        run = power_audit(spec, params)
+        assert run.cells.n_observations == 90
+        assert run.cells.n_clusters == 6
+        assert run.cells.time.max() == 3
+        assert run.contrast == "intervene"
+        assert run.result.ddf_policy == "between_within"
+        assert run.result.power == pytest.approx(FROZEN["example7"][2], rel=POWER_REL)
+        assert run.components.total == pytest.approx(25.0, rel=1e-12)
 
     def test_beta_recovers_cell_means(self):
         spec, params = get_preset("example3")
-        audit = power_audit(spec, params)
-        np.testing.assert_allclose(audit.beta, [54.0, 0.0, 2.0, 5.0], atol=COEF_TOL)
+        run = power_audit(spec, params)
+        np.testing.assert_allclose(run.fit.beta, [54.0, 0.0, 2.0, 5.0], atol=COEF_TOL)
 
     def test_contrast_effect_size(self):
         spec, params = get_preset("example6")
-        audit = power_audit(spec, params)
-        assert evaluate(spec, params).contrast == audit.contrast == "intervene"
-        effect = audit.beta[-1]
-        assert effect == pytest.approx(5.0, abs=1e-9)
+        run = power_audit(spec, params)
+        assert run.contrast == "intervene"
+        assert run.fit.beta[-1] == pytest.approx(5.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

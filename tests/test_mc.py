@@ -15,12 +15,7 @@ from wedgepower.correlation import CorrelationParams
 from wedgepower.designs import PRESETS, DesignKind, DesignSpec, get_preset
 from wedgepower.distributions import central_f_quantile
 from wedgepower.engine import analytic_power, evaluate
-from wedgepower.mc import (
-    EmpiricalPower,
-    SimulationPlan,
-    empirical_power,
-    replicate_stream,
-)
+from wedgepower.mc import EmpiricalPower, SimulationPlan, empirical_power
 
 import dense_oracle
 
@@ -50,21 +45,52 @@ class TestSimulationPlan:
             SimulationPlan(spec=spec, params=params, replicates=10, seed="1")
 
 
-class TestReplicateStream:
-    def test_same_key_same_draws(self):
-        a = replicate_stream(7, 123).standard_normal(8)
-        b = replicate_stream(7, 123).standard_normal(8)
-        np.testing.assert_array_equal(a, b)
+def run_stream(seed: int) -> np.random.Generator:
+    """The one random stream a simulation with this seed draws from."""
+    return np.random.Generator(np.random.Philox(key=[seed, 0]))
 
-    def test_index_changes_stream(self):
-        a = replicate_stream(7, 123).standard_normal(8)
-        b = replicate_stream(7, 124).standard_normal(8)
-        assert not np.array_equal(a, b)
 
-    def test_seed_changes_stream(self):
-        a = replicate_stream(7, 123).standard_normal(8)
-        b = replicate_stream(8, 123).standard_normal(8)
-        assert not np.array_equal(a, b)
+class TestRunStream:
+    @pytest.mark.parametrize("replicates", [1, 1024, 1025, 20_000])
+    def test_one_generator_per_run(self, monkeypatch, replicates):
+        keys = []
+        philox = np.random.Philox
+
+        def counted(key):
+            keys.append(tuple(int(k) for k in key))
+            return philox(key=key)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        empirical_power(preset_plan("example1", replicates, seed=5))
+        assert keys == [(5, 0)]
+
+    def test_same_seed_same_count(self):
+        plan = preset_plan("example5", 1500, seed=7)
+        assert empirical_power(plan).rejections == empirical_power(plan).rejections
+
+    def test_seed_changes_count(self):
+        counts = {
+            empirical_power(preset_plan("example5", 1500, seed=seed)).rejections
+            for seed in range(1, 5)
+        }
+        assert len(counts) > 1
+
+    @pytest.mark.parametrize(
+        "name,replicates,seed,rejections",
+        [
+            ("example1", 1000, 1, 795),
+            ("example1", 1024, 3, 834),
+            ("example5", 1000, 1, 839),
+            ("example5", 1024, 3, 862),
+            ("example7", 1000, 1, 824),
+            ("example7", 1024, 3, 851),
+        ],
+    )
+    def test_runs_of_one_chunk_keep_their_counts(self, name, replicates, seed, rejections):
+        # frozen counts: one chunk is the whole run, drawn from the
+        # stream keyed (seed, 0)
+        plan = preset_plan(name, replicates, seed=seed)
+        assert empirical_power(plan).rejections == rejections
 
 
 class TestContrastProjection:
@@ -87,14 +113,14 @@ class TestContrastProjection:
 
 
 def reference_rejections(plan: SimulationPlan) -> int:
-    """Rejection count drawn one replicate's cell vector at a time from each chunk stream."""
+    """Rejection count drawn one replicate's cell vector at a time, chunk by chunk."""
     run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
     center, u, s2 = mc._contrast_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
+    rng = run_stream(plan.seed)
     rejections = 0
-    for index, start in enumerate(range(0, plan.replicates, 1024)):
+    for start in range(0, plan.replicates, 1024):
         count = min(1024, plan.replicates - start)
-        rng = replicate_stream(plan.seed, index)
         effects = np.array([rng.standard_normal(u.size) @ u for _ in range(count)])
         denominator = rng.chisquare(ddf, count) / ddf
         fstats = (center + effects) ** 2 / s2
@@ -102,19 +128,7 @@ def reference_rejections(plan: SimulationPlan) -> int:
     return rejections
 
 
-class TestChunkStreams:
-    @pytest.mark.parametrize("replicates", [1, 1024, 1025, 20_000])
-    def test_one_stream_per_chunk(self, monkeypatch, replicates):
-        keys = []
-
-        def counted(seed, index):
-            keys.append((seed, index))
-            return replicate_stream(seed, index)
-
-        monkeypatch.setattr(mc, "replicate_stream", counted)
-        empirical_power(preset_plan("example1", replicates, seed=5))
-        assert sorted(keys) == [(5, i) for i in range(-(-replicates // 1024))]
-
+class TestChunks:
     @pytest.mark.parametrize("name", ["example3", "example5", "example2_51", "example7"])
     def test_draws_one_normal_per_cluster_period(self, monkeypatch, name):
         drawn = []
@@ -130,7 +144,8 @@ class TestChunkStreams:
             def chisquare(self, df, size):
                 return self.rng.chisquare(df, size)
 
-        monkeypatch.setattr(mc, "replicate_stream", lambda s, i: Counted(replicate_stream(s, i)))
+        generator = np.random.Generator
+        monkeypatch.setattr(np.random, "Generator", lambda bits: Counted(generator(bits)))
         plan = preset_plan(name, 1025, seed=3)
         empirical_power(plan)
         spec = plan.spec
