@@ -134,7 +134,7 @@ def _load_scenario(
         with open(args.spec, "r", encoding="utf-8") as handle:
             try:
                 doc = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise designs.SpecValidationError(
                     [f"{args.spec}: not valid JSON ({exc})"]
                 ) from None
@@ -383,8 +383,9 @@ def _cmd_vmatrix(args) -> int:
         raise designs.SpecValidationError(
             [f"--cluster-index: must lie in [1, {n_clusters}], got {args.cluster_index}"]
         )
-    block = correlation.build_cluster_v(cells, comps, args.cluster_index - 1)
-    matrix = correlation.vcorr(block) if args.correlation else block.matrix
+    matrix = correlation.build_cluster_v(cells, comps, args.cluster_index - 1)
+    if args.correlation:
+        matrix = correlation.vcorr(matrix)
 
     if args.fmt == "csv":
         lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]

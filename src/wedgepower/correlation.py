@@ -23,7 +23,6 @@ __all__ = [
     "Family",
     "CorrelationParams",
     "VarianceComponents",
-    "BlockCovariance",
     "derive_components",
     "build_cluster_v",
     "vcorr",
@@ -68,7 +67,9 @@ class CorrelationParams:
 
     def __post_init__(self) -> None:
         if not (is_real(self.sigma_y_sq) and self.sigma_y_sq > 0):
-            raise ValueError(f"sigma_y_sq must be positive, got {self.sigma_y_sq!r}")
+            raise ValueError(
+                f"sigma_y_sq must be a finite positive number, got {self.sigma_y_sq!r}"
+            )
         if not (is_real(self.icc) and 0.0 <= self.icc < 1.0):
             raise ValueError(f"icc must lie in [0, 1), got {self.icc!r}")
         if not (is_real(self.cac) and 0.0 <= self.cac <= 1.0):
@@ -168,63 +169,46 @@ def derive_components(params: CorrelationParams, family: Family) -> VarianceComp
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class BlockCovariance:
-    """Covariance matrix of one cluster, with its generating structure.
-
-    Attributes:
-        matrix: dense covariance of the cluster's measurements.
-        family: measurement structure the matrix encodes.
-        layout: row ordering, "subject_major" (all times of subject 1,
-            then subject 2, ...), "time_major" (all subjects at time 1,
-            then time 2, ...), or "single" (one time).
-        n_subjects: subjects per occasion (cross-sectional) or per
-            cluster (single and cohort).
-        n_times: measurement occasions.
-        components: variance components the matrix was built from.
-    """
-
-    matrix: np.ndarray
-    family: Family
-    layout: str
-    n_subjects: int
-    n_times: int
-    components: VarianceComponents
-
-
-# row ordering of each family's covariance block
-_LAYOUTS = {
-    Family.SINGLE: "single",
-    Family.CROSS_SECTIONAL: "time_major",
-    Family.COHORT: "subject_major",
-}
-
-
-def _cluster_matrix(
-    comps: VarianceComponents, family: Family, n_subjects: int, n_times: int
+def build_cluster_v(
+    cells: "CellTable", comps: VarianceComponents, cluster_index: int = 0
 ) -> np.ndarray:
-    """Dense covariance of one cluster's measurement vector."""
-    if n_subjects < 1 or n_times < 1:
-        raise ValueError(
-            f"cluster dimensions must be >= 1, got n_subjects={n_subjects}, "
-            f"n_times={n_times}"
-        )
-    if family is Family.SINGLE and n_times != 1:
-        raise ValueError("single-measurement structures have exactly one time")
+    """Covariance matrix of one cluster of a design, in dataset row order.
 
+    Cohort clusters list all periods of subject 1, then subject 2, ...;
+    every other cluster lists its fresh subjects period by period.  Two
+    measurements share the cluster variance, the cluster-by-time
+    variance too when they share a period, and the subject variance when
+    they share a subject.
+
+    Args:
+        cells: the design's cell table; its family, periods and the
+            cluster's subjects per cell fix the matrix layout.
+        comps: variance components from derive_components.
+        cluster_index: which cluster, 0-based in dataset order; sizes
+            can differ when the design carries a per-cluster size list.
+
+    Returns:
+        The (n_subjects * n_times) square covariance of that cluster.
+    """
+    n_clusters = cells.cluster_pattern.size
+    if not (0 <= cluster_index < n_clusters):
+        raise ValueError(
+            f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
+        )
+    n_subjects = int(cells.m[cells.cluster_pattern[cluster_index]])
+    n_times = cells.time.shape[1]
     size = n_subjects * n_times
-    if family is Family.COHORT:
+    if size > MAX_MATRIX_ROWS:
+        raise ValueError(
+            f"cluster covariance would have {size} rows; limit is {MAX_MATRIX_ROWS}"
+        )
+    if cells.family is Family.COHORT:
         subject = np.repeat(np.arange(n_subjects), n_times)
         time = np.tile(np.arange(n_times), n_subjects)
     else:
         # fresh subjects at every time: globally distinct subject labels
         subject = np.arange(size)
         time = np.repeat(np.arange(n_times), n_subjects)
-
-    if size > MAX_MATRIX_ROWS:
-        raise ValueError(
-            f"cluster covariance would have {size} rows; limit is {MAX_MATRIX_ROWS}"
-        )
 
     same_subject = subject[:, None] == subject[None, :]
     same_time = time[:, None] == time[None, :]
@@ -240,43 +224,9 @@ def _cluster_matrix(
     return matrix.astype(float)
 
 
-def build_cluster_v(
-    cells: "CellTable", comps: VarianceComponents, cluster_index: int = 0
-) -> BlockCovariance:
-    """Covariance matrix of one cluster of a design.
-
-    Args:
-        cells: the design's cell table; its family, periods and the
-            cluster's subjects per cell fix the matrix layout.
-        comps: variance components from derive_components.
-        cluster_index: which cluster, 0-based in dataset order; sizes
-            can differ when the design carries a per-cluster size list.
-
-    Returns:
-        BlockCovariance for that cluster.
-    """
-    n_clusters = cells.cluster_pattern.size
-    if not (0 <= cluster_index < n_clusters):
-        raise ValueError(
-            f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
-        )
-    family = cells.family
-    n_subjects = int(cells.m[cells.cluster_pattern[cluster_index]])
-    n_times = cells.time.shape[1]
-    matrix = _cluster_matrix(comps, family, n_subjects, n_times)
-    return BlockCovariance(
-        matrix=matrix,
-        family=family,
-        layout=_LAYOUTS[family],
-        n_subjects=n_subjects,
-        n_times=n_times,
-        components=comps,
-    )
-
-
-def vcorr(v: "BlockCovariance | np.ndarray") -> np.ndarray:
+def vcorr(v: np.ndarray) -> np.ndarray:
     """Correlation matrix corresponding to a covariance matrix."""
-    matrix = v.matrix if isinstance(v, BlockCovariance) else np.asarray(v, dtype=float)
+    matrix = np.asarray(v, dtype=float)
     diag = np.diag(matrix)
     if np.any(diag <= 0):
         raise ValueError("covariance matrix has nonpositive diagonal entries")

@@ -158,11 +158,12 @@ def de_stepped_wedge(
         [1 + icc*(k*t*n + b*n - 1)] / [1 + icc*(k*t*n/2 + b*n - 1)]
             * 3*(1 - icc) / [2*t*(k - 1/k)]
 
-    The resulting multiplier applies to measurement counts; see
-    inflate_sample_size for the participant conversion.  It equals the
-    GLS contrast variance only with the same number of clusters at every
-    step and a cluster autocorrelation of 1: a lower cac or an unequal
-    allocation to steps makes the GLS variance larger.
+    The multiplier counts one comparison per cluster-period, so a plan
+    needs n_unclustered * DE * T observations over the T = b + k*t
+    periods: inflate_sample_size with observation_multiplier = T.  It
+    equals the GLS contrast variance only with the same number of
+    clusters at every step and a cluster autocorrelation of 1: a lower
+    cac or an unequal allocation to steps makes the GLS variance larger.
     """
     for name, value in (
         ("steps_k", steps_k),
@@ -210,9 +211,11 @@ def de_three_measurement(
 
     With cac = 1 and sac = 0 this coincides with the two-step,
     one-baseline stepped wedge multiplier for the same cluster size.
-    Like the stepped wedge multiplier it applies to measurement counts,
-    and it equals the GLS contrast variance of a two-step cohort wedge
-    only with the same number of clusters at both steps.
+    Like the stepped wedge multiplier it counts one comparison per
+    cluster-period, so a plan needs n_unclustered * DE * T observations
+    over the T = 3 periods (observation_multiplier = T).  It equals the
+    GLS contrast variance of a two-step cohort wedge only with the same
+    number of clusters at both steps.
     """
     n = _check_cluster_size(cluster_size)
     rho = _check_icc(icc)
@@ -240,10 +243,12 @@ def inflate_sample_size(
         n_unclustered: total size of the reference individually
             randomized trial.
         design_effect: multiplier from one of the de_* functions.
-        observation_multiplier: extra factor applied when the multiplier
-            is expressed per comparison rather than per measurement (the
-            stepped wedge formulas need the measurements-per-cluster-
-            period count, i.e. the number of times).
+        observation_multiplier: factor on n_unclustered * design_effect.
+            The wedge multipliers (de_stepped_wedge and
+            de_three_measurement) count one comparison per
+            cluster-period, so their observations are n_unclustered *
+            DE * T: pass the number of periods T.  The other
+            multipliers count measurements and keep 1.
         measurements_per_participant: how many of the resulting
             measurements each participant contributes; cohort designs
             divide the measurement total by this to count people.

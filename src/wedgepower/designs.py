@@ -152,14 +152,10 @@ class DesignSpec:
         """Subjects per cluster (per time for cross-sectional kinds)."""
         return _subject_counts(_layout(self))
 
-    def rows_per_cluster(self) -> tuple[int, ...]:
-        layout = _layout(self)
-        n_periods = len(layout.times[0])
-        return tuple(n * n_periods for n in _subject_counts(layout))
-
     @property
     def n_observations(self) -> int:
-        return int(sum(self.rows_per_cluster()))
+        layout = _layout(self)
+        return sum(_subject_counts(layout)) * len(layout.times[0])
 
 
 class _Layout(NamedTuple):
@@ -377,7 +373,6 @@ class CellTable:
         m: (K,) subjects per cell.
         count: (K,) clusters that share the pattern.
         time: (K, T) measurement time of each cell.
-        intervene: (K, T) intervention exposure flag of each cell.
         x: (K, T, p) design matrix rows of the cells.
         mean: (K, T) modeled cell means.
         columns: the names of the p design columns, the tested one last.
@@ -391,7 +386,6 @@ class CellTable:
     m: np.ndarray
     count: np.ndarray
     time: np.ndarray
-    intervene: np.ndarray
     x: np.ndarray
     mean: np.ndarray
     columns: tuple[str, ...]
@@ -469,7 +463,6 @@ def cell_table(spec: DesignSpec) -> CellTable:
         m=sizes[first],
         count=count,
         time=time[chosen],
-        intervene=x[chosen, :, -1].astype(np.int64),
         x=x[chosen],
         mean=mean[chosen],
         columns=names,
@@ -505,7 +498,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
         cluster_id=cluster + 1,
         subject_id=subject,
         time=cells.time[pattern, period],
-        intervene=cells.intervene[pattern, period],
+        intervene=cells.x[..., -1].astype(np.int64)[pattern, period],
         mean=cells.mean[pattern, period],
     )
 

@@ -7,7 +7,10 @@ replaced: emit the exemplary dataset one row per measurement in a branch
 per design kind, build its design matrix, solve each cluster's full
 covariance block against [X y], take the denominator degrees of freedom
 from ranks of the subject-level design matrix, and project subject-level
-draws through each cluster's dense Cholesky factor.  The design columns,
+draws through each cluster's dense Cholesky factor.  Each block is
+filled entry by entry from the subject and time labels of the cluster's
+dataset rows, and the row extents are counted from the dataset's
+cluster ids, apart from the package's builder.  The design columns,
 their flags, the tested column and each kind's cluster-level
 measurement family are spelled out here per kind, apart from the
 package's cell table.  The dataset's CSV and table text are
@@ -328,32 +331,25 @@ class ClusterBlock:
     index: int
     cluster_id: int
     group: int
-    n_subjects: int
     row_start: int
     n_rows: int
 
 
-def cluster_structure(spec: DesignSpec) -> list[ClusterBlock]:
-    """Per-cluster row layout, in dataset order."""
-    designs.ensure_valid(spec)
-    sizes = spec.cluster_subject_counts()
-    rows = spec.rows_per_cluster()
+def cluster_structure(
+    spec: DesignSpec, dataset: ExemplaryDataset | None = None
+) -> list[ClusterBlock]:
+    """Per-cluster row layout, in dataset order, counted from the cluster ids."""
+    if dataset is None:
+        dataset = reference_dataset(spec)
+    rows = np.bincount(dataset.cluster_id)[1:].tolist()
+    starts = np.cumsum([0, *rows[:-1]]).tolist()
     groups = _cluster_groups(spec)
-    blocks = []
-    at = 0
-    for i, (size, n_rows, group) in enumerate(zip(sizes, rows, groups)):
-        blocks.append(
-            ClusterBlock(
-                index=i,
-                cluster_id=i + 1,
-                group=group,
-                n_subjects=size,
-                row_start=at,
-                n_rows=n_rows,
-            )
+    return [
+        ClusterBlock(
+            index=i, cluster_id=i + 1, group=group, row_start=start, n_rows=n_rows
         )
-        at += n_rows
-    return blocks
+        for i, (group, start, n_rows) in enumerate(zip(groups, starts, rows))
+    ]
 
 
 def _cluster_groups(spec: DesignSpec) -> list[int]:
@@ -371,39 +367,61 @@ def _cluster_groups(spec: DesignSpec) -> list[int]:
     return groups
 
 
+def label_covariance(
+    subject: np.ndarray, time: np.ndarray, comps: VarianceComponents
+) -> np.ndarray:
+    """Covariance of measurements with these subject and time labels, entry by entry.
+
+    Two measurements of one cluster share the cluster variance; they
+    share the cluster-by-time variance too when taken at one time, the
+    subject variance when taken on one subject, and every component when
+    they are the same measurement.
+    """
+    n = len(subject)
+    matrix = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            same_subject = subject[i] == subject[j]
+            same_time = time[i] == time[j]
+            if same_subject and same_time:
+                matrix[i, j] = comps.total
+            elif same_subject:
+                matrix[i, j] = comps.cluster + comps.subject
+            elif same_time:
+                matrix[i, j] = comps.cluster + comps.cluster_by_time
+            else:
+                matrix[i, j] = comps.cluster
+    return matrix
+
+
 def cluster_v(
-    spec: DesignSpec, comps: VarianceComponents, index: int
-) -> correlation.BlockCovariance:
-    """Dense covariance of cluster index (0-based), laid out by FAMILY."""
-    family = FAMILY[spec.kind]
-    n_subjects = spec.cluster_subject_counts()[index]
-    n_times = 1 if family is Family.SINGLE else spec.n_times
-    layout = {
-        Family.SINGLE: "single",
-        Family.CROSS_SECTIONAL: "time_major",
-        Family.COHORT: "subject_major",
-    }[family]
-    return correlation.BlockCovariance(
-        matrix=correlation._cluster_matrix(comps, family, n_subjects, n_times),
-        family=family,
-        layout=layout,
-        n_subjects=n_subjects,
-        n_times=n_times,
-        components=comps,
-    )
+    spec: DesignSpec,
+    comps: VarianceComponents,
+    index: int,
+    dataset: ExemplaryDataset | None = None,
+) -> np.ndarray:
+    """Dense covariance of cluster index (0-based), from its dataset rows' labels."""
+    if dataset is None:
+        dataset = reference_dataset(spec)
+    rows = dataset.cluster_id == index + 1
+    return label_covariance(dataset.subject_id[rows], dataset.time[rows], comps)
 
 
 def study_blocks(
     spec: DesignSpec, comps: VarianceComponents
 ) -> list[np.ndarray]:
-    """Per-cluster covariance matrices, in dataset row order."""
-    structure = cluster_structure(spec)
-    by_size: dict[int, np.ndarray] = {}
+    """Per-cluster covariance matrices, in dataset row order.
+
+    Clusters with as many rows share one matrix: their labels differ by
+    offsets alone.
+    """
+    dataset = reference_dataset(spec)
+    by_rows: dict[int, np.ndarray] = {}
     blocks = []
-    for cb in structure:
-        if cb.n_subjects not in by_size:
-            by_size[cb.n_subjects] = cluster_v(spec, comps, cb.index).matrix
-        blocks.append(by_size[cb.n_subjects])
+    for cb in cluster_structure(spec, dataset):
+        if cb.n_rows not in by_rows:
+            by_rows[cb.n_rows] = cluster_v(spec, comps, cb.index, dataset)
+        blocks.append(by_rows[cb.n_rows])
     return blocks
 
 
@@ -497,7 +515,7 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
             ddf = n - spec.n_clusters
         else:
             flags = columns(spec)
-            structure = cluster_structure(spec)
+            structure = cluster_structure(spec, dataset)
             const_idx = [j for j, (_, constant, _) in enumerate(flags) if constant]
             cluster_level = np.array([x[cb.row_start, const_idx] for cb in structure])
             between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
@@ -525,24 +543,22 @@ def contrast_weights(spec: DesignSpec, params: CorrelationParams) -> np.ndarray:
     return fit.cov[contrast_column(spec)] @ xtvi
 
 
-def cell_averaging(block: correlation.BlockCovariance) -> np.ndarray:
-    """A with A y the T cell means of a cluster's measurement vector y."""
-    mean_of = np.full((1, block.n_subjects), 1.0 / block.n_subjects)
-    if block.layout == "subject_major":
-        return np.kron(mean_of, np.eye(block.n_times))
-    return np.kron(np.eye(block.n_times), mean_of)
+def cell_averaging(time: np.ndarray) -> np.ndarray:
+    """A with A y the cell means of a cluster's measurements y at these times."""
+    indicator = (np.unique(time)[:, None] == time[None, :]).astype(float)
+    return indicator / indicator.sum(axis=1, keepdims=True)
 
 
 def cell_covariances(
     spec: DesignSpec, comps: VarianceComponents, cells: designs.CellTable
 ) -> np.ndarray:
     """(K, T, T) A V A' of the first cluster of each pattern, from its dense block."""
+    dataset = reference_dataset(spec)
     out = []
     for pattern in range(cells.m.size):
         index = int(np.flatnonzero(cells.cluster_pattern == pattern)[0])
-        block = cluster_v(spec, comps, index)
-        average = cell_averaging(block)
-        out.append(average @ block.matrix @ average.T)
+        average = cell_averaging(dataset.time[dataset.cluster_id == index + 1])
+        out.append(average @ cluster_v(spec, comps, index, dataset) @ average.T)
     return np.array(out)
 
 
@@ -553,25 +569,20 @@ class StudySampler:
         dataset = reference_dataset(spec)
         self.mu = dataset.mean
         self.n = dataset.n_rows
+        self.cluster = dataset.cluster_id - 1
+        self.time = dataset.time
         self.slices: list[slice] = []
         self.chol: list[np.ndarray] = []
-        self.layout = ""
-        factor_by_size: dict[int, np.ndarray] = {}
-        for cb in cluster_structure(spec):
+        for cb in cluster_structure(spec, dataset):
             self.slices.append(slice(cb.row_start, cb.row_start + cb.n_rows))
-            if cb.n_subjects not in factor_by_size:
-                block = cluster_v(spec, comps, cb.index)
-                self.layout = block.layout
-                factor_by_size[cb.n_subjects] = np.linalg.cholesky(block.matrix)
-            self.chol.append(factor_by_size[cb.n_subjects])
+            block = cluster_v(spec, comps, cb.index, dataset)
+            self.chol.append(np.linalg.cholesky(block))
 
     def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
-        """Spread each cluster's cell weights over its subject rows."""
-        expand = np.tile if self.layout == "subject_major" else np.repeat
-        per_pattern = [
-            expand(w / m, m) for w, m in zip(cell_weights, cells.m.tolist())
-        ]
-        return np.concatenate([per_pattern[k] for k in cells.cluster_pattern.tolist()])
+        """Spread each cluster's cell weights over its subject rows, by their times."""
+        pattern = cells.cluster_pattern[self.cluster]
+        period = np.argmax(cells.time[pattern] == self.time[:, None], axis=1)
+        return cell_weights[pattern, period] / cells.m[pattern]
 
     def project(self, weights: np.ndarray) -> np.ndarray:
         """u with z . u = weights . (L z) for a standard normal draw z."""

@@ -148,16 +148,16 @@ def test_criterion_3_covariance_reproduction():
 
     # post-only cluster: 6x6 exchangeable, and its correlation matrix
     v2 = block("example2")
-    np.testing.assert_array_equal(np.round(v2.matrix, 1), cs_matrix(6, 25.0, 2.5))
+    np.testing.assert_array_equal(np.round(v2, 1), cs_matrix(6, 25.0, 2.5))
     np.testing.assert_array_equal(np.round(vcorr(v2), 1), cs_matrix(6, 1.0, 0.1))
 
     # cross-sectional pre-post: within-time and across-time blocks
-    v4 = block("example4").matrix
+    v4 = block("example4")
     np.testing.assert_array_equal(np.round(v4[:10, :10], 1), cs_matrix(10, 25.0, 2.5))
     np.testing.assert_array_equal(np.round(v4[:10, 10:], 1), np.full((10, 10), 1.0))
 
     # followed cohort pre-post: the four distinct entry values
-    v5 = block("example5").matrix
+    v5 = block("example5")
     lead = np.round(v5[:4, :4], 1)
     expected = np.array(
         [
@@ -171,7 +171,7 @@ def test_criterion_3_covariance_reproduction():
     assert set(np.round(v5, 1).ravel()) == {25.0, 14.5, 2.5, 1.0}
 
     # cohort wedge: leading 9x9 excerpt (3 subjects, 3 times each)
-    v7 = block("example7").matrix
+    v7 = block("example7")
     same_subject = cs_matrix(3, 25.0, 14.5)
     cross_subject = cs_matrix(3, 2.5, 1.0)
     excerpt = np.kron(np.eye(3), same_subject) + np.kron(
@@ -289,7 +289,7 @@ def test_criterion_7_property_suite():
     for name in sorted(PRESETS):
         spec, params = get_preset(name)
         cells = cell_table(spec)
-        matrix = build_cluster_v(cells, derive_components(params, cells.family)).matrix
+        matrix = build_cluster_v(cells, derive_components(params, cells.family))
         assert np.linalg.eigvalsh(matrix).min() >= -1e-10, name
 
     # relabeling arms or phases leaves the F statistic unchanged

@@ -189,7 +189,6 @@ def test_counts_match_cells_and_reference_dataset(case):
         assert design.n_clusters == cells.n_clusters == cells.cluster_pattern.size
         assert cells.n_clusters == len(rows)
         assert design.cluster_subject_counts() == sizes
-        assert design.rows_per_cluster() == rows
         assert design.n_observations == cells.n_observations == dataset.n_rows
         assert cells.n_observations == sum(rows)
         assert design.family is cells.family
@@ -202,13 +201,7 @@ def test_cluster_blocks_match_dense_oracle(name):
     comps = _components(spec, params)
     for index in range(cells.cluster_pattern.size):
         block = correlation.build_cluster_v(cells, comps, index)
-        reference = dense_oracle.cluster_v(spec, comps, index)
-        assert block.family is reference.family
-        assert block.layout == reference.layout
-        assert (block.n_subjects, block.n_times) == (
-            reference.n_subjects, reference.n_times
-        )
-        np.testing.assert_array_equal(block.matrix, reference.matrix)
+        np.testing.assert_array_equal(block, dense_oracle.cluster_v(spec, comps, index))
 
 
 def _assert_cell_covariance_matches_dense(spec, run):
@@ -364,7 +357,7 @@ def test_exposure_variance_matches_hussey_hughes(name):
         )
         params = CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.6, sac=0.5)
         # each cluster's dense covariance is over the row cap
-        assert spec.rows_per_cluster()[0] > MAX_MATRIX_ROWS
+        assert spec.cluster_subject_counts()[0] * spec.n_times > MAX_MATRIX_ROWS
     fit = engine.evaluate(spec, params).fit
     assert fit.cov[-1, -1] == pytest.approx(
         _hussey_hughes_variance(spec, params), rel=1e-12
@@ -382,7 +375,7 @@ def test_simulation_of_over_cap_design_runs():
         cluster_size=MAX_MATRIX_ROWS // 3 + 1,
         cell_means={(0, 0): 54.0, (1, 0): 55.0},
     )
-    assert spec.rows_per_cluster()[0] > MAX_MATRIX_ROWS
+    assert spec.cluster_subject_counts()[0] * spec.n_times > MAX_MATRIX_ROWS
     params = CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.6, sac=0.5)
     target = engine.analytic_power(spec, params).power
     assert target > 0.05

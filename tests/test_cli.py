@@ -6,6 +6,7 @@ captured by pytest.
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +414,25 @@ class TestSpecDocuments:
         code, _, err = run(capsys, "power", "--spec", str(path))
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_file_not_utf8_named(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(self.doc()).encode("utf-16"))
+        for command in ("de", "power", "mc", "dataset", "vmatrix"):
+            code, _, err = run(capsys, command, "--spec", str(path))
+            assert code == 2
+            assert err.startswith(f"error: {path}: not valid JSON ('utf-8' codec")
+
+    def test_infinite_variance_names_finiteness(self, capsys, tmp_path):
+        doc = self.doc()
+        doc["correlation"]["sigma_y_sq"] = float("inf")
+        path = self.write_doc(tmp_path, doc)
+        assert "Infinity" in Path(path).read_text()
+        code, _, err = run(capsys, "power", "--spec", path)
+        assert code == 2
+        assert err == (
+            "error: correlation: sigma_y_sq must be a finite positive number, got inf\n"
+        )
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

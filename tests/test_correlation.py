@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wedgepower.correlation import (
     MAX_MATRIX_ROWS,
-    BlockCovariance,
     CorrelationParams,
     Family,
     build_cluster_v,
@@ -28,7 +27,7 @@ def cs_matrix(size: int, diag: float, off: float) -> np.ndarray:
     return np.full((size, size), off) + np.eye(size) * (diag - off)
 
 
-def preset_block(name: str, cluster_index: int = 0) -> BlockCovariance:
+def preset_block(name: str, cluster_index: int = 0) -> np.ndarray:
     spec, params = get_preset(name)
     cells = cell_table(spec)
     comps = derive_components(params, cells.family)
@@ -45,6 +44,12 @@ class TestCorrelationParams:
             CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=1.2)
         with pytest.raises(ValueError):
             CorrelationParams(sigma_y_sq=25.0, icc=0.1, sac=-0.1)
+
+    def test_sigma_message_names_finiteness(self):
+        # a spec document may carry Infinity, which json accepts
+        message = "sigma_y_sq must be a finite positive number, got inf"
+        with pytest.raises(ValueError, match=message):
+            CorrelationParams(sigma_y_sq=float("inf"), icc=0.1)
 
 
 class TestDeriveComponents:
@@ -125,63 +130,59 @@ class TestDeriveComponents:
 class TestBuildClusterV:
     def test_single_occasion_cluster(self):
         block = preset_block("example2")
-        assert block.layout == "single"
-        assert block.matrix.shape == (6, 6)
-        np.testing.assert_array_equal(block.matrix, cs_matrix(6, 25.0, 2.5))
+        assert block.shape == (6, 6)
+        np.testing.assert_array_equal(block, cs_matrix(6, 25.0, 2.5))
 
     def test_individually_randomized_blocks_are_one_by_one(self):
         for name in ("example1", "example3"):
             block = preset_block(name)
-            assert block.family is Family.SINGLE
-            np.testing.assert_array_equal(block.matrix, [[25.0]])
+            np.testing.assert_array_equal(block, [[25.0]])
 
     def test_cross_sectional_prepost_blocks(self):
         block = preset_block("example4")
-        assert block.layout == "time_major"
-        assert block.matrix.shape == (20, 20)
+        assert block.shape == (20, 20)
         within_time = cs_matrix(10, 25.0, 2.5)
         across_time = np.full((10, 10), 1.0)
-        np.testing.assert_array_equal(block.matrix[:10, :10], within_time)
-        np.testing.assert_array_equal(block.matrix[10:, 10:], within_time)
-        np.testing.assert_array_equal(block.matrix[:10, 10:], across_time)
-        np.testing.assert_array_equal(block.matrix[10:, :10], across_time)
+        np.testing.assert_array_equal(block[:10, :10], within_time)
+        np.testing.assert_array_equal(block[10:, 10:], within_time)
+        np.testing.assert_array_equal(block[:10, 10:], across_time)
+        np.testing.assert_array_equal(block[10:, :10], across_time)
 
     def test_cohort_prepost_blocks(self):
         block = preset_block("example5")
-        assert block.layout == "subject_major"
-        assert block.matrix.shape == (20, 20)
+        assert block.shape == (20, 20)
         same_subject = np.array([[25.0, 14.5], [14.5, 25.0]])
         cross_subject = np.array([[2.5, 1.0], [1.0, 2.5]])
         expected = np.kron(np.eye(10), same_subject) + np.kron(
             np.ones((10, 10)) - np.eye(10), cross_subject
         )
-        np.testing.assert_array_equal(block.matrix, expected)
+        np.testing.assert_array_equal(block, expected)
         # spot checks against the four distinct entry classes
-        assert block.matrix[0, 0] == 25.0
-        assert block.matrix[0, 1] == 14.5
-        assert block.matrix[0, 2] == 2.5
-        assert block.matrix[0, 3] == 1.0
+        assert block[0, 0] == 25.0
+        assert block[0, 1] == 14.5
+        assert block[0, 2] == 2.5
+        assert block[0, 3] == 1.0
 
     def test_stepped_wedge_cross_sectional_block(self):
         block = preset_block("example6")
-        assert block.matrix.shape == (15, 15)
+        assert block.shape == (15, 15)
         # full cluster-level persistence: every off-diagonal entry is the
         # cluster variance
-        np.testing.assert_array_equal(block.matrix, cs_matrix(15, 25.0, 2.5))
+        np.testing.assert_array_equal(block, cs_matrix(15, 25.0, 2.5))
 
     def test_stepped_wedge_cohort_block(self):
         block = preset_block("example7")
-        assert block.matrix.shape == (15, 15)
+        assert block.shape == (15, 15)
         same_subject = cs_matrix(3, 25.0, 14.5)
         cross_subject = cs_matrix(3, 2.5, 1.0)
         expected = np.kron(np.eye(5), same_subject) + np.kron(
             np.ones((5, 5)) - np.eye(5), cross_subject
         )
-        np.testing.assert_array_equal(block.matrix, expected)
+        np.testing.assert_array_equal(block, expected)
 
     def test_unequal_cluster_sizes_by_index(self):
         sizes = [
-            preset_block("example2_51", i).matrix.shape[0] for i in range(8)
+            preset_block("example2_51", i).shape[0] for i in range(8)
         ]
         assert sizes == [7, 7, 6, 6, 7, 6, 6, 6]
 
@@ -205,7 +206,7 @@ class TestBuildClusterV:
     def test_positive_semidefinite_for_presets(self):
         for name in ("example2", "example4", "example5", "example6", "example7"):
             block = preset_block(name)
-            eigenvalues = np.linalg.eigvalsh(block.matrix)
+            eigenvalues = np.linalg.eigvalsh(block)
             assert eigenvalues.min() >= -1e-10
 
     @given(
@@ -213,16 +214,25 @@ class TestBuildClusterV:
         cac=st.floats(0.0, 1.0),
         sac=st.floats(0.0, 1.0),
         n_subjects=st.integers(1, 6),
-        n_times=st.integers(1, 4),
+        n_times=st.integers(2, 4),
     )
     def test_positive_semidefinite_property(self, icc, cac, sac, n_subjects, n_times):
-        from wedgepower.correlation import _cluster_matrix
-
+        # a cohort wedge of one cluster per step, measured n_times times
+        spec = DesignSpec(
+            kind=DesignKind.SWD_COHORT,
+            steps_k=n_times - 1,
+            baseline_b=1,
+            per_step_t=1,
+            clusters_per_step=(1,) * (n_times - 1),
+            cluster_size=n_subjects,
+            cell_means={(0, 0): 54.0, (1, 0): 59.0},
+        )
         comps = derive_components(
             CorrelationParams(sigma_y_sq=25.0, icc=icc, cac=cac, sac=sac),
             Family.COHORT,
         )
-        matrix = _cluster_matrix(comps, Family.COHORT, n_subjects, n_times)
+        matrix = build_cluster_v(cell_table(spec), comps)
+        assert matrix.shape == (n_subjects * n_times,) * 2
         assert np.linalg.eigvalsh(matrix).min() >= -1e-9 * 25.0
 
 
@@ -258,8 +268,8 @@ class TestLayoutEquivalence:
                 CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=cac),
                 Family.CROSS_SECTIONAL,
             )
-            v_cohort = build_cluster_v(cell_table(cohort_spec), cohort_comps).matrix
-            v_xsec = build_cluster_v(cell_table(xsec_spec), xsec_comps).matrix
+            v_cohort = build_cluster_v(cell_table(cohort_spec), cohort_comps)
+            v_xsec = build_cluster_v(cell_table(xsec_spec), xsec_comps)
 
             n, t = 5, 3
             # map time-major position (time, subject) to subject-major

@@ -51,3 +51,16 @@ def test_engine_and_design_effects_read_kind_traits():
     # closed forms read a kind's traits from it, never the kind itself
     pattern = r"DesignKind|_KINDS|" + KIND_STRINGS
     assert _lines_matching(pattern, "engine.py", "design_effects.py") == []
+
+
+def test_dense_oracle_names_no_private_package_attribute():
+    # the oracle checks the package's routes, so it must not borrow
+    # their private helpers
+    oracle = Path(__file__).with_name("dense_oracle.py")
+    pattern = re.compile(r"\b(correlation|designs|engine|distributions|mc)\._\w")
+    found = [
+        f"{number}: {line.strip()}"
+        for number, line in enumerate(oracle.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []
