@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reps", type=int, default=20000, help="number of replicates (default 20000)"
     )
     p_mc.add_argument(
-        "--seed", type=int, default=1, help="base seed for the replicate streams"
+        "--seed", type=int, default=1, help="seed of the run's random stream"
     )
 
     p_dataset = sub.add_parser("dataset", help="exemplary dataset as CSV")

@@ -1,24 +1,24 @@
 """Monte Carlo check of the analytic power route.
 
-Simulates the exemplary design on its cluster-period cells: each
-replicate draws every cluster's T cell means from their exact
-covariance S_k = a_k J + b_k I, the cell average of the subject-level
-covariance, takes the contrast estimate with the known-covariance GLS
-weights of the analytic route's fit, and counts rejections of the
-primary hypothesis.  Every fixed effect is constant within a cell, so
-the cell means carry the whole contrast, and a replicate costs clusters
-times periods draws, however many subjects a cell holds.  The replicate
-F statistic divides the contrast's Wald numerator by an independent
-mean-one chi-square draw with the policy's denominator degrees of
-freedom: that is the estimation noise the F(ndf, ddf) reference
-distribution assumes, so under null means the statistic is exactly
-central F and the rejection rate is exactly alpha in expectation.
+Every cluster's T cell means have the exact covariance S_k = a_k J +
+b_k I, the cell average of the subject-level covariance (Hussey &
+Hughes 2007), and every fixed effect is constant within a cell.  So
+the contrast estimate under the known-covariance GLS weights of the
+analytic route's fit is center + z . u for z ~ N(0, I) over the cells,
+which is exactly N(center, u . u): each replicate draws one standard
+normal, scaled by the projected spread sqrt(u . u), and costs the same
+however large the design.  The statistic divides by the fit's own
+contrast variance s2, so a projection that disagrees with the fit
+shows in every run's z-score.  The replicate F statistic divides the
+Wald numerator by an independent mean-one chi-square draw with the
+policy's denominator degrees of freedom: that is the estimation noise
+the F(ndf, ddf) reference distribution assumes, so under null means
+the rejection rate is exactly alpha in expectation.
 
 A run draws from one Philox stream keyed by (seed, 0) (Salmon et al.
-2011).  Replicates run in fixed chunks of _CHUNK: a chunk draws all its
-normals first, in blocks of replicates, then all its chi-square
-denominators, so the estimate depends only on the seed and replicate
-count, never on block size.
+2011).  Replicates run in fixed chunks of _CHUNK: a chunk draws its
+normals, then its chi-square denominators, so the estimate depends
+only on the seed and the replicate count.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# most normals a chunk draws at once (512 KB); a block is at least one row
-_BLOCK_DRAWS = 2**16
 _Z95 = 1.959963984540054
 
 
@@ -68,6 +66,9 @@ class SimulationPlan:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
+        # numpy scalars and whole floats are reported as plain ints
+        object.__setattr__(self, "replicates", int(reps))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -116,33 +117,29 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, flo
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     """Rejection rate of the primary test over simulated replicates.
 
-    Each replicate draws every cluster's cluster-period cell means from
-    their exact covariance, one standard normal per cell, takes the
-    contrast estimate with the known-covariance GLS weights of the
-    analytic route's fit, forms the F statistic (Wald numerator over a
-    mean-one chi-square denominator with the policy's degrees of freedom,
-    drawn from the same stream), and rejects when it exceeds the
-    analytic route's critical value.  No subject rows are built, so the
-    design may be of any size.
+    Each replicate draws one standard normal, scaled by the projected
+    spread sqrt(u . u) of the cell means' contrast estimate under the
+    known-covariance GLS weights of the analytic route's fit, forms the
+    F statistic (Wald numerator over a mean-one chi-square denominator
+    with the policy's degrees of freedom, drawn from the same stream),
+    and rejects when it exceeds the analytic route's critical value.
+    No subject rows or cell draws are made, so the design may be of
+    any size.
     """
     run = engine.evaluate(
         plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
     )
     alpha, ddf, fcrit = run.result.alpha, run.result.ddf, run.result.fcrit
     center, u, s2 = _contrast_projection(run)
-    rows_per_block = max(1, _BLOCK_DRAWS // u.size)
+    spread = math.sqrt(u @ u)
 
     key = np.array([plan.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     rejections = 0
     for start in range(0, plan.replicates, _CHUNK):
         count = min(_CHUNK, plan.replicates - start)
-        effects = np.empty(count)
-        for at in range(0, count, rows_per_block):
-            stop = min(at + rows_per_block, count)
-            effects[at:stop] = rng.standard_normal((stop - at, u.size)) @ u
+        effects = center + spread * rng.standard_normal(count)
         denominator = rng.chisquare(ddf, count) / ddf
-        effects += center
         fstats = effects * effects / s2
         rejections += int(np.count_nonzero(fstats > fcrit * denominator))
 
@@ -152,8 +149,8 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     # Wilson score interval; rounding may leave an end a hair inside the estimate
     z2 = _Z95 * _Z95
     middle = (estimate + z2 / (2 * n)) / (1.0 + z2 / n)
-    spread = math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n))
-    half = _Z95 * spread / (1.0 + z2 / n)
+    root = math.sqrt(estimate * (1.0 - estimate) / n + z2 / (4 * n * n))
+    half = _Z95 * root / (1.0 + z2 / n)
     analytic = run.result.power
     analytic_se = math.sqrt(analytic * (1.0 - analytic) / n)
     return EmpiricalPower(

@@ -5,6 +5,9 @@ is deterministic; statistical tolerances are set at three to four Monte
 Carlo standard errors of the quantity being checked.
 """
 
+import dataclasses
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,7 @@ from wedgepower.engine import analytic_power, evaluate
 from wedgepower.mc import EmpiricalPower, SimulationPlan, empirical_power
 
 import dense_oracle
+from test_acceptance import null_spec
 
 
 def preset_plan(name: str, replicates: int, seed: int = 1, **kwargs) -> SimulationPlan:
@@ -43,6 +47,17 @@ class TestSimulationPlan:
             SimulationPlan(spec=spec, params=params, replicates=10, seed=2**64)
         with pytest.raises(ValueError, match="seed must be an integer"):
             SimulationPlan(spec=spec, params=params, replicates=10, seed="1")
+
+    @pytest.mark.parametrize(
+        "replicates,seed", [(np.int64(100), np.uint64(3)), (100, 3.0), (100, np.float64(3))]
+    )
+    def test_counts_are_reported_as_plain_ints(self, replicates, seed):
+        spec, params = get_preset("example1")
+        plan = SimulationPlan(spec=spec, params=params, replicates=replicates, seed=seed)
+        result = empirical_power(plan)
+        assert type(result.replicates) is int and type(result.seed) is int
+        assert (result.replicates, result.seed) == (100, 3)
+        assert json.loads(json.dumps(dataclasses.asdict(result)))["seed"] == 3
 
 
 def run_stream(seed: int) -> np.random.Generator:
@@ -78,6 +93,23 @@ class TestRunStream:
     @pytest.mark.parametrize(
         "name,replicates,seed,rejections",
         [
+            ("example1", 1000, 1, 794),
+            ("example1", 1024, 3, 813),
+            ("example5", 1000, 1, 828),
+            ("example5", 1024, 3, 849),
+            ("example7", 1000, 1, 840),
+            ("example7", 1024, 3, 849),
+        ],
+    )
+    def test_runs_of_one_chunk_keep_their_counts(self, name, replicates, seed, rejections):
+        # frozen counts of reference_rejections: one chunk is the whole
+        # run, drawn from the stream keyed (seed, 0)
+        plan = preset_plan(name, replicates, seed=seed)
+        assert empirical_power(plan).rejections == rejections
+
+    @pytest.mark.parametrize(
+        "name,replicates,seed,rejections",
+        [
             ("example1", 1000, 1, 795),
             ("example1", 1024, 3, 834),
             ("example5", 1000, 1, 839),
@@ -86,11 +118,11 @@ class TestRunStream:
             ("example7", 1024, 3, 851),
         ],
     )
-    def test_runs_of_one_chunk_keep_their_counts(self, name, replicates, seed, rejections):
-        # frozen counts: one chunk is the whole run, drawn from the
-        # stream keyed (seed, 0)
+    def test_cell_oracle_keeps_the_per_cell_counts(self, name, replicates, seed, rejections):
+        # frozen counts of the simulator when it drew one normal per
+        # cluster-period cell: the oracle is that scheme, draw for draw
         plan = preset_plan(name, replicates, seed=seed)
-        assert empirical_power(plan).rejections == rejections
+        assert cell_draw_rejections(plan) == rejections
 
 
 class TestContrastProjection:
@@ -113,7 +145,29 @@ class TestContrastProjection:
 
 
 def reference_rejections(plan: SimulationPlan) -> int:
-    """Rejection count drawn one replicate's cell vector at a time, chunk by chunk."""
+    """Rejection count drawn one replicate's normal at a time, chunk by chunk."""
+    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
+    center, u, s2 = mc._contrast_projection(run)
+    spread = math.sqrt(u @ u)
+    ddf, fcrit = run.result.ddf, run.result.fcrit
+    rng = run_stream(plan.seed)
+    rejections = 0
+    for start in range(0, plan.replicates, 1024):
+        count = min(1024, plan.replicates - start)
+        effects = np.array([center + spread * rng.standard_normal() for _ in range(count)])
+        denominator = rng.chisquare(ddf, count) / ddf
+        fstats = effects**2 / s2
+        rejections += int(np.count_nonzero(fstats > fcrit * denominator))
+    return rejections
+
+
+def cell_draw_rejections(plan: SimulationPlan) -> int:
+    """Rejection count from one normal per cluster-period cell of every replicate.
+
+    Each replicate's contrast estimate is center + z . u with z drawn
+    over all the design's cells, projected by a matrix product; a chunk
+    draws its cell normals, then its chi-square denominators.
+    """
     run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
     center, u, s2 = mc._contrast_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
@@ -121,44 +175,52 @@ def reference_rejections(plan: SimulationPlan) -> int:
     rejections = 0
     for start in range(0, plan.replicates, 1024):
         count = min(1024, plan.replicates - start)
-        effects = np.array([rng.standard_normal(u.size) @ u for _ in range(count)])
+        effects = center + rng.standard_normal((count, u.size)) @ u
         denominator = rng.chisquare(ddf, count) / ddf
-        fstats = (center + effects) ** 2 / s2
+        fstats = effects**2 / s2
         rejections += int(np.count_nonzero(fstats > fcrit * denominator))
     return rejections
 
 
+def wide_wedge(clusters_per_step: int) -> DesignSpec:
+    """swd_xsec with 12 steps of two periods after one baseline (25 periods)."""
+    return DesignSpec(
+        kind=DesignKind.SWD_XSEC,
+        steps_k=12,
+        baseline_b=1,
+        per_step_t=2,
+        clusters_per_step=(clusters_per_step,) * 12,
+        cluster_size=20,
+        cell_means={(0, 0): 54.0, (1, 0): 55.0},
+    )
+
+
+def count_normals(monkeypatch) -> list[int]:
+    """Sizes of the standard_normal draws of every generator made from now on."""
+    drawn = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size):
+            drawn.append(int(np.prod(size)))
+            return self.rng.standard_normal(size)
+
+        def chisquare(self, df, size):
+            return self.rng.chisquare(df, size)
+
+    generator = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: Counted(generator(bits)))
+    return drawn
+
+
 class TestChunks:
     @pytest.mark.parametrize("name", ["example3", "example5", "example2_51", "example7"])
-    def test_draws_one_normal_per_cluster_period(self, monkeypatch, name):
-        drawn = []
-
-        class Counted:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, size):
-                drawn.append(int(np.prod(size)))
-                return self.rng.standard_normal(size)
-
-            def chisquare(self, df, size):
-                return self.rng.chisquare(df, size)
-
-        generator = np.random.Generator
-        monkeypatch.setattr(np.random, "Generator", lambda bits: Counted(generator(bits)))
-        plan = preset_plan(name, 1025, seed=3)
-        empirical_power(plan)
-        spec = plan.spec
-        n_periods = evaluate(spec, plan.params).cells.x.shape[1]
-        assert sum(drawn) == 1025 * spec.n_clusters * n_periods
-
-    def test_block_size_does_not_change_count(self, monkeypatch):
-        plan = preset_plan("example5", 1025, seed=6)
-        counts = []
-        for block in (1, mc._BLOCK_DRAWS, 2**30):
-            monkeypatch.setattr(mc, "_BLOCK_DRAWS", block)
-            counts.append(empirical_power(plan).rejections)
-        assert counts[0] == counts[1] == counts[2]
+    def test_draws_one_normal_per_replicate(self, monkeypatch, name):
+        drawn = count_normals(monkeypatch)
+        empirical_power(preset_plan(name, 1025, seed=3))
+        assert sum(drawn) == 1025
 
     @pytest.mark.parametrize("name", ["example1", "example5", "example7"])
     def test_matches_row_by_row_reference(self, name):
@@ -167,15 +229,7 @@ class TestChunks:
 
     def test_peak_memory_stays_below_a_chunk_buffer(self):
         # 12,000 subject rows: a whole chunk of draws would take 94 MB
-        spec = DesignSpec(
-            kind=DesignKind.SWD_XSEC,
-            steps_k=12,
-            baseline_b=1,
-            per_step_t=2,
-            clusters_per_step=(2,) * 12,
-            cluster_size=20,
-            cell_means={(0, 0): 54.0, (1, 0): 55.0},
-        )
+        spec = wide_wedge(2)
         assert spec.n_observations == 12_000
         _, params = get_preset("example6")
         plan = SimulationPlan(spec=spec, params=params, replicates=2048, seed=1)
@@ -186,6 +240,45 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_cost_follows_replicates_not_the_design(self, monkeypatch):
+        # 6,000 clusters by 25 periods: one normal per cell would be
+        # 307M normals for this run
+        spec = wide_wedge(500)
+        assert spec.n_clusters == 6_000
+        _, params = get_preset("example6")
+        plan = SimulationPlan(spec=spec, params=params, replicates=2048, seed=1)
+        drawn = count_normals(monkeypatch)
+        tracemalloc.start()
+        try:
+            empirical_power(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(drawn) == 2048
+        assert peak < 4 * 2**20
+
+
+class TestCellOracle:
+    @pytest.mark.parametrize("flat", [False, True], ids=["own_means", "flat_means"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_agrees_with_per_cell_draws(self, name, flat):
+        # one scaled normal per replicate and one normal per cell draw the
+        # same contrast distribution: rejection rates agree to sampling
+        # error.  The oracle draws from its own seed, so the two runs are
+        # independent and the two-sample z applies.
+        spec, params = get_preset(name)
+        if flat:
+            spec = null_spec(spec)
+        n = 20_000
+        ours = empirical_power(SimulationPlan(spec=spec, params=params, replicates=n, seed=1))
+        theirs = cell_draw_rejections(
+            SimulationPlan(spec=spec, params=params, replicates=n, seed=2)
+        )
+        pooled = (ours.rejections + theirs) / (2 * n)
+        se = math.sqrt(pooled * (1.0 - pooled) * 2 / n)
+        assert se > 0.0
+        assert abs(ours.rejections - theirs) / n <= 4.0 * se
 
 
 class TestEmpiricalPower:
