@@ -21,7 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,18 +57,9 @@ def _add_scenario_options(
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wedgepower",
-        description="Power and sample size for cluster randomized and "
-        "stepped wedge trials.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_de = sub.add_parser("de", help="closed-form design effect and sample plan")
-    _add_scenario_options(p_de, ("table", "json"))
-    p_de.add_argument(
+def _de_options(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_options(parser, ("table", "json"))
+    parser.add_argument(
         "--n-unclustered",
         type=int,
         default=None,
@@ -76,44 +67,49 @@ def build_parser() -> argparse.ArgumentParser:
         help="unclustered total to inflate into a sample size plan",
     )
 
-    p_power = sub.add_parser("power", help="analytic power by GLS evaluation")
-    _add_scenario_options(p_power)
-    p_power.add_argument(
+
+def _ddf_policy_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "--ddf-policy",
         choices=engine.DDF_POLICIES,
         default=None,
         help="denominator df rule (default depends on the design kind)",
     )
-    p_power.add_argument(
+
+
+def _power_options(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_options(parser)
+    _ddf_policy_option(parser)
+    parser.add_argument(
         "--audit",
         action="store_true",
         help="also report the fit behind the power figure",
     )
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo empirical power")
-    _add_scenario_options(p_mc, ("table", "json"))
-    p_mc.add_argument(
-        "--ddf-policy", choices=engine.DDF_POLICIES, default=None,
-        help="denominator df rule (default depends on the design kind)",
-    )
-    p_mc.add_argument(
+
+def _mc_options(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_options(parser, ("table", "json"))
+    _ddf_policy_option(parser)
+    parser.add_argument(
         "--reps", type=int, default=20000, help="number of replicates (default 20000)"
     )
-    p_mc.add_argument(
+    parser.add_argument(
         "--seed", type=int, default=1, help="seed of the run's random stream"
     )
 
-    p_dataset = sub.add_parser("dataset", help="exemplary dataset as CSV")
-    _add_scenario_options(p_dataset, ("table", "csv"))
 
-    p_vmatrix = sub.add_parser("vmatrix", help="one cluster's covariance matrix")
-    _add_scenario_options(p_vmatrix)
-    p_vmatrix.add_argument(
+def _dataset_options(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_options(parser, ("table", "csv"))
+
+
+def _vmatrix_options(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_options(parser)
+    parser.add_argument(
         "--correlation",
         action="store_true",
         help="print the correlation matrix instead of the covariance",
     )
-    p_vmatrix.add_argument(
+    parser.add_argument(
         "--cluster-index",
         type=int,
         default=1,
@@ -121,7 +117,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="which cluster, 1-based (default 1)",
     )
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand or only the named one.
+
+    A parser for one subcommand parses that subcommand's arguments, and
+    writes its help and errors, exactly as the full parser does; the
+    metavar keeps the full command list in its top-level usage line.
+    """
+    parser = argparse.ArgumentParser(
+        prog="wedgepower",
+        description="Power and sample size for cluster randomized and "
+        "stepped wedge trials.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_SUBCOMMANDS)
+    else:
+        # a metavar would also replace `command` in the missing and
+        # unknown command errors, which only the full parser reports
+        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = [command]
+    for name in names:
+        entry = _SUBCOMMANDS[name]
+        entry.add_options(sub.add_parser(name, help=entry.help))
     return parser
+
+
+def _flag_error(flag: str, problem: str, value) -> designs.SpecValidationError:
+    return designs.SpecValidationError([f"{flag}: {problem}, got {value!r}"])
 
 
 def _load_scenario(
@@ -141,9 +167,7 @@ def _load_scenario(
         spec, params, policy = designs.decode_spec_document(doc)
     if args.alpha is not None:
         if not (0.0 < args.alpha < 1.0):
-            raise designs.SpecValidationError(
-                [f"--alpha: must lie in (0, 1), got {args.alpha!r}"]
-            )
+            raise _flag_error("--alpha", "must lie in (0, 1)", args.alpha)
         spec = dataclasses.replace(spec, alpha=args.alpha)
     return spec, params, policy
 
@@ -195,6 +219,8 @@ def _closed_form_gaps(
 
 
 def _cmd_de(args) -> int:
+    if args.n_unclustered is not None and args.n_unclustered < 1:
+        raise _flag_error("--n-unclustered", "must be >= 1", args.n_unclustered)
     spec, params, _ = _load_scenario(args)
     result = design_effects.design_effect_for(spec, params)
     gaps = _closed_form_gaps(spec, params, result.formula)
@@ -319,6 +345,12 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.reps < 1:
+        raise _flag_error("--reps", "the number of replicates must be >= 1", args.reps)
+    if args.seed < 0:
+        raise _flag_error("--seed", "must be >= 0", args.seed)
+    if args.seed >= 2**64:
+        raise _flag_error("--seed", "must fit in 64 bits", args.seed)
     spec, params, doc_policy = _load_scenario(args)
     policy = args.ddf_policy or doc_policy
     plan = mc.SimulationPlan(
@@ -380,8 +412,8 @@ def _cmd_vmatrix(args) -> int:
     comps = engine.variance_components(spec, params)
     n_clusters = cells.cluster_pattern.size
     if not (1 <= args.cluster_index <= n_clusters):
-        raise designs.SpecValidationError(
-            [f"--cluster-index: must lie in [1, {n_clusters}], got {args.cluster_index}"]
+        raise _flag_error(
+            "--cluster-index", f"must lie in [1, {n_clusters}]", args.cluster_index
         )
     matrix = correlation.build_cluster_v(cells, comps, args.cluster_index - 1)
     if args.correlation:
@@ -400,20 +432,31 @@ def _cmd_vmatrix(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "de": _cmd_de,
-    "power": _cmd_power,
-    "mc": _cmd_mc,
-    "dataset": _cmd_dataset,
-    "vmatrix": _cmd_vmatrix,
+class _Subcommand(NamedTuple):
+    help: str
+    add_options: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+_SUBCOMMANDS = {
+    "de": _Subcommand("closed-form design effect and sample plan", _de_options, _cmd_de),
+    "power": _Subcommand("analytic power by GLS evaluation", _power_options, _cmd_power),
+    "mc": _Subcommand("Monte Carlo empirical power", _mc_options, _cmd_mc),
+    "dataset": _Subcommand("exemplary dataset as CSV", _dataset_options, _cmd_dataset),
+    "vmatrix": _Subcommand(
+        "one cluster's covariance matrix", _vmatrix_options, _cmd_vmatrix
+    ),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only an exact subcommand name selects a one-command parser; the
+    # full parser answers everything else (help, version, a bad command)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command].run(args)
     except designs.SpecValidationError as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)

@@ -42,6 +42,9 @@ _MIXTURE_TOL = 1e-13
 _MIXTURE_MAX_TERMS = 100_000
 # Poisson standard deviations to the far end of the mass a sweep may leave out
 _FAR_SD = 40.0
+# counts from which a Poisson weight takes the saddle-point form, where the
+# Stirling series serves as Loader's stirlerr
+_SADDLE_MIN = 10
 
 _log = logging.getLogger(__name__)
 
@@ -346,8 +349,34 @@ def central_f_quantile(p: float, ndf: int, ddf: int) -> float:
     return ddf * u / (ndf * omu)
 
 
+def _bd0(x: float, mean: float) -> float:
+    """x log(x / mean) + mean - x, summed as a series near mean (Loader 2000)."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total = (x - mean) * v
+    term = 2.0 * x * v
+    for k in range(3, 1000, 2):
+        term *= v * v
+        grown = total + term / k
+        if grown == total:
+            break
+        total = grown
+    return total
+
+
 def _poisson_pmf(j: int, half_lam: float) -> float:
-    return math.exp(j * math.log(half_lam) - half_lam - math.lgamma(j + 1.0))
+    """Poisson(half_lam) probability of j.
+
+    From j = _SADDLE_MIN on, Loader's saddle-point form
+    exp(-stirlerr(j) - bd0(j, half_lam)) / sqrt(2 pi j): the direct log
+    form's terms of size j log j cancel, losing 1e-10 relative at 1e5.
+    """
+    if j < _SADDLE_MIN:
+        return math.exp(j * math.log(half_lam) - half_lam - math.lgamma(j + 1.0))
+    return math.exp(-_stirling_tail(j) - _bd0(j, half_lam)) / math.sqrt(
+        2.0 * math.pi * j
+    )
 
 
 def _sweep_matters(

@@ -64,7 +64,9 @@ class SimulationPlan:
             raise ValueError(f"replicates must be an integer >= 1, got {reps!r}")
         if not is_whole(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.seed >= 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
         # numpy scalars and whole floats are reported as plain ints
         object.__setattr__(self, "replicates", int(reps))
@@ -95,23 +97,25 @@ class EmpiricalPower:
     z: float
 
 
-def _contrast_projection(run: engine.Evaluation) -> tuple[float, np.ndarray, float]:
-    """center, u and s2 with contrast estimate center + z . u for a draw z.
+def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
+    """center, spread and s2 with contrast estimate center + z . u for a draw z.
 
     A cluster of pattern k draws its T cell means as mean_k + L_k z_c,
     L_k the Cholesky factor of the cell-mean covariance S_k, and adds
     w_k . mean_k + z_c . (L_k' w_k) to the contrast estimate, w_k its
-    row of cell weights.  u stacks L_k' w_k over the clusters in dataset
-    order; s2 is the tested coefficient's variance, the last diagonal
-    entry of (X'V^-1X)^-1, which equals u . u.
+    row of cell weights.  u stacks L_k' w_k over the clusters; spread is
+    sqrt(u . u), summed per pattern as count_k |L_k' w_k|^2 so that u is
+    never formed.  s2 is the tested coefficient's variance, the last
+    diagonal entry of (X'V^-1X)^-1, which equals u . u.
     """
     cells = run.cells
     weights = run.cell_weights()
     factors = np.linalg.cholesky(run.cell_covariance())
     per_pattern = np.einsum("kts,kt->ks", factors, weights)
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
+    spread = math.sqrt(cells.count @ np.sum(per_pattern * per_pattern, axis=1))
     s2 = float(run.fit.cov[-1, -1])
-    return center, per_pattern[cells.cluster_pattern].ravel(), s2
+    return center, spread, s2
 
 
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
@@ -123,15 +127,15 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     F statistic (Wald numerator over a mean-one chi-square denominator
     with the policy's degrees of freedom, drawn from the same stream),
     and rejects when it exceeds the analytic route's critical value.
-    No subject rows or cell draws are made, so the design may be of
+    No subject rows or cell draws are made, and the spread is summed
+    over cluster patterns rather than clusters, so the design may be of
     any size.
     """
     run = engine.evaluate(
         plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
     )
     alpha, ddf, fcrit = run.result.alpha, run.result.ddf, run.result.fcrit
-    center, u, s2 = _contrast_projection(run)
-    spread = math.sqrt(u @ u)
+    center, spread, s2 = _contrast_projection(run)
 
     key = np.array([plan.seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from wedgepower import cli
 from wedgepower.cli import main
 from wedgepower.design_effects import design_effect_for
 from wedgepower.designs import decode_spec_document, exemplary_dataset, get_preset
@@ -528,3 +529,86 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["power", "--preset", "example1", "--spec", "x.json"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mc", "--reps", "-5"), "--reps: the number of replicates must be >= 1, got -5"),
+            (("mc", "--seed", "-1"), "--seed: must be >= 0, got -1"),
+            (("mc", "--seed", str(2**64)), f"--seed: must fit in 64 bits, got {2**64}"),
+            (("de", "--n-unclustered", "0"), "--n-unclustered: must be >= 1, got 0"),
+        ],
+    )
+    def test_range_errors_name_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--preset", "example2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+def outcome(capsys, argv):
+    """Exit status, stdout and stderr of main(argv), usage exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def command_corpus():
+    corpus = [(), ("--help",), ("--version",), ("bogus",), ("pow",)]
+    valid = {
+        "de": ("--n-unclustered", "34"),
+        "power": ("--audit",),
+        "mc": ("--reps", "300"),
+        "dataset": ("--format", "csv"),
+        "vmatrix": ("--correlation",),
+    }
+    for command, options in valid.items():
+        scenario = (command, "--preset", "example2")
+        corpus += [
+            (command, "--help"),
+            (command, *options),
+            scenario + ("--bogus",),
+            scenario + ("--format", "xml"),
+            scenario + ("stray",),
+            scenario + options,
+        ]
+    return corpus
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("argv", command_corpus(), ids=" ".join)
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        # the parser built for argv[0] alone must parse, run and fail
+        # exactly as the parser with every subcommand
+        one = outcome(capsys, argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert outcome(capsys, argv) == one
+
+    def test_full_parser_names_the_command_argument(self, capsys):
+        # a metavar on the full parser would name {de,...} here instead
+        code, _, err = outcome(capsys, ())
+        assert code == 2
+        assert err.endswith("error: the following arguments are required: command\n")
+        code, _, err = outcome(capsys, ("bogus",))
+        assert code == 2
+        assert "error: argument command: invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("power", "--preset", "example2"), 1),
+            (("mc", "--preset", "example2", "--reps", "100"), 1),
+            (("--help",), 5),
+        ],
+    )
+    def test_builds_only_the_invoked_subcommand(self, capsys, monkeypatch, argv, built):
+        calls = []
+        add = cli._add_scenario_options
+        monkeypatch.setattr(
+            cli, "_add_scenario_options", lambda *a: calls.append(a) or add(*a)
+        )
+        outcome(capsys, argv)
+        assert len(calls) == built

@@ -349,6 +349,31 @@ class TestNoncentralFCdf:
         assert smaller <= larger + 1e-12
 
 
+class TestPoissonWeight:
+    @staticmethod
+    def mp_pmf(j: int, mean: float) -> float:
+        with mp.workdps(40):
+            return float(mp.exp(j * mp.log(mean) - mean - mp.loggamma(j + 1)))
+
+    @pytest.mark.parametrize("mean", [1e3, 1e4, 1e5, 1e6])
+    def test_mode_weight_matches_mpmath(self, mean):
+        # the direct log form was 1e-13 to 7e-10 off here
+        for j in (int(mean), int(mean + 3 * math.sqrt(mean))):
+            got = distributions._poisson_pmf(j, mean)
+            assert got == pytest.approx(self.mp_pmf(j, mean), rel=1e-13, abs=0.0)
+
+    def test_sums_near_one_keep_the_mode_weight_exact(self):
+        # the direct log form's error in the mode weight scales every term:
+        # both sums below were 7.4e-11 short
+        fcrit = power_from_f(1e5, 1, 32, 0.05).fcrit
+        u, omu = distributions._f_to_beta(fcrit, 1, 32)
+        upper = distributions._mixture(0.5, 16.0, u, omu, 5e4, upper=True)
+        assert upper == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        # mpmath's mixture over 12 Poisson standard deviations, 30 digits
+        cdf = noncentral_f_cdf(1e6, 1, 32, 1e5)
+        assert cdf == pytest.approx(0.9999999999802824, rel=0.0, abs=1e-12)
+
+
 class TestPowerFromF:
     def test_null_fvalue_recovers_alpha(self):
         for alpha in (0.01, 0.05, 0.2):

@@ -48,6 +48,13 @@ class TestSimulationPlan:
         with pytest.raises(ValueError, match="seed must be an integer"):
             SimulationPlan(spec=spec, params=params, replicates=10, seed="1")
 
+    def test_seed_range_messages(self):
+        spec, params = get_preset("example1")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SimulationPlan(spec=spec, params=params, replicates=10, seed=-1)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            SimulationPlan(spec=spec, params=params, replicates=10, seed=2**64)
+
     @pytest.mark.parametrize(
         "replicates,seed", [(np.int64(100), np.uint64(3)), (100, 3.0), (100, np.float64(3))]
     )
@@ -133,22 +140,31 @@ class TestContrastProjection:
         # simulated F would not be the analytic F
         spec, params = get_preset(name)
         run = evaluate(spec, params)
-        center, u, s2 = mc._contrast_projection(run)
+        center, spread, s2 = mc._contrast_projection(run)
+        u = stacked_projection(run)
         assert u.size == spec.n_clusters * run.cells.x.shape[1]
+        # the per-pattern sum is the stacked u's norm to rounding
+        assert spread == pytest.approx(math.sqrt(u @ u), rel=1e-15)
         sampler = dense_oracle.StudySampler(spec, run.components)
         weights = sampler.row_weights(run.cells, run.cell_weights())
         dense_u = sampler.project(weights)
-        assert u @ u == pytest.approx(dense_u @ dense_u, rel=1e-10)
-        assert u @ u == pytest.approx(s2, rel=1e-10)
+        assert spread**2 == pytest.approx(dense_u @ dense_u, rel=1e-10)
+        assert spread**2 == pytest.approx(s2, rel=1e-10)
         assert s2 == pytest.approx(run.fit.cov[-1, -1], rel=1e-15)
         assert center == pytest.approx(sampler.mu @ weights, rel=1e-12)
+
+
+def stacked_projection(run) -> np.ndarray:
+    """u: L_k' w_k stacked over the clusters in dataset order."""
+    factors = np.linalg.cholesky(run.cell_covariance())
+    per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
+    return per_pattern[run.cells.cluster_pattern].ravel()
 
 
 def reference_rejections(plan: SimulationPlan) -> int:
     """Rejection count drawn one replicate's normal at a time, chunk by chunk."""
     run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
-    center, u, s2 = mc._contrast_projection(run)
-    spread = math.sqrt(u @ u)
+    center, spread, s2 = mc._contrast_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
     rng = run_stream(plan.seed)
     rejections = 0
@@ -169,7 +185,8 @@ def cell_draw_rejections(plan: SimulationPlan) -> int:
     draws its cell normals, then its chi-square denominators.
     """
     run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
-    center, u, s2 = mc._contrast_projection(run)
+    center, _, s2 = mc._contrast_projection(run)
+    u = stacked_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
     rng = run_stream(plan.seed)
     rejections = 0
@@ -256,7 +273,8 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert sum(drawn) == 2048
-        assert peak < 4 * 2**20
+        # about 0.45 MB; stacking u over the clusters alone took 1.14 MB
+        assert peak < 2**20
 
 
 class TestCellOracle:
