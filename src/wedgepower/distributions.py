@@ -37,6 +37,8 @@ _CF_MAX_ITER = 500
 _INV_STEP_TOL = 1e-9
 _INV_MAX_HALLEY = 10
 _INV_MAX_BISECT = 2200
+# Newton steps that polish the normal quantile of the t start
+_NORMAL_NEWTON = 3
 # Poisson mass the noncentral mixture may leave out
 _MIXTURE_TOL = 1e-13
 _MIXTURE_MAX_TERMS = 100_000
@@ -217,13 +219,70 @@ def central_f_cdf(x: float, ndf: int, ddf: int) -> float:
     return _ibeta(0.5 * ndf, 0.5 * ddf, u, omu)
 
 
+def _normal_deviate(log_p: float) -> float:
+    # Abramowitz and Stegun 26.2.22: the z with P(Z > z) = p for p <= 1/2,
+    # from log p, to within 3e-3
+    t = math.sqrt(-2.0 * log_p)
+    return t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+
+
+def _two_sided_normal_quantile(p: float) -> float:
+    # the z >= 0 with P(|Z| > z) = erfc(z / sqrt(2)) = p, polished by Newton
+    # steps on log(erfc(z / sqrt(2)) / p); where erfc or the density
+    # underflows, at subnormal p, the polish stops
+    z = _normal_deviate(math.log(p) - math.log(2.0))
+    for _ in range(_NORMAL_NEWTON):
+        tail = math.erfc(z / math.sqrt(2.0))
+        density = math.exp(-0.5 * z * z) * math.sqrt(2.0 / math.pi)
+        if tail == 0.0 or density == 0.0:
+            break
+        z += math.log(tail / p) * tail / density
+    return z
+
+
+def _t_start(n: float, p: float) -> tuple[float, float]:
+    # Hill's (1970, CACM Algorithm 396) approximation of the t quantile q
+    # with P(|T_n| > q) = p, as x = n / (n + q^2) and 1 - x, the root of
+    # I_x(n/2, 1/2) = p; n = 1 and n = 2 have closed forms
+    if n == 1.0:
+        angle = 0.5 * math.pi * p
+        return math.sin(angle) ** 2, math.cos(angle) ** 2
+    if n == 2.0:
+        return p * (2.0 - p), (1.0 - p) ** 2
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * n
+    y = (d * p) ** (2.0 / n)
+    if y > 0.05 + a:
+        # asymptotic inverse expansion about the normal quantile of p / 2
+        x = -_two_sided_normal_quantile(p)
+        y = x * x
+        if n < 5.0:
+            c += 0.3 * (n - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    else:
+        e = 3.0 * (n + 2.0) * ((n + 6.0) / (n * y) - 0.089 * d - 0.822)
+        y = ((1.0 / e + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    # y = q^2 / n
+    return 1.0 / (1.0 + y), y / (1.0 + y)
+
+
 def _beta_start(a: float, b: float, p: float) -> tuple[float, float]:
-    # Numerical Recipes' invbetai starting guess for I_x(a, b) = p, as x
-    # and 1 - x, each computed without cancellation
+    # starting guess for I_x(a, b) = p, as x and 1 - x, each computed
+    # without cancellation.  For b = 1/2, the upper-tail solve of F(1, 2a),
+    # the root is x = n / (n + q^2) at Hill's t quantile q for n = 2a;
+    # elsewhere, or where x or 1 - x of that start is not a positive
+    # double, Numerical Recipes' invbetai guess.
+    if b == 0.5:
+        x, omx = _t_start(2.0 * a, p)
+        if 0.0 < x <= 1.0 and 0.0 < omx <= 1.0:
+            return x, omx
     if a >= 1.0 and b >= 1.0:
         # normal approximation; x = 1 / (1 + exp(r))
-        t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
-        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        z = _normal_deviate(math.log(min(p, 1.0 - p)))
         if p >= 0.5:
             z = -z
         al = (z * z - 3.0) / 6.0

@@ -10,6 +10,9 @@ the differential tests:
   whenever a step leaves the bracket.  It solves at p = 1 - alpha.
 * ``power_from_f`` takes that quantile at 1 - alpha and the power as
   ``1 - noncentral_f_cdf`` there.
+* ``nr_beta_start`` is Numerical Recipes' ``invbetai`` starting guess,
+  which the inverse incomplete beta used for every shape before the
+  F(1, ddf) solve started at Hill's t quantile.
 * ``regularized_incomplete_beta`` is the validated wrapper over the
   package's private ``_ibeta`` that tests call.
 """
@@ -20,6 +23,9 @@ import math
 
 from wedgepower.distributions import _ibeta, central_f_cdf, noncentral_f_cdf
 
+# the floor of the start's smaller coordinate
+FPMIN = 1e-300
+
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1]."""
@@ -28,6 +34,36 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     return _ibeta(a, b, x, 1.0 - x)
+
+
+def nr_beta_start(a: float, b: float, p: float) -> tuple[float, float]:
+    """Numerical Recipes' invbetai starting guess for I_x(a, b) = p, as x
+    and 1 - x, each computed without cancellation."""
+    if a >= 1.0 and b >= 1.0:
+        # normal approximation; x = 1 / (1 + exp(r))
+        t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+        z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+        if p >= 0.5:
+            z = -z
+        al = (z * z - 3.0) / 6.0
+        inv_a, inv_b = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+        h = 2.0 / (inv_a + inv_b)
+        w = z * math.sqrt(al + h) / h
+        w -= (inv_b - inv_a) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        r = math.log(b / a) + 2.0 * w
+        e = math.exp(-abs(r))
+        small = max(e / (1.0 + e), FPMIN)
+        big = 1.0 / (1.0 + e)
+        return (small, big) if r > 0.0 else (big, small)
+    # power laws in x near 0 and in 1 - x near 1
+    t = math.exp(a * math.log(a / (a + b))) / a
+    u = math.exp(b * math.log(b / (a + b))) / b
+    w = t + u
+    if p < t / w:
+        log_x = math.log(a * w * p) / a
+        return math.exp(log_x), -math.expm1(log_x)
+    log_omx = math.log(b * w * (1.0 - p)) / b
+    return -math.expm1(log_omx), math.exp(log_omx)
 
 
 def _central_f_logpdf(x: float, a: float, b: float, ndf: int, ddf: int) -> float:

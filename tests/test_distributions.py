@@ -533,6 +533,30 @@ class TestUpperTailSolve:
                         counts.append(len(calls))
         assert max(counts) <= 6
 
+    def test_t_start_takes_one_or_two_evaluations(self, monkeypatch):
+        # the F(1, ddf) solve starts at Hill's t quantile: one incomplete
+        # beta settles it at the ddf and alphas that trials use
+        calls = []
+        real = distributions._ibeta
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distributions, "_ibeta", counting)
+        counts = {}
+        for ddf in GRID_DDF:
+            for alpha in GRID_ALPHA:
+                calls.clear()
+                distributions._f_upper_quantile(alpha, 1, ddf)
+                counts[ddf, alpha] = len(calls)
+        assert max(counts.values()) <= 2
+        assert {
+            key: count
+            for key, count in counts.items()
+            if key[0] >= 30 and key[1] in (0.05, 0.01) and count != 1
+        } == {}
+
     def test_bisection_fallback_is_logged_and_agrees(self, monkeypatch, caplog):
         halley = [central_f_quantile(p, 3, 17) for p in (0.01, 0.95)]
         monkeypatch.setattr(distributions, "_INV_MAX_HALLEY", 1)
@@ -561,3 +585,59 @@ class TestUpperTailSolve:
             central_f_cdf("2", 1, 9)
         with pytest.raises(ValueError, match="noncentrality must be finite"):
             noncentral_f_cdf(2.0, 1, 9, "1")
+
+
+# the grid on which the t start is checked against the start it replaced
+ORACLE_ALPHA = (1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5)
+ORACLE_DDF = (*range(1, 11), 12, 15, 20, 30, 50, 100, 228, 1000, 10**4, 10**5, 10**6)
+# At ddf 10^6, _ibeta(ddf/2, 1/2) near the root jumps by up to 9e-11
+# relative as 1 - x moves by 2e-12, where its continued fraction stops a
+# term earlier or later.  Each start's solve stops within 1.8e-11 of the
+# 50-digit root, but the two stop on opposite sides at alpha = 0.05.
+ORACLE_FCRIT_REL = {10**6: 4e-11}
+ORACLE_POWER_ABS = {10**6: 2e-11}
+
+
+class TestTStart:
+    @pytest.mark.parametrize("ddf", ORACLE_DDF)
+    def test_matches_the_nr_start(self, ddf, monkeypatch):
+        def figures():
+            return [
+                power_from_f(fvalue, 1, ddf, alpha)
+                for alpha in ORACLE_ALPHA
+                for fvalue in (0.0, 2.0, 8.0, 20.0)
+            ]
+
+        t_start = figures()
+        monkeypatch.setattr(distributions, "_beta_start", f_oracle.nr_beta_start)
+        nr_start = figures()
+        for new, old in zip(t_start, nr_start):
+            assert new.fcrit == pytest.approx(
+                old.fcrit, rel=ORACLE_FCRIT_REL.get(ddf, 1e-11)
+            )
+            assert new.power == pytest.approx(
+                old.power, rel=0.0, abs=ORACLE_POWER_ABS.get(ddf, 1e-11)
+            )
+
+    @pytest.mark.parametrize("ddf", [10**4, 10**5, 10**6])
+    def test_large_ddf_matches_high_precision_quantile(self, ddf):
+        # _ibeta loses precision as ddf grows (1.6e-13 at 10^4, 3.2e-11 at
+        # 10^6), so these are held at 1e-10 rather than 1e-13
+        fcrit = power_from_f(0.0, 1, ddf, 0.05).fcrit
+        assert fcrit == pytest.approx(mp_upper_quantile(0.05, 1, ddf, fcrit), rel=1e-10)
+
+    @pytest.mark.parametrize("ddf", [2, 3, 32, 45, 109])
+    def test_critical_value_decreases_down_to_subnormal_alpha(self, ddf):
+        # F(1, 2)'s critical value, about 1/alpha, overflows at subnormal alpha
+        alphas = (5e-324, 1e-320, 1e-300, 1e-100, 0.05)[2 if ddf == 2 else 0 :]
+        fcrits = [power_from_f(0.0, 1, ddf, alpha).fcrit for alpha in alphas]
+        assert all(math.isfinite(fcrit) for fcrit in fcrits)
+        assert all(high > low for high, low in zip(fcrits, fcrits[1:]))
+
+    @pytest.mark.parametrize(
+        "ddf,alpha",
+        [(1, 1e-199), (1, 1e-200), (1, 1e-300), (1, 5e-324), (2, 1e-320), (2, 5e-324)],
+    )
+    def test_overflowing_critical_value_is_refused(self, ddf, alpha):
+        with pytest.raises(ValueError, match=f"alpha={alpha!r} is too small"):
+            power_from_f(0.0, 1, ddf, alpha)
