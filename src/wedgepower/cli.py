@@ -175,8 +175,6 @@ def _load_scenario(
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -218,7 +216,7 @@ def _closed_form_gaps(
     return gaps
 
 
-def _cmd_de(args) -> int:
+def _cmd_de(args) -> str:
     if args.n_unclustered is not None and args.n_unclustered < 1:
         raise _flag_error("--n-unclustered", "must be >= 1", args.n_unclustered)
     spec, params, _ = _load_scenario(args)
@@ -249,8 +247,7 @@ def _cmd_de(args) -> int:
         }
         if plan is not None:
             payload["plan"] = dataclasses.asdict(plan)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
 
     rows = [
         ("design", spec.kind.value),
@@ -269,8 +266,7 @@ def _cmd_de(args) -> int:
         rows.append(
             ("participants", f"{plan.participants_raw:.3f} -> {plan.participants}")
         )
-    _emit(_table(rows), args.out)
-    return 0
+    return _table(rows)
 
 
 def _power_payload(
@@ -300,7 +296,7 @@ def _power_payload(
     return payload
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> str:
     if args.audit and args.fmt == "csv":
         raise ValueError("--audit is not available with --format csv")
     spec, params, doc_policy = _load_scenario(args)
@@ -309,18 +305,11 @@ def _cmd_power(args) -> int:
     result = run.result
 
     if args.fmt == "json":
-        payload = _power_payload(spec, run, args.audit)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(_power_payload(spec, run, args.audit), indent=2) + "\n"
     if args.fmt == "csv":
-        header = "design,ddf_policy,power,fvalue,noncentrality,fcrit,ndf,ddf,alpha"
-        row = (
-            f"{spec.kind.value},{result.ddf_policy},{result.power:.17g},"
-            f"{result.fvalue:.17g},{result.noncentrality:.17g},"
-            f"{result.fcrit:.17g},{result.ndf},{result.ddf},{result.alpha:.17g}"
-        )
-        _emit(header + "\n" + row + "\n", args.out)
-        return 0
+        payload = _power_payload(spec, run, False)
+        row = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in payload.values())
+        return ",".join(payload) + "\n" + ",".join(row) + "\n"
 
     rows = [
         ("design", spec.kind.value),
@@ -337,14 +326,12 @@ def _cmd_power(args) -> int:
     if args.audit:
         rows.append(("contrast", run.contrast))
         rows.append(("beta", "  ".join(_f3(b) for b in run.fit.beta)))
-        comps = dataclasses.asdict(run.components)
-        for name, value in comps.items():
+        for name, value in dataclasses.asdict(run.components).items():
             rows.append((f"  var[{name}]", _f3(value)))
-    _emit(_table(rows), args.out)
-    return 0
+    return _table(rows)
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> str:
     if args.reps < 1:
         raise _flag_error("--reps", "the number of replicates must be >= 1", args.reps)
     if args.seed < 0:
@@ -354,11 +341,7 @@ def _cmd_mc(args) -> int:
     spec, params, doc_policy = _load_scenario(args)
     policy = args.ddf_policy or doc_policy
     plan = mc.SimulationPlan(
-        spec=spec,
-        params=params,
-        replicates=args.reps,
-        seed=args.seed,
-        ddf_policy=policy,
+        spec, params, replicates=args.reps, seed=args.seed, ddf_policy=policy
     )
     outcome = mc.empirical_power(plan)
 
@@ -376,8 +359,7 @@ def _cmd_mc(args) -> int:
             "analytic": outcome.analytic,
             "z": outcome.z,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
+        return json.dumps(payload, indent=2) + "\n"
 
     rows = [
         ("design", spec.kind.value),
@@ -392,21 +374,16 @@ def _cmd_mc(args) -> int:
         ("ddf", str(outcome.ddf)),
         ("alpha", _f3(outcome.alpha)),
     ]
-    _emit(_table(rows), args.out)
-    return 0
+    return _table(rows)
 
 
-def _cmd_dataset(args) -> int:
+def _cmd_dataset(args) -> str:
     spec, _, _ = _load_scenario(args)
-    dataset = designs.exemplary_dataset(spec)
-    if args.fmt == "table":
-        _emit(designs.dataset_to_table(dataset), args.out)
-    else:
-        _emit(designs.dataset_to_csv(dataset), args.out)
-    return 0
+    render = designs.dataset_to_table if args.fmt == "table" else designs.dataset_to_csv
+    return render(designs.exemplary_dataset(spec))
 
 
-def _cmd_vmatrix(args) -> int:
+def _cmd_vmatrix(args) -> str:
     spec, params, _ = _load_scenario(args)
     cells = designs.cell_table(spec)
     comps = engine.variance_components(spec, params)
@@ -419,23 +396,20 @@ def _cmd_vmatrix(args) -> int:
     if args.correlation:
         matrix = correlation.vcorr(matrix)
 
+    if args.fmt == "json":
+        return json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n"
     if args.fmt == "csv":
         lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if args.fmt == "json":
-        _emit(json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n", args.out)
-        return 0
-    width = max(len(f"{v:.1f}") for v in np.ravel(matrix))
-    lines = ["  ".join(f"{v:>{width}.1f}" for v in row) for row in matrix]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    else:
+        width = max(len(f"{v:.1f}") for v in np.ravel(matrix))
+        lines = ["  ".join(f"{v:>{width}.1f}" for v in row) for row in matrix]
+    return "\n".join(lines) + "\n"
 
 
 class _Subcommand(NamedTuple):
     help: str
     add_options: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace], str]
 
 
 _SUBCOMMANDS = {
@@ -456,7 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return _SUBCOMMANDS[args.command].run(args)
+        _emit(_SUBCOMMANDS[args.command].run(args), args.out)
+        return 0
     except designs.SpecValidationError as exc:
         for message in exc.errors:
             print(f"error: {message}", file=sys.stderr)

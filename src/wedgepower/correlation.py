@@ -66,16 +66,18 @@ class CorrelationParams:
     sac: float = 0.0
 
     def __post_init__(self) -> None:
+        problems = []  # all of them, joined by "; "
         if not (is_real(self.sigma_y_sq) and self.sigma_y_sq > 0):
-            raise ValueError(
+            problems.append(
                 f"sigma_y_sq must be a finite positive number, got {self.sigma_y_sq!r}"
             )
         if not (is_real(self.icc) and 0.0 <= self.icc < 1.0):
-            raise ValueError(f"icc must lie in [0, 1), got {self.icc!r}")
-        if not (is_real(self.cac) and 0.0 <= self.cac <= 1.0):
-            raise ValueError(f"cac must lie in [0, 1], got {self.cac!r}")
-        if not (is_real(self.sac) and 0.0 <= self.sac <= 1.0):
-            raise ValueError(f"sac must lie in [0, 1], got {self.sac!r}")
+            problems.append(f"icc must lie in [0, 1), got {self.icc!r}")
+        for name, share in (("cac", self.cac), ("sac", self.sac)):
+            if not (is_real(share) and 0.0 <= share <= 1.0):
+                problems.append(f"{name} must lie in [0, 1], got {share!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

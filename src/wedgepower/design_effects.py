@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .correlation import CorrelationParams
 from .distributions import is_real, is_whole
 
 __all__ = [
@@ -70,18 +71,6 @@ def _check_cluster_size(n: int) -> int:
     return int(n)
 
 
-def _check_icc(icc: float) -> float:
-    if not (is_real(icc) and 0.0 <= icc < 1.0):
-        raise ValueError(f"icc must lie in [0, 1), got {icc!r}")
-    return float(icc)
-
-
-def _check_share(name: str, value: float) -> float:
-    if not (is_real(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
 def de_simple(cluster_size: int, icc: float) -> DesignEffectResult:
     """Variance inflation of a post-only parallel cluster design.
 
@@ -90,7 +79,8 @@ def de_simple(cluster_size: int, icc: float) -> DesignEffectResult:
     randomized trial with the same total size.
     """
     n = _check_cluster_size(cluster_size)
-    rho = _check_icc(icc)
+    # CorrelationParams checks icc; a design effect has no variance scale: 1 serves
+    rho = float(CorrelationParams(1.0, icc).icc)
     value = 1.0 + (n - 1) * rho
     return DesignEffectResult(
         value=value,
@@ -115,9 +105,8 @@ def cluster_mean_correlation(
     drops out because follow-up subjects are new draws.
     """
     n = _check_cluster_size(cluster_size)
-    rho = _check_icc(icc)
-    rho_c = _check_share("cac", cac)
-    rho_s = _check_share("sac", sac)
+    CorrelationParams(1.0, icc, cac, sac)
+    rho, rho_c, rho_s = float(icc), float(cac), float(sac)
     vif = 1.0 + (n - 1) * rho
     r = (n * rho * rho_c + (1.0 - rho) * rho_s) / vif
     # r is a weighted mean of cac and sac; rounding must not escape it
@@ -133,9 +122,8 @@ def de_ancova_prepost(
     the variance reduction from regressing follow-up summaries on
     baseline summaries with correlation r.
     """
-    n = _check_cluster_size(cluster_size)
-    rho = _check_icc(icc)
-    r = cluster_mean_correlation(n, rho, cac, sac)
+    r = cluster_mean_correlation(cluster_size, icc, cac, sac)
+    n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
     adjustment = 1.0 - r * r
     return DesignEffectResult(
@@ -165,11 +153,8 @@ def de_stepped_wedge(
     clusters at every step and a cluster autocorrelation of 1: a lower
     cac or an unequal allocation to steps makes the GLS variance larger.
     """
-    for name, value in (
-        ("steps_k", steps_k),
-        ("baseline_b", baseline_b),
-        ("per_step_t", per_step_t),
-    ):
+    counts = {"steps_k": steps_k, "baseline_b": baseline_b, "per_step_t": per_step_t}
+    for name, value in counts.items():
         if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if steps_k < 2:
@@ -178,7 +163,7 @@ def de_stepped_wedge(
             "step leaves exposure confounded with time"
         )
     n = _check_cluster_size(cluster_size)
-    rho = _check_icc(icc)
+    rho = float(CorrelationParams(1.0, icc).icc)
     k, b, t = int(steps_k), int(baseline_b), int(per_step_t)
 
     ktn = k * t * n
@@ -217,9 +202,8 @@ def de_three_measurement(
     GLS contrast variance of a two-step cohort wedge only with the same
     number of clusters at both steps.
     """
-    n = _check_cluster_size(cluster_size)
-    rho = _check_icc(icc)
-    r = cluster_mean_correlation(n, rho, cac, sac)
+    r = cluster_mean_correlation(cluster_size, icc, cac, sac)
+    n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
     adjustment = 1.0 - 2.0 * r * r / (1.0 + r)
     return DesignEffectResult(
@@ -312,11 +296,11 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     # sac is 0 unless a cluster is a cohort: variance_components refuses it
     variance_components(spec, params)
     traits = kind_traits(spec.kind)
-    sizes = set(spec.cluster_subject_counts())
     if not traits.clustered:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
+    sizes = set(spec.cluster_subject_counts())
     if len(sizes) != 1:
         raise ValueError(
             "closed-form design effects need a common cluster size; "

@@ -154,8 +154,11 @@ class DesignSpec:
 
     @property
     def n_observations(self) -> int:
+        # no per-cluster tuple: validate_spec reads this to refuse huge designs
         layout = _layout(self)
-        return sum(_subject_counts(layout)) * len(layout.times[0])
+        if isinstance(layout.size, (tuple, list)):
+            return sum(map(int, layout.size)) * len(layout.times[0])
+        return int(layout.size) * sum(layout.clusters) * len(layout.times[0])
 
 
 class _Layout(NamedTuple):
@@ -273,6 +276,9 @@ def _count_errors(spec: DesignSpec) -> list[str]:
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
             )
+    n = spec.n_observations if known and not errors else 0
+    if n > 2**53:  # which also keeps the cell table's pattern keys below 2**63
+        errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors
 
 
@@ -546,17 +552,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _real(value):
+    """A real value as a float; any other value as it is, for its check to name."""
+    return float(value) if is_real(value) else value
+
+
 def decode_spec_document(
     doc: Mapping,
 ) -> tuple[DesignSpec, CorrelationParams, str | None]:
     """Decode a JSON-style document into a spec, correlation, and policy.
 
-    The decoder checks the document's shape, means, correlation, alpha
-    and policy.  It passes the seven count fields and the kind through
-    to validate_spec, the one check of a spec's kind and counts, turning
-    only whole numbers into ints and lists into tuples, so each problem
-    is reported once.  All problems are collected and raised together
-    as a SpecValidationError whose messages carry field paths.
+    The decoder checks only what nothing else can: the document's
+    shape, the shape of the means, the ddf policy's name and that
+    sigma_y_sq and icc are given.  The counts, means and alpha go to
+    validate_spec and the correlation values to CorrelationParams, their
+    one checks, with whole counts as ints, lists as tuples and real
+    values as floats, so each problem is reported once, in the check's
+    words.  All problems are collected and raised together as a
+    SpecValidationError whose messages carry field paths.
     """
     from .engine import DDF_POLICIES
 
@@ -589,11 +602,6 @@ def decode_spec_document(
         return int(value) if is_whole(value) else value
 
     counts = {name: count(design.get(name)) for name in _COUNT_FIELDS}
-
-    alpha = analysis.get("alpha", 0.05)
-    if not _is_number(alpha):
-        errors.append(f"analysis.alpha: must be a number, got {alpha!r}")
-        alpha = 0.05
 
     ddf_policy = analysis.get("ddf_policy")
     if ddf_policy is not None and ddf_policy not in DDF_POLICIES:
@@ -629,39 +637,22 @@ def decode_spec_document(
             and all(_is_number(v) for v in values)
         )
         if means_ok:
-            cell_means = {key: float(value) for key, value in zip(keys, values)}
+            cell_means = {key: _real(value) for key, value in zip(keys, values)}
         else:
             errors.append(f"design.means: {shape}, got {means!r}")
 
-    sigma_y_sq = corr.get("sigma_y_sq")
-    icc = corr.get("icc")
-    cac = corr.get("cac", 0.0)
-    sac = corr.get("sac", 0.0)
-    before = len(errors)
-    for path, value, required in (
-        ("correlation.sigma_y_sq", sigma_y_sq, True),
-        ("correlation.icc", icc, True),
-        ("correlation.cac", cac, False),
-        ("correlation.sac", sac, False),
-    ):
-        if value is None and required:
-            errors.append(f"{path}: required")
-        elif value is not None and not _is_number(value):
-            errors.append(f"{path}: must be a number, got {value!r}")
-
+    required = [name for name in ("sigma_y_sq", "icc") if corr.get(name) is None]
+    errors.extend(f"correlation.{name}: required" for name in required)
     params: CorrelationParams | None = None
-    if len(errors) == before:
+    if not required:
+        values = (corr.get(name, 0.0) for name in ("sigma_y_sq", "icc", "cac", "sac"))
         try:
-            params = CorrelationParams(
-                sigma_y_sq=float(sigma_y_sq),
-                icc=float(icc),
-                cac=float(cac),
-                sac=float(sac),
-            )
+            params = CorrelationParams(*map(_real, values))
         except ValueError as exc:
             errors.append(f"correlation: {exc}")
 
-    spec = DesignSpec(kind=kind, cell_means=cell_means, alpha=float(alpha), **counts)
+    alpha = analysis.get("alpha", 0.05)  # validate_spec checks it
+    spec = DesignSpec(kind=kind, cell_means=cell_means, alpha=alpha, **counts)
     # validate_spec would call malformed means missing cells; they were reported above
     errors.extend(
         e for e in validate_spec(spec) if means_ok or not e.startswith("design.means")

@@ -47,6 +47,8 @@ _FAR_SD = 40.0
 # counts from which a Poisson weight takes the saddle-point form, where the
 # Stirling series serves as Loader's stirlerr
 _SADDLE_MIN = 10
+# the largest power of ten of ddf where fcrit and the power keep 1e-6 (README)
+_MAX_DDF = 10**10
 
 _log = logging.getLogger(__name__)
 
@@ -59,16 +61,21 @@ def is_whole(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """A finite real number that is not a bool."""
+    """A real number that is not a bool and is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _validate_df(ndf: int, ddf: int) -> tuple[int, int]:
     for name, value in (("ndf", ndf), ("ddf", ddf)):
         if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if ddf > _MAX_DDF:
+        raise ValueError(f"ddf must be at most 10**10 for 1e-6 accuracy, got {ddf!r}")
     return int(ndf), int(ddf)
 
 
@@ -572,9 +579,10 @@ def _mixture(
 
 
 def _check_noncentrality(noncentrality: float) -> None:
-    if not (is_real(noncentrality) and noncentrality >= 0.0):
+    # the mixture counts its Poisson terms in floats, exactly only up to 2**53
+    if not (is_real(noncentrality) and 0.0 <= noncentrality <= 2**53):
         raise ValueError(
-            f"noncentrality must be finite and >= 0, got {noncentrality!r}"
+            f"noncentrality must be finite, >= 0 and at most 2**53, got {noncentrality!r}"
         )
 
 

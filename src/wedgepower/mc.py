@@ -60,7 +60,7 @@ class SimulationPlan:
 
     def __post_init__(self) -> None:
         reps = self.replicates
-        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        if not is_whole(reps) or reps < 1:
             raise ValueError(f"replicates must be an integer >= 1, got {reps!r}")
         if not is_whole(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")

@@ -435,6 +435,60 @@ class TestSpecDocuments:
             "error: correlation: sigma_y_sq must be a finite positive number, got inf\n"
         )
 
+    @pytest.mark.parametrize("field", ["cac", "sac"])
+    @pytest.mark.parametrize("command", ["de", "power", "mc", "dataset", "vmatrix"])
+    def test_null_share_is_refused_by_name(self, capsys, tmp_path, command, field):
+        doc = self.doc()
+        doc["correlation"][field] = None
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--spec", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: correlation: {field} must lie in [0, 1], got None\n"
+
+    def test_non_number_values_get_the_checks_wording(self, capsys, tmp_path):
+        doc = self.doc()
+        doc["correlation"].update(icc=True, cac="0.4")
+        doc["analysis"]["alpha"] = [0.05]
+        path = self.write_doc(tmp_path, doc)
+        code, _, err = run(capsys, "power", "--spec", path)
+        assert code == 2
+        assert err == (
+            "error: correlation: icc must lie in [0, 1), got True; "
+            "cac must lie in [0, 1], got '0.4'\n"
+            "error: analysis.alpha: must be a real number in (0, 1), got [0.05]\n"
+        )
+
+    @pytest.mark.parametrize("size", [2**62, 2**63])
+    @pytest.mark.parametrize("command", ["de", "power", "mc", "dataset", "vmatrix"])
+    def test_uncountable_design_is_refused(self, capsys, tmp_path, command, size):
+        doc = self.doc()
+        doc["design"]["cluster_size"] = size
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--spec", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: design: {9 * size} observations, more than floats count "
+            "exactly (2**53)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["power", "mc"])
+    def test_noncentrality_past_exact_counts_is_refused(self, capsys, tmp_path, command):
+        doc = self.doc()
+        doc["design"]["means"] = [[2**62], [54.0]]
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--spec", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: noncentrality must be finite, >= 0 and at most 2**53")
+
+    @pytest.mark.parametrize("command", ["power", "mc"])
+    def test_ddf_beyond_the_f_tail_is_refused(self, capsys, tmp_path, command):
+        doc = self.doc()
+        doc["design"]["cluster_size"] = 2**40
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--spec", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ddf must be at most 10**10")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "power", "--spec", str(tmp_path / "absent.json")

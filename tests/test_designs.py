@@ -27,6 +27,7 @@ from wedgepower.designs import (
     get_preset,
     validate_spec,
 )
+from wedgepower.design_effects import design_effect_for
 from wedgepower.engine import analytic_power, evaluate
 
 from dense_oracle import (
@@ -216,6 +217,31 @@ class TestCounts:
         assert get_preset("example4")[0].n_clusters == 12
         assert get_preset("example6")[0].n_clusters == 8
         assert get_preset("example7")[0].n_clusters == 6
+
+    def test_observations_up_to_two_to_the_53_are_accepted(self):
+        # 4 clusters of 2**51: the largest count floats hold exactly
+        spec = dataclasses.replace(
+            get_preset("example2")[0], clusters_per_arm=(2, 2), cluster_size=2**51
+        )
+        assert validate_spec(spec) == []
+        assert spec.n_observations == 2**53
+        assert cell_table(spec).m.tolist() == [2**51, 2**51]
+
+    @pytest.mark.parametrize("size", [2**53, 2**62, 2**63])
+    def test_more_observations_are_refused_by_name(self, size):
+        # at 2**62 the pattern keys wrapped, at 2**63 the sizes overflowed int64
+        spec = dataclasses.replace(get_preset("example2")[0], cluster_size=size)
+        message = (
+            f"design: {9 * size} observations, more than floats count exactly (2**53)"
+        )
+        assert validate_spec(spec) == [message]
+        with pytest.raises(SpecValidationError, match="more than floats count"):
+            evaluate(spec, get_preset("example2")[1])
+
+    def test_huge_individual_design_is_refused_without_a_count_per_subject(self):
+        spec = DesignSpec(kind=DesignKind.RCT_POST, per_group_n=2**62, cell_means={})
+        assert spec.n_observations == 2**63
+        assert validate_spec(spec)[0].startswith(f"design: {2**63} observations")
 
     def test_times(self):
         assert get_preset("example2")[0].n_times == 1
@@ -579,8 +605,8 @@ class TestDecodeSpecDocument:
         with pytest.raises(SpecValidationError) as info:
             decode_spec_document(doc)
         assert info.value.errors == [
-            "analysis.alpha: must be a number, got 'x'",
             "correlation: icc must lie in [0, 1), got 1.5",
+            "analysis.alpha: must be a real number in (0, 1), got 'x'",
         ]
 
     def test_per_cluster_sizes(self):
@@ -628,6 +654,85 @@ def test_any_count_values_give_errors_never_exceptions(kind, counts):
     except SpecValidationError:
         return
     assert validate_spec(decoded) == []
+
+
+# small designs of every correlation family, to decode with any values in
+# the correlation and analysis sections
+FUZZ_DESIGNS = [
+    {"kind": "rct_post", "per_group_n": 3, "means": [[59.0], [54.0]]},
+    {
+        "kind": "crt_prepost_cohort",
+        "clusters_per_arm": [3, 2],
+        "cluster_size": 4,
+        "means": [[54.0, 56.0], [54.0, 61.0]],
+    },
+    {
+        "kind": "swd_xsec",
+        "steps_k": 2,
+        "baseline_b": 1,
+        "per_step_t": 1,
+        "clusters_per_step": [2, 2],
+        "cluster_size": 3,
+        "means": [54.0, 59.0],
+    },
+    {
+        "kind": "swd_cohort",
+        "steps_k": 2,
+        "baseline_b": 1,
+        "per_step_t": 1,
+        "clusters_per_step": [2, 1],
+        "cluster_size": 3,
+        "means": [54.0, 59.0],
+    },
+]
+_ABSENT = object()
+# any JSON value a scenario field may hold, valid values among them
+JSON_VALUES = st.one_of(
+    st.just(_ABSENT),
+    st.sampled_from([0.0, 0.1, 0.5, 0.05, 1.0, 25.0, 1, 0, 1e-300, 1e300, 10**400]),
+    st.floats(0.0, 1.0),
+    st.floats(),
+    st.integers(),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+def _section(values: dict) -> dict:
+    return {name: value for name, value in values.items() if value is not _ABSENT}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    design=st.sampled_from(FUZZ_DESIGNS),
+    corr=st.fixed_dictionaries(
+        {name: JSON_VALUES for name in ("sigma_y_sq", "icc", "cac", "sac")}
+    ),
+    alpha=JSON_VALUES,
+    policy=st.one_of(JSON_VALUES, st.sampled_from(["residual", "between_within"])),
+)
+def test_any_scenario_values_give_errors_never_exceptions(design, corr, alpha, policy):
+    doc = {
+        "design": design,
+        "correlation": _section(corr),
+        "analysis": _section({"alpha": alpha, "ddf_policy": policy}),
+    }
+    try:
+        spec, params, ddf_policy = decode_spec_document(doc)
+    except SpecValidationError as exc:
+        assert all(isinstance(e, str) for e in exc.errors)
+        return
+    # what the decoder passes, the steps after it refuse with a ValueError
+    for step in (
+        lambda: evaluate(spec, params, ddf_policy=ddf_policy),
+        lambda: design_effect_for(spec, params),
+    ):
+        try:
+            step()
+        except ValueError:
+            pass
 
 
 class TestPresets:

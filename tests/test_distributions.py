@@ -18,6 +18,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 import f_oracle
@@ -312,6 +313,35 @@ class TestNoncentralFCdf:
         assert re.match(rf"noncentrality {lam!r} is too large", str(error))
         assert calls < 5_000
 
+    @pytest.mark.parametrize("lam", [2e7, 1e8])
+    @pytest.mark.parametrize("ddf", [32, 1000])
+    def test_sweeps_past_the_budget_that_matter_run(self, monkeypatch, lam, ddf):
+        # 40 Poisson SDs outrun the term budget, but the budget's end leaves
+        # out less than the tolerance: both sweeps are bounded, then run
+        decisions = []
+
+        def spy(*args, **kwargs):
+            decisions.append(sweep_matters(*args, **kwargs))
+            return decisions[-1]
+
+        sweep_matters = distributions._sweep_matters
+        monkeypatch.setattr(distributions, "_sweep_matters", spy)
+        mean, var = stats.ncf.stats(1, ddf, lam, moments="mv")
+        for x in (float(mean - 2 * math.sqrt(var)), float(mean + 2 * math.sqrt(var))):
+            got = noncentral_f_cdf(x, 1, ddf, lam)
+            assert got == pytest.approx(stats.ncf.cdf(x, 1, ddf, lam), rel=0, abs=2e-12)
+        assert decisions == [True] * 4
+
+    @pytest.mark.parametrize("lam", [2.0**53 * (1 + 2**-52), 1e35, 1e300])
+    def test_noncentrality_past_exact_poisson_counts_is_refused(self, lam):
+        # the sweeps' bounds divided by zero from about 5e20, and the mode's
+        # Stirling term overflowed near 1e300
+        with pytest.raises(ValueError, match=r"at most 2\*\*53, got"):
+            power_from_f(lam, 1, 32, 0.05)
+        with pytest.raises(ValueError, match=r"at most 2\*\*53, got"):
+            noncentral_f_cdf(lam, 1, 32, lam)
+        assert power_from_f(2.0**53, 1, 32, 0.05).power == 1.0
+
     def test_power_one_skips_sweeps_that_add_nothing(self):
         # example1 with means 1e6 apart: every tail a sweep could meet is
         # below the tolerance, so neither sweep runs
@@ -596,6 +626,35 @@ ORACLE_DDF = (*range(1, 11), 12, 15, 20, 30, 50, 100, 228, 1000, 10**4, 10**5, 1
 # 50-digit root, but the two stop on opposite sides at alpha = 0.05.
 ORACLE_FCRIT_REL = {10**6: 4e-11}
 ORACLE_POWER_ABS = {10**6: 2e-11}
+
+
+class TestDdfLimit:
+    # beyond ddf 10**10 the incomplete beta's continued fraction loses the
+    # critical value (5e-6 relative at 10**11, 0.14 at 10**16)
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6])
+    def test_figures_hold_1e_6_at_the_limit(self, alpha):
+        ddf = 10**10
+        fcrit = stats.f.isf(alpha, 1, ddf)
+        for fvalue in (0.0, 8.0, 22.2):
+            result = power_from_f(fvalue, 1, ddf, alpha)
+            assert result.fcrit == pytest.approx(fcrit, rel=1e-6)
+            expected = stats.ncf.sf(fcrit, 1, ddf, fvalue) if fvalue else alpha
+            assert result.power == pytest.approx(expected, rel=0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ddf: power_from_f(8.0, 1, ddf, 0.05).power,
+            lambda ddf: central_f_cdf(3.84, 1, ddf),
+            lambda ddf: central_f_quantile(0.95, 1, ddf),
+            lambda ddf: noncentral_f_cdf(3.84, 1, ddf, 8.0),
+        ],
+    )
+    def test_every_f_function_refuses_beyond_it(self, call):
+        assert 0.0 < call(10**10) < 4.0
+        message = rf"ddf must be at most 10\*\*10 for 1e-6 accuracy, got {10**10 + 1}"
+        with pytest.raises(ValueError, match=message):
+            call(10**10 + 1)
 
 
 class TestTStart:

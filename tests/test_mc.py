@@ -56,7 +56,8 @@ class TestSimulationPlan:
             SimulationPlan(spec=spec, params=params, replicates=10, seed=2**64)
 
     @pytest.mark.parametrize(
-        "replicates,seed", [(np.int64(100), np.uint64(3)), (100, 3.0), (100, np.float64(3))]
+        "replicates,seed",
+        [(np.int64(100), np.uint64(3)), (100, 3.0), (100, np.float64(3)), (100.0, 3)],
     )
     def test_counts_are_reported_as_plain_ints(self, replicates, seed):
         spec, params = get_preset("example1")

@@ -83,3 +83,31 @@ def test_f_tail_imports_no_statistics_library():
         if isinstance(node, ast.ImportFrom)
     }
     assert imported == {"__future__", "logging", "math", "numbers", "dataclasses"}
+
+
+def test_correlation_ranges_are_written_once():
+    # CorrelationParams is the one check of the correlation values: the
+    # decoder and the closed forms rely on it rather than copy its rules
+    names = sorted(path.name for path in SOURCE.glob("*.py"))
+    for message in (
+        "icc must lie in [0, 1)",
+        "must lie in [0, 1]",
+        "must be a finite positive number",
+    ):
+        found = _lines_matching(re.escape(message), *names)
+        assert len(found) == 1, found
+
+
+def test_only_main_writes_a_command_output():
+    # each handler returns its text, and main writes it once
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_emit"
+    ]
+    assert callers == ["main"]
