@@ -387,7 +387,7 @@ def _cmd_vmatrix(args) -> str:
     spec, params, _ = _load_scenario(args)
     cells = designs.cell_table(spec)
     comps = engine.variance_components(spec, params)
-    n_clusters = cells.cluster_pattern.size
+    n_clusters = cells.n_clusters
     if not (1 <= args.cluster_index <= n_clusters):
         raise _flag_error(
             "--cluster-index", f"must lie in [1, {n_clusters}]", args.cluster_index

@@ -192,12 +192,12 @@ def build_cluster_v(
     Returns:
         The (n_subjects * n_times) square covariance of that cluster.
     """
-    n_clusters = cells.cluster_pattern.size
+    n_clusters = cells.n_clusters
     if not (0 <= cluster_index < n_clusters):
         raise ValueError(
             f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
         )
-    n_subjects = int(cells.m[cells.cluster_pattern[cluster_index]])
+    n_subjects = int(cells.m[np.cumsum(cells.count).searchsorted(cluster_index, "right")])
     n_times = cells.time.shape[1]
     size = n_subjects * n_times
     if size > MAX_MATRIX_ROWS:

@@ -300,7 +300,8 @@ def design_effect_for(spec, params) -> DesignEffectResult:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
-    sizes = set(spec.cluster_subject_counts())
+    size = spec.cluster_size
+    sizes = set(map(int, size)) if isinstance(size, (tuple, list)) else {int(size)}
     if len(sizes) != 1:
         raise ValueError(
             "closed-form design effects need a common cluster size; "

@@ -4,8 +4,8 @@ A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
 measurements happen, and the cell means under the alternative.
 cell_table turns it into the design's one cluster-by-period schedule:
-randomized group, time, exposure, design columns and mean of each
-distinct cluster's cells, with the tested effect in the last column.
+randomized group, time, exposure, design columns and cell means of each
+run of interchangeable clusters, with the tested effect in the last column.
 The engine fits that table, and exemplary_dataset expands it into one
 row per measurement whose outcome column holds the modeled mean.
 """
@@ -30,6 +30,7 @@ __all__ = [
     "validate_spec",
     "ensure_valid",
     "exemplary_dataset",
+    "MAX_DATASET_ROWS",
     "cell_table",
     "dataset_to_csv",
     "dataset_to_table",
@@ -38,6 +39,8 @@ __all__ = [
     "get_preset",
 ]
 
+# the most rows exemplary_dataset builds
+MAX_DATASET_ROWS = 1_000_000
 CSV_HEADER = ("design", "arm", "cluster_id", "subject_id", "time", "intervene", "mean")
 
 
@@ -149,8 +152,11 @@ class DesignSpec:
         return _layout(self).family
 
     def cluster_subject_counts(self) -> tuple[int, ...]:
-        """Subjects per cluster (per time for cross-sectional kinds)."""
-        return _subject_counts(_layout(self))
+        """One entry per cluster: its subjects (per time if cross-sectional)."""
+        layout = _layout(self)
+        if isinstance(layout.size, (tuple, list)):
+            return tuple(int(v) for v in layout.size)
+        return (int(layout.size),) * sum(layout.clusters)
 
     @property
     def n_observations(self) -> int:
@@ -199,13 +205,6 @@ def _layout(spec: DesignSpec) -> _Layout:
         family = Family.SINGLE
     size = spec.cluster_size if row.clustered else 1
     return _Layout(group, clusters, times, size, family)
-
-
-def _subject_counts(layout: _Layout) -> tuple[int, ...]:
-    """Subjects per cluster-period of each cluster, in dataset order."""
-    if isinstance(layout.size, (tuple, list)):
-        return tuple(int(v) for v in layout.size)
-    return (int(layout.size),) * sum(layout.clusters)
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -277,7 +276,7 @@ def _count_errors(spec: DesignSpec) -> list[str]:
                 f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
             )
     n = spec.n_observations if known and not errors else 0
-    if n > 2**53:  # which also keeps the cell table's pattern keys below 2**63
+    if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors
 
@@ -363,27 +362,26 @@ class ExemplaryDataset:
 
 @dataclass(frozen=True)
 class CellTable:
-    """The design's cluster-by-period schedule, one entry per cluster pattern.
+    """The design's cluster-by-period schedule, one entry per run of clusters.
 
     Every fixed effect is constant within a cluster-period cell, so the
     clusters that share a randomized group and a cell size are
-    interchangeable for the analysis.  Pattern k stands for count[k]
-    such clusters.  Its T cells are the periods such a cluster is
-    measured in: one for post-only kinds, and one for individually
-    randomized kinds, where every randomized unit is one measurement.
-    The last design column is the effect under test; its values are the
-    exposure flags.
+    interchangeable for the analysis.  Pattern k is a run of count[k]
+    such clusters that neighbour in dataset order; two runs may match,
+    and a common cluster size makes each randomized group one run.  Its
+    T cells are the periods such a cluster is measured in: one for
+    post-only kinds, and one for individually randomized kinds, where
+    every randomized unit is one measurement.  The last design column is
+    the effect under test; its values are the exposure flags.
 
     Attributes:
         group: (K,) randomized group, as in ExemplaryDataset.arm.
         m: (K,) subjects per cell.
-        count: (K,) clusters that share the pattern.
+        count: (K,) clusters in the run.
         time: (K, T) measurement time of each cell.
         x: (K, T, p) design matrix rows of the cells.
         mean: (K, T) modeled cell means.
         columns: the names of the p design columns, the tested one last.
-        cluster_pattern: (n_clusters,) pattern of each cluster, in
-            dataset order.
         family: measurement structure of one cluster: SINGLE with one
             period, else COHORT or CROSS_SECTIONAL.
     """
@@ -395,7 +393,6 @@ class CellTable:
     x: np.ndarray
     mean: np.ndarray
     columns: tuple[str, ...]
-    cluster_pattern: np.ndarray
     family: Family
 
     @property
@@ -408,9 +405,14 @@ class CellTable:
         """Number of measurements, the rows of the exemplary dataset."""
         return int(self.count @ self.m) * self.x.shape[1]
 
+    @property
+    def cluster_pattern(self) -> np.ndarray:
+        """(n_clusters,) pattern of each cluster, in dataset order."""
+        return np.repeat(np.arange(self.count.size), self.count)
+
 
 def cell_table(spec: DesignSpec) -> CellTable:
-    """The design's one cluster-by-period schedule, grouped by pattern.
+    """The design's one cluster-by-period schedule, in runs of clusters.
 
     The schedule rows of the kind's layout become arrays here, with
     design columns and means: the engine fits the table, correlation
@@ -455,24 +457,24 @@ def cell_table(spec: DesignSpec) -> CellTable:
     for j, column in enumerate(values):
         x[..., j] = column
 
-    row = np.repeat(np.arange(group.size), layout.clusters)
-    sizes = np.asarray(_subject_counts(layout), dtype=np.int64)
-    _, first, pattern, count = np.unique(
-        row * (int(sizes.max()) + 1) + sizes,
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
-    )
-    chosen = row[first]
+    if isinstance(layout.size, (tuple, list)):
+        # split each group's slice of the size list where the size changes
+        row = np.repeat(np.arange(group.size), layout.clusters)
+        sizes = np.asarray(layout.size, dtype=np.int64)
+        first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
+        chosen, m = row[first], sizes[first]
+        count = np.diff(first, append=sizes.size)
+    else:
+        chosen, count = np.arange(group.size), np.array(layout.clusters, np.int64)
+        m = np.full(group.size, int(layout.size), np.int64)
     return CellTable(
         group=group[chosen],
-        m=sizes[first],
+        m=m,
         count=count,
         time=time[chosen],
         x=x[chosen],
         mean=mean[chosen],
         columns=names,
-        cluster_pattern=pattern,
         family=layout.family,
     )
 
@@ -483,11 +485,17 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     Rows expand the cell table cluster by cluster.  Within a cluster,
     cohort designs nest times inside subjects, who keep their id across
     periods; every other design nests fresh subjects inside times.  This
-    matches the covariance layout used for that kind.
+    matches the covariance layout used for that kind.  Designs over
+    MAX_DATASET_ROWS rows are refused before any row is built.
     """
     cells = cell_table(spec)
+    if cells.n_observations > MAX_DATASET_ROWS:
+        raise ValueError(
+            f"exemplary dataset would have {cells.n_observations} rows; "
+            f"limit is {MAX_DATASET_ROWS}"
+        )
     n_periods = cells.time.shape[1]
-    sizes = cells.m[cells.cluster_pattern]
+    sizes = np.repeat(cells.m, cells.count)
     if cells.family is Family.COHORT:
         subject_cluster = np.repeat(np.arange(sizes.size), sizes)
         cluster = np.repeat(subject_cluster, n_periods)

@@ -8,8 +8,8 @@ chosen by a named policy.
 
 Every fixed effect is constant within a cluster-period cell and the
 covariance is exchangeable within one, so the fit runs on the cell
-means of each distinct cluster pattern (Hussey & Hughes 2007; Hooper et
-al. 2016): its cost follows clusters times periods, not subjects.
+means of each run of interchangeable clusters (Hussey & Hughes 2007;
+Hooper et al. 2016): its cost follows runs times periods, not subjects.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def evaluate(
     """Fit the exemplary cell means and turn the fit into a power figure.
 
     The one pipeline behind analytic_power, power_audit and the Monte
-    Carlo check.  Its cost follows clusters times periods, never the
-    number of subjects.
+    Carlo check.  Its cost follows the cell table's runs times periods,
+    never the number of clusters or subjects.
 
     Args:
         spec: design description.

@@ -13,7 +13,9 @@ dataset rows, and the row extents are counted from the dataset's
 cluster ids, apart from the package's builder.  The design columns,
 their flags, the tested column and each kind's cluster-level
 measurement family are spelled out here per kind, apart from the
-package's cell table.  The dataset's CSV and table text are
+package's cell table, and so is the table the package built before
+it kept runs of clusters: every cluster listed, then regrouped into
+distinct patterns.  The dataset's CSV and table text are
 also written here one row at a time, as the package's column-wise
 writers must reproduce them.  Tests compare the routes.
 """
@@ -365,6 +367,42 @@ def _cluster_groups(spec: DesignSpec) -> list[int]:
     for step, count in enumerate(spec.clusters_per_step, start=1):
         groups.extend([step] * count)
     return groups
+
+
+def regrouped_cells(spec: DesignSpec) -> designs.CellTable:
+    """The cell table as built by listing every cluster and regrouping.
+
+    Each cluster's (randomized group, subjects per cell) pair is keyed
+    and regrouped with np.unique, so the patterns are the distinct pairs
+    sorted by group, then size, wherever their clusters sit in dataset
+    order.  A pattern's cells are its first cluster's dataset rows, one
+    per time.  Cluster sizes must give a full-rank design matrix.
+    """
+    dataset = reference_dataset(spec)
+    x = design_matrix(spec, dataset)
+    blocks = cluster_structure(spec, dataset)
+    groups = np.array([block.group for block in blocks])
+    sizes = np.array(spec.cluster_subject_counts())
+    _, first, count = np.unique(
+        groups * (sizes.max() + 1) + sizes, return_index=True, return_counts=True
+    )
+    cell_rows = []
+    for index in first:
+        block = blocks[index]
+        rows = np.arange(block.row_start, block.row_start + block.n_rows)
+        _, at_time = np.unique(dataset.time[rows], return_index=True)
+        cell_rows.append(rows[at_time])
+    cell_rows = np.array(cell_rows)
+    return designs.CellTable(
+        group=groups[first],
+        m=sizes[first],
+        count=count,
+        time=dataset.time[cell_rows],
+        x=x[cell_rows],
+        mean=dataset.mean[cell_rows],
+        columns=tuple(name for name, _, _ in columns(spec)),
+        family=FAMILY[spec.kind],
+    )
 
 
 def label_covariance(

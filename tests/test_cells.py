@@ -12,10 +12,11 @@ the same schedule as the cells, must equal the oracle's row-by-row one.
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wedgepower import correlation, design_effects, designs, engine, mc
@@ -123,6 +124,80 @@ def test_cell_fit_matches_dense_fit(case):
     run = _outcome(lambda: engine.evaluate(spec, params, ddf_policy="residual"))
     if not isinstance(run, tuple):
         _assert_cell_covariance_matches_dense(spec, run)
+
+
+_BASE_MEANS = {spec.kind: spec.cell_means for spec, _ in PRESETS.values()}
+
+
+@st.composite
+def size_list_specs(draw):
+    """Clustered designs whose per-cluster sizes switch between two values."""
+    kind = draw(st.sampled_from([kind for kind in DesignKind if kind not in RCT_KINDS]))
+    count = st.integers(1, 4)
+    if kind in SWD_KINDS:
+        # two steps at least: one step is a degenerate layout
+        steps = draw(st.integers(2, 3))
+        shape = dict(
+            steps_k=steps,
+            baseline_b=1,
+            per_step_t=draw(st.integers(1, 2)),
+            clusters_per_step=tuple(draw(count) for _ in range(steps)),
+        )
+    else:
+        shape = dict(clusters_per_arm=(draw(count), draw(count)))
+    spec = DesignSpec(kind=kind, cell_means=_BASE_MEANS[kind], **shape)
+    pair = st.sampled_from((draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+    sizes = tuple(draw(pair) for _ in range(spec.n_clusters))
+    cohort = dense_oracle.FAMILY[kind] is correlation.Family.COHORT
+    params = CorrelationParams(
+        sigma_y_sq=25.0,
+        icc=draw(st.floats(0.0, 0.6)),
+        cac=draw(st.floats(0.0, 1.0)),
+        sac=draw(st.floats(0.0, 0.9)) if cohort else 0.0,
+    )
+    return dataclasses.replace(spec, cluster_size=sizes), params
+
+
+_ALTERNATING = DesignSpec(
+    kind=DesignKind.CRT_PREPOST_COHORT,
+    clusters_per_arm=(4, 4),
+    cluster_size=(7, 6, 7, 6, 6, 7, 6, 7),
+    cell_means=_BASE_MEANS[DesignKind.CRT_PREPOST_COHORT],
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(size_list_specs())
+@example((_ALTERNATING, CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=0.4, sac=0.6)))
+def test_runs_match_regrouped_patterns(case):
+    # runs of neighbouring clusters replace the regroup into distinct
+    # patterns; alternating sizes give more runs than patterns
+    spec, params = case
+    cells = cell_table(spec)
+    regrouped = dense_oracle.regrouped_cells(spec)
+    assert cells.count.size >= regrouped.count.size
+    np.testing.assert_array_equal(
+        np.repeat(cells.m, cells.count), spec.cluster_subject_counts()
+    )
+    groups = [block.group for block in dense_oracle.cluster_structure(spec)]
+    np.testing.assert_array_equal(np.repeat(cells.group, cells.count), groups)
+    comps = _components(spec, params)
+    runs = _outcome(lambda: engine.fit_cells(cells, comps))
+    patterns = _outcome(lambda: engine.fit_cells(regrouped, comps))
+    if isinstance(patterns, tuple):
+        assert runs == patterns
+        return
+    for name in ("information", "cov"):
+        want = getattr(patterns, name)
+        np.testing.assert_allclose(
+            getattr(runs, name), want, rtol=INFO_RTOL, atol=INFO_RTOL * np.abs(want).max()
+        )
+
+
+def test_alternating_sizes_make_more_runs_than_patterns():
+    cells = cell_table(_ALTERNATING)
+    assert cells.count.tolist() == [1] * 8
+    assert dense_oracle.regrouped_cells(_ALTERNATING).count.tolist() == [2, 2, 2, 2]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -407,3 +482,57 @@ def test_cluster_structure_layout():
     assert [b.n_rows for b in blocks] == [15] * 6
     assert [b.row_start for b in blocks] == [0, 15, 30, 45, 60, 75]
     assert [b.group for b in blocks] == [1, 1, 1, 2, 2, 2]
+
+
+_LARGE = {
+    # two million subjects, each a cluster of one
+    "rct_post_1e6": (
+        DesignSpec(
+            kind=DesignKind.RCT_POST,
+            per_group_n=10**6,
+            cell_means={(1, 1): 59.0, (2, 1): 58.99},
+        ),
+        CorrelationParams(sigma_y_sq=25.0, icc=0.0),
+    ),
+    "crt_post_5e5x10": (
+        DesignSpec(
+            kind=DesignKind.CRT_POST,
+            clusters_per_arm=(5 * 10**5, 5 * 10**5),
+            cluster_size=10,
+            cell_means={(1, 1): 59.0, (2, 1): 58.95},
+        ),
+        CorrelationParams(sigma_y_sq=25.0, icc=0.05),
+    ),
+}
+
+
+def _last_cluster_v(spec, params):
+    cells = cell_table(spec)
+    comps = _components(spec, params)
+    return correlation.build_cluster_v(cells, comps, cells.n_clusters - 1)
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE))
+@pytest.mark.parametrize(
+    "call",
+    [
+        engine.analytic_power,
+        lambda spec, params: mc.empirical_power(
+            mc.SimulationPlan(spec=spec, params=params, replicates=1024, seed=1)
+        ),
+        design_effects.design_effect_for,
+        _last_cluster_v,
+    ],
+    ids=["analytic_power", "empirical_power", "design_effect_for", "build_cluster_v"],
+)
+def test_evaluation_allocates_nothing_per_cluster(name, call):
+    # a million clusters: one int64 per cluster alone would take 8 MB
+    spec, params = _LARGE[name]
+    assert spec.n_clusters >= 10**6
+    tracemalloc.start()
+    try:
+        call(spec, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -13,7 +13,12 @@ import pytest
 from wedgepower import cli
 from wedgepower.cli import main
 from wedgepower.design_effects import design_effect_for
-from wedgepower.designs import decode_spec_document, exemplary_dataset, get_preset
+from wedgepower.designs import (
+    MAX_DATASET_ROWS,
+    decode_spec_document,
+    exemplary_dataset,
+    get_preset,
+)
 
 from dense_oracle import assert_same_dataset, dataset_from_csv
 
@@ -488,6 +493,37 @@ class TestSpecDocuments:
         code, out, err = run(capsys, command, "--spec", path)
         assert (code, out) == (2, "")
         assert err.startswith("error: ddf must be at most 10**10")
+
+    @pytest.mark.parametrize("command", ["power", "mc", "de", "vmatrix"])
+    def test_billions_of_subjects_get_an_answer(self, capsys, tmp_path, command):
+        # nothing on these paths is built per subject or per cluster
+        doc = {
+            "design": {
+                "kind": "rct_post",
+                "per_group_n": 10**9,
+                "means": [[59.0], [58.999]],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.0},
+        }
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, command, "--spec", path, "--format", "json")
+        assert (code, err) == (0, "")
+        if command == "power":
+            payload = json.loads(out)
+            assert payload["ddf"] == 2 * 10**9 - 2
+            assert 0.05 < payload["power"] < 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_dataset_over_the_row_limit_is_refused(self, capsys, tmp_path, fmt):
+        doc = self.doc()
+        doc["design"]["cluster_size"] = MAX_DATASET_ROWS // 9 + 1
+        path = self.write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "dataset", "--spec", path, "--format", fmt)
+        assert (code, out) == (2, "")
+        rows = 9 * (MAX_DATASET_ROWS // 9 + 1)
+        assert err == (
+            f"error: exemplary dataset would have {rows} rows; limit is {MAX_DATASET_ROWS}\n"
+        )
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -61,6 +61,43 @@ def ncf_cdf_series(x: float, ndf: int, ddf: int, lam: float) -> float:
         return float(total)
 
 
+def ncf_cdf_mode_mixture(x: float, ndf: int, ddf: int, lam: float) -> float:
+    """Oracle: mixture over 20 Poisson SDs around the mode at 30 working digits.
+
+    The same two-term recurrence as the package, I_(j+1) = I_j - t_j,
+    from one mpmath incomplete beta at the mode.  The Poisson weight
+    beyond 20 SDs is below 1e-80 for the noncentralities used here.
+    """
+    with mp.workdps(30):
+        a = mp.mpf(ndf) / 2
+        b = mp.mpf(ddf) / 2
+        u = mp.mpf(ndf) * x / (mp.mpf(ndf) * x + ddf)
+        half = mp.mpf(lam) / 2
+        mode = int(half)
+        reach = int(20 * math.sqrt(lam / 2)) + 1
+        weight0 = mp.exp(mode * mp.log(half) - half - mp.loggamma(mode + 1))
+        beta0 = mp.betainc(a + mode, b, 0, u, regularized=True)
+        # t_j = u^(a+j) (1-u)^b / ((a+j) B(a+j, b))
+        step0 = mp.exp(
+            (a + mode) * mp.log(u) + b * mp.log1p(-u)
+            - mp.log(a + mode) - mp.log(mp.beta(a + mode, b))
+        )
+        total = weight0 * beta0
+        weight, beta, step = weight0, beta0, step0
+        for j in range(mode, mode + reach):
+            beta -= step
+            step *= u * (a + j + b) / (a + j + 1)
+            weight *= half / (j + 1)
+            total += weight * beta
+        weight, beta, step = weight0, beta0, step0
+        for j in range(mode, max(mode - reach, 0), -1):
+            step *= (a + j) / (u * (a + j - 1 + b))
+            beta += step
+            weight *= j / half
+            total += weight * beta
+        return float(total)
+
+
 def f_quantile_bisection(p: float, ndf: int, ddf: int) -> float:
     """Oracle: pure bisection on the cdf, independent of the Newton path."""
     lo, hi = 0.0, 1.0
@@ -353,6 +390,31 @@ class TestNoncentralFCdf:
         # the mode-centered expansion must not underflow to garbage
         value = noncentral_f_cdf(120.0, 2, 30, 3000.0)
         assert 0.0 <= value <= 1e-40
+
+    @pytest.mark.parametrize(
+        "lam,ddf,sds,tol",
+        [
+            *[
+                (lam, ddf, sds, 3e-13)
+                for lam in (1e4, 1e5)
+                for ddf in (32, 1000)
+                for sds in (-2.0, 2.0)
+            ],
+            # within one SD of the mean about 2e-13 more remains at a
+            # tighter truncation (ROADMAP item 6)
+            (1e5, 32, -1.0, 4e-13),
+            (1e5, 1000, 0.0, 4e-13),
+        ],
+    )
+    def test_large_noncentrality_matches_high_precision_mixture(self, lam, ddf, sds, tol):
+        # each sweep may leave out 1e-13 of Poisson mass: 2e-13 in all
+        mean = ddf * (1 + lam) / (ddf - 2)
+        var = 2 * ddf**2 * ((1 + lam) ** 2 + (1 + 2 * lam) * (ddf - 2))
+        x = mean + sds * math.sqrt(var / ((ddf - 2) ** 2 * (ddf - 4)))
+        want = ncf_cdf_mode_mixture(x, 1, ddf, lam)
+        # the oracle itself: scipy's Boost ncf agrees with it to about 1.5e-14
+        assert stats.ncf.cdf(x, 1, ddf, lam) == pytest.approx(want, rel=0.0, abs=5e-14)
+        assert noncentral_f_cdf(x, 1, ddf, lam) == pytest.approx(want, rel=0.0, abs=tol)
 
     def test_default_truncation_matches_series(self):
         for lam in (3.0, 18.0, 80.0):

@@ -54,6 +54,14 @@ def test_engine_and_design_effects_read_kind_traits():
     assert _lines_matching(pattern, "engine.py", "design_effects.py") == []
 
 
+def test_evaluation_reads_runs_not_clusters():
+    # the evaluation path works on the cell table's runs of clusters; a
+    # per-cluster list would grow with designs of 10**9 clusters
+    pattern = r"cluster_pattern|cluster_subject_counts"
+    modules = ("engine.py", "mc.py", "design_effects.py", "correlation.py", "cli.py")
+    assert _lines_matching(pattern, *modules) == []
+
+
 def test_dense_oracle_names_no_private_package_attribute():
     # the oracle checks the package's routes, so it must not borrow
     # their private helpers
