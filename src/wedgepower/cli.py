@@ -23,8 +23,6 @@ import json
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import __version__, correlation, design_effects, designs, engine, mc
 
 _FORMATS = ("table", "json", "csv")
@@ -190,30 +188,7 @@ def _f3(x: float) -> str:
 
 
 # the wedge closed forms, which count comparisons rather than measurements
-_WEDGE_FORMULAS = ("stepped_wedge", "three_measurement")
-
-
-def _closed_form_gaps(
-    spec: designs.DesignSpec, params: correlation.CorrelationParams, formula: str
-) -> list[str]:
-    """Where a wedge closed form departs from the GLS analysis it stands for.
-
-    Both wedge formulas assume the same number of clusters at every
-    step, and the stepped wedge one also a cluster autocorrelation of 1.
-    """
-    advice = "; run `power` for the GLS figure"
-    gaps = []
-    if formula == "stepped_wedge" and params.cac < 1.0:
-        gaps.append(
-            f"correlation.cac: the {formula} closed form assumes cac = 1, "
-            f"got {params.cac!r}{advice}"
-        )
-    if formula in _WEDGE_FORMULAS and len(set(spec.clusters_per_step)) > 1:
-        gaps.append(
-            f"design.clusters_per_step: the {formula} closed form assumes the same "
-            f"cluster count at every step, got {list(spec.clusters_per_step)}{advice}"
-        )
-    return gaps
+_WEDGE_FORMULAS = ("stepped_wedge", "three_measurement", "hussey_hughes")
 
 
 def _cmd_de(args) -> str:
@@ -221,9 +196,6 @@ def _cmd_de(args) -> str:
         raise _flag_error("--n-unclustered", "must be >= 1", args.n_unclustered)
     spec, params, _ = _load_scenario(args)
     result = design_effects.design_effect_for(spec, params)
-    gaps = _closed_form_gaps(spec, params, result.formula)
-    if gaps:
-        raise designs.SpecValidationError(gaps)
     plan = None
     if args.n_unclustered is not None:
         # the wedge closed forms count comparisons, so every period
@@ -398,12 +370,14 @@ def _cmd_vmatrix(args) -> str:
 
     if args.fmt == "json":
         return json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n"
+    # one format string per row; "%.1f" % v never shortens as |v| grows on
+    # either side of 0, so the extremes fix the table width
     if args.fmt == "csv":
-        lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
+        line = ",".join(["%.17g"] * matrix.shape[1])
     else:
-        width = max(len(f"{v:.1f}") for v in np.ravel(matrix))
-        lines = ["  ".join(f"{v:>{width}.1f}" for v in row) for row in matrix]
-    return "\n".join(lines) + "\n"
+        width = max(len("%.1f" % v) for v in (matrix.min(), matrix.max()))
+        line = "  ".join([f"%{width}.1f"] * matrix.shape[1])
+    return "".join(line % tuple(row) + "\n" for row in matrix.tolist())
 
 
 class _Subcommand(NamedTuple):

@@ -223,7 +223,7 @@ def build_cluster_v(
             np.where(same_time, comps.cluster + comps.cluster_by_time, comps.cluster),
         ),
     )
-    return matrix.astype(float)
+    return matrix.astype(float, copy=False)
 
 
 def vcorr(v: np.ndarray) -> np.ndarray:

@@ -4,13 +4,14 @@ A design effect is the multiplier that converts the sample size of an
 individually randomized post-only trial into the size a clustered or
 repeated-measures design needs for the same power.  This module carries
 the standard multipliers for parallel cluster designs, baseline-adjusted
-pre-post cluster designs, cross-sectional stepped wedge designs, and
-three-measurement cohort designs, plus a helper to turn a multiplier into
-a sample size plan.
+pre-post cluster designs, stepped wedge designs (the named formulas
+and the exact Hussey & Hughes variance), plus a helper to turn a
+multiplier into a sample size plan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,6 +135,12 @@ def de_ancova_prepost(
     )
 
 
+_ONE_STEP = (
+    "stepped wedge design effect needs at least 2 steps; a single "
+    "step leaves exposure confounded with time"
+)
+
+
 def de_stepped_wedge(
     steps_k: int, baseline_b: int, per_step_t: int, cluster_size: int, icc: float
 ) -> DesignEffectResult:
@@ -148,20 +155,14 @@ def de_stepped_wedge(
 
     The multiplier counts one comparison per cluster-period, so a plan
     needs n_unclustered * DE * T observations over the T = b + k*t
-    periods: inflate_sample_size with observation_multiplier = T.  It
-    equals the GLS contrast variance only with the same number of
-    clusters at every step and a cluster autocorrelation of 1: a lower
-    cac or an unequal allocation to steps makes the GLS variance larger.
+    periods: inflate_sample_size with observation_multiplier = T.
     """
     counts = {"steps_k": steps_k, "baseline_b": baseline_b, "per_step_t": per_step_t}
     for name, value in counts.items():
         if not is_whole(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if steps_k < 2:
-        raise ValueError(
-            "stepped wedge design effect needs at least 2 steps; a single "
-            "step leaves exposure confounded with time"
-        )
+        raise ValueError(_ONE_STEP)
     n = _check_cluster_size(cluster_size)
     rho = float(CorrelationParams(1.0, icc).icc)
     k, b, t = int(steps_k), int(baseline_b), int(per_step_t)
@@ -198,9 +199,7 @@ def de_three_measurement(
     one-baseline stepped wedge multiplier for the same cluster size.
     Like the stepped wedge multiplier it counts one comparison per
     cluster-period, so a plan needs n_unclustered * DE * T observations
-    over the T = 3 periods (observation_multiplier = T).  It equals the
-    GLS contrast variance of a two-step cohort wedge only with the same
-    number of clusters at both steps.
+    over the T = 3 periods (observation_multiplier = T).
     """
     r = cluster_mean_correlation(cluster_size, icc, cac, sac)
     n, rho = int(cluster_size), float(icc)
@@ -228,11 +227,10 @@ def inflate_sample_size(
             randomized trial.
         design_effect: multiplier from one of the de_* functions.
         observation_multiplier: factor on n_unclustered * design_effect.
-            The wedge multipliers (de_stepped_wedge and
-            de_three_measurement) count one comparison per
-            cluster-period, so their observations are n_unclustered *
-            DE * T: pass the number of periods T.  The other
-            multipliers count measurements and keep 1.
+            The wedge multipliers, design_effect_for's included, count
+            one comparison per cluster-period, so their observations
+            are n_unclustered * DE * T: pass the number of periods T.
+            The other multipliers count measurements and keep 1.
         measurements_per_participant: how many of the resulting
             measurements each participant contributes; cohort designs
             divide the measurement total by this to count people.
@@ -275,19 +273,47 @@ def inflate_sample_size(
     )
 
 
+def _hussey_hughes(spec, params, n: int) -> DesignEffectResult:
+    """Exact GLS design effect of an equal-size wedge (Hussey & Hughes 2007).
+
+    Cluster-period means have covariance tau2*J + sigma2*I (sigma_y_sq
+    = 1; sac is 0 unless clusters are cohorts).  Step s of k has c_s
+    clusters exposed in e_s = (k - s + 1)*t of the T periods.  With
+    I = sum c_s, U = sum c_s*e_s, V = sum c_s*e_s**2 and
+    W = t * sum (c_1 + ... + c_s)**2,
+
+        Var = I*sigma2*(sigma2 + T*tau2)
+              / ((I*U - W)*sigma2 + (U**2 + I*T*U - T*W - I*V)*tau2)
+
+    and DE = Var*I*n/4 counts one comparison per cluster-period.
+    """
+    k, t = int(spec.steps_k), int(spec.per_step_t)
+    counts = list(map(int, spec.clusters_per_step))
+    i, n_times = sum(counts), int(spec.baseline_b) + k * t
+    u = sum(c * (k - s) * t for s, c in enumerate(counts))
+    v = sum(c * ((k - s) * t) ** 2 for s, c in enumerate(counts))
+    w = t * sum(total * total for total in itertools.accumulate(counts))
+    rho, cac, sac = float(params.icc), float(params.cac), float(params.sac)
+    tau2 = cac * rho + sac * (1.0 - rho) / n
+    sigma2 = (1.0 - cac) * rho + (1.0 - sac) * (1.0 - rho) / n
+    between = (u * u + i * n_times * u - n_times * w - i * v) * tau2
+    variance = i * sigma2 * (sigma2 + n_times * tau2) / ((i * u - w) * sigma2 + between)
+    value = variance * i * n / 4.0
+    return DesignEffectResult(value, {"gls_variance": value}, None, "hussey_hughes")
+
+
 def design_effect_for(spec, params) -> DesignEffectResult:
     """Closed-form design effect matching a design description.
 
     Individually randomized kinds have no inflation.  Post-only and
     pre-post cluster kinds map to the simple and baseline-adjusted
-    formulas, cross-sectional stepped wedges to the stepped wedge formula,
-    and cohort stepped wedges with exactly three measurement times to the
-    three-measurement formula; other cohort wedge layouts have no closed
-    form here.  Counts and correlation inputs that power refuses are
-    refused with its messages; the cell means are not read.  The wedge
-    formulas are returned even where they depart from GLS: with unequal
-    clusters per step, and for cross-sectional wedges with cac < 1 (see
-    de_stepped_wedge); the de command refuses those cases.
+    formulas.  A wedge with equal steps keeps the paper's formula where
+    it is exact (stepped wedge when cross-sectional with cac = 1,
+    three-measurement for a cohort at T = 3); every other wedge takes
+    the exact Hussey & Hughes variance.  Single-step wedges, unequal
+    cluster sizes, and the counts and correlation inputs that power
+    refuses are refused, the latter with its messages.  Cell means are
+    not read.
     """
     from .designs import ensure_counts, kind_traits
     from .engine import variance_components
@@ -312,13 +338,12 @@ def design_effect_for(spec, params) -> DesignEffectResult:
         return de_simple(n, params.icc)
     if traits.periods == "prepost":
         return de_ancova_prepost(n, params.icc, params.cac, params.sac)
-    if not traits.cohort:
-        return de_stepped_wedge(
-            spec.steps_k, spec.baseline_b, spec.per_step_t, n, params.icc
-        )
-    if spec.n_times != 3:
-        raise ValueError(
-            "the cohort wedge closed form covers exactly 3 measurement "
-            f"times, this design has {spec.n_times}"
-        )
-    return de_three_measurement(n, params.icc, params.cac, params.sac)
+    k, b, t = spec.steps_k, spec.baseline_b, spec.per_step_t
+    if k < 2:
+        raise ValueError(_ONE_STEP)
+    equal = len(set(spec.clusters_per_step)) == 1
+    if equal and traits.cohort and spec.n_times == 3:
+        return de_three_measurement(n, params.icc, params.cac, params.sac)
+    if equal and not traits.cohort and params.cac == 1.0:
+        return de_stepped_wedge(k, b, t, n, params.icc)
+    return _hussey_hughes(spec, params, n)

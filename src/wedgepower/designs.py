@@ -41,6 +41,8 @@ __all__ = [
 
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
+# rows the dataset writers format at once
+_TEXT_BLOCK_ROWS = 65_536
 CSV_HEADER = ("design", "arm", "cluster_id", "subject_id", "time", "intervene", "mean")
 
 
@@ -529,13 +531,16 @@ def _column_text(values: np.ndarray, fmt: str) -> list[str]:
 def _dataset_text(
     dataset: ExemplaryDataset, header: str, kind: str, formats: Sequence[str], sep: str
 ) -> str:
-    # one line per row: the kind, then each CSV_HEADER column in its format
-    columns = [
-        _column_text(getattr(dataset, name), fmt)
-        for name, fmt in zip(CSV_HEADER[1:], formats)
-    ]
-    rows = (sep.join(row) for row in zip(*columns))
-    return "".join([header, "\n", *(f"{kind}{sep}{row}\n" for row in rows)])
+    # one line per row: the kind, then each CSV_HEADER column in its format;
+    # a block of rows at a time, so only one block's line strings are alive
+    arrays = [getattr(dataset, name) for name in CSV_HEADER[1:]]
+    blocks = [header + "\n"]
+    for start in range(0, dataset.n_rows, _TEXT_BLOCK_ROWS):
+        stop = start + _TEXT_BLOCK_ROWS
+        columns = [_column_text(a[start:stop], fmt) for a, fmt in zip(arrays, formats)]
+        rows = (sep.join(row) for row in zip(*columns))
+        blocks.append("".join(f"{kind}{sep}{row}\n" for row in rows))
+    return "".join(blocks)
 
 
 def dataset_to_csv(dataset: ExemplaryDataset) -> str:

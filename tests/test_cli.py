@@ -10,9 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from wedgepower import cli
+from wedgepower import cli, engine
 from wedgepower.cli import main
-from wedgepower.design_effects import design_effect_for
 from wedgepower.designs import (
     MAX_DATASET_ROWS,
     decode_spec_document,
@@ -164,42 +163,60 @@ class TestDeCommand:
         "swd_cohort": {"cac": 0.4, "sac": 0.6, "clusters_per_step": [3, 3]},
     }
 
-    @pytest.mark.parametrize(
-        "kind,change,field",
-        [
-            ("swd_xsec", {"cac": 0.5}, "correlation.cac"),
-            ("swd_xsec", {"clusters_per_step": [1, 7]}, "design.clusters_per_step"),
-            ("swd_cohort", {"clusters_per_step": [1, 5]}, "design.clusters_per_step"),
-        ],
-    )
-    def test_refuses_wedge_closed_forms_that_miss_gls(
-        self, capsys, tmp_path, kind, change, field
-    ):
-        # the wedge formulas assume cac = 1 (cross-sectional) and equal
-        # clusters per step; elsewhere they understate the GLS variance
-        values = {**self.WEDGES[kind], **change}
-        doc = {
+    @classmethod
+    def wedge_document(cls, kind, steps_k=2, per_step_t=1, **change):
+        values = {**cls.WEDGES[kind], **change}
+        return {
             "design": {
                 "kind": kind,
-                "steps_k": 2,
+                "steps_k": steps_k,
                 "baseline_b": 1,
-                "per_step_t": 1,
+                "per_step_t": per_step_t,
                 "clusters_per_step": values.pop("clusters_per_step"),
                 "cluster_size": 5,
                 "means": [54.0, 59.0],
             },
             "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, **values},
         }
+
+    @pytest.mark.parametrize(
+        "kind,change",
+        [
+            ("swd_xsec", {"cac": 0.5}),
+            ("swd_xsec", {"clusters_per_step": [1, 7]}),
+            ("swd_cohort", {"clusters_per_step": [1, 5]}),
+        ],
+    )
+    def test_wedge_closed_forms_give_the_gls_variance(
+        self, capsys, tmp_path, kind, change
+    ):
+        # the named wedge formulas assume cac = 1 (cross-sectional) and
+        # equal clusters per step; elsewhere de answers with the exact form
+        doc = self.wedge_document(kind, **change)
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "de", "--spec", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["formula"] == "hussey_hughes"
+        spec, params, _ = decode_spec_document(doc)
+        unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
+        gls = engine.evaluate(spec, params).fit.cov[-1, -1]
+        assert payload["design_effect"] * unclustered == pytest.approx(gls, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(WEDGES))
+    def test_single_step_wedge_refused(self, capsys, tmp_path, kind):
+        # one step leaves exposure confounded with time on both routes
+        doc = self.wedge_document(kind, steps_k=1, per_step_t=2, clusters_per_step=[6])
         path = tmp_path / "wedge.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "de", "--spec", str(path))
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {field}: ") and "`power`" in err
-        assert run(capsys, "power", "--spec", str(path))[0] == 0
-        # the library still returns the formula, which reads neither
-        spec, params, _ = decode_spec_document(doc)
-        preset = "example6" if kind == "swd_xsec" else "example7"
-        assert design_effect_for(spec, params) == design_effect_for(*get_preset(preset))
+        assert err == (
+            "error: stepped wedge design effect needs at least 2 steps; a single "
+            "step leaves exposure confounded with time\n"
+        )
+        assert run(capsys, "power", "--spec", str(path))[0] == 2
 
 
 class TestMcCommand:

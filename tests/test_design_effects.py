@@ -7,8 +7,11 @@ arithmetic (fractions.Fraction), so they hold to full float precision.
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from wedgepower import engine
+from wedgepower.correlation import CorrelationParams
 
 from wedgepower.design_effects import (
     cluster_mean_correlation,
@@ -19,10 +22,23 @@ from wedgepower.design_effects import (
     design_effect_for,
     inflate_sample_size,
 )
-from wedgepower.designs import SpecValidationError, get_preset, validate_spec
+from wedgepower.designs import (
+    DesignKind,
+    DesignSpec,
+    SpecValidationError,
+    get_preset,
+    validate_spec,
+)
 
 REL = 1e-12
 EXACT_MATCH_TOL = 1e-12
+
+
+def assert_gls_variance(spec, params, value):
+    """A wedge design effect times the per-comparison variance is GLS's."""
+    unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
+    gls = engine.evaluate(spec, params).fit.cov[-1, -1]
+    assert value * unclustered == pytest.approx(gls, rel=EXACT_MATCH_TOL)
 
 
 class TestDeSimple:
@@ -255,21 +271,76 @@ class TestDesignEffectFor:
         with pytest.raises(ValueError, match="common cluster size"):
             design_effect_for(spec, params)
 
-    def test_cohort_wedge_needs_three_times(self):
-        from wedgepower.designs import DesignKind, DesignSpec
-
-        spec = DesignSpec(
-            kind=DesignKind.SWD_COHORT,
-            steps_k=3,
-            baseline_b=1,
-            per_step_t=1,
-            clusters_per_step=(2, 2, 2),
-            cluster_size=5,
-            cell_means={(0, 0): 54.0, (1, 0): 59.0},
+    def test_cohort_wedge_at_four_times_matches_gls(self):
+        # no named formula covers a cohort wedge with T = 4
+        spec = dataclasses.replace(
+            get_preset("example7")[0], steps_k=3, clusters_per_step=(2, 2, 2)
         )
         _, params = get_preset("example7")
-        with pytest.raises(ValueError, match="3 measurement"):
+        assert spec.n_times == 4
+        result = design_effect_for(spec, params)
+        assert result.formula == "hussey_hughes"
+        assert_gls_variance(spec, params, result.value)
+
+    @pytest.mark.parametrize(
+        "preset,cac,clusters_per_step,expected",
+        [
+            # exact: 437/330, 1728/665 and 21384/13375 in rationals
+            ("example6", 0.5, (4, 4), 437 / 330),
+            ("example6", 1.0, (1, 7), 1728 / 665),
+            ("example7", 0.4, (1, 5), 21384 / 13375),
+        ],
+    )
+    def test_wedges_the_named_formulas_miss(
+        self, preset, cac, clusters_per_step, expected
+    ):
+        spec, params = get_preset(preset)
+        spec = dataclasses.replace(spec, clusters_per_step=clusters_per_step)
+        params = dataclasses.replace(params, cac=cac)
+        result = design_effect_for(spec, params)
+        assert result.value == pytest.approx(expected, rel=REL)
+        assert result.formula == "hussey_hughes"
+        assert result.factors == {"gls_variance": result.value}
+        assert result.baseline_r is None
+        assert_gls_variance(spec, params, result.value)
+
+    @pytest.mark.parametrize("preset", ["example6", "example7"])
+    def test_single_step_wedge_rejected(self, preset):
+        spec, params = get_preset(preset)
+        spec = dataclasses.replace(
+            spec, steps_k=1, per_step_t=2, clusters_per_step=(6,)
+        )
+        with pytest.raises(ValueError, match="at least 2 steps"):
             design_effect_for(spec, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cohort=st.booleans(),
+        steps=st.integers(2, 5),
+        baseline=st.integers(1, 3),
+        per_step=st.integers(1, 3),
+        clusters=st.integers(1, 4),
+        size=st.integers(1, 20),
+        icc=st.floats(0.0, 0.99),
+        cac=st.floats(0.0, 1.0),
+        sac=st.floats(0.0, 0.99),
+    )
+    def test_equal_size_wedges_match_gls(
+        self, cohort, steps, baseline, per_step, clusters, size, icc, cac, sac
+    ):
+        # cac = sac = 1 leaves a cohort no measurement-level variance,
+        # and power refuses that singular covariance
+        spec = DesignSpec(
+            kind=DesignKind.SWD_COHORT if cohort else DesignKind.SWD_XSEC,
+            steps_k=steps,
+            baseline_b=baseline,
+            per_step_t=per_step,
+            clusters_per_step=(clusters,) * steps,
+            cluster_size=size,
+            cell_means={(0, 0): 54.0, (1, 0): 59.0},
+        )
+        params = CorrelationParams(2.0, icc, cac, sac if cohort else 0.0)
+        assert_gls_variance(spec, params, design_effect_for(spec, params).value)
 
     @pytest.mark.parametrize(
         "name,changes,message",

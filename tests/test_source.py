@@ -54,6 +54,13 @@ def test_engine_and_design_effects_read_kind_traits():
     assert _lines_matching(pattern, "engine.py", "design_effects.py") == []
 
 
+def test_cli_reads_no_closed_form_limit():
+    # design_effects alone decides which closed form covers a design; the
+    # command line prints its answer and never reads the inputs it weighs
+    pattern = r"\.cac\b|\.sac\b|clusters_per_step"
+    assert _lines_matching(pattern, "cli.py") == []
+
+
 def test_evaluation_reads_runs_not_clusters():
     # the evaluation path works on the cell table's runs of clusters; a
     # per-cluster list would grow with designs of 10**9 clusters
