@@ -316,17 +316,19 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     not read.
     """
     from .designs import ensure_counts, kind_traits
-    from .engine import variance_components
+    from .engine import _period_variance, variance_components
 
     ensure_counts(spec)
     # sac is 0 unless a cluster is a cohort: variance_components refuses it
-    variance_components(spec, params)
+    comps = variance_components(spec, params)
     traits = kind_traits(spec.kind)
     if not traits.clustered:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
     size = spec.cluster_size
+    # refuses a singular cluster covariance, as power does
+    _period_variance(comps, size)
     sizes = set(map(int, size)) if isinstance(size, (tuple, list)) else {int(size)}
     if len(sizes) != 1:
         raise ValueError(

@@ -435,10 +435,11 @@ def cell_table(spec: DesignSpec) -> CellTable:
 
     if periods == "wedge":
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
-        columns = [("intercept", 1)]
-        for t in time[0, 1:]:
-            columns.append((f"time_{t}", time == t))
-        columns.append(("intervene", exposed))
+        names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
+        x = np.empty((*time.shape, len(names)))
+        x[..., 0] = 1.0
+        x[..., 1:-1] = time[..., None] == time[0, 1:]
+        x[..., -1] = exposed
         means = spec.cell_means
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
@@ -454,10 +455,10 @@ def cell_table(spec: DesignSpec) -> CellTable:
                 for a, row in zip(layout.group, layout.times)
             ]
         )
-    names, values = zip(*columns)
-    x = np.empty((*time.shape, len(names)))
-    for j, column in enumerate(values):
-        x[..., j] = column
+        names, values = zip(*columns)
+        x = np.empty((*time.shape, len(names)))
+        for j, column in enumerate(values):
+            x[..., j] = column
 
     if isinstance(layout.size, (tuple, list)):
         # split each group's slice of the size list where the size changes

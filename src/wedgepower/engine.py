@@ -124,29 +124,39 @@ def variance_components(
     return correlation.derive_components(params, spec.family)
 
 
+def _period_variance(comps: VarianceComponents, sizes) -> np.ndarray:
+    """b = cluster_by_time + (subject_by_time + residual) / m of S = a J + b I.
+
+    The check that power, mc and de share: the subject-level covariance
+    of a cluster of m subjects is singular exactly when its cells'
+    periods are collinear (b <= 0) or several subjects share a cell with
+    no measurement-level variance between them.
+
+    Raises:
+        ValueError: if the subject-level covariance is singular.
+    """
+    sizes = np.asarray(sizes)
+    within = comps.subject_by_time + comps.residual
+    b = comps.cluster_by_time + within / sizes
+    if np.any(b <= 0.0) or (within <= 0.0 and np.any(sizes > 1)):
+        raise ValueError(
+            "cluster covariance is singular; the correlation parameters "
+            "leave no measurement-level variation"
+        )
+    return b
+
+
 def _cell_variances(
     cells: designs.CellTable, comps: VarianceComponents
 ) -> tuple[np.ndarray, np.ndarray]:
     """a and b of each pattern's cell-mean covariance S_k = a J + b I.
 
-    a = cluster + subject / m and
-    b = cluster_by_time + (subject_by_time + residual) / m.
+    a = cluster + subject / m; b is _period_variance's.
 
     Raises:
         ValueError: if the subject-level covariance is singular.
     """
-    within = comps.subject_by_time + comps.residual
-    a = comps.cluster + comps.subject / cells.m
-    b = comps.cluster_by_time + within / cells.m
-    # the subject-level covariance is singular exactly when a cell's
-    # periods are collinear or several subjects share a cell with no
-    # measurement-level variance between them
-    if np.any(b <= 0.0) or (within <= 0.0 and np.any(cells.m > 1)):
-        raise ValueError(
-            "cluster covariance is singular; the correlation parameters "
-            "leave no measurement-level variation"
-        )
-    return a, b
+    return comps.cluster + comps.subject / cells.m, _period_variance(comps, cells.m)
 
 
 def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
@@ -177,6 +187,19 @@ def _require_full_rank(cells: designs.CellTable) -> None:
         )
 
 
+def _normal_equations(
+    cells: designs.CellTable, comps: VarianceComponents
+) -> tuple[np.ndarray, np.ndarray]:
+    """Information and score, sum_k count_k X_k' S_k^-1 [X_k, ybar_k].
+
+    The count-weighted S_k^-1 X_k of all patterns form one (p, K T)
+    matrix, so each sum is one matrix product over the cell rows.
+    """
+    p = cells.x.shape[2]
+    weighted = (_precision_x(cells, comps) * cells.count[:, None, None]).reshape(-1, p).T
+    return weighted @ cells.x.reshape(-1, p), weighted @ cells.mean.reshape(-1)
+
+
 def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimate:
     """GLS fit of the cell means under the subject-level covariance.
 
@@ -192,15 +215,12 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
             or the fixed effects do not reproduce the cell means.
     """
     _require_full_rank(cells)
-    sx = _precision_x(cells, comps)
-    information = np.einsum("k,ktp,ktq->pq", cells.count, cells.x, sx)
-    score = np.einsum("k,ktp,kt->p", cells.count, sx, cells.mean)
-    p = information.shape[0]
+    information, score = _normal_equations(cells, comps)
     try:
-        beta = np.linalg.solve(information, score)
-        cov = np.linalg.solve(information, np.eye(p))
+        cov = np.linalg.inv(information)
     except np.linalg.LinAlgError as exc:
         raise ValueError("information matrix is singular") from exc
+    beta = cov @ score
 
     # residual and outcome norms over the subject rows, cell by cell
     rows = (cells.count * cells.m)[:, None]

@@ -111,7 +111,7 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
     cells = run.cells
     weights = run.cell_weights()
     factors = np.linalg.cholesky(run.cell_covariance())
-    per_pattern = np.einsum("kts,kt->ks", factors, weights)
+    per_pattern = (weights[:, None, :] @ factors)[:, 0, :]
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
     spread = math.sqrt(cells.count @ np.sum(per_pattern * per_pattern, axis=1))
     s2 = float(run.fit.cov[-1, -1])

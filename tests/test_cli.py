@@ -218,6 +218,26 @@ class TestDeCommand:
         )
         assert run(capsys, "power", "--spec", str(path))[0] == 2
 
+    @pytest.mark.parametrize("steps_k,clusters", [(2, [3, 3]), (3, [2, 2, 2])])
+    def test_cohort_without_measurement_variance_refused(
+        self, capsys, tmp_path, steps_k, clusters
+    ):
+        # cac = sac = 1 leaves a cohort no measurement-level variance; the
+        # closed forms at T = 3 (three_measurement) and T = 4
+        # (hussey_hughes) refuse it as power does
+        doc = self.wedge_document(
+            "swd_cohort", steps_k=steps_k, cac=1.0, sac=1.0, clusters_per_step=clusters
+        )
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps(doc))
+        message = (
+            "error: cluster covariance is singular; the correlation parameters "
+            "leave no measurement-level variation\n"
+        )
+        for argv in (["de"], ["de", "--n-unclustered", "34"], ["power"]):
+            code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+            assert (code, out, err) == (2, "", message), argv
+
 
 class TestMcCommand:
     def test_table_deterministic(self, capsys):

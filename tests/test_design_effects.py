@@ -313,6 +313,19 @@ class TestDesignEffectFor:
         with pytest.raises(ValueError, match="at least 2 steps"):
             design_effect_for(spec, params)
 
+    @pytest.mark.parametrize("preset", ["example5", "example7"])
+    @pytest.mark.parametrize("cac", [0.0, 1.0])
+    def test_singular_covariance_refused_as_power_refuses(self, preset, cac):
+        # sac = 1 leaves a cohort no measurement-level variance at any cac
+        spec, params = get_preset(preset)
+        params = dataclasses.replace(params, cac=cac, sac=1.0)
+        with pytest.raises(ValueError) as power:
+            engine.evaluate(spec, params)
+        with pytest.raises(ValueError) as closed_form:
+            design_effect_for(spec, params)
+        assert str(closed_form.value) == str(power.value)
+        assert "cluster covariance is singular" in str(power.value)
+
     @settings(max_examples=200, deadline=None)
     @given(
         cohort=st.booleans(),

@@ -1,0 +1,192 @@
+"""The cell-mean GLS kernel against the einsum and solve path it replaced.
+
+engine.fit_cells forms the information and the score as one matrix
+product each over the flattened cell rows and inverts the information
+once; designs.cell_table fills a wedge's time indicators in one
+broadcast; mc projects the cell weights with a batched matrix product.
+The slower path each replaced is kept here as its oracle: the sums run
+in another order, so the fit must agree to 1e-12 relative to the
+largest entry of each array, and the design columns, exact 0/1 values,
+must be equal.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from wedgepower import engine, mc
+from wedgepower.correlation import CorrelationParams, Family
+from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
+
+from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS
+
+RTOL = 1e-12
+
+
+def einsum_normal_equations(cells, comps):
+    """(information, score) by two einsums over the patterns."""
+    sx = engine._precision_x(cells, comps)
+    information = np.einsum("k,ktp,ktq->pq", cells.count, cells.x, sx)
+    score = np.einsum("k,ktp,kt->p", cells.count, sx, cells.mean)
+    return information, score
+
+
+def solve_fit(information, score):
+    """(beta, cov) by two solves against the information."""
+    p = information.shape[0]
+    return np.linalg.solve(information, score), np.linalg.solve(information, np.eye(p))
+
+
+def column_loop_x(spec, cells):
+    """(names, x) of a wedge's design columns, filled one column at a time."""
+    time = cells.time
+    exposed = time > spec.baseline_b + (cells.group[:, None] - 1) * spec.per_step_t
+    columns = [("intercept", 1)]
+    for t in time[0, 1:]:
+        columns.append((f"time_{t}", time == t))
+    columns.append(("intervene", exposed))
+    names, values = zip(*columns)
+    x = np.empty((*time.shape, len(names)))
+    for j, column in enumerate(values):
+        x[..., j] = column
+    return names, x
+
+
+def einsum_spread(run):
+    """sqrt(u . u) of mc's projection, its per-pattern sums taken by einsum."""
+    factors = np.linalg.cholesky(run.cell_covariance())
+    per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
+    return math.sqrt(run.cells.count @ np.sum(per_pattern * per_pattern, axis=1))
+
+
+def assert_close(got, want):
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+def assert_kernel_matches_oracle(spec, params):
+    cells = cell_table(spec)
+    comps = engine.variance_components(spec, params)
+    information, score = einsum_normal_equations(cells, comps)
+    got_information, got_score = engine._normal_equations(cells, comps)
+    assert_close(got_information, information)
+    assert_close(got_score, score)
+    try:
+        fit = engine.fit_cells(cells, comps)
+    except ValueError as exc:
+        # only degenerate layouts are refused here, before any inverse
+        assert "rank deficient" in str(exc)
+        return
+    beta, cov = solve_fit(information, score)
+    assert_close(fit.information, information)
+    assert_close(fit.beta, beta)
+    assert_close(fit.cov, cov)
+
+
+@st.composite
+def designs_and_params(draw):
+    """Designs of all 7 kinds, a third with size lists, wedges up to T = 25."""
+    kind = draw(st.sampled_from(list(DesignKind)))
+    count = st.integers(1, 4)
+    # a subnormal mean has too few significant bits for a relative bound
+    mean = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
+    if kind in SWD_KINDS:
+        steps = draw(st.integers(1, 12))
+        per_step = draw(st.integers(1, 24 // steps))
+        shape = dict(
+            steps_k=steps,
+            baseline_b=draw(st.integers(1, 25 - steps * per_step)),
+            per_step_t=per_step,
+            clusters_per_step=tuple(draw(count) for _ in range(steps)),
+        )
+        means = {(0, 0): draw(mean), (1, 0): draw(mean)}
+    else:
+        times = (1,) if kind in (DesignKind.RCT_POST, DesignKind.CRT_POST) else (1, 2)
+        means = {(arm, t): draw(mean) for arm in (1, 2) for t in times}
+        if kind in RCT_KINDS:
+            shape = dict(per_group_n=draw(st.integers(1, 50)))
+        else:
+            shape = dict(clusters_per_arm=(draw(count), draw(count)))
+    spec = DesignSpec(kind=kind, cell_means=means, **shape)
+    if kind not in RCT_KINDS:
+        size = st.integers(1, 30)
+        if draw(st.integers(0, 2)) == 0:
+            sizes = tuple(draw(size) for _ in range(spec.n_clusters))
+        else:
+            sizes = draw(size)
+        spec = dataclasses.replace(spec, cluster_size=sizes)
+
+    sigma = draw(st.floats(1.0, 50.0))
+    if kind in RCT_KINDS:
+        return spec, CorrelationParams(sigma_y_sq=sigma, icc=0.0)
+    return spec, CorrelationParams(
+        sigma_y_sq=sigma,
+        icc=draw(st.floats(0.0, 0.6)),
+        cac=draw(st.floats(0.0, 1.0)),
+        sac=draw(st.floats(0.0, 0.9)) if FAMILY[kind] is Family.COHORT else 0.0,
+    )
+
+
+# the bench's widest wedge: 12 steps of 2 periods after 1 baseline period
+WIDE_WEDGE = DesignSpec(
+    kind=DesignKind.SWD_XSEC,
+    steps_k=12,
+    baseline_b=1,
+    per_step_t=2,
+    clusters_per_step=(2,) * 12,
+    cluster_size=20,
+    cell_means={(0, 0): 54.0, (1, 0): 55.0},
+)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fit_matches_einsum_oracle_on_presets(name):
+    assert_kernel_matches_oracle(*get_preset(name))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(designs_and_params())
+@example((WIDE_WEDGE, CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8)))
+def test_fit_matches_einsum_oracle(case):
+    assert_kernel_matches_oracle(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(designs_and_params().filter(lambda case: case[0].kind in SWD_KINDS))
+@example((WIDE_WEDGE, CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8)))
+def test_wedge_columns_match_column_loop(case):
+    spec, _ = case
+    cells = cell_table(spec)
+    names, x = column_loop_x(spec, cells)
+    assert cells.columns == names
+    np.testing.assert_array_equal(cells.x, x)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_projection_matches_einsum_oracle(name):
+    run = engine.evaluate(*get_preset(name))
+    _, spread, _ = mc._contrast_projection(run)
+    assert spread == pytest.approx(einsum_spread(run), rel=RTOL)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(fn_name):
+        original = getattr(np.linalg, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
+    engine.evaluate(*get_preset(name))
+    assert calls == {"inv": 1, "solve": 0}

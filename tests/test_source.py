@@ -69,6 +69,13 @@ def test_evaluation_reads_runs_not_clusters():
     assert _lines_matching(pattern, *modules) == []
 
 
+def test_fit_and_projection_use_no_einsum():
+    # an einsum of three operands without a path runs numpy's nested
+    # loop, not BLAS: the fit and the Monte Carlo projection contract the
+    # cell rows with matrix products instead
+    assert _lines_matching(r"einsum", "engine.py", "mc.py") == []
+
+
 def test_dense_oracle_names_no_private_package_attribute():
     # the oracle checks the package's routes, so it must not borrow
     # their private helpers
