@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .correlation import CorrelationParams
+from .correlation import CorrelationParams, Family, derive_components
 from .distributions import is_real, is_whole
 
 __all__ = [
@@ -114,6 +114,20 @@ def cluster_mean_correlation(
     return min(max(r, min(rho_c, rho_s)), max(rho_c, rho_s))
 
 
+def _require_regular(cluster_size: int, icc: float, cac: float, sac: float) -> None:
+    """Refuse the correlations whose cluster covariance power refuses.
+
+    The arguments describe a cohort when sac > 0, otherwise fresh
+    subjects at each time; the check is the one power runs.
+    """
+    from .engine import _period_variance
+
+    n = _check_cluster_size(cluster_size)
+    family = Family.COHORT if sac > 0 else Family.CROSS_SECTIONAL
+    comps = derive_components(CorrelationParams(1.0, icc, cac, sac), family)
+    _period_variance(comps, n)
+
+
 def de_ancova_prepost(
     cluster_size: int, icc: float, cac: float, sac: float = 0.0
 ) -> DesignEffectResult:
@@ -122,7 +136,18 @@ def de_ancova_prepost(
     The clustering factor 1 + (n - 1) * icc is discounted by 1 - r**2,
     the variance reduction from regressing follow-up summaries on
     baseline summaries with correlation r.
+
+    Raises:
+        ValueError: for the inputs power refuses, a singular cluster
+            covariance included.
     """
+    _require_regular(cluster_size, icc, cac, sac)
+    return _ancova_prepost(cluster_size, icc, cac, sac)
+
+
+def _ancova_prepost(
+    cluster_size: int, icc: float, cac: float, sac: float
+) -> DesignEffectResult:
     r = cluster_mean_correlation(cluster_size, icc, cac, sac)
     n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
@@ -200,7 +225,18 @@ def de_three_measurement(
     Like the stepped wedge multiplier it counts one comparison per
     cluster-period, so a plan needs n_unclustered * DE * T observations
     over the T = 3 periods (observation_multiplier = T).
+
+    Raises:
+        ValueError: for the inputs power refuses, a singular cluster
+            covariance included.
     """
+    _require_regular(cluster_size, icc, cac, sac)
+    return _three_measurement(cluster_size, icc, cac, sac)
+
+
+def _three_measurement(
+    cluster_size: int, icc: float, cac: float, sac: float
+) -> DesignEffectResult:
     r = cluster_mean_correlation(cluster_size, icc, cac, sac)
     n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
@@ -338,14 +374,15 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     n = sizes.pop()
     if traits.periods == "post":
         return de_simple(n, params.icc)
+    # the public closed forms would repeat the covariance check run above
     if traits.periods == "prepost":
-        return de_ancova_prepost(n, params.icc, params.cac, params.sac)
+        return _ancova_prepost(n, params.icc, params.cac, params.sac)
     k, b, t = spec.steps_k, spec.baseline_b, spec.per_step_t
     if k < 2:
         raise ValueError(_ONE_STEP)
     equal = len(set(spec.clusters_per_step)) == 1
     if equal and traits.cohort and spec.n_times == 3:
-        return de_three_measurement(n, params.icc, params.cac, params.sac)
+        return _three_measurement(n, params.icc, params.cac, params.sac)
     if equal and not traits.cohort and params.cac == 1.0:
         return de_stepped_wedge(k, b, t, n, params.icc)
     return _hussey_hughes(spec, params, n)

@@ -162,11 +162,7 @@ class DesignSpec:
 
     @property
     def n_observations(self) -> int:
-        # no per-cluster tuple: validate_spec reads this to refuse huge designs
-        layout = _layout(self)
-        if isinstance(layout.size, (tuple, list)):
-            return sum(map(int, layout.size)) * len(layout.times[0])
-        return int(layout.size) * sum(layout.clusters) * len(layout.times[0])
+        return _n_observations(_layout(self))
 
 
 class _Layout(NamedTuple):
@@ -207,6 +203,13 @@ def _layout(spec: DesignSpec) -> _Layout:
         family = Family.SINGLE
     size = spec.cluster_size if row.clustered else 1
     return _Layout(group, clusters, times, size, family)
+
+
+def _n_observations(layout: _Layout) -> int:
+    # no per-cluster tuple: validate_spec reads this to refuse huge designs
+    if isinstance(layout.size, (tuple, list)):
+        return sum(map(int, layout.size)) * len(layout.times[0])
+    return int(layout.size) * sum(layout.clusters) * len(layout.times[0])
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -271,13 +274,17 @@ def _count_errors(spec: DesignSpec) -> list[str]:
             )
             ok["clusters_per_step"] = False
     size = spec.cluster_size
-    counted = all(ok[name] for name in used if name != "cluster_size")
-    if "cluster_size" in used and counted and isinstance(size, (list, tuple)):
-        if len(size) != spec.n_clusters:
+    listed = isinstance(size, (list, tuple))
+    counted = known and all(ok[name] for name in used if name != "cluster_size")
+    # one layout for both checks below, built only when one of them runs
+    layout = _layout(spec) if counted and (listed or not errors) else None
+    if "cluster_size" in used and counted and listed:
+        n_clusters = sum(layout.clusters)
+        if len(size) != n_clusters:
             errors.append(
-                f"design.cluster_size: {len(size)} entries for {spec.n_clusters} clusters"
+                f"design.cluster_size: {len(size)} entries for {n_clusters} clusters"
             )
-    n = spec.n_observations if known and not errors else 0
+    n = _n_observations(layout) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors

@@ -55,6 +55,11 @@ _log = logging.getLogger(__name__)
 
 def is_whole(value) -> bool:
     """A whole number: a real that is not a bool and has no fraction part."""
+    # exact int and float skip the ABC checks, which cost most of a call
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        return value.is_integer()
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return isinstance(value, numbers.Integral) or float(value).is_integer()
@@ -62,7 +67,8 @@ def is_whole(value) -> bool:
 
 def is_real(value) -> bool:
     """A real number that is not a bool and is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    exact = type(value) in (int, float)
+    if not exact and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         return False
     try:
         return math.isfinite(value)

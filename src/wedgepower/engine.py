@@ -175,12 +175,18 @@ def _require_full_rank(cells: designs.CellTable) -> None:
     """Refuse cells whose design rows are rank deficient.
 
     The cells hold every distinct row of the subject-level design
-    matrix, so this is its rank.  A deficient rank signals a degenerate
-    schedule, for example a single-step wedge whose exposure flag
-    duplicates a time indicator.
+    matrix, so this is its rank, read off the tested column without an
+    SVD.  A wedge's other columns, the intercept and an indicator for
+    every period after the first, span every function of the period,
+    so its rank is full exactly when exposure is not one: when two
+    patterns differ in exposure in some period.  A parallel or
+    individually randomized kind has both arms, so its 2 or 4 columns
+    have full rank and its tested column differs between the arms.  A
+    deficient rank signals a degenerate schedule, for example a
+    single-step wedge whose exposure flag duplicates a time indicator.
     """
-    x = cells.x.reshape(-1, cells.x.shape[2])
-    if np.linalg.matrix_rank(x) < x.shape[1]:
+    tested = cells.x[:, :, -1]
+    if np.all(tested == tested[0]):
         raise ValueError(
             "design matrix is rank deficient; the schedule does not separate "
             "the modeled effects (degenerate step layout)"

@@ -128,6 +128,13 @@ class TestDeAncovaPrepost:
         sac=st.floats(0.0, 1.0),
     )
     def test_adjustment_never_hurts(self, n, icc, cac, sac):
+        # sac > 0 describes a cohort: with no measurement-level variance
+        # left, power refuses the covariance and so does the closed form
+        within = (1.0 - sac) * (1.0 - icc)
+        if (1.0 - cac) * icc + within / n <= 0.0 or (within <= 0.0 and n > 1):
+            with pytest.raises(ValueError, match="cluster covariance is singular"):
+                de_ancova_prepost(n, icc, cac, sac)
+            return
         adjusted = de_ancova_prepost(n, icc, cac, sac).value
         assert adjusted <= de_simple(n, icc).value + 1e-12
         assert adjusted >= 0.0
@@ -186,6 +193,47 @@ class TestDeThreeMeasurement:
         cohort = de_three_measurement(n, icc, 1.0, 0.0).value
         wedge = de_stepped_wedge(2, 1, 1, n, icc).value
         assert abs(cohort - wedge) <= EXACT_MATCH_TOL * max(1.0, wedge)
+
+
+class TestClosedFormsRefuseSingularCovariance:
+    # the public closed forms run the covariance check power runs, on the
+    # family their arguments imply: a cohort when sac > 0
+    @pytest.mark.parametrize(
+        "preset,formula,args",
+        [
+            ("example7", de_three_measurement, (5, 0.1, 1.0, 1.0)),
+            ("example5", de_ancova_prepost, (5, 0.1, 1.0, 1.0)),
+            ("example5", de_ancova_prepost, (5, 0.1, 0.0, 1.0)),
+        ],
+    )
+    def test_refused_as_power_refuses(self, preset, formula, args):
+        n, icc, cac, sac = args
+        spec = dataclasses.replace(get_preset(preset)[0], cluster_size=n)
+        params = CorrelationParams(1.0, icc, cac, sac)
+        with pytest.raises(ValueError) as power:
+            engine.evaluate(spec, params)
+        with pytest.raises(ValueError) as closed_form:
+            formula(*args)
+        assert str(closed_form.value) == str(power.value)
+        assert "cluster covariance is singular" in str(power.value)
+
+    def test_valid_inputs_keep_their_values(self):
+        # the values of these calls before the check was added
+        assert de_ancova_prepost(5, 0.1, 0.5, 0.3).value == 1.2068571428571429
+        assert de_three_measurement(5, 0.1, 0.5, 0.3).value == 1.1183333333333332
+
+    @pytest.mark.parametrize("preset", ["example5", "example7"])
+    def test_design_effect_for_checks_once(self, monkeypatch, preset):
+        calls = []
+        check = engine._period_variance
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(engine, "_period_variance", counted)
+        design_effect_for(*get_preset(preset))
+        assert len(calls) == 1
 
 
 class TestInflateSampleSize:

@@ -11,10 +11,14 @@ package's own continued-fraction and recurrence implementations.
 
 import logging
 import math
+import numbers
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -762,3 +766,66 @@ class TestTStart:
     def test_overflowing_critical_value_is_refused(self, ddf, alpha):
         with pytest.raises(ValueError, match=f"alpha={alpha!r} is too small"):
             power_from_f(0.0, 1, ddf, alpha)
+
+
+def abc_is_whole(value):
+    """is_whole without its exact-type fast paths: the ABC checks alone."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def abc_is_real(value):
+    """is_real without its exact-type fast paths: the ABC checks alone."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+NUMBER_CASES = [
+    0,
+    -7,
+    10**400,
+    -(10**400),
+    True,
+    False,
+    0.0,
+    -0.0,
+    1e308,
+    -1e308,
+    3.0,
+    2.5,
+    5e-324,
+    math.inf,
+    -math.inf,
+    math.nan,
+    np.int64(3),
+    np.float64(2.0),
+    np.float64(2.5),
+    np.float64(math.inf),
+    np.float64(math.nan),
+    np.bool_(True),
+    Fraction(6, 2),
+    Fraction(1, 3),
+    Decimal("2"),
+    Decimal("2.5"),
+    Decimal("Infinity"),
+    complex(1.0, 0.0),
+    "3",
+    None,
+]
+
+
+@pytest.mark.parametrize("value", NUMBER_CASES, ids=lambda value: type(value).__name__)
+def test_number_checks_match_abc_path(value):
+    assert distributions.is_whole(value) is abc_is_whole(value)
+    assert distributions.is_real(value) is abc_is_real(value)
+
+
+@given(st.one_of(st.integers(), st.floats(), st.booleans()))
+def test_number_checks_match_abc_path_on_ints_and_floats(value):
+    assert distributions.is_whole(value) is abc_is_whole(value)
+    assert distributions.is_real(value) is abc_is_real(value)

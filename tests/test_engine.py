@@ -167,19 +167,25 @@ class TestDdfPolicies:
         ["example2", "example2_51", "example4", "example5", "example6", "example7"],
     )
     def test_one_rank_solve_per_evaluation(self, monkeypatch, name):
-        # the full-rank check fixes the rank of the cluster-constant
-        # columns at their number, so the strata need no second SVD
-        ranks = []
-        matrix_rank = np.linalg.matrix_rank
+        # full rank is read off the tested column, and it fixes the rank
+        # of the cluster-constant columns at their number, so an
+        # evaluation runs no SVD at all
+        calls = []
 
-        def counted(x, *args, **kwargs):
-            ranks.append(x.shape)
-            return matrix_rank(x, *args, **kwargs)
+        def counting(attribute):
+            original = getattr(np.linalg, attribute)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+            def counted(*args, **kwargs):
+                calls.append(attribute)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for attribute in ("matrix_rank", "svd"):
+            monkeypatch.setattr(np.linalg, attribute, counting(attribute))
         spec, params = get_preset(name)
         evaluate(spec, params, ddf_policy="between_within")
-        assert len(ranks) == 1
+        assert calls == []
 
     def test_cluster_policies_rejected_for_individual_randomization(self):
         for policy in ("containment", "between_within"):

@@ -3,11 +3,12 @@
 engine.fit_cells forms the information and the score as one matrix
 product each over the flattened cell rows and inverts the information
 once; designs.cell_table fills a wedge's time indicators in one
-broadcast; mc projects the cell weights with a batched matrix product.
+broadcast; mc projects the cell weights with a batched matrix product;
+the full-rank check reads the tested column instead of running an SVD.
 The slower path each replaced is kept here as its oracle: the sums run
 in another order, so the fit must agree to 1e-12 relative to the
-largest entry of each array, and the design columns, exact 0/1 values,
-must be equal.
+largest entry of each array, the design columns, exact 0/1 values,
+must be equal, and the refusal must match the SVD's rank exactly.
 """
 
 import dataclasses
@@ -87,6 +88,26 @@ def assert_kernel_matches_oracle(spec, params):
     assert_close(fit.cov, cov)
 
 
+RANK_MESSAGE = (
+    "design matrix is rank deficient; the schedule does not separate "
+    "the modeled effects (degenerate step layout)"
+)
+
+
+def assert_rank_rule_matches_svd(spec, params):
+    """fit_cells refuses exactly the cells whose rows matrix_rank finds deficient."""
+    cells = cell_table(spec)
+    rows = cells.x.reshape(-1, cells.x.shape[2])
+    deficient = np.linalg.matrix_rank(rows) < rows.shape[1]
+    try:
+        engine.fit_cells(cells, engine.variance_components(spec, params))
+    except ValueError as exc:
+        assert deficient and str(exc) == RANK_MESSAGE, str(exc)
+    else:
+        assert not deficient
+    return deficient
+
+
 @st.composite
 def designs_and_params(draw):
     """Designs of all 7 kinds, a third with size lists, wedges up to T = 25."""
@@ -153,6 +174,50 @@ def test_fit_matches_einsum_oracle_on_presets(name):
 @example((WIDE_WEDGE, CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8)))
 def test_fit_matches_einsum_oracle(case):
     assert_kernel_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_rank_rule_matches_svd_on_presets(name):
+    assert_rank_rule_matches_svd(*get_preset(name))
+
+
+# a single-step wedge, whose exposure duplicates the time indicators
+ONE_STEP_WEDGE = dataclasses.replace(
+    WIDE_WEDGE, steps_k=1, per_step_t=3, clusters_per_step=(2,), cluster_size=(4, 7)
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(designs_and_params())
+@example((WIDE_WEDGE, CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8)))
+@example((ONE_STEP_WEDGE, CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8)))
+def test_rank_rule_matches_svd(case):
+    assert_rank_rule_matches_svd(*case)
+
+
+@pytest.mark.parametrize("kind", sorted(SWD_KINDS))
+def test_rank_rule_matches_svd_on_small_wedge_grid(kind):
+    # every layout with k 1-6, b 1-3 and t 1-3, each with equal, growing
+    # and per-cluster-size splits; only the single-step ones are refused
+    params = CorrelationParams(sigma_y_sq=1.0, icc=0.1, cac=0.5)
+    refused = []
+    for k in range(1, 7):
+        for b in range(1, 4):
+            for t in range(1, 4):
+                splits = ((1,) * k, tuple(range(1, k + 1)), (2,) * k)
+                for split, size in zip(splits, (3, 3, tuple(range(1, 2 * k + 1)))):
+                    spec = dataclasses.replace(
+                        WIDE_WEDGE,
+                        kind=kind,
+                        steps_k=k,
+                        baseline_b=b,
+                        per_step_t=t,
+                        clusters_per_step=split,
+                        cluster_size=size,
+                    )
+                    if assert_rank_rule_matches_svd(spec, params):
+                        refused.append(k)
+    assert refused == [1] * (3 * 3 * 3)
 
 
 @settings(max_examples=200, deadline=None)

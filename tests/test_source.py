@@ -76,6 +76,12 @@ def test_fit_and_projection_use_no_einsum():
     assert _lines_matching(r"einsum", "engine.py", "mc.py") == []
 
 
+def test_evaluation_runs_no_svd():
+    # full rank is read off the tested column: an SVD over every cell
+    # row was the largest fixed cost of an evaluation
+    assert _lines_matching(r"matrix_rank|svd", "engine.py") == []
+
+
 def test_dense_oracle_names_no_private_package_attribute():
     # the oracle checks the package's routes, so it must not borrow
     # their private helpers
