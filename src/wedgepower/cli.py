@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -187,8 +188,10 @@ def _f3(x: float) -> str:
     return f"{x:.3f}"
 
 
-# the wedge closed forms, which count comparisons rather than measurements
-_WEDGE_FORMULAS = ("stepped_wedge", "three_measurement", "hussey_hughes")
+def _de_figure(x: float) -> str:
+    # three decimals, or three significant digits if nonzero and below 0.1
+    digits = 3 if x == 0.0 or abs(x) >= 0.1 else 2 - math.floor(math.log10(abs(x)))
+    return f"{x:.{digits}f}"
 
 
 def _cmd_de(args) -> str:
@@ -200,7 +203,7 @@ def _cmd_de(args) -> str:
     if args.n_unclustered is not None:
         # the wedge closed forms count comparisons, so every period
         # multiplies the observations; a cohort is measured every period
-        per_comparison = result.formula in _WEDGE_FORMULAS
+        per_comparison = result.formula in design_effects.PER_PERIOD_FORMULAS
         cohort = spec.family is correlation.Family.COHORT
         plan = design_effects.inflate_sample_size(
             args.n_unclustered,
@@ -224,12 +227,12 @@ def _cmd_de(args) -> str:
     rows = [
         ("design", spec.kind.value),
         ("formula", result.formula),
-        ("design effect", _f3(result.value)),
+        ("design effect", _de_figure(result.value)),
     ]
     for name, value in result.factors.items():
-        rows.append((f"  {name}", _f3(value)))
+        rows.append((f"  {name}", _de_figure(value)))
     if result.baseline_r is not None:
-        rows.append(("baseline r", _f3(result.baseline_r)))
+        rows.append(("baseline r", _de_figure(result.baseline_r)))
     if plan is not None:
         rows.append(("unclustered n", str(plan.n_unclustered)))
         rows.append(

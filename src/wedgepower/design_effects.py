@@ -28,6 +28,7 @@ __all__ = [
     "de_three_measurement",
     "inflate_sample_size",
     "design_effect_for",
+    "PER_PERIOD_FORMULAS",
 ]
 
 
@@ -164,6 +165,8 @@ _ONE_STEP = (
     "stepped wedge design effect needs at least 2 steps; a single "
     "step leaves exposure confounded with time"
 )
+# the wedge formulas, which count one comparison per cluster-period
+PER_PERIOD_FORMULAS = ("stepped_wedge", "three_measurement", "hussey_hughes")
 
 
 def de_stepped_wedge(
@@ -263,7 +266,7 @@ def inflate_sample_size(
             randomized trial.
         design_effect: multiplier from one of the de_* functions.
         observation_multiplier: factor on n_unclustered * design_effect.
-            The wedge multipliers, design_effect_for's included, count
+            The PER_PERIOD_FORMULAS, design_effect_for's included, count
             one comparison per cluster-period, so their observations
             are n_unclustered * DE * T: pass the number of periods T.
             The other multipliers count measurements and keep 1.
@@ -381,8 +384,9 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     if k < 2:
         raise ValueError(_ONE_STEP)
     equal = len(set(spec.clusters_per_step)) == 1
-    if equal and traits.cohort and spec.n_times == 3:
+    cohort = traits.family is Family.COHORT
+    if equal and cohort and spec.n_times == 3:
         return _three_measurement(n, params.icc, params.cac, params.sac)
-    if equal and not traits.cohort and params.cac == 1.0:
+    if equal and not cohort and params.cac == 1.0:
         return de_stepped_wedge(k, b, t, n, params.icc)
     return _hussey_hughes(spec, params, n)

@@ -64,7 +64,7 @@ class KindTraits(NamedTuple):
     counts: tuple[str, ...]  # the count fields the kind is built from
     periods: str  # "post" (one period), "prepost" (two) or "wedge"
     clustered: bool  # clusters are randomized; else subjects are
-    cohort: bool  # a cluster's subjects are followed across periods
+    family: Family  # of one cluster; SINGLE if measured in one period
     mean_keys: frozenset[tuple[int, int]]  # the cells cell_means maps
 
 
@@ -74,18 +74,19 @@ _WEDGE = ("steps_k", "baseline_b", "per_step_t", "clusters_per_step", "cluster_s
 _POST = frozenset({(1, 1), (2, 1)})  # (arm, time)
 _PREPOST = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
 _PHASES = frozenset({(0, 0), (1, 0)})  # (phase, 0): control, intervention
-# a row per kind: count fields, period model, clustered, cohort, mean keys
+_SINGLE, _XSEC, _COHORT = Family.SINGLE, Family.CROSS_SECTIONAL, Family.COHORT
+# a row per kind: count fields, period model, clustered, family, mean keys
 _CATALOG = {
-    DesignKind.RCT_POST: KindTraits(_RCT, "post", False, False, _POST),
-    DesignKind.CRT_POST: KindTraits(_ARM, "post", True, False, _POST),
-    DesignKind.RCT_PREPOST: KindTraits(_RCT, "prepost", False, False, _PREPOST),
-    DesignKind.CRT_PREPOST_XSEC: KindTraits(_ARM, "prepost", True, False, _PREPOST),
-    DesignKind.CRT_PREPOST_COHORT: KindTraits(_ARM, "prepost", True, True, _PREPOST),
-    DesignKind.SWD_XSEC: KindTraits(_WEDGE, "wedge", True, False, _PHASES),
-    DesignKind.SWD_COHORT: KindTraits(_WEDGE, "wedge", True, True, _PHASES),
+    DesignKind.RCT_POST: KindTraits(_RCT, "post", False, _SINGLE, _POST),
+    DesignKind.CRT_POST: KindTraits(_ARM, "post", True, _SINGLE, _POST),
+    DesignKind.RCT_PREPOST: KindTraits(_RCT, "prepost", False, _SINGLE, _PREPOST),
+    DesignKind.CRT_PREPOST_XSEC: KindTraits(_ARM, "prepost", True, _XSEC, _PREPOST),
+    DesignKind.CRT_PREPOST_COHORT: KindTraits(_ARM, "prepost", True, _COHORT, _PREPOST),
+    DesignKind.SWD_XSEC: KindTraits(_WEDGE, "wedge", True, _XSEC, _PHASES),
+    DesignKind.SWD_COHORT: KindTraits(_WEDGE, "wedge", True, _COHORT, _PHASES),
 }
-# measurement times of the parallel period models
-_PARALLEL_TIMES = {"post": (1,), "prepost": (1, 2)}
+# measurement periods of the parallel period models
+_PARALLEL_PERIODS = {"post": 1, "prepost": 2}
 RCT_KINDS = frozenset(kind for kind, row in _CATALOG.items() if not row.clustered)
 
 
@@ -141,7 +142,8 @@ class DesignSpec:
 
     @property
     def n_times(self) -> int:
-        return max(map(max, _layout(self).times))
+        layout = _layout(self)
+        return max(layout.first) + layout.n_periods - 1
 
     @property
     def n_clusters(self) -> int:
@@ -150,8 +152,8 @@ class DesignSpec:
 
     @property
     def family(self) -> Family:
-        """Measurement family of one cluster, as cell_table records it."""
-        return _layout(self).family
+        """Measurement family of one cluster, read off the kind catalog."""
+        return _CATALOG[self.kind].family
 
     def cluster_subject_counts(self) -> tuple[int, ...]:
         """One entry per cluster: its subjects (per time if cross-sectional)."""
@@ -166,50 +168,47 @@ class DesignSpec:
 
 
 class _Layout(NamedTuple):
-    """A design's schedule rows, one per randomized group, without means."""
+    """A design's schedule rows, one per randomized group, as counts."""
 
     group: tuple[int, ...]  # as in ExemplaryDataset.arm
     clusters: tuple[int, ...]  # clusters the row stands for
-    times: tuple[tuple[int, ...], ...]  # one such cluster's T periods
+    first: tuple[int, ...]  # the first of the row's T consecutive periods
+    n_periods: int  # T, the periods each cluster is measured in
     size: int | tuple[int, ...]  # subjects per cluster-period
-    family: Family  # measurement structure of one cluster
 
 
 def _layout(spec: DesignSpec) -> _Layout:
-    """The one place a kind's count fields become groups, clusters and times.
+    """The one place a kind's count fields become groups, clusters and periods.
 
     Individually randomized kinds make every subject a cluster of one
     measured once, so they have one single-period row per arm-time
-    cell.  A cluster measured in one period is SINGLE, a cohort kind's
-    cluster COHORT, any other CROSS_SECTIONAL.  Reads no means.
+    cell.  Reads no means; holds no list of periods, so its cost
+    follows the groups however many periods there are.
     """
     row = _CATALOG[spec.kind]
     if row.periods == "wedge":
         group = tuple(range(1, int(spec.steps_k) + 1))
         clusters = tuple(map(int, spec.clusters_per_step))
-        last = int(spec.baseline_b) + int(spec.steps_k) * int(spec.per_step_t)
-        times = (tuple(range(1, last + 1)),) * len(group)
+        first = (1,) * len(group)
+        n_periods = int(spec.baseline_b) + int(spec.steps_k) * int(spec.per_step_t)
     elif row.clustered:
-        group = (1, 2)
+        group, first = (1, 2), (1, 1)
         clusters = tuple(map(int, spec.clusters_per_arm))
-        times = (_PARALLEL_TIMES[row.periods],) * 2
+        n_periods = _PARALLEL_PERIODS[row.periods]
     else:
-        periods = _PARALLEL_TIMES[row.periods]
+        periods = range(1, _PARALLEL_PERIODS[row.periods] + 1)
         group = tuple(arm for arm in (1, 2) for _ in periods)
         clusters = (int(spec.per_group_n),) * len(group)
-        times = tuple((t,) for _ in (1, 2) for t in periods)
-    family = Family.COHORT if row.cohort else Family.CROSS_SECTIONAL
-    if len(times[0]) == 1:
-        family = Family.SINGLE
+        first, n_periods = tuple(periods) * 2, 1
     size = spec.cluster_size if row.clustered else 1
-    return _Layout(group, clusters, times, size, family)
+    return _Layout(group, clusters, first, n_periods, size)
 
 
 def _n_observations(layout: _Layout) -> int:
     # no per-cluster tuple: validate_spec reads this to refuse huge designs
     if isinstance(layout.size, (tuple, list)):
-        return sum(map(int, layout.size)) * len(layout.times[0])
-    return int(layout.size) * sum(layout.clusters) * len(layout.times[0])
+        return sum(map(int, layout.size)) * layout.n_periods
+    return int(layout.size) * sum(layout.clusters) * layout.n_periods
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -435,12 +434,12 @@ def cell_table(spec: DesignSpec) -> CellTable:
     included; the engine refuses that when it fits.
     """
     ensure_valid(spec)
-    periods = _CATALOG[spec.kind].periods
+    traits = _CATALOG[spec.kind]
     layout = _layout(spec)
     group = np.array(layout.group)
-    time = np.array(layout.times)
+    time = np.add.outer(np.array(layout.first), np.arange(layout.n_periods))
 
-    if periods == "wedge":
+    if traits.periods == "wedge":
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
         x = np.empty((*time.shape, len(names)))
@@ -452,14 +451,14 @@ def cell_table(spec: DesignSpec) -> CellTable:
     else:
         treated = group[:, None] == 2
         columns = [("intercept", 1), ("treated", treated)]
-        if periods == "prepost":
+        if traits.periods == "prepost":
             post = time == 2
             columns.append(("post", post))
             columns.append(("treated_post", treated & post))
         mean = np.array(
             [
-                [float(spec.cell_means[(a, t)]) for t in row]
-                for a, row in zip(layout.group, layout.times)
+                [float(spec.cell_means[(a, t)]) for t in times]
+                for a, times in zip(layout.group, time.tolist())
             ]
         )
         names, values = zip(*columns)
@@ -485,7 +484,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
         x=x[chosen],
         mean=mean[chosen],
         columns=names,
-        family=layout.family,
+        family=traits.family,
     )
 
 

@@ -78,13 +78,6 @@ class Evaluation:
         """
         return _precision_x(self.cells, self.components) @ self.fit.cov[-1]
 
-    def cell_covariance(self) -> np.ndarray:
-        """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of
-        a cluster of pattern k."""
-        a, b = _cell_variances(self.cells, self.components)
-        n_periods = self.cells.x.shape[1]
-        return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
-
 
 def default_ddf_policy(kind: str) -> str:
     """Policy used when the caller does not pick one for a design kind or its value.

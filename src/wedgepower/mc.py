@@ -3,17 +3,18 @@
 Every cluster's T cell means have the exact covariance S_k = a_k J +
 b_k I, the cell average of the subject-level covariance (Hussey &
 Hughes 2007), and every fixed effect is constant within a cell.  So
-the contrast estimate under the known-covariance GLS weights of the
-analytic route's fit is center + z . u for z ~ N(0, I) over the cells,
-which is exactly N(center, u . u): each replicate draws one standard
-normal, scaled by the projected spread sqrt(u . u), and costs the same
-however large the design.  The statistic divides by the fit's own
-contrast variance s2, so a projection that disagrees with the fit
-shows in every run's z-score.  The replicate F statistic divides the
-Wald numerator by an independent mean-one chi-square draw with the
-policy's denominator degrees of freedom: that is the estimation noise
-the F(ndf, ddf) reference distribution assumes, so under null means
-the rejection rate is exactly alpha in expectation.
+the contrast estimate under the known-covariance GLS weights w_k of
+the analytic route's fit is normal with variance the sum over clusters
+of w_k' S_k w_k = a_k (1'w_k)^2 + b_k |w_k|^2, which needs no factor of
+S_k: each replicate draws one standard normal, scaled by the spread,
+the root of that sum, and costs the same however large the design.
+The statistic divides by the fit's own contrast variance s2, so a
+spread that disagrees with the fit shows in every run's z-score.  The
+replicate F statistic divides the Wald numerator by an independent
+mean-one chi-square draw with the policy's denominator degrees of
+freedom: that is the estimation noise the F(ndf, ddf) reference
+distribution assumes, so under null means the rejection rate is
+exactly alpha in expectation.
 
 A run draws from one Philox stream keyed by (seed, 0) (Salmon et al.
 2011).  Replicates run in fixed chunks of _CHUNK: a chunk draws its
@@ -98,22 +99,22 @@ class EmpiricalPower:
 
 
 def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
-    """center, spread and s2 with contrast estimate center + z . u for a draw z.
+    """center, spread and s2 of the contrast estimate, N(center, spread**2).
 
-    A cluster of pattern k draws its T cell means as mean_k + L_k z_c,
-    L_k the Cholesky factor of the cell-mean covariance S_k, and adds
-    w_k . mean_k + z_c . (L_k' w_k) to the contrast estimate, w_k its
-    row of cell weights.  u stacks L_k' w_k over the clusters; spread is
-    sqrt(u . u), summed per pattern as count_k |L_k' w_k|^2 so that u is
-    never formed.  s2 is the tested coefficient's variance, the last
-    diagonal entry of (X'V^-1X)^-1, which equals u . u.
+    A cluster of pattern k adds w_k . ybar_k to the contrast estimate,
+    w_k its row of cell weights and ybar_k its cell means, with mean
+    w_k . mean_k and variance w_k' S_k w_k = a_k (1'w_k)^2 + b_k |w_k|^2
+    under the cell-mean covariance S_k = a_k J + b_k I.  spread is the
+    root of that variance summed per pattern, count_k times, so no
+    cluster is visited.  s2 is the tested coefficient's variance, the
+    last diagonal entry of (X'V^-1X)^-1, which equals spread**2.
     """
     cells = run.cells
     weights = run.cell_weights()
-    factors = np.linalg.cholesky(run.cell_covariance())
-    per_pattern = (weights[:, None, :] @ factors)[:, 0, :]
+    a, b = engine._cell_variances(cells, run.components)
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
-    spread = math.sqrt(cells.count @ np.sum(per_pattern * per_pattern, axis=1))
+    variance = a * weights.sum(axis=1) ** 2 + b * np.sum(weights * weights, axis=1)
+    spread = math.sqrt(cells.count @ variance)
     s2 = float(run.fit.cov[-1, -1])
     return center, spread, s2
 
@@ -121,15 +122,14 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
 def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     """Rejection rate of the primary test over simulated replicates.
 
-    Each replicate draws one standard normal, scaled by the projected
-    spread sqrt(u . u) of the cell means' contrast estimate under the
-    known-covariance GLS weights of the analytic route's fit, forms the
-    F statistic (Wald numerator over a mean-one chi-square denominator
-    with the policy's degrees of freedom, drawn from the same stream),
-    and rejects when it exceeds the analytic route's critical value.
-    No subject rows or cell draws are made, and the spread is summed
-    over cluster patterns rather than clusters, so the design may be of
-    any size.
+    Each replicate draws one standard normal, scaled by the spread of
+    the cell means' contrast estimate under the known-covariance GLS
+    weights of the analytic route's fit, forms the F statistic (Wald
+    numerator over a mean-one chi-square denominator with the policy's
+    degrees of freedom, drawn from the same stream), and rejects when
+    it exceeds the analytic route's critical value.  No subject rows or
+    cell draws are made, and the spread is summed over cluster patterns
+    rather than clusters, so the design may be of any size.
     """
     run = engine.evaluate(
         plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha

@@ -238,6 +238,29 @@ class TestDeCommand:
             code, out, err = run(capsys, argv[0], "--spec", str(path), *argv[1:])
             assert (code, out, err) == (2, "", message), argv
 
+    def test_small_figures_keep_three_significant_digits(self, capsys, tmp_path):
+        # 50 steps of 50 periods after one baseline, T = 2501: three
+        # decimals would print 0.001 for both small figures
+        doc = self.wedge_document(
+            "swd_xsec", steps_k=50, per_step_t=50, clusters_per_step=[1] * 50
+        )
+        path = tmp_path / "wedge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "de", "--spec", str(path))
+        assert code == 0 and err == ""
+        rows = map(str.split, out.splitlines())
+        figures = {" ".join(words[:-1]): words[-1] for words in rows}
+        assert figures["formula"] == "stepped_wedge"
+        assert figures["design effect"] == "0.00108"
+        assert figures["cluster_adjustment"] == "1.998"
+        assert figures["crossover_efficiency"] == "0.000540"
+        code, out, _ = run(capsys, "de", "--spec", str(path), "--format", "json")
+        payload = json.loads(out)
+        assert payload["design_effect"] == pytest.approx(0.001079224793365622, rel=1e-12)
+        assert payload["factors"]["crossover_efficiency"] == pytest.approx(
+            0.0005402160864345738, rel=1e-12
+        )
+
 
 class TestMcCommand:
     def test_table_deterministic(self, capsys):

@@ -5,13 +5,20 @@ builds only the design rows of cluster-period cells, in its cell table.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wedgepower
+from wedgepower import designs
 from wedgepower.designs import (
     CSV_HEADER,
     DesignKind,
@@ -28,7 +35,7 @@ from wedgepower.designs import (
     validate_spec,
 )
 from wedgepower.design_effects import design_effect_for
-from wedgepower.engine import analytic_power, evaluate
+from wedgepower.engine import analytic_power, evaluate, variance_components
 
 from dense_oracle import (
     assert_same_dataset,
@@ -63,6 +70,19 @@ EXPECTED_ROWS = {
     "example6": 120,
     "example7": 90,
 }
+
+# run with a spec document's path under a 1 GiB address-space cap: prints
+# the spec's check and period count, then de's JSON, and exits as de does
+_CAPPED_CHECKS = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from wedgepower import cli, designs
+with open(sys.argv[1], encoding="utf-8") as handle:
+    spec, _, _ = designs.decode_spec_document(json.load(handle))
+print(json.dumps([designs.validate_spec(spec), spec.n_times]))
+sys.exit(cli.main(["de", "--spec", sys.argv[1], "--n-unclustered", "100",
+                   "--format", "json"]))
+"""
 
 
 def wedge_spec(**overrides) -> DesignSpec:
@@ -249,6 +269,65 @@ class TestCounts:
         assert get_preset("example6")[0].n_times == 3
         assert wedge_spec(steps_k=3, per_step_t=2, baseline_b=2,
                           clusters_per_step=(2, 2, 2)).n_times == 8
+
+    def test_a_billion_periods_are_counted_not_listed(self, tmp_path):
+        # a wedge of 10**9 + 2 periods: a list of its periods alone would
+        # take 8 GB, so the checks and the closed form run under a 1 GiB
+        # address-space cap.  power and mc still build the cell table and
+        # must not run on this spec outside such a cap.
+        doc = {
+            "design": {
+                "kind": "swd_xsec",
+                "steps_k": 2,
+                "baseline_b": 10**9,
+                "per_step_t": 1,
+                "clusters_per_step": [1, 1],
+                "cluster_size": 1,
+                "means": [54.0, 59.0],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, "cac": 0.5},
+        }
+        path = tmp_path / "long_wedge.json"
+        path.write_text(json.dumps(doc))
+        source = Path(wedgepower.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_CHECKS, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(source)},
+        )
+        assert done.returncode == 0, done.stderr
+        checks, _, de = done.stdout.partition("\n")
+        assert json.loads(checks) == [[], 1_000_000_002]
+        assert json.loads(de)["formula"] == "hussey_hughes"
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_layout_is_built_at_most_twice(self, monkeypatch, name):
+        # the family comes from the kind catalog, so only the count check
+        # and cell_table (or the period count) build a layout
+        built = []
+        layout = designs._layout
+
+        def counted(spec):
+            built.append(spec)
+            return layout(spec)
+
+        monkeypatch.setattr(designs, "_layout", counted)
+        spec, params = get_preset(name)
+
+        def layouts(call) -> int:
+            built.clear()
+            try:
+                call(spec, params)
+            except ValueError:
+                pass  # example2_51 has no closed form
+            return len(built)
+
+        assert layouts(lambda spec, params: spec.family) == 0
+        assert layouts(variance_components) == 0
+        assert layouts(evaluate) <= 2
+        assert layouts(design_effect_for) <= 2
 
 
 class TestExemplaryDataset:

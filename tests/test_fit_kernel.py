@@ -3,9 +3,10 @@
 engine.fit_cells forms the information and the score as one matrix
 product each over the flattened cell rows and inverts the information
 once; designs.cell_table fills a wedge's time indicators in one
-broadcast; mc projects the cell weights with a batched matrix product;
-the full-rank check reads the tested column instead of running an SVD.
-The slower path each replaced is kept here as its oracle: the sums run
+broadcast; mc sums a_k (1'w_k)^2 + b_k |w_k|^2 over the patterns instead
+of projecting the cell weights on Cholesky factors; the full-rank
+check reads the tested column instead of running an SVD.  The slower
+path each replaced is kept here as its oracle: the sums run
 in another order, so the fit must agree to 1e-12 relative to the
 largest entry of each array, the design columns, exact 0/1 values,
 must be equal, and the refusal must match the SVD's rank exactly.
@@ -24,6 +25,7 @@ from wedgepower.correlation import CorrelationParams, Family
 from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
 
 from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS
+from test_cells import cell_covariance
 
 RTOL = 1e-12
 
@@ -58,8 +60,9 @@ def column_loop_x(spec, cells):
 
 
 def einsum_spread(run):
-    """sqrt(u . u) of mc's projection, its per-pattern sums taken by einsum."""
-    factors = np.linalg.cholesky(run.cell_covariance())
+    """sqrt(u . u), u the Cholesky factors L_k of the cell covariances
+    applied to the weights, per pattern by einsum: the closed form's oracle."""
+    factors = np.linalg.cholesky(cell_covariance(run))
     per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
     return math.sqrt(run.cells.count @ np.sum(per_pattern * per_pattern, axis=1))
 

@@ -22,6 +22,7 @@ from wedgepower.mc import EmpiricalPower, SimulationPlan, empirical_power
 
 import dense_oracle
 from test_acceptance import null_spec
+from test_cells import cell_covariance
 
 
 def preset_plan(name: str, replicates: int, seed: int = 1, **kwargs) -> SimulationPlan:
@@ -157,7 +158,7 @@ class TestContrastProjection:
 
 def stacked_projection(run) -> np.ndarray:
     """u: L_k' w_k stacked over the clusters in dataset order."""
-    factors = np.linalg.cholesky(run.cell_covariance())
+    factors = np.linalg.cholesky(cell_covariance(run))
     per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
     return per_pattern[run.cells.cluster_pattern].ravel()
 

@@ -55,9 +55,13 @@ def test_engine_and_design_effects_read_kind_traits():
 
 
 def test_cli_reads_no_closed_form_limit():
-    # design_effects alone decides which closed form covers a design; the
-    # command line prints its answer and never reads the inputs it weighs
-    pattern = r"\.cac\b|\.sac\b|clusters_per_step"
+    # design_effects alone decides which closed form covers a design, and
+    # lists those that count per period; the command line prints its
+    # answer and never reads the inputs it weighs or names a formula
+    pattern = (
+        r"\.cac\b|\.sac\b|clusters_per_step|"
+        r"stepped_wedge|three_measurement|hussey_hughes"
+    )
     assert _lines_matching(pattern, "cli.py") == []
 
 
@@ -74,6 +78,12 @@ def test_fit_and_projection_use_no_einsum():
     # loop, not BLAS: the fit and the Monte Carlo projection contract the
     # cell rows with matrix products instead
     assert _lines_matching(r"einsum", "engine.py", "mc.py") == []
+
+
+def test_spread_factors_no_covariance():
+    # the Monte Carlo spread is a_k (1'w_k)^2 + b_k |w_k|^2 per pattern:
+    # no cell covariance is built or factored
+    assert _lines_matching(r"cholesky|cell_covariance", "engine.py", "mc.py") == []
 
 
 def test_evaluation_runs_no_svd():
