@@ -2,7 +2,8 @@
 
 Maps a marginal description of the outcome (total variance, intracluster
 correlation, cluster autocorrelation, subject autocorrelation) to random
-effect variance components, and builds the block compound symmetric
+effect variance components, gives the covariance a J + b I of a
+cluster's cell means, and builds the block compound symmetric
 covariance matrix of one cluster.
 """
 
@@ -108,6 +109,26 @@ class VarianceComponents:
             + self.subject_by_time
             + self.residual
         )
+
+    def cell_variances(self, sizes) -> tuple[np.ndarray, np.ndarray]:
+        """a and b of S = a J + b I, the covariance of a cluster's cell means.
+
+        With m = sizes subjects per cell, a = cluster + subject / m and
+        b = cluster_by_time + (subject_by_time + residual) / m.
+
+        Raises:
+            ValueError: if the subject-level covariance is singular: its
+                periods are collinear (b <= 0), or several subjects share
+                a cell with no measurement-level variance between them.
+        """
+        within = self.subject_by_time + self.residual
+        b = self.cluster_by_time + within / sizes
+        if np.any(b <= 0.0) or (within <= 0.0 and np.any(sizes > 1)):
+            raise ValueError(
+                "cluster covariance is singular; the correlation parameters "
+                "leave no measurement-level variation"
+            )
+        return self.cluster + self.subject / sizes, b
 
 
 def derive_components(params: CorrelationParams, family: Family) -> VarianceComponents:

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import designs, engine
 from .correlation import CorrelationParams, Family, derive_components
 from .distributions import is_real, is_whole
 
@@ -118,15 +119,12 @@ def cluster_mean_correlation(
 def _require_regular(cluster_size: int, icc: float, cac: float, sac: float) -> None:
     """Refuse the correlations whose cluster covariance power refuses.
 
-    The arguments describe a cohort when sac > 0, otherwise fresh
-    subjects at each time; the check is the one power runs.
+    A cohort's check serves fresh subjects at each time too: at sac = 0
+    its a and b are theirs.
     """
-    from .engine import _period_variance
-
     n = _check_cluster_size(cluster_size)
-    family = Family.COHORT if sac > 0 else Family.CROSS_SECTIONAL
-    comps = derive_components(CorrelationParams(1.0, icc, cac, sac), family)
-    _period_variance(comps, n)
+    comps = derive_components(CorrelationParams(1.0, icc, cac, sac), Family.COHORT)
+    comps.cell_variances(n)
 
 
 def de_ancova_prepost(
@@ -143,12 +141,6 @@ def de_ancova_prepost(
             covariance included.
     """
     _require_regular(cluster_size, icc, cac, sac)
-    return _ancova_prepost(cluster_size, icc, cac, sac)
-
-
-def _ancova_prepost(
-    cluster_size: int, icc: float, cac: float, sac: float
-) -> DesignEffectResult:
     r = cluster_mean_correlation(cluster_size, icc, cac, sac)
     n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
@@ -234,12 +226,6 @@ def de_three_measurement(
             covariance included.
     """
     _require_regular(cluster_size, icc, cac, sac)
-    return _three_measurement(cluster_size, icc, cac, sac)
-
-
-def _three_measurement(
-    cluster_size: int, icc: float, cac: float, sac: float
-) -> DesignEffectResult:
     r = cluster_mean_correlation(cluster_size, icc, cac, sac)
     n, rho = int(cluster_size), float(icc)
     clustering = 1.0 + (n - 1) * rho
@@ -351,23 +337,19 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     three-measurement for a cohort at T = 3); every other wedge takes
     the exact Hussey & Hughes variance.  Single-step wedges, unequal
     cluster sizes, and the counts and correlation inputs that power
-    refuses are refused, the latter with its messages.  Cell means are
-    not read.
+    refuses are refused, the latter with its messages.  A size list or
+    a single step is named before a singular cluster covariance.  Cell
+    means are not read.
     """
-    from .designs import ensure_counts, kind_traits
-    from .engine import _period_variance, variance_components
-
-    ensure_counts(spec)
+    designs.ensure_counts(spec)
     # sac is 0 unless a cluster is a cohort: variance_components refuses it
-    comps = variance_components(spec, params)
-    traits = kind_traits(spec.kind)
+    comps = engine.variance_components(spec, params)
+    traits = designs.kind_traits(spec.kind)
     if not traits.clustered:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
     size = spec.cluster_size
-    # refuses a singular cluster covariance, as power does
-    _period_variance(comps, size)
     sizes = set(map(int, size)) if isinstance(size, (tuple, list)) else {int(size)}
     if len(sizes) != 1:
         raise ValueError(
@@ -377,16 +359,18 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     n = sizes.pop()
     if traits.periods == "post":
         return de_simple(n, params.icc)
-    # the public closed forms would repeat the covariance check run above
     if traits.periods == "prepost":
-        return _ancova_prepost(n, params.icc, params.cac, params.sac)
+        return de_ancova_prepost(n, params.icc, params.cac, params.sac)
     k, b, t = spec.steps_k, spec.baseline_b, spec.per_step_t
     if k < 2:
         raise ValueError(_ONE_STEP)
     equal = len(set(spec.clusters_per_step)) == 1
     cohort = traits.family is Family.COHORT
     if equal and cohort and spec.n_times == 3:
-        return _three_measurement(n, params.icc, params.cac, params.sac)
+        return de_three_measurement(n, params.icc, params.cac, params.sac)
     if equal and not cohort and params.cac == 1.0:
         return de_stepped_wedge(k, b, t, n, params.icc)
+    # the closed forms above check the covariance themselves, or meet no
+    # singular one: their residual share (1 - icc) * sigma_y_sq is positive
+    comps.cell_variances(n)
     return _hussey_hughes(spec, params, n)

@@ -41,6 +41,9 @@ __all__ = [
 
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
+# the most patterns x periods x columns entries of a cell table's design
+# array; a wedge's fit holds about 24-33 bytes per entry
+_MAX_DESIGN_ENTRIES = 25_000_000
 # rows the dataset writers format at once
 _TEXT_BLOCK_ROWS = 65_536
 CSV_HEADER = ("design", "arm", "cluster_id", "subject_id", "time", "intervene", "mean")
@@ -431,15 +434,33 @@ def cell_table(spec: DesignSpec) -> CellTable:
     have an intercept, indicators for every time after the first, and
     the intervention exposure flag.  The last column is the one tested.
     The table is built for any valid spec, a degenerate step layout
-    included; the engine refuses that when it fits.
+    included; the engine refuses that when it fits.  A design array of
+    more than _MAX_DESIGN_ENTRIES entries is refused before it is built.
     """
     ensure_valid(spec)
     traits = _CATALOG[spec.kind]
     layout = _layout(spec)
     group = np.array(layout.group)
+    if isinstance(layout.size, (tuple, list)):
+        # split each group's slice of the size list where the size changes
+        row = np.repeat(np.arange(group.size), layout.clusters)
+        sizes = np.asarray(layout.size, dtype=np.int64)
+        first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
+        chosen, m = row[first], sizes[first]
+        count = np.diff(first, append=sizes.size)
+    else:
+        chosen, count = np.arange(group.size), np.array(layout.clusters, np.int64)
+        m = np.full(group.size, int(layout.size), np.int64)
+    wedge = traits.periods == "wedge"
+    n_columns = layout.n_periods + 1 if wedge else 2 * _PARALLEL_PERIODS[traits.periods]
+    if chosen.size * layout.n_periods * n_columns > _MAX_DESIGN_ENTRIES:
+        raise ValueError(
+            f"design array of {chosen.size} patterns x {layout.n_periods} periods x "
+            f"{n_columns} columns exceeds the limit of {_MAX_DESIGN_ENTRIES} entries"
+        )
     time = np.add.outer(np.array(layout.first), np.arange(layout.n_periods))
 
-    if traits.periods == "wedge":
+    if wedge:
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
         x = np.empty((*time.shape, len(names)))
@@ -466,16 +487,6 @@ def cell_table(spec: DesignSpec) -> CellTable:
         for j, column in enumerate(values):
             x[..., j] = column
 
-    if isinstance(layout.size, (tuple, list)):
-        # split each group's slice of the size list where the size changes
-        row = np.repeat(np.arange(group.size), layout.clusters)
-        sizes = np.asarray(layout.size, dtype=np.int64)
-        first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
-        chosen, m = row[first], sizes[first]
-        count = np.diff(first, append=sizes.size)
-    else:
-        chosen, count = np.arange(group.size), np.array(layout.clusters, np.int64)
-        m = np.full(group.size, int(layout.size), np.int64)
     return CellTable(
         group=group[chosen],
         m=m,
@@ -495,14 +506,14 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     cohort designs nest times inside subjects, who keep their id across
     periods; every other design nests fresh subjects inside times.  This
     matches the covariance layout used for that kind.  Designs over
-    MAX_DATASET_ROWS rows are refused before any row is built.
+    MAX_DATASET_ROWS rows are refused from counts before any array is built.
     """
-    cells = cell_table(spec)
-    if cells.n_observations > MAX_DATASET_ROWS:
+    n_rows = ensure_valid(spec).n_observations
+    if n_rows > MAX_DATASET_ROWS:
         raise ValueError(
-            f"exemplary dataset would have {cells.n_observations} rows; "
-            f"limit is {MAX_DATASET_ROWS}"
+            f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
         )
+    cells = cell_table(spec)
     n_periods = cells.time.shape[1]
     sizes = np.repeat(cells.m, cells.count)
     if cells.family is Family.COHORT:

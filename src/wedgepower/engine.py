@@ -117,48 +117,13 @@ def variance_components(
     return correlation.derive_components(params, spec.family)
 
 
-def _period_variance(comps: VarianceComponents, sizes) -> np.ndarray:
-    """b = cluster_by_time + (subject_by_time + residual) / m of S = a J + b I.
-
-    The check that power, mc and de share: the subject-level covariance
-    of a cluster of m subjects is singular exactly when its cells'
-    periods are collinear (b <= 0) or several subjects share a cell with
-    no measurement-level variance between them.
-
-    Raises:
-        ValueError: if the subject-level covariance is singular.
-    """
-    sizes = np.asarray(sizes)
-    within = comps.subject_by_time + comps.residual
-    b = comps.cluster_by_time + within / sizes
-    if np.any(b <= 0.0) or (within <= 0.0 and np.any(sizes > 1)):
-        raise ValueError(
-            "cluster covariance is singular; the correlation parameters "
-            "leave no measurement-level variation"
-        )
-    return b
-
-
-def _cell_variances(
-    cells: designs.CellTable, comps: VarianceComponents
-) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of each pattern's cell-mean covariance S_k = a J + b I.
-
-    a = cluster + subject / m; b is _period_variance's.
-
-    Raises:
-        ValueError: if the subject-level covariance is singular.
-    """
-    return comps.cluster + comps.subject / cells.m, _period_variance(comps, cells.m)
-
-
 def _precision_x(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
     """S_k^-1 X_k for every pattern, S_k the covariance of its cell means.
 
     S_k = a J + b I has inverse (I - a / (b + T a) J) / b.
     """
     n_periods = cells.x.shape[1]
-    a, b = _cell_variances(cells, comps)
+    a, b = comps.cell_variances(cells.m)
     gamma = a / (b + n_periods * a)
     column_sums = cells.x.sum(axis=1)
     return (cells.x - (gamma[:, None] * column_sums)[:, None, :]) / b[:, None, None]

@@ -48,15 +48,14 @@ _Z95 = 1.959963984540054
 class SimulationPlan:
     """What to simulate and how many times.
 
-    alpha defaults to the design's alpha and ddf_policy to the design
-    kind's default policy.
+    The test runs at the design's alpha; ddf_policy defaults to the
+    design kind's default policy.
     """
 
     spec: DesignSpec
     params: CorrelationParams
     replicates: int
     seed: int
-    alpha: float | None = None
     ddf_policy: str | None = None
 
     def __post_init__(self) -> None:
@@ -111,7 +110,7 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
     """
     cells = run.cells
     weights = run.cell_weights()
-    a, b = engine._cell_variances(cells, run.components)
+    a, b = run.components.cell_variances(cells.m)
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
     variance = a * weights.sum(axis=1) ** 2 + b * np.sum(weights * weights, axis=1)
     spread = math.sqrt(cells.count @ variance)
@@ -131,9 +130,7 @@ def empirical_power(plan: SimulationPlan) -> EmpiricalPower:
     cell draws are made, and the spread is summed over cluster patterns
     rather than clusters, so the design may be of any size.
     """
-    run = engine.evaluate(
-        plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha
-    )
+    run = engine.evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy)
     alpha, ddf, fcrit = run.result.alpha, run.result.ddf, run.result.fcrit
     center, spread, s2 = _contrast_projection(run)
 

@@ -281,8 +281,8 @@ def test_cluster_blocks_match_dense_oracle(name):
 
 def cell_covariance(run):
     """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of a
-    cluster of pattern k, from the engine's a and b."""
-    a, b = engine._cell_variances(run.cells, run.components)
+    cluster of pattern k, from the variance components' a and b."""
+    a, b = run.components.cell_variances(run.cells.m)
     n_periods = run.cells.x.shape[1]
     return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
 

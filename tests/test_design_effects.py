@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgepower import engine
-from wedgepower.correlation import CorrelationParams
+from wedgepower.correlation import CorrelationParams, VarianceComponents
 
 from wedgepower.design_effects import (
     cluster_mean_correlation,
@@ -225,15 +225,33 @@ class TestClosedFormsRefuseSingularCovariance:
     @pytest.mark.parametrize("preset", ["example5", "example7"])
     def test_design_effect_for_checks_once(self, monkeypatch, preset):
         calls = []
-        check = engine._period_variance
+        check = VarianceComponents.cell_variances
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(engine, "_period_variance", counted)
+        monkeypatch.setattr(VarianceComponents, "cell_variances", counted)
         design_effect_for(*get_preset(preset))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ({"cluster_size": (5, 6, 5, 6, 5, 6)}, "need a common cluster size"),
+            ({"steps_k": 1, "clusters_per_step": (6,)}, "needs at least 2 steps"),
+        ],
+    )
+    def test_structure_is_named_before_a_singular_covariance(self, fault, message):
+        # sac = 1 leaves cells of 5 subjects no measurement-level variance;
+        # a spec that also has a size list or a single step is refused for
+        # its structure, which no correlation would mend
+        spec, _ = get_preset("example7")
+        params = CorrelationParams(1.0, 0.1, 0.4, 1.0)
+        with pytest.raises(ValueError, match="cluster covariance is singular"):
+            design_effect_for(spec, params)
+        with pytest.raises(ValueError, match=message):
+            design_effect_for(dataclasses.replace(spec, **fault), params)
 
 
 class TestInflateSampleSize:

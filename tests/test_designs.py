@@ -72,16 +72,24 @@ EXPECTED_ROWS = {
 }
 
 # run with a spec document's path under a 1 GiB address-space cap: prints
-# the spec's check and period count, then de's JSON, and exits as de does
+# the spec's check and period count, then each command's exit status,
+# stdout and stderr; an exception a command lets out ends it with status 1
 _CAPPED_CHECKS = """
-import json, resource, sys
+import contextlib, io, json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 from wedgepower import cli, designs
-with open(sys.argv[1], encoding="utf-8") as handle:
+path = sys.argv[1]
+with open(path, encoding="utf-8") as handle:
     spec, _, _ = designs.decode_spec_document(json.load(handle))
 print(json.dumps([designs.validate_spec(spec), spec.n_times]))
-sys.exit(cli.main(["de", "--spec", sys.argv[1], "--n-unclustered", "100",
-                   "--format", "json"]))
+runs = {}
+for argv in (["de", "--n-unclustered", "100", "--format", "json"],
+             ["dataset"], ["power"], ["mc"], ["vmatrix"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--spec", path])
+    runs[argv[0]] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(runs))
 """
 
 
@@ -273,8 +281,9 @@ class TestCounts:
     def test_a_billion_periods_are_counted_not_listed(self, tmp_path):
         # a wedge of 10**9 + 2 periods: a list of its periods alone would
         # take 8 GB, so the checks and the closed form run under a 1 GiB
-        # address-space cap.  power and mc still build the cell table and
-        # must not run on this spec outside such a cap.
+        # address-space cap.  The commands that build the cell table or
+        # its rows refuse the spec by name, from its counts, before they
+        # allocate: dataset by its rows, the others by the design array.
         doc = {
             "design": {
                 "kind": "swd_xsec",
@@ -298,9 +307,36 @@ class TestCounts:
             env={**os.environ, "PYTHONPATH": str(source)},
         )
         assert done.returncode == 0, done.stderr
-        checks, _, de = done.stdout.partition("\n")
+        checks, _, runs = done.stdout.partition("\n")
         assert json.loads(checks) == [[], 1_000_000_002]
-        assert json.loads(de)["formula"] == "hussey_hughes"
+        runs = json.loads(runs)
+        code, out, _ = runs.pop("de")
+        assert code == 0
+        assert json.loads(out)["formula"] == "hussey_hughes"
+        rows = "exemplary dataset would have 2000000004 rows; limit is 1000000"
+        array = (
+            "design array of 2 patterns x 1000000002 periods x 1000000003 columns "
+            "exceeds the limit of 25000000 entries"
+        )
+        refused = [2, "", f"error: {array}\n"]
+        assert runs == {
+            "dataset": [2, "", f"error: {rows}\n"],
+            "power": refused,
+            "mc": refused,
+            "vmatrix": refused,
+        }
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_design_array_bound_counts_its_entries(self, monkeypatch, name):
+        # the bound is read from counts before the array is built, so the
+        # count must be the built array's size, for every kind
+        spec, _ = get_preset(name)
+        entries = cell_table(spec).x.size
+        monkeypatch.setattr(designs, "_MAX_DESIGN_ENTRIES", entries)
+        assert cell_table(spec).x.size == entries
+        monkeypatch.setattr(designs, "_MAX_DESIGN_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match=f"the limit of {entries - 1} entries"):
+            cell_table(spec)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_layout_is_built_at_most_twice(self, monkeypatch, name):

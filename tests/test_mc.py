@@ -25,8 +25,12 @@ from test_acceptance import null_spec
 from test_cells import cell_covariance
 
 
-def preset_plan(name: str, replicates: int, seed: int = 1, **kwargs) -> SimulationPlan:
+def preset_plan(
+    name: str, replicates: int, seed: int = 1, alpha: float | None = None, **kwargs
+) -> SimulationPlan:
     spec, params = get_preset(name)
+    if alpha is not None:
+        spec = dataclasses.replace(spec, alpha=alpha)
     return SimulationPlan(
         spec=spec, params=params, replicates=replicates, seed=seed, **kwargs
     )
@@ -165,7 +169,7 @@ def stacked_projection(run) -> np.ndarray:
 
 def reference_rejections(plan: SimulationPlan) -> int:
     """Rejection count drawn one replicate's normal at a time, chunk by chunk."""
-    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
+    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy)
     center, spread, s2 = mc._contrast_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit
     rng = run_stream(plan.seed)
@@ -186,7 +190,7 @@ def cell_draw_rejections(plan: SimulationPlan) -> int:
     over all the design's cells, projected by a matrix product; a chunk
     draws its cell normals, then its chi-square denominators.
     """
-    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy, alpha=plan.alpha)
+    run = evaluate(plan.spec, plan.params, ddf_policy=plan.ddf_policy)
     center, _, s2 = mc._contrast_projection(run)
     u = stacked_projection(run)
     ddf, fcrit = run.result.ddf, run.result.fcrit

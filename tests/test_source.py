@@ -92,6 +92,27 @@ def test_evaluation_runs_no_svd():
     assert _lines_matching(r"matrix_rank|svd", "engine.py") == []
 
 
+def test_no_module_names_another_modules_private_attribute():
+    # a rule that two modules need is public where it lives: no module
+    # reaches another's private names, by attribute or by import
+    modules = {path.stem for path in SOURCE.glob("*.py")}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id in modules else []
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+    assert found == []
+
+
 def test_dense_oracle_names_no_private_package_attribute():
     # the oracle checks the package's routes, so it must not borrow
     # their private helpers
