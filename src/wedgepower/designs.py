@@ -6,8 +6,9 @@ measurements happen, and the cell means under the alternative.
 cell_table turns it into the design's one cluster-by-period schedule:
 randomized group, time, exposure, design columns and cell means of each
 run of interchangeable clusters, with the tested effect in the last column.
-The engine fits that table, and exemplary_dataset expands it into one
-row per measurement whose outcome column holds the modeled mean.
+The engine fits that table, and exemplary_dataset expands its schedule,
+without the design columns, into one row per measurement whose outcome
+column holds the modeled mean.
 """
 
 from __future__ import annotations
@@ -422,101 +423,130 @@ class CellTable:
         return np.repeat(np.arange(self.count.size), self.count)
 
 
-def cell_table(spec: DesignSpec) -> CellTable:
-    """The design's one cluster-by-period schedule, in runs of clusters.
+class _Schedule(NamedTuple):
+    """A cell table without its design array, which the dataset needs."""
 
-    The schedule rows of the kind's layout become arrays here, with
-    design columns and means: the engine fits the table, correlation
-    sizes covariance blocks from it and exemplary_dataset expands it.
-    It records the measurement family of a cluster.  Parallel kinds
-    have an intercept, a treated-arm indicator, and for two-period kinds
-    a post-period indicator plus their product.  Stepped wedge kinds
-    have an intercept, indicators for every time after the first, and
-    the intervention exposure flag.  The last column is the one tested.
-    The table is built for any valid spec, a degenerate step layout
-    included; the engine refuses that when it fits.  A design array of
-    more than _MAX_DESIGN_ENTRIES entries is refused before it is built.
+    group: np.ndarray
+    m: np.ndarray
+    count: np.ndarray
+    time: np.ndarray
+    exposed: np.ndarray  # (K, T) the tested effect's flag in each cell
+    mean: np.ndarray
+    traits: KindTraits
+
+
+def _schedule(spec: DesignSpec, *, design_bound: bool) -> _Schedule:
+    """The layout's runs of clusters with their times, exposure and means.
+
+    Splits each group's slice of a cluster size list where the size
+    changes, which costs the length of the user's list.  With
+    design_bound, a design array of more than _MAX_DESIGN_ENTRIES
+    entries is refused before any (K, T) array is built.
     """
-    ensure_valid(spec)
     traits = _CATALOG[spec.kind]
     layout = _layout(spec)
     group = np.array(layout.group)
     if isinstance(layout.size, (tuple, list)):
-        # split each group's slice of the size list where the size changes
         row = np.repeat(np.arange(group.size), layout.clusters)
         sizes = np.asarray(layout.size, dtype=np.int64)
         first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
         chosen, m = row[first], sizes[first]
         count = np.diff(first, append=sizes.size)
     else:
-        chosen, count = np.arange(group.size), np.array(layout.clusters, np.int64)
+        chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)
     wedge = traits.periods == "wedge"
     n_columns = layout.n_periods + 1 if wedge else 2 * _PARALLEL_PERIODS[traits.periods]
-    if chosen.size * layout.n_periods * n_columns > _MAX_DESIGN_ENTRIES:
+    if design_bound and m.size * layout.n_periods * n_columns > _MAX_DESIGN_ENTRIES:
         raise ValueError(
-            f"design array of {chosen.size} patterns x {layout.n_periods} periods x "
+            f"design array of {m.size} patterns x {layout.n_periods} periods x "
             f"{n_columns} columns exceeds the limit of {_MAX_DESIGN_ENTRIES} entries"
         )
     time = np.add.outer(np.array(layout.first), np.arange(layout.n_periods))
-
+    means = spec.cell_means
     if wedge:
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
+        mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
+    else:
+        # post-only kinds have one period, so the arm flag is (K, T)
+        exposed = group[:, None] == 2
+        if traits.periods == "prepost":
+            exposed = exposed & (time == 2)
+        mean = np.array(
+            [
+                [float(means[(a, t)]) for t in times]
+                for a, times in zip(layout.group, time.tolist())
+            ]
+        )
+    return _Schedule(
+        group[chosen], m, count, time[chosen], exposed[chosen], mean[chosen], traits
+    )
+
+
+def cell_table(spec: DesignSpec) -> CellTable:
+    """The design's one cluster-by-period schedule, in runs of clusters.
+
+    The schedule rows of the kind's layout become arrays here, with
+    design columns and means: the engine fits the table, correlation
+    sizes covariance blocks from it and exemplary_dataset expands its
+    schedule.  It records the measurement family of a cluster.  Parallel
+    kinds have an intercept, a treated-arm indicator, and for two-period
+    kinds a post-period indicator plus their product.  Stepped wedge
+    kinds have an intercept, indicators for every time after the first,
+    and the intervention exposure flag.  The last column is the one
+    tested.  The table is built for any valid spec, a degenerate step
+    layout included; the engine refuses that when it fits.  A design
+    array of more than _MAX_DESIGN_ENTRIES entries is refused before it
+    is built.
+    """
+    ensure_valid(spec)
+    cells = _schedule(spec, design_bound=True)
+    time = cells.time
+    if cells.traits.periods == "wedge":
         names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
         x = np.empty((*time.shape, len(names)))
         x[..., 0] = 1.0
         x[..., 1:-1] = time[..., None] == time[0, 1:]
-        x[..., -1] = exposed
-        means = spec.cell_means
-        mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
-        treated = group[:, None] == 2
-        columns = [("intercept", 1), ("treated", treated)]
-        if traits.periods == "prepost":
-            post = time == 2
-            columns.append(("post", post))
-            columns.append(("treated_post", treated & post))
-        mean = np.array(
-            [
-                [float(spec.cell_means[(a, t)]) for t in times]
-                for a, times in zip(layout.group, time.tolist())
-            ]
-        )
-        names, values = zip(*columns)
+        prepost = cells.traits.periods == "prepost"
+        names = ("intercept", "treated", "post", "treated_post")[: 4 if prepost else 2]
         x = np.empty((*time.shape, len(names)))
-        for j, column in enumerate(values):
-            x[..., j] = column
-
+        x[..., 0] = 1.0
+        x[..., 1] = cells.group[:, None] == 2
+        if prepost:
+            x[..., 2] = time == 2
+    x[..., -1] = cells.exposed
     return CellTable(
-        group=group[chosen],
-        m=m,
-        count=count,
-        time=time[chosen],
-        x=x[chosen],
-        mean=mean[chosen],
+        group=cells.group,
+        m=cells.m,
+        count=cells.count,
+        time=time,
+        x=x,
+        mean=cells.mean,
         columns=names,
-        family=traits.family,
+        family=cells.traits.family,
     )
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     """Build the dataset whose outcome column is the modeled cell mean.
 
-    Rows expand the cell table cluster by cluster.  Within a cluster,
-    cohort designs nest times inside subjects, who keep their id across
-    periods; every other design nests fresh subjects inside times.  This
-    matches the covariance layout used for that kind.  Designs over
-    MAX_DATASET_ROWS rows are refused from counts before any array is built.
+    Rows expand the cell table's schedule cluster by cluster, without
+    its design array.  Within a cluster, cohort designs nest times
+    inside subjects, who keep their id across periods; every other
+    design nests fresh subjects inside times.  This matches the
+    covariance layout used for that kind.  Designs over MAX_DATASET_ROWS
+    rows are refused from counts before any array is built.
     """
     n_rows = ensure_valid(spec).n_observations
     if n_rows > MAX_DATASET_ROWS:
         raise ValueError(
             f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
         )
-    cells = cell_table(spec)
+    cells = _schedule(spec, design_bound=False)
     n_periods = cells.time.shape[1]
     sizes = np.repeat(cells.m, cells.count)
-    if cells.family is Family.COHORT:
+    if cells.traits.family is Family.COHORT:
         subject_cluster = np.repeat(np.arange(sizes.size), sizes)
         cluster = np.repeat(subject_cluster, n_periods)
         period = np.tile(np.arange(n_periods), subject_cluster.size)
@@ -525,14 +555,14 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
         cell = np.repeat(np.arange(sizes.size * n_periods), np.repeat(sizes, n_periods))
         cluster, period = np.divmod(cell, n_periods)
         subject = np.arange(1, cell.size + 1)
-    pattern = cells.cluster_pattern[cluster]
+    pattern = np.repeat(np.arange(cells.count.size), cells.count)[cluster]
     return ExemplaryDataset(
         kind=spec.kind.value,
         arm=cells.group[pattern],
         cluster_id=cluster + 1,
         subject_id=subject,
         time=cells.time[pattern, period],
-        intervene=cells.x[..., -1].astype(np.int64)[pattern, period],
+        intervene=cells.exposed.astype(np.int64)[pattern, period],
         mean=cells.mean[pattern, period],
     )
 

@@ -15,12 +15,17 @@ the differential tests:
   F(1, ddf) solve started at Hill's t quantile.
 * ``regularized_incomplete_beta`` is the validated wrapper over the
   package's private ``_ibeta`` that tests call.
+* ``continued_fraction_ibeta`` is ``_ibeta`` with its continued fraction
+  at every shape, as it was before TOMS 708's BGRAT expansion took over
+  I_x(a, 1/2) at large a and x near 1.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+from wedgepower import distributions
 from wedgepower.distributions import _ibeta, central_f_cdf, noncentral_f_cdf
 
 # the floor of the start's smaller coordinate
@@ -34,6 +39,12 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     return _ibeta(a, b, x, 1.0 - x)
+
+
+def continued_fraction_ibeta(a: float, b: float, x: float, one_minus_x: float) -> float:
+    """_ibeta(a, b, x, 1 - x) by the continued fraction alone."""
+    with mock.patch.object(distributions, "_BGRAT_MIN_A", math.inf):
+        return _ibeta(a, b, x, one_minus_x)
 
 
 def nr_beta_start(a: float, b: float, p: float) -> tuple[float, float]:

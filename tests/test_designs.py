@@ -465,6 +465,39 @@ class TestExemplaryDataset:
         np.testing.assert_array_equal(data.mean[data.intervene == 0], 54.0)
         np.testing.assert_array_equal(data.mean[data.intervene == 1], 59.0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(spec for spec, _ in PRESETS.values()),
+            wedge_spec(steps_k=3, baseline_b=2, per_step_t=2, clusters_per_step=(2, 1, 2),
+                       cluster_size=(2, 3, 3, 1, 2)),
+        ],
+        ids=[*PRESETS, "small_wedge"],
+    )
+    def test_columns_match_the_cell_table(self, spec):
+        # the dataset expands the table's schedule without its design
+        # array; its exposure is the table's tested column
+        data = exemplary_dataset(spec)
+        cells = cell_table(spec)
+        pattern = cells.cluster_pattern[data.cluster_id - 1]
+        period = data.time - cells.time[pattern, 0]
+        np.testing.assert_array_equal(data.arm, cells.group[pattern])
+        np.testing.assert_array_equal(data.time, cells.time[pattern, period])
+        np.testing.assert_array_equal(data.intervene, cells.x[pattern, period, -1])
+        np.testing.assert_array_equal(data.mean, cells.mean[pattern, period])
+
+    def test_long_wedge_builds_without_a_design_array(self):
+        # 7,204 rows, but a 2 x 3602 x 3603 design array over the bound
+        spec = wedge_spec(baseline_b=3600, clusters_per_step=(1, 1), cluster_size=1)
+        with pytest.raises(ValueError, match="design array of 2 patterns x 3602 periods"):
+            cell_table(spec)
+        data = exemplary_dataset(spec)
+        assert data.n_rows == 7204
+        exposed = data.time[data.intervene == 1]
+        assert exposed.tolist() == [3601, 3602, 3602]
+        np.testing.assert_array_equal(data.mean[data.intervene == 1], 59.0)
+        np.testing.assert_array_equal(data.mean[data.intervene == 0], 54.0)
+
     def test_means_solvable_by_design_matrix(self):
         # the modeled means must be exactly representable by the fixed
         # effects, otherwise the exemplary-data route is meaningless

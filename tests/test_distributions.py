@@ -6,7 +6,7 @@ high-precision mixture series evaluated with mpmath, and closed forms
 that exist for special parameter values (binomial tails for integer
 shapes, the arcsine law for half-integer shapes).  The frozen constants
 below were computed with those oracles and are asserted against the
-package's own continued-fraction and recurrence implementations.
+package's own continued-fraction, expansion and recurrence implementations.
 """
 
 import logging
@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -205,6 +205,125 @@ class TestRegularizedIncompleteBeta:
         assert regularized_incomplete_beta(a, b, x) <= regularized_incomplete_beta(
             a, b, hi
         ) + 1e-12
+
+
+def mp_ibeta(a: float, b: float, x: float):
+    """Oracle: I_x(a, b) at 50 working digits."""
+    with mp.workdps(50):
+        return mp.betainc(a, b, 0, x, regularized=True)
+
+
+def bgrat_point(a: float, z: float) -> tuple[float, float]:
+    """x and 1 - x, an exact pair, with -(a - 1/4) log x about z."""
+    x = 1.0 + math.expm1(-z / (a - 0.25))
+    return x, 1.0 - x
+
+
+def bgrat_reach(a: float) -> float:
+    """The largest z of the BGRAT region at a: 200, or where 1 - x = 0.3."""
+    return min(200.0, -(a - 0.25) * math.log(0.7))
+
+
+def assert_routed_to_bgrat(a: float, x: float, omx: float) -> float:
+    got = distributions._ibeta(a, 0.5, x, omx)
+    assert got == distributions._bgrat(a, math.log1p(-omx))
+    return got
+
+
+class TestBgrat:
+    """TOMS 708's BGRAT, which _ibeta takes for I_x(a, 1/2) at a >= 15,
+    1 - x < 0.3 and z = -(a - 1/4) log x <= 200, against 50 digits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_a=st.floats(math.log10(15.0), math.log10(5e9)), log_share=st.floats(-12, 0))
+    def test_matches_high_precision_over_its_region(self, log_a, log_share):
+        a = 10**log_a
+        x, omx = bgrat_point(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
+        assume(omx > 0.0)
+        got = assert_routed_to_bgrat(a, x, omx)
+        want = mp_ibeta(a, 0.5, x)
+        # the relative error of I_x follows that of z, about z ulps
+        tol = 1e-14 if want >= 1e-6 else 1e-13
+        assert abs(got - want) <= tol * want
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(15.0, 500.0), log_share=st.floats(-12, 0))
+    def test_agrees_with_the_continued_fraction_where_that_is_exact(self, a, log_share):
+        x, omx = bgrat_point(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
+        got = assert_routed_to_bgrat(a, x, omx)
+        want = f_oracle.continued_fraction_ibeta(a, 0.5, x, omx)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "a,omx",
+        [
+            (15.0, 0.3),
+            (15.0, 2.0**-53),
+            (200.0 / -math.log(0.7) + 0.25, 0.3),
+            (5e9, bgrat_point(5e9, 200.0)[1]),
+            (5e9, 2.0**-53),
+        ],
+    )
+    def test_corners_converge_within_seven_terms(self, monkeypatch, a, omx):
+        x = 1.0 - math.nextafter(omx, 0.0)  # 1 - x = 0.3 lies outside
+        omx = 1.0 - x
+        monkeypatch.setattr(distributions, "_BGRAT_D", distributions._BGRAT_D[:7])
+        got = assert_routed_to_bgrat(a, x, omx)
+        assert got == pytest.approx(float(mp_ibeta(a, 0.5, x)), rel=1e-13)
+
+    def test_region_edges_take_the_continued_fraction(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_bgrat", None)
+        for a, x in ((14.5, 0.9), (15.0, 0.7), (1e4, bgrat_point(1e4, 200.5)[0])):
+            assert distributions._ibeta(a, 0.5, x, 1.0 - x) > 0.0
+        assert distributions._ibeta(20.0, 0.6, 0.9, 0.1) > 0.0
+
+    def test_refuses_a_sum_that_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_BGRAT_D", distributions._BGRAT_D[:1])
+        with pytest.raises(ValueError, match="expansion failed to converge"):
+            distributions._bgrat(15.0, math.log(0.75))
+
+    def test_large_first_shape_near_the_fraction_switch_point(self):
+        # near the continued fraction's switch point, where its 1 + aa d
+        # cancels: it is 2.8e-13 off here
+        x = 1.0 - 2.6e-4
+        omx = 1.0 - x
+        got = distributions._ibeta(9640.0, 0.5, x, omx)
+        assert got == pytest.approx(float(mp_ibeta(9640.0, 0.5, x)), rel=1e-14)
+
+    def test_no_sawtooth_about_the_root_at_ddf_1e6(self):
+        # the continued fraction's stopping term moves with x, so its error
+        # jumps by up to 9e-11 as 1 - x moves by 2e-12 about this root
+        a = 5e5
+        _, root = distributions._beta_inverse(a, 0.5, 0.05)
+        for k in range(-100, 100):
+            omx = root * (1.0 + k * 1e-12)
+            x = 1.0 - omx
+            got = distributions._ibeta(a, 0.5, x, 1.0 - x)
+            assert got == pytest.approx(float(mp_ibeta(a, 0.5, x)), rel=1e-14)
+
+    def test_power_takes_at_most_one_continued_fraction(self, monkeypatch):
+        # from ddf 30 at alpha 0.05 and 0.01 the critical value's one
+        # incomplete beta is BGRAT, so only the mixture's mode tail may
+        # run the continued fraction
+        calls = []
+        real = distributions._betacf
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distributions, "_betacf", counting)
+        counts = {}
+        for ddf in (30, 38, 100, 1000, 10**4, 77981, 10**5, 10**6, 10**7, 10**8, 10**9):
+            for alpha in (0.05, 0.01):
+                for fvalue in (0.0, 1.0, 8.0, 30.0, 200.0):
+                    calls.clear()
+                    power_from_f(fvalue, 1, ddf, alpha)
+                    counts[ddf, alpha, fvalue] = len(calls)
+        assert max(counts.values()) == 1
+        assert {key for key, count in counts.items() if count} == {
+            key for key in counts if key[2] >= 2.0
+        }
 
 
 class TestCentralFCdf:
@@ -686,17 +805,12 @@ class TestUpperTailSolve:
 # the grid on which the t start is checked against the start it replaced
 ORACLE_ALPHA = (1e-100, 1e-50, 1e-20, 1e-10, 1e-6, 1e-3, 0.01, 0.025, 0.05, 0.1, 0.3, 0.5)
 ORACLE_DDF = (*range(1, 11), 12, 15, 20, 30, 50, 100, 228, 1000, 10**4, 10**5, 10**6)
-# At ddf 10^6, _ibeta(ddf/2, 1/2) near the root jumps by up to 9e-11
-# relative as 1 - x moves by 2e-12, where its continued fraction stops a
-# term earlier or later.  Each start's solve stops within 1.8e-11 of the
-# 50-digit root, but the two stop on opposite sides at alpha = 0.05.
-ORACLE_FCRIT_REL = {10**6: 4e-11}
-ORACLE_POWER_ABS = {10**6: 2e-11}
 
 
 class TestDdfLimit:
-    # beyond ddf 10**10 the incomplete beta's continued fraction loses the
-    # critical value (5e-6 relative at 10**11, 0.14 at 10**16)
+    # the critical value keeps 1e-15 at any ddf; the noncentral mixture's
+    # power error grows with ddf and sets the limit (3e-8 absolute at
+    # 10**10, 1.4e-6 at 10**12, 0.03 at 10**16)
     @pytest.mark.parametrize("alpha", [0.05, 1e-6])
     def test_figures_hold_1e_6_at_the_limit(self, alpha):
         ddf = 10**10
@@ -737,19 +851,18 @@ class TestTStart:
         monkeypatch.setattr(distributions, "_beta_start", f_oracle.nr_beta_start)
         nr_start = figures()
         for new, old in zip(t_start, nr_start):
-            assert new.fcrit == pytest.approx(
-                old.fcrit, rel=ORACLE_FCRIT_REL.get(ddf, 1e-11)
-            )
-            assert new.power == pytest.approx(
-                old.power, rel=0.0, abs=ORACLE_POWER_ABS.get(ddf, 1e-11)
-            )
+            assert new.fcrit == pytest.approx(old.fcrit, rel=1e-11)
+            assert new.power == pytest.approx(old.power, rel=0.0, abs=1e-11)
 
-    @pytest.mark.parametrize("ddf", [10**4, 10**5, 10**6])
-    def test_large_ddf_matches_high_precision_quantile(self, ddf):
-        # _ibeta loses precision as ddf grows (1.6e-13 at 10^4, 3.2e-11 at
-        # 10^6), so these are held at 1e-10 rather than 1e-13
-        fcrit = power_from_f(0.0, 1, ddf, 0.05).fcrit
-        assert fcrit == pytest.approx(mp_upper_quantile(0.05, 1, ddf, fcrit), rel=1e-10)
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-6])
+    @pytest.mark.parametrize(
+        "ddf", [30, 38, 1000, 77981, *(10**k for k in range(4, 11))]
+    )
+    def test_large_ddf_matches_high_precision_quantile(self, ddf, alpha):
+        # where the root lies in BGRAT's region, from ddf 30 at alpha 0.05
+        # and 0.01, the critical value keeps a few ulps out to ddf 10^10
+        fcrit = power_from_f(0.0, 1, ddf, alpha).fcrit
+        assert fcrit == pytest.approx(mp_upper_quantile(alpha, 1, ddf, fcrit), rel=2e-15)
 
     @pytest.mark.parametrize("ddf", [2, 3, 32, 45, 109])
     def test_critical_value_decreases_down_to_subnormal_alpha(self, ddf):
