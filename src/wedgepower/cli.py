@@ -185,7 +185,9 @@ def _table(rows: list[tuple[str, str]]) -> str:
 
 
 def _f3(x: float) -> str:
-    return f"{x:.3f}"
+    # a value that rounds to zero prints unsigned, whatever its sign
+    text = f"{x:.3f}"
+    return "0.000" if text == "-0.000" else text
 
 
 def _de_figure(x: float) -> str:

@@ -4,11 +4,11 @@ A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
 measurements happen, and the cell means under the alternative.
 cell_table turns it into the design's one cluster-by-period schedule:
-randomized group, time, exposure, design columns and cell means of each
-run of interchangeable clusters, with the tested effect in the last column.
-The engine fits that table, and exemplary_dataset expands its schedule,
-without the design columns, into one row per measurement whose outcome
-column holds the modeled mean.
+randomized group, time, exposure to the tested effect and cell means of
+each run of interchangeable clusters.  It holds no design matrix: the
+engine fits the table from its exposure, and exemplary_dataset expands
+it into one row per measurement whose outcome column holds the modeled
+mean.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ __all__ = [
 
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
-# the most patterns x periods x columns entries of a cell table's design
-# array; a wedge's fit holds about 24-33 bytes per entry
-_MAX_DESIGN_ENTRIES = 25_000_000
+# the most patterns x periods cells of a cell table; an evaluation or a
+# simulation holds about 41 bytes per cell of a wedge and 153 of a
+# parallel kind, so neither peaks above 400 MB
+_MAX_CELLS = 2_500_000
 # rows the dataset writers format at once
 _TEXT_BLOCK_ROWS = 65_536
 CSV_HEADER = ("design", "arm", "cluster_id", "subject_id", "time", "intervene", "mean")
@@ -383,29 +384,32 @@ class CellTable:
     and a common cluster size makes each randomized group one run.  Its
     T cells are the periods such a cluster is measured in: one for
     post-only kinds, and one for individually randomized kinds, where
-    every randomized unit is one measurement.  The last design column is
-    the effect under test; its values are the exposure flags.
+    every randomized unit is one measurement.  The exposure flags are
+    the values of the tested effect's design column; the kind fixes the
+    other columns.
 
     Attributes:
+        kind: the design kind, whose catalog row fixes the design columns.
         group: (K,) randomized group, as in ExemplaryDataset.arm.
         m: (K,) subjects per cell.
         count: (K,) clusters in the run.
         time: (K, T) measurement time of each cell.
-        x: (K, T, p) design matrix rows of the cells.
+        exposed: (K, T) whether the tested effect applies in each cell.
         mean: (K, T) modeled cell means.
-        columns: the names of the p design columns, the tested one last.
-        family: measurement structure of one cluster: SINGLE with one
-            period, else COHORT or CROSS_SECTIONAL.
     """
 
+    kind: DesignKind
     group: np.ndarray
     m: np.ndarray
     count: np.ndarray
     time: np.ndarray
-    x: np.ndarray
+    exposed: np.ndarray
     mean: np.ndarray
-    columns: tuple[str, ...]
-    family: Family
+
+    @property
+    def family(self) -> Family:
+        """Measurement structure of one cluster, read off the kind catalog."""
+        return _CATALOG[self.kind].family
 
     @property
     def n_clusters(self) -> int:
@@ -415,7 +419,7 @@ class CellTable:
     @property
     def n_observations(self) -> int:
         """Number of measurements, the rows of the exemplary dataset."""
-        return int(self.count @ self.m) * self.x.shape[1]
+        return int(self.count @ self.m) * self.time.shape[1]
 
     @property
     def cluster_pattern(self) -> np.ndarray:
@@ -423,26 +427,20 @@ class CellTable:
         return np.repeat(np.arange(self.count.size), self.count)
 
 
-class _Schedule(NamedTuple):
-    """A cell table without its design array, which the dataset needs."""
+def cell_table(spec: DesignSpec) -> CellTable:
+    """The design's one cluster-by-period schedule, in runs of clusters.
 
-    group: np.ndarray
-    m: np.ndarray
-    count: np.ndarray
-    time: np.ndarray
-    exposed: np.ndarray  # (K, T) the tested effect's flag in each cell
-    mean: np.ndarray
-    traits: KindTraits
-
-
-def _schedule(spec: DesignSpec, *, design_bound: bool) -> _Schedule:
-    """The layout's runs of clusters with their times, exposure and means.
-
+    The schedule rows of the kind's layout become arrays here, with
+    times, exposure and means: the engine fits the table, correlation
+    sizes covariance blocks from it and exemplary_dataset expands it.
     Splits each group's slice of a cluster size list where the size
-    changes, which costs the length of the user's list.  With
-    design_bound, a design array of more than _MAX_DESIGN_ENTRIES
-    entries is refused before any (K, T) array is built.
+    changes, which costs the length of the user's list.  The table is
+    built for any valid spec, a degenerate step layout included; the
+    engine refuses that when it fits.  A table of more than _MAX_CELLS
+    patterns x periods cells is refused, from the counts, before any
+    array is built.
     """
+    ensure_valid(spec)
     traits = _CATALOG[spec.kind]
     layout = _layout(spec)
     group = np.array(layout.group)
@@ -455,16 +453,14 @@ def _schedule(spec: DesignSpec, *, design_bound: bool) -> _Schedule:
     else:
         chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)
-    wedge = traits.periods == "wedge"
-    n_columns = layout.n_periods + 1 if wedge else 2 * _PARALLEL_PERIODS[traits.periods]
-    if design_bound and m.size * layout.n_periods * n_columns > _MAX_DESIGN_ENTRIES:
+    if m.size * layout.n_periods > _MAX_CELLS:
         raise ValueError(
-            f"design array of {m.size} patterns x {layout.n_periods} periods x "
-            f"{n_columns} columns exceeds the limit of {_MAX_DESIGN_ENTRIES} entries"
+            f"cell table of {m.size} patterns x {layout.n_periods} periods exceeds "
+            f"the limit of {_MAX_CELLS} cells"
         )
     time = np.add.outer(np.array(layout.first), np.arange(layout.n_periods))
     means = spec.cell_means
-    if wedge:
+    if traits.periods == "wedge":
         exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
@@ -478,75 +474,36 @@ def _schedule(spec: DesignSpec, *, design_bound: bool) -> _Schedule:
                 for a, times in zip(layout.group, time.tolist())
             ]
         )
-    return _Schedule(
-        group[chosen], m, count, time[chosen], exposed[chosen], mean[chosen], traits
-    )
-
-
-def cell_table(spec: DesignSpec) -> CellTable:
-    """The design's one cluster-by-period schedule, in runs of clusters.
-
-    The schedule rows of the kind's layout become arrays here, with
-    design columns and means: the engine fits the table, correlation
-    sizes covariance blocks from it and exemplary_dataset expands its
-    schedule.  It records the measurement family of a cluster.  Parallel
-    kinds have an intercept, a treated-arm indicator, and for two-period
-    kinds a post-period indicator plus their product.  Stepped wedge
-    kinds have an intercept, indicators for every time after the first,
-    and the intervention exposure flag.  The last column is the one
-    tested.  The table is built for any valid spec, a degenerate step
-    layout included; the engine refuses that when it fits.  A design
-    array of more than _MAX_DESIGN_ENTRIES entries is refused before it
-    is built.
-    """
-    ensure_valid(spec)
-    cells = _schedule(spec, design_bound=True)
-    time = cells.time
-    if cells.traits.periods == "wedge":
-        names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
-        x = np.empty((*time.shape, len(names)))
-        x[..., 0] = 1.0
-        x[..., 1:-1] = time[..., None] == time[0, 1:]
-    else:
-        prepost = cells.traits.periods == "prepost"
-        names = ("intercept", "treated", "post", "treated_post")[: 4 if prepost else 2]
-        x = np.empty((*time.shape, len(names)))
-        x[..., 0] = 1.0
-        x[..., 1] = cells.group[:, None] == 2
-        if prepost:
-            x[..., 2] = time == 2
-    x[..., -1] = cells.exposed
     return CellTable(
-        group=cells.group,
-        m=cells.m,
-        count=cells.count,
-        time=time,
-        x=x,
-        mean=cells.mean,
-        columns=names,
-        family=cells.traits.family,
+        kind=spec.kind,
+        group=group[chosen],
+        m=m,
+        count=count,
+        time=time[chosen],
+        exposed=exposed[chosen],
+        mean=mean[chosen],
     )
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     """Build the dataset whose outcome column is the modeled cell mean.
 
-    Rows expand the cell table's schedule cluster by cluster, without
-    its design array.  Within a cluster, cohort designs nest times
-    inside subjects, who keep their id across periods; every other
-    design nests fresh subjects inside times.  This matches the
-    covariance layout used for that kind.  Designs over MAX_DATASET_ROWS
-    rows are refused from counts before any array is built.
+    Rows expand the cell table cluster by cluster.  Within a cluster,
+    cohort designs nest times inside subjects, who keep their id across
+    periods; every other design nests fresh subjects inside times.  This
+    matches the covariance layout used for that kind.  Designs over
+    MAX_DATASET_ROWS rows are refused from counts before any array is
+    built.
     """
     n_rows = ensure_valid(spec).n_observations
     if n_rows > MAX_DATASET_ROWS:
         raise ValueError(
             f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
         )
-    cells = _schedule(spec, design_bound=False)
+    cells = cell_table(spec)
     n_periods = cells.time.shape[1]
     sizes = np.repeat(cells.m, cells.count)
-    if cells.traits.family is Family.COHORT:
+    if cells.family is Family.COHORT:
         subject_cluster = np.repeat(np.arange(sizes.size), sizes)
         cluster = np.repeat(subject_cluster, n_periods)
         period = np.tile(np.arange(n_periods), subject_cluster.size)

@@ -616,9 +616,12 @@ def _mixture(
         tail_mode = _ibeta(b, a + mode, omu, u)
     else:
         tail_mode = _ibeta(a + mode, b, u, omu)
+    # log(1 - u) from u, as _ibeta takes it: b may be ddf / 2, which
+    # multiplies the rounding of omu taken on its own
+    log_omu = math.log(omu) if omu <= 0.5 else math.log1p(-u)
     log_t = (
         (a + mode) * math.log(u)
-        + b * math.log(omu)
+        + b * log_omu
         - math.log(a + mode)
         - _log_beta(a + mode, b)
     )

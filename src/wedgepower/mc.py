@@ -105,8 +105,9 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
     w_k . mean_k and variance w_k' S_k w_k = a_k (1'w_k)^2 + b_k |w_k|^2
     under the cell-mean covariance S_k = a_k J + b_k I.  spread is the
     root of that variance summed per pattern, count_k times, so no
-    cluster is visited.  s2 is the tested coefficient's variance, the
-    last diagonal entry of (X'V^-1X)^-1, which equals spread**2.
+    cluster is visited.  s2 is the fit's variance of the tested
+    coefficient, the last diagonal entry of (X'V^-1X)^-1, which equals
+    spread**2.
     """
     cells = run.cells
     weights = run.cell_weights()
@@ -114,7 +115,7 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
     variance = a * weights.sum(axis=1) ** 2 + b * np.sum(weights * weights, axis=1)
     spread = math.sqrt(cells.count @ variance)
-    s2 = float(run.fit.cov[-1, -1])
+    s2 = run.fit.variance
     return center, spread, s2
 
 

@@ -15,7 +15,10 @@ their flags, the tested column and each kind's cluster-level
 measurement family are spelled out here per kind, apart from the
 package's cell table, and so is the table the package built before
 it kept runs of clusters: every cluster listed, then regrouped into
-distinct patterns.  The dataset's CSV and table text are
+distinct patterns.  The (K, T, p) design array of a cell table, which
+the package stopped building when its wedge fit began to read the
+exposure alone, is built here from the table's times, groups and
+exposure, with the information it gives.  The dataset's CSV and table text are
 also written here one row at a time, as the package's column-wise
 writers must reproduce them.  Tests compare the routes.
 """
@@ -32,7 +35,7 @@ import numpy as np
 from wedgepower import correlation, designs
 from wedgepower.correlation import CorrelationParams, Family, VarianceComponents
 from wedgepower.designs import CSV_HEADER, DesignKind, DesignSpec, ExemplaryDataset
-from wedgepower.engine import DDF_POLICIES, GlsEstimate
+from wedgepower.engine import DDF_POLICIES
 
 # relative tolerance for the exemplary-mean reproduction check
 FIT_RTOL = 1e-8
@@ -394,15 +397,53 @@ def regrouped_cells(spec: DesignSpec) -> designs.CellTable:
         cell_rows.append(rows[at_time])
     cell_rows = np.array(cell_rows)
     return designs.CellTable(
+        kind=spec.kind,
         group=groups[first],
         m=sizes[first],
         count=count,
         time=dataset.time[cell_rows],
-        x=x[cell_rows],
+        exposed=x[cell_rows][..., contrast_column(spec)] == 1.0,
         mean=dataset.mean[cell_rows],
-        columns=tuple(name for name, _, _ in columns(spec)),
-        family=FAMILY[spec.kind],
     )
+
+
+def cell_design(cells: designs.CellTable) -> tuple[tuple[str, ...], np.ndarray]:
+    """(names, x) of the design columns of a cell table's cells, tested last.
+
+    Parallel kinds have an intercept, a treated-arm indicator, and for
+    two-period kinds a post-period indicator plus their product.
+    Stepped wedge kinds have an intercept, indicators for every time
+    after the first, and the intervention exposure flag.  This is the
+    (K, T, p) array the package's cell table held before its fit read
+    the exposure alone.
+    """
+    time = cells.time
+    if cells.kind in SWD_KINDS:
+        names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
+        x = np.empty((*time.shape, len(names)))
+        x[..., 0] = 1.0
+        x[..., 1:-1] = time[..., None] == time[0, 1:]
+    else:
+        prepost = cells.kind in PREPOST
+        names = ("intercept", "treated", "post", "treated_post")[: 4 if prepost else 2]
+        x = np.empty((*time.shape, len(names)))
+        x[..., 0] = 1.0
+        x[..., 1] = cells.group[:, None] == 2
+        if prepost:
+            x[..., 2] = time == 2
+    x[..., -1] = cells.exposed
+    return names, x
+
+
+def cell_information(cells: designs.CellTable, comps: VarianceComponents) -> np.ndarray:
+    """sum_k count_k X_k' S_k^-1 X_k over cell_design's rows, S_k = a_k J + b_k I."""
+    _, x = cell_design(cells)
+    a, b = comps.cell_variances(cells.m)
+    information = np.zeros((x.shape[2],) * 2)
+    for count, rows, a_k, b_k in zip(cells.count, x, a, b):
+        covariance = a_k + b_k * np.eye(rows.shape[0])
+        information += count * rows.T @ np.linalg.solve(covariance, rows)
+    return information
 
 
 def label_covariance(
@@ -463,9 +504,18 @@ def study_blocks(
     return blocks
 
 
+@dataclass(frozen=True)
+class DenseFit:
+    """A GLS fit with its whole information matrix and its inverse."""
+
+    beta: np.ndarray
+    cov: np.ndarray
+    information: np.ndarray
+
+
 def gls_estimate(
     x: np.ndarray, v_blocks: Sequence[np.ndarray], y: np.ndarray
-) -> GlsEstimate:
+) -> DenseFit:
     """Fit y = x beta + error with block-diagonal error covariance.
 
     The blocks partition the rows in order; each cluster contributes
@@ -504,12 +554,12 @@ def gls_estimate(
         cov = np.linalg.solve(information, np.eye(p))
     except np.linalg.LinAlgError as exc:
         raise ValueError("information matrix is singular") from exc
-    return GlsEstimate(beta=beta, cov=cov, information=information)
+    return DenseFit(beta=beta, cov=cov, information=information)
 
 
 def exemplary_fit(
     x: np.ndarray, v_blocks: Sequence[np.ndarray], y: np.ndarray
-) -> GlsEstimate:
+) -> DenseFit:
     """gls_estimate, refusing means the fixed effects do not reproduce."""
     fit = gls_estimate(x, v_blocks, y)
     scale = max(1.0, float(np.linalg.norm(y)))

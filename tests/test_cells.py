@@ -2,8 +2,9 @@
 
 The engine fits, and the Monte Carlo check draws, the cell means of
 cluster patterns; dense_oracle keeps the subject-level GLS and sampler
-they replaced.  Both must give the same information, coefficients,
-degrees of freedom, errors, cell-mean covariances and contrast weights,
+they replaced.  Both must give the same information (the cells' by
+their design array), coefficients, tested variance, degrees of
+freedom, errors, cell-mean covariances and contrast weights,
 and the cell route must match the Hussey & Hughes closed-form variance
 of the exposure effect.  The package's exemplary dataset, expanded from
 the same schedule as the cells, must equal the oracle's row-by-row one.
@@ -111,11 +112,13 @@ def test_cell_fit_matches_dense_fit(case):
         assert cell == dense
         return
     assert not isinstance(cell, tuple), cell
+    # the cells' design rows carry the subject rows' information
+    information = dense_oracle.cell_information(cell_table(spec), comps)
     scale = np.abs(dense.information).max()
     np.testing.assert_allclose(
-        cell.information, dense.information, rtol=INFO_RTOL, atol=INFO_RTOL * scale
+        information, dense.information, rtol=INFO_RTOL, atol=INFO_RTOL * scale
     )
-    np.testing.assert_allclose(cell.cov, dense.cov, rtol=1e-9, atol=1e-12 * np.abs(dense.cov).max())
+    assert cell.variance == pytest.approx(dense.cov[-1, -1], rel=1e-9)
     np.testing.assert_allclose(cell.beta, dense.beta, rtol=1e-9, atol=1e-9 * 100.0)
     for policy in _policies(spec.kind):
         assert _outcome(lambda: _ddf(spec, policy)) == _outcome(
@@ -187,11 +190,9 @@ def test_runs_match_regrouped_patterns(case):
     if isinstance(patterns, tuple):
         assert runs == patterns
         return
-    for name in ("information", "cov"):
-        want = getattr(patterns, name)
-        np.testing.assert_allclose(
-            getattr(runs, name), want, rtol=INFO_RTOL, atol=INFO_RTOL * np.abs(want).max()
-        )
+    assert runs.variance == pytest.approx(patterns.variance, rel=INFO_RTOL)
+    scale = np.abs(cells.mean).max()
+    np.testing.assert_allclose(runs.beta, patterns.beta, rtol=0.0, atol=INFO_RTOL * scale)
 
 
 def test_alternating_sizes_make_more_runs_than_patterns():
@@ -283,7 +284,7 @@ def cell_covariance(run):
     """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of a
     cluster of pattern k, from the variance components' a and b."""
     a, b = run.components.cell_variances(run.cells.m)
-    n_periods = run.cells.x.shape[1]
+    n_periods = run.cells.time.shape[1]
     return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
 
 
@@ -343,9 +344,10 @@ class TestCellTable:
     def test_patterns_cover_every_observation(self, name):
         spec, _ = get_preset(name)
         cells = cell_table(spec)
-        n_patterns, n_periods, p = cells.x.shape
-        assert p == len(cells.columns) == len(dense_oracle.columns(spec))
-        assert cells.mean.shape == (n_patterns, n_periods)
+        n_patterns, n_periods = cells.exposed.shape
+        names, _ = dense_oracle.cell_design(cells)
+        assert len(names) == len(dense_oracle.columns(spec))
+        assert cells.mean.shape == cells.time.shape == (n_patterns, n_periods)
         assert int(cells.count.sum()) == spec.n_clusters
         assert int(np.sum(cells.count * cells.m) * n_periods) == spec.n_observations
         np.testing.assert_array_equal(
@@ -362,8 +364,9 @@ class TestCellTable:
         sizes = np.array(spec.cluster_subject_counts())
         np.testing.assert_array_equal(cells.m[cells.cluster_pattern], sizes)
         x = dense_oracle.design_matrix(spec)
+        _, cell_x = dense_oracle.cell_design(cells)
         np.testing.assert_array_equal(
-            np.unique(x, axis=0), np.unique(cells.x.reshape(-1, x.shape[1]), axis=0)
+            np.unique(x, axis=0), np.unique(cell_x.reshape(-1, x.shape[1]), axis=0)
         )
 
     @pytest.mark.parametrize("kind", list(DesignKind))
@@ -387,7 +390,8 @@ class TestCellTable:
     def test_individual_randomization_uses_one_pattern_per_cell(self):
         spec, _ = get_preset("example3")
         cells = cell_table(spec)
-        assert cells.x.shape == (4, 1, 4)
+        assert cells.exposed.shape == (4, 1)
+        assert dense_oracle.cell_design(cells)[1].shape == (4, 1, 4)
         assert cells.count.tolist() == [32] * 4
         assert cells.m.tolist() == [1] * 4
 
@@ -442,7 +446,7 @@ def test_exposure_variance_matches_hussey_hughes(name):
         # each cluster's dense covariance is over the row cap
         assert spec.cluster_subject_counts()[0] * spec.n_times > MAX_MATRIX_ROWS
     fit = engine.evaluate(spec, params).fit
-    assert fit.cov[-1, -1] == pytest.approx(
+    assert fit.variance == pytest.approx(
         _hussey_hughes_variance(spec, params), rel=1e-12
     )
 
@@ -544,3 +548,39 @@ def test_evaluation_allocates_nothing_per_cluster(name, call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# 20 steps of 50 periods after one baseline period: T = 1001
+_LONG_WEDGE = DesignSpec(
+    kind=DesignKind.SWD_XSEC,
+    steps_k=20,
+    baseline_b=1,
+    per_step_t=50,
+    clusters_per_step=(1,) * 20,
+    cluster_size=5,
+    cell_means={(0, 0): 54.0, (1, 0): 59.0},
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        engine.evaluate,
+        lambda spec, params: mc.empirical_power(
+            mc.SimulationPlan(spec=spec, params=params, replicates=2000, seed=1)
+        ),
+    ],
+    ids=["evaluate", "empirical_power"],
+)
+def test_long_wedge_allocates_no_period_squared_array(call):
+    # a (K, T, T + 1) design array of this wedge alone takes 160 MB; the
+    # absorbed fit holds a few (K, T) arrays of 160 kB
+    params = get_preset("example6")[1]
+    assert _LONG_WEDGE.n_times == 1001
+    tracemalloc.start()
+    try:
+        call(_LONG_WEDGE, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

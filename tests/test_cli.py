@@ -14,6 +14,7 @@ from wedgepower import cli, engine
 from wedgepower.cli import main
 from wedgepower.designs import (
     MAX_DATASET_ROWS,
+    PRESETS,
     decode_spec_document,
     exemplary_dataset,
     get_preset,
@@ -101,6 +102,25 @@ class TestPowerCommand:
         code, _, err = run(capsys, "power", "--preset", "example2", "--alpha", "2.0")
         assert code == 2
         assert "--alpha" in err
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_audit_prints_no_negative_zero(self, capsys, name):
+        # effects that are 0 in the model come out of the fit as rounding
+        # noise of either sign; the table prints them unsigned
+        printed = 0
+        for policy in engine.DDF_POLICIES:
+            code, out, err = run(
+                capsys, "power", "--preset", name, "--audit", "--ddf-policy", policy
+            )
+            assert code == 0 or "needs a clustered design" in err
+            assert "-0.000" not in out
+            printed += code == 0
+        assert printed >= 1
+
+    def test_values_that_round_to_zero_print_unsigned(self):
+        assert cli._f3(-3.6e-14) == cli._f3(-0.0) == cli._f3(0.0) == "0.000"
+        assert cli._f3(-0.0004999) == "0.000"
+        assert cli._f3(-0.0005001) == "-0.001"
 
 
 class TestDeCommand:
@@ -201,7 +221,7 @@ class TestDeCommand:
         assert payload["formula"] == "hussey_hughes"
         spec, params, _ = decode_spec_document(doc)
         unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
-        gls = engine.evaluate(spec, params).fit.cov[-1, -1]
+        gls = engine.evaluate(spec, params).fit.variance
         assert payload["design_effect"] * unclustered == pytest.approx(gls, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(WEDGES))

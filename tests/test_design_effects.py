@@ -37,7 +37,7 @@ EXACT_MATCH_TOL = 1e-12
 def assert_gls_variance(spec, params, value):
     """A wedge design effect times the per-comparison variance is GLS's."""
     unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
-    gls = engine.evaluate(spec, params).fit.cov[-1, -1]
+    gls = engine.evaluate(spec, params).fit.variance
     assert value * unclustered == pytest.approx(gls, rel=EXACT_MATCH_TOL)
 
 

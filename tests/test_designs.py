@@ -39,6 +39,7 @@ from wedgepower.engine import analytic_power, evaluate, variance_components
 
 from dense_oracle import (
     assert_same_dataset,
+    cell_design,
     cluster_structure,
     dataset_from_csv,
     design_matrix,
@@ -47,6 +48,7 @@ from dense_oracle import (
     switch_threshold,
     contrast_column,
 )
+from dense_oracle import columns as dense_columns
 
 COUNT_FIELDS = (
     "per_group_n",
@@ -71,9 +73,10 @@ EXPECTED_ROWS = {
     "example7": 90,
 }
 
-# run with a spec document's path under a 1 GiB address-space cap: prints
-# the spec's check and period count, then each command's exit status,
-# stdout and stderr; an exception a command lets out ends it with status 1
+# run with a spec document's path and command names under a 1 GiB
+# address-space cap: prints the spec's check and period count, then each
+# named command's exit status, stdout and stderr; an exception a command
+# lets out ends it with status 1
 _CAPPED_CHECKS = """
 import contextlib, io, json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
@@ -85,12 +88,31 @@ print(json.dumps([designs.validate_spec(spec), spec.n_times]))
 runs = {}
 for argv in (["de", "--n-unclustered", "100", "--format", "json"],
              ["dataset"], ["power"], ["mc"], ["vmatrix"]):
+    if argv[0] not in sys.argv[2:]:
+        continue
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*argv, "--spec", path])
     runs[argv[0]] = [code, out.getvalue(), err.getvalue()]
 print(json.dumps(runs))
 """
+
+
+def run_capped(tmp_path, doc, commands):
+    """(checks, runs) of _CAPPED_CHECKS on the document, running these commands."""
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    source = Path(wedgepower.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHECKS, str(path), *commands],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert done.returncode == 0, done.stderr
+    checks, _, runs = done.stdout.partition("\n")
+    return json.loads(checks), json.loads(runs)
 
 
 def wedge_spec(**overrides) -> DesignSpec:
@@ -283,7 +305,7 @@ class TestCounts:
         # take 8 GB, so the checks and the closed form run under a 1 GiB
         # address-space cap.  The commands that build the cell table or
         # its rows refuse the spec by name, from its counts, before they
-        # allocate: dataset by its rows, the others by the design array.
+        # allocate: dataset by its rows, the others by the cell table.
         doc = {
             "design": {
                 "kind": "swd_xsec",
@@ -296,29 +318,18 @@ class TestCounts:
             },
             "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, "cac": 0.5},
         }
-        path = tmp_path / "long_wedge.json"
-        path.write_text(json.dumps(doc))
-        source = Path(wedgepower.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", _CAPPED_CHECKS, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(source)},
-        )
-        assert done.returncode == 0, done.stderr
-        checks, _, runs = done.stdout.partition("\n")
-        assert json.loads(checks) == [[], 1_000_000_002]
-        runs = json.loads(runs)
+        commands = ("de", "dataset", "power", "mc", "vmatrix")
+        checks, runs = run_capped(tmp_path, doc, commands)
+        assert checks == [[], 1_000_000_002]
         code, out, _ = runs.pop("de")
         assert code == 0
         assert json.loads(out)["formula"] == "hussey_hughes"
         rows = "exemplary dataset would have 2000000004 rows; limit is 1000000"
-        array = (
-            "design array of 2 patterns x 1000000002 periods x 1000000003 columns "
-            "exceeds the limit of 25000000 entries"
+        table = (
+            "cell table of 2 patterns x 1000000002 periods exceeds the limit of "
+            "2500000 cells"
         )
-        refused = [2, "", f"error: {array}\n"]
+        refused = [2, "", f"error: {table}\n"]
         assert runs == {
             "dataset": [2, "", f"error: {rows}\n"],
             "power": refused,
@@ -326,16 +337,41 @@ class TestCounts:
             "vmatrix": refused,
         }
 
+    def test_fifty_steps_of_fifty_periods_answer_under_a_cap(self, tmp_path):
+        # 50 steps x 50 periods after one baseline period, 2,501 periods:
+        # power, mc and de answer under a 1 GiB address-space cap, and
+        # vmatrix refuses its 12,505-row cluster covariance by name
+        doc = {
+            "design": {
+                "kind": "swd_xsec",
+                "steps_k": 50,
+                "baseline_b": 1,
+                "per_step_t": 50,
+                "clusters_per_step": [1] * 50,
+                "cluster_size": 5,
+                "means": [54.0, 59.0],
+            },
+            "correlation": {"sigma_y_sq": 25.0, "icc": 0.1, "cac": 1.0},
+        }
+        checks, runs = run_capped(tmp_path, doc, ("de", "power", "mc", "vmatrix"))
+        assert checks == [[], 2501]
+        for name in ("de", "power", "mc"):
+            code, out, err = runs[name]
+            assert (code, err) == (0, ""), name
+            assert out
+        limit = "cluster covariance would have 12505 rows; limit is 10000"
+        assert runs["vmatrix"] == [2, "", f"error: {limit}\n"]
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_design_array_bound_counts_its_entries(self, monkeypatch, name):
-        # the bound is read from counts before the array is built, so the
-        # count must be the built array's size, for every kind
+    def test_cell_bound_counts_its_cells(self, monkeypatch, name):
+        # the bound is read from counts before the table is built, so the
+        # count must be the built table's size, for every kind
         spec, _ = get_preset(name)
-        entries = cell_table(spec).x.size
-        monkeypatch.setattr(designs, "_MAX_DESIGN_ENTRIES", entries)
-        assert cell_table(spec).x.size == entries
-        monkeypatch.setattr(designs, "_MAX_DESIGN_ENTRIES", entries - 1)
-        with pytest.raises(ValueError, match=f"the limit of {entries - 1} entries"):
+        cells = cell_table(spec).exposed.size
+        monkeypatch.setattr(designs, "_MAX_CELLS", cells)
+        assert cell_table(spec).exposed.size == cells
+        monkeypatch.setattr(designs, "_MAX_CELLS", cells - 1)
+        with pytest.raises(ValueError, match=f"the limit of {cells - 1} cells"):
             cell_table(spec)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -475,22 +511,23 @@ class TestExemplaryDataset:
         ids=[*PRESETS, "small_wedge"],
     )
     def test_columns_match_the_cell_table(self, spec):
-        # the dataset expands the table's schedule without its design
-        # array; its exposure is the table's tested column
+        # the dataset expands the table; its exposure is the table's
         data = exemplary_dataset(spec)
         cells = cell_table(spec)
         pattern = cells.cluster_pattern[data.cluster_id - 1]
         period = data.time - cells.time[pattern, 0]
         np.testing.assert_array_equal(data.arm, cells.group[pattern])
         np.testing.assert_array_equal(data.time, cells.time[pattern, period])
-        np.testing.assert_array_equal(data.intervene, cells.x[pattern, period, -1])
+        np.testing.assert_array_equal(data.intervene, cells.exposed[pattern, period])
         np.testing.assert_array_equal(data.mean, cells.mean[pattern, period])
 
     def test_long_wedge_builds_without_a_design_array(self):
-        # 7,204 rows, but a 2 x 3602 x 3603 design array over the bound
+        # 7,204 rows: the table holds the 2 x 3602 exposure and no
+        # 2 x 3602 x 3603 design array
         spec = wedge_spec(baseline_b=3600, clusters_per_step=(1, 1), cluster_size=1)
-        with pytest.raises(ValueError, match="design array of 2 patterns x 3602 periods"):
-            cell_table(spec)
+        cells = cell_table(spec)
+        assert cells.exposed.shape == cells.time.shape == cells.mean.shape == (2, 3602)
+        assert not hasattr(cells, "x")
         data = exemplary_dataset(spec)
         assert data.n_rows == 7204
         exposed = data.time[data.intervene == 1]
@@ -554,8 +591,10 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("name", sorted(COLUMNS))
     def test_column_metadata(self, name):
-        columns = cell_table(get_preset(name)[0]).columns
+        spec, _ = get_preset(name)
+        columns, _ = cell_design(cell_table(spec))
         assert columns == tuple(self.COLUMNS[name])
+        assert columns == tuple(column for column, _, _ in dense_columns(spec))
 
 
 class TestContrast:
@@ -574,7 +613,7 @@ class TestContrast:
         run = evaluate(spec, params)
         assert run.contrast == target
         assert run.result.ndf == 1
-        columns = cell_table(spec).columns
+        columns, _ = cell_design(cell_table(spec))
         assert columns.index(target) == len(columns) - 1 == contrast_column(spec)
 
 

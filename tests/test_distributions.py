@@ -809,8 +809,20 @@ ORACLE_DDF = (*range(1, 11), 12, 15, 20, 30, 50, 100, 228, 1000, 10**4, 10**5, 1
 
 class TestDdfLimit:
     # the critical value keeps 1e-15 at any ddf; the noncentral mixture's
-    # power error grows with ddf and sets the limit (3e-8 absolute at
-    # 10**10, 1.4e-6 at 10**12, 0.03 at 10**16)
+    # power error grows with ddf and sets the limit (8.3e-11 absolute at
+    # 10**10, 8.1e-9 at 10**12, 4.5e-5 at 10**16), most of it from the
+    # continued fraction of the upper mode tail
+    @pytest.mark.parametrize("ddf", [10**9, 10**10])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6])
+    def test_mixture_takes_log_one_minus_u_from_u(self, ddf, alpha):
+        # ddf / 2 multiplies the rounding of log(1 - u) taken from 1 - u
+        # alone, which put the power 3.2e-8 off at 10**10 and alpha 0.05,
+        # and 3.2e-9 at alpha 1e-6
+        for fvalue in (8.0, 22.2):
+            result = power_from_f(fvalue, 1, ddf, alpha)
+            expected = stats.ncf.sf(result.fcrit, 1, ddf, fvalue)
+            assert result.power == pytest.approx(expected, rel=0, abs=5e-10)
+
     @pytest.mark.parametrize("alpha", [0.05, 1e-6])
     def test_figures_hold_1e_6_at_the_limit(self, alpha):
         ddf = 10**10

@@ -7,6 +7,8 @@ noncentral F tail at those rationals with the series oracle in
 test_distributions.  Both routes were cross-checked independently.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,16 @@ class TestAnalyticPower:
         p51 = FROZEN["example2_51"][2]
         p54 = FROZEN["example2"][2]
         assert p48 < p51 < p54
+
+
+@pytest.mark.parametrize("name", ["example2", "example5", "example6", "example7"])
+def test_information_too_large_to_invert_is_refused(name):
+    # a subnormal variance makes 1 / b overflow: both the dense inverse
+    # and the absorbed period block refuse it by name, not with a NaN
+    spec, params = get_preset(name)
+    tiny = dataclasses.replace(params, sigma_y_sq=1e-310)
+    with pytest.raises(ValueError, match="^information matrix is singular$"):
+        analytic_power(spec, tiny)
 
 
 class TestPowerAudit:

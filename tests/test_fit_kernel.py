@@ -1,15 +1,18 @@
 """The cell-mean GLS kernel against the einsum and solve path it replaced.
 
-engine.fit_cells forms the information and the score as one matrix
-product each over the flattened cell rows and inverts the information
-once; designs.cell_table fills a wedge's time indicators in one
-broadcast; mc sums a_k (1'w_k)^2 + b_k |w_k|^2 over the patterns instead
-of projecting the cell weights on Cholesky factors; the full-rank
-check reads the tested column instead of running an SVD.  The slower
-path each replaced is kept here as its oracle: the sums run
-in another order, so the fit must agree to 1e-12 relative to the
-largest entry of each array, the design columns, exact 0/1 values,
-must be equal, and the refusal must match the SVD's rank exactly.
+engine.fit_cells absorbs a wedge's period effects in closed form and
+forms a parallel kind's information and score as one matrix product
+each, inverting it once; it reads the design from the cells' exposure,
+and dense_oracle.cell_design builds the (K, T, p) design array the
+cell table used to hold, one broadcast per column group; mc sums
+a_k (1'w_k)^2 + b_k |w_k|^2 over the patterns instead of projecting
+the cell weights on Cholesky factors; the full-rank check reads the
+exposure instead of running an SVD.  The slower path each replaced is
+kept here as its oracle, run on that design array: the sums run in
+another order, so the tested variance and the cell weights must agree
+to 1e-12 relative, and every coefficient to 1e-12 relative to the
+largest cell mean; the design columns, exact 0/1 values, must be
+equal, and the refusal must match the SVD's rank exactly.
 """
 
 import dataclasses
@@ -24,24 +27,57 @@ from wedgepower import engine, mc
 from wedgepower.correlation import CorrelationParams, Family
 from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
 
-from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS
+from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS, cell_design
 from test_cells import cell_covariance
 
 RTOL = 1e-12
+# x86's 80-bit extended precision, 2**11 times finer than a double; a
+# plain double on some platforms
+EXTENDED = np.longdouble
 
 
-def einsum_normal_equations(cells, comps):
-    """(information, score) by two einsums over the patterns."""
-    sx = engine._precision_x(cells, comps)
-    information = np.einsum("k,ktp,ktq->pq", cells.count, cells.x, sx)
-    score = np.einsum("k,ktp,kt->p", cells.count, sx, cells.mean)
-    return information, score
+def refined_solve(matrix, rhs):
+    """matrix^-1 rhs, a double solve refined twice against the extended matrix."""
+    rounded = matrix.astype(float)
+    solution = np.linalg.solve(rounded, rhs.astype(float)).astype(EXTENDED)
+    for _ in range(2):
+        residual = rhs - matrix @ solution
+        solution += np.linalg.solve(rounded, residual.astype(float))
+    return solution
 
 
-def solve_fit(information, score):
-    """(beta, cov) by two solves against the information."""
+def einsum_fit(cells, comps):
+    """(beta, variance, weights) of the dense fit on the design array.
+
+    Pattern k adds count_k X_k' S_k^-1 [X_k, ybar_k] to the information
+    and the score, with S_k^-1 = (I - gamma_k J) / b_k.  The 0/1 design
+    array's Gram matrices X_k'X_k and column sums are exact integers,
+    and the weighted sums over the patterns run in extended precision:
+    with an intercept and a column per period the information's
+    condition grows with T, and rounding its entries to doubles alone
+    moves the weights by about 1e-12 at T = 200.  The variance and the
+    weights come from the last row of the inverse information, c, as
+    variance c_p and weights S_k^-1 X_k c.
+    """
+    _, x = cell_design(cells)
+    a, b = (v.astype(EXTENDED) for v in comps.cell_variances(cells.m))
+    gamma = a / (b + x.shape[1] * a)
+    scale = cells.count.astype(EXTENDED) / b
+    columns = x.sum(axis=1)
+    gram = np.einsum("ktp,ktq->kpq", x, x, optimize=True)
+    information = np.einsum("k,kpq->pq", scale, gram) - np.einsum(
+        "k,kp,kq->pq", scale * gamma, columns, columns
+    )
+    means = cells.mean.astype(EXTENDED)
+    score = np.einsum("k,ktp,kt->p", scale, x, means) - np.einsum(
+        "k,k,kp->p", scale * gamma, means.sum(axis=1), columns
+    )
     p = information.shape[0]
-    return np.linalg.solve(information, score), np.linalg.solve(information, np.eye(p))
+    beta = refined_solve(information, score)
+    last = refined_solve(information, np.eye(p, dtype=EXTENDED)[-1])
+    combined = x @ last
+    weights = (combined - gamma[:, None] * combined.sum(axis=1)[:, None]) / b[:, None]
+    return beta.astype(float), float(last[-1]), weights.astype(float)
 
 
 def column_loop_x(spec, cells):
@@ -75,20 +111,21 @@ def assert_close(got, want):
 def assert_kernel_matches_oracle(spec, params):
     cells = cell_table(spec)
     comps = engine.variance_components(spec, params)
-    information, score = einsum_normal_equations(cells, comps)
-    got_information, got_score = engine._normal_equations(cells, comps)
-    assert_close(got_information, information)
-    assert_close(got_score, score)
     try:
         fit = engine.fit_cells(cells, comps)
     except ValueError as exc:
-        # only degenerate layouts are refused here, before any inverse
+        # only degenerate layouts are refused here
         assert "rank deficient" in str(exc)
         return
-    beta, cov = solve_fit(information, score)
-    assert_close(fit.information, information)
-    assert_close(fit.beta, beta)
-    assert_close(fit.cov, cov)
+    beta, variance, weights = einsum_fit(cells, comps)
+    # theta and the period means, to the largest cell mean
+    scale = np.abs(cells.mean).max()
+    np.testing.assert_allclose(fit.beta, beta, rtol=0.0, atol=RTOL * scale)
+    assert fit.variance == pytest.approx(variance, rel=RTOL)
+    run = engine.Evaluation(
+        result=None, fit=fit, cells=cells, components=comps, contrast=""
+    )
+    assert_close(run.cell_weights(), weights)
 
 
 RANK_MESSAGE = (
@@ -100,7 +137,8 @@ RANK_MESSAGE = (
 def assert_rank_rule_matches_svd(spec, params):
     """fit_cells refuses exactly the cells whose rows matrix_rank finds deficient."""
     cells = cell_table(spec)
-    rows = cells.x.reshape(-1, cells.x.shape[2])
+    _, x = cell_design(cells)
+    rows = x.reshape(-1, x.shape[2])
     deficient = np.linalg.matrix_rank(rows) < rows.shape[1]
     try:
         engine.fit_cells(cells, engine.variance_components(spec, params))
@@ -179,6 +217,53 @@ def test_fit_matches_einsum_oracle(case):
     assert_kernel_matches_oracle(*case)
 
 
+@st.composite
+def long_wedges(draw):
+    """Wedges of both families up to T = 200, half with two cluster sizes."""
+    kind = draw(st.sampled_from(sorted(SWD_KINDS)))
+    mean = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
+    steps = draw(st.integers(2, 8))
+    per_step = draw(st.integers(1, 199 // steps))
+    spec = DesignSpec(
+        kind=kind,
+        steps_k=steps,
+        baseline_b=draw(st.integers(1, 200 - steps * per_step)),
+        per_step_t=per_step,
+        clusters_per_step=tuple(draw(st.integers(1, 3)) for _ in range(steps)),
+        cell_means={(0, 0): draw(mean), (1, 0): draw(mean)},
+    )
+    pair = st.sampled_from((draw(st.integers(1, 50)), draw(st.integers(1, 50))))
+    if draw(st.booleans()):
+        sizes = tuple(draw(pair) for _ in range(spec.n_clusters))
+    else:
+        sizes = draw(pair)
+    params = CorrelationParams(
+        sigma_y_sq=draw(st.floats(1.0, 50.0)),
+        icc=draw(st.floats(0.0, 0.6)),
+        cac=draw(st.floats(0.0, 1.0)),
+        sac=draw(st.floats(0.0, 0.9)) if FAMILY[kind] is Family.COHORT else 0.0,
+    )
+    return dataclasses.replace(spec, cluster_size=sizes), params
+
+
+@pytest.mark.skipif(
+    np.finfo(EXTENDED).eps > 2.0**-60,
+    reason="the oracle needs extended precision to hold 1e-12 at T = 200",
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(long_wedges())
+@example(
+    (
+        dataclasses.replace(WIDE_WEDGE, baseline_b=176),
+        CorrelationParams(sigma_y_sq=25.0, icc=0.05, cac=0.8),
+    )
+)
+def test_long_wedge_fit_matches_einsum_oracle(case):
+    spec, _ = case
+    assert spec.n_times <= 200
+    assert_kernel_matches_oracle(*case)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_rank_rule_matches_svd_on_presets(name):
     assert_rank_rule_matches_svd(*get_preset(name))
@@ -230,8 +315,9 @@ def test_wedge_columns_match_column_loop(case):
     spec, _ = case
     cells = cell_table(spec)
     names, x = column_loop_x(spec, cells)
-    assert cells.columns == names
-    np.testing.assert_array_equal(cells.x, x)
+    built_names, built = cell_design(cells)
+    assert built_names == names
+    np.testing.assert_array_equal(built, x)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -243,6 +329,8 @@ def test_projection_matches_einsum_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
+    # a parallel kind inverts its p x p information once; a wedge absorbs
+    # its period block in closed form and inverts nothing
     calls = {"inv": 0, "solve": 0}
 
     def counted(fn_name):
@@ -256,5 +344,7 @@ def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
 
     for fn_name in calls:
         monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
-    engine.evaluate(*get_preset(name))
-    assert calls == {"inv": 1, "solve": 0}
+    spec, params = get_preset(name)
+    engine.evaluate(spec, params)
+    inverses = 0 if spec.kind in SWD_KINDS else 1
+    assert calls == {"inv": inverses, "solve": 0}

@@ -148,7 +148,7 @@ class TestContrastProjection:
         run = evaluate(spec, params)
         center, spread, s2 = mc._contrast_projection(run)
         u = stacked_projection(run)
-        assert u.size == spec.n_clusters * run.cells.x.shape[1]
+        assert u.size == spec.n_clusters * run.cells.time.shape[1]
         # the per-pattern sum is the stacked u's norm to rounding
         assert spread == pytest.approx(math.sqrt(u @ u), rel=1e-15)
         sampler = dense_oracle.StudySampler(spec, run.components)
@@ -156,7 +156,7 @@ class TestContrastProjection:
         dense_u = sampler.project(weights)
         assert spread**2 == pytest.approx(dense_u @ dense_u, rel=1e-10)
         assert spread**2 == pytest.approx(s2, rel=1e-10)
-        assert s2 == pytest.approx(run.fit.cov[-1, -1], rel=1e-15)
+        assert s2 == run.fit.variance
         assert center == pytest.approx(sampler.mu @ weights, rel=1e-12)
 
 
