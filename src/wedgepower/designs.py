@@ -43,8 +43,8 @@ __all__ = [
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
 # the most patterns x periods cells of a cell table; an evaluation or a
-# simulation holds about 41 bytes per cell of a wedge and 153 of a
-# parallel kind, so neither peaks above 400 MB
+# simulation holds about 41 to 59 bytes per cell of a wedge and 113 to
+# 137 of a parallel kind, so neither peaks above 400 MB
 _MAX_CELLS = 2_500_000
 # rows the dataset writers format at once
 _TEXT_BLOCK_ROWS = 65_536
@@ -241,16 +241,15 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
     if name == "clusters_per_step" and not listed:
         errors.append(f"{path}: must be a list, got {value!r}")
         return False
-    if listed:
-        entries = [(f"{path}[{i}]", count) for i, count in enumerate(value)]
-    else:
-        entries = [(path, value)]
     before = len(errors)
-    for where, count in entries:
-        if not is_whole(count):
-            errors.append(f"{where}: must be an integer, got {count!r}")
-        elif used and count < 1:
-            errors.append(f"{where}: must be >= 1, got {count!r}")
+    for i, count in enumerate(value if listed else (value,)):
+        whole = is_whole(count)
+        if whole and (not used or count >= 1):
+            continue
+        # an entry's path is formatted only when it is refused
+        where = f"{path}[{i}]" if listed else path
+        problem = "must be >= 1" if whole else "must be an integer"
+        errors.append(f"{where}: {problem}, got {count!r}")
     return len(errors) == before
 
 
@@ -512,7 +511,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
         cell = np.repeat(np.arange(sizes.size * n_periods), np.repeat(sizes, n_periods))
         cluster, period = np.divmod(cell, n_periods)
         subject = np.arange(1, cell.size + 1)
-    pattern = np.repeat(np.arange(cells.count.size), cells.count)[cluster]
+    pattern = cells.cluster_pattern[cluster]
     return ExemplaryDataset(
         kind=spec.kind.value,
         arm=cells.group[pattern],

@@ -15,14 +15,15 @@ system.  A stepped wedge's intercept and period indicators span the
 same space as T free period means, whose block of the information is
 a multiple of I minus a multiple of J; that block is absorbed in
 closed form, so a wedge's fit costs O(runs x periods) and holds no
-array with a column per period.
+array with a column per period.  The one fit gives the estimates, the
+tested coefficient's variance and its weights on the cell means, which
+the Monte Carlo check draws its contrast from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ DDF_POLICIES = ("residual", "containment", "between_within")
 _FIT_RTOL = 1e-8
 # the tested design column of each period model, the last column
 _CONTRAST = {"post": "treated", "prepost": "treated_post", "wedge": "intervene"}
-# design columns of the parallel period models; a wedge has T + 1
+# design columns of the parallel period models
 _PARALLEL_COLUMNS = {"post": 2, "prepost": 4}
 
 
@@ -64,10 +65,17 @@ class GlsEstimate:
             from it, and the exposure effect.  The tested one is last.
         variance: the tested coefficient's variance, the last diagonal
             entry of the inverse information.
+        weights: (K, T) weights of the cell means in the tested
+            coefficient, which is sum_k count_k weights[k] . ybar_k.  Row
+            k is the last row of the inverse information times
+            X_k' S_k^-1 for a cluster of pattern k; a subject row's
+            weight is its cell's entry divided by the cell's subject
+            count.
     """
 
     beta: np.ndarray
     variance: float
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,19 +90,6 @@ class Evaluation:
     cells: designs.CellTable
     components: VarianceComponents
     contrast: str
-
-    def cell_weights(self) -> np.ndarray:
-        """(K, T) weights of the cell means in the tested coefficient.
-
-        Row k is the last row of I^-1 times X_k' S_k^-1 for a cluster of
-        pattern k; a subject row's weight is its cell's entry divided by
-        the cell's subject count.
-        """
-        cells, comps = self.cells, self.components
-        if _is_wedge(cells):
-            return _wedge_weights(cells, _absorb_periods(cells, comps))
-        _, precision_x, information, _ = _parallel_terms(cells, comps)
-        return precision_x @ np.linalg.inv(information)[-1]
 
 
 def default_ddf_policy(kind: str) -> str:
@@ -135,10 +130,6 @@ def variance_components(
     return correlation.derive_components(params, spec.family)
 
 
-def _is_wedge(cells: designs.CellTable) -> bool:
-    return designs.kind_traits(cells.kind).periods == "wedge"
-
-
 def _require_full_rank(cells: designs.CellTable) -> None:
     """Refuse cells whose design rows are rank deficient.
 
@@ -168,17 +159,18 @@ def _require_positive(value: float) -> None:
         raise ValueError("information matrix is singular")
 
 
-def _parallel_terms(
-    cells: designs.CellTable, comps: VarianceComponents
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(X, S^-1 X, information, score) of a parallel kind's cells.
+def _fit_parallel(
+    cells: designs.CellTable, a: np.ndarray, b: np.ndarray
+) -> tuple[GlsEstimate, np.ndarray]:
+    """The fit of a parallel kind's cells and its (K, T) fitted less modeled means.
 
     X holds an intercept, a treated-arm indicator and, for two-period
     kinds, a post-period indicator plus their product, the exposure.
     S_k = a J + b I has inverse (I - a / (b + T a) J) / b.  The
     count-weighted S_k^-1 X_k of all patterns form one (p, K T) matrix,
     so the information and the score, sum_k count_k X_k' S_k^-1
-    [X_k, ybar_k], are one matrix product each over the cell rows.
+    [X_k, ybar_k], are one matrix product each over the cell rows.  The
+    cell weights are S_k^-1 X_k times the last row of the inverse.
     """
     p = _PARALLEL_COLUMNS[designs.kind_traits(cells.kind).periods]
     x = np.empty((*cells.time.shape, p))
@@ -187,20 +179,14 @@ def _parallel_terms(
     if p == 4:
         x[..., 2] = cells.time == 2
     x[..., -1] = cells.exposed
-    a, b = comps.cell_variances(cells.m)
     gamma = a / (b + cells.time.shape[1] * a)
-    column_sums = x.sum(axis=1)
-    precision_x = (x - (gamma[:, None] * column_sums)[:, None, :]) / b[:, None, None]
+    # the (K, T, p) arrays take 8 p bytes a cell: at most three live at once
+    precision_x = x - (gamma[:, None] * x.sum(axis=1))[:, None, :]
+    precision_x /= b[:, None, None]
     weighted = (precision_x * cells.count[:, None, None]).reshape(-1, p).T
     information = weighted @ x.reshape(-1, p)
-    return x, precision_x, information, weighted @ cells.mean.reshape(-1)
-
-
-def _fit_parallel(
-    cells: designs.CellTable, comps: VarianceComponents
-) -> tuple[GlsEstimate, np.ndarray]:
-    """The fit of a parallel kind's cells and its (K, T) fitted less modeled means."""
-    x, _, information, score = _parallel_terms(cells, comps)
+    score = weighted @ cells.mean.reshape(-1)
+    del weighted
     try:
         cov = np.linalg.inv(information)
     except np.linalg.LinAlgError as exc:
@@ -208,25 +194,8 @@ def _fit_parallel(
     variance = float(cov[-1, -1])
     _require_positive(variance)
     beta = cov @ score
-    return GlsEstimate(beta=beta, variance=variance), x @ beta - cells.mean
-
-
-class _PeriodBlock(NamedTuple):
-    """A wedge's information with its T period means absorbed.
-
-    With S_k^-1 = (I - gamma_k J) / b_k, the period block is
-    A = diagonal I - shared J and the cross block is B; solved is
-    A^-1 B and variance is 1 / (D - B' A^-1 B), D the exposure entry.
-    """
-
-    gamma: np.ndarray  # (K,)
-    scale: np.ndarray  # (K,) count_k / b_k
-    shrunk: np.ndarray  # (K,) count_k gamma_k / b_k
-    n_exposed: np.ndarray  # (K,) exposed periods 1'e_k
-    diagonal: float  # sum_k count_k / b_k
-    shared: float  # sum_k count_k gamma_k / b_k
-    solved: np.ndarray  # (T,)
-    variance: float
+    fit = GlsEstimate(beta=beta, variance=variance, weights=precision_x @ cov[-1])
+    return fit, x @ beta - cells.mean
 
 
 def _solve_periods(vector: np.ndarray, diagonal: float, shared: float) -> np.ndarray:
@@ -235,15 +204,29 @@ def _solve_periods(vector: np.ndarray, diagonal: float, shared: float) -> np.nda
     return (vector + shared * float(vector.sum()) / pivot) / diagonal
 
 
-def _absorb_periods(cells: designs.CellTable, comps: VarianceComponents) -> _PeriodBlock:
-    """The period block of a wedge's information, solved in O(K T).
+def _fit_wedge(
+    cells: designs.CellTable, a: np.ndarray, b: np.ndarray
+) -> tuple[GlsEstimate, np.ndarray]:
+    """The fit of a wedge's cells and its (K, T) fitted less modeled means.
+
+    The T period means span the intercept and period indicators.  With
+    S_k^-1 = (I - gamma_k J) / b_k their block of the information is
+    A = diagonal I - shared J, solved by Sherman-Morrison; B is the
+    cross block with the exposure and D its diagonal entry, so the
+    exposure effect has variance 1 / (D - B' A^-1 B) and cell weights
+    w_k = variance S_k^-1 (e_k - A^-1 B).  The effect is
+    theta = sum_k count_k w_k' ybar_k, and the period means are
+    A^-1 (s - B theta), s their score.  The period means absorb a
+    constant, so both are taken of the means less the first cell's,
+    which keeps a large common mean from cancelling; and s - B theta is
+    the score of the means less the exposure effect, formed from those
+    means, in which nothing large cancels.
 
     Raises:
-        ValueError: if the covariance or the information is singular:
-            A's smallest eigenvalue, diagonal - T shared, or the Schur
-            complement D - B' A^-1 B is not positive and finite.
+        ValueError: if the information is singular: A's smallest
+            eigenvalue, diagonal - T shared, or the Schur complement
+            D - B' A^-1 B is not positive and finite.
     """
-    a, b = comps.cell_variances(cells.m)
     exposed = cells.exposed
     n_periods = exposed.shape[1]
     gamma = a / (b + n_periods * a)
@@ -258,50 +241,26 @@ def _absorb_periods(cells: designs.CellTable, comps: VarianceComponents) -> _Per
     exposure = float((scale - shrunk * n_exposed) @ n_exposed)
     schur = exposure - float(cross @ solved)
     _require_positive(schur)
-    return _PeriodBlock(
-        gamma, scale, shrunk, n_exposed, diagonal, shared, solved, 1.0 / schur
-    )
+    variance = 1.0 / schur
 
-
-def _fit_wedge(
-    cells: designs.CellTable, comps: VarianceComponents
-) -> tuple[GlsEstimate, np.ndarray]:
-    """The fit of a wedge's cells and its (K, T) fitted less modeled means.
-
-    The exposure effect is the cell weights' sum over the cell means,
-    theta = sum_k count_k w_k' ybar_k, and the period means are
-    A^-1 (s - B theta), s their score.  The period means absorb a
-    constant, so both are taken of the means less the first cell's,
-    which keeps a large common mean from cancelling; and s - B theta is
-    the score of the means less the exposure effect, formed from those
-    means, in which nothing large cancels.
-    """
-    block = _absorb_periods(cells, comps)
+    # the rows b_k S_k^-1 (e_k - A^-1 B), scaled to the weights once
+    # theta is summed from them
+    free = n_exposed - float(solved.sum())
+    weights = (exposed - solved) - (gamma * free)[:, None]
     shift = float(cells.mean[0, 0])
     means = cells.mean - shift
-    products = (_contrast(cells, block) * means).sum(axis=1)
-    theta = float(block.scale @ products) * block.variance
-    means -= theta * cells.exposed
-    score = block.scale @ means - float(block.shrunk @ means.sum(axis=1))
-    mu = _solve_periods(score, block.diagonal, block.shared)
+    products = (weights * means).sum(axis=1)
+    theta = float(scale @ products) * variance
+    weights *= (variance * scale / cells.count)[:, None]
+    means -= theta * exposed
+    score = scale @ means - float(shrunk @ means.sum(axis=1))
+    mu = _solve_periods(score, diagonal, shared)
     # the first period's mean, each later period's difference from it
     beta = np.empty(mu.size + 1)
     beta[:-1] = mu - mu[0]
     beta[0] = mu[0] + shift
     beta[-1] = theta
-    return GlsEstimate(beta=beta, variance=block.variance), mu - means
-
-
-def _contrast(cells: designs.CellTable, block: _PeriodBlock) -> np.ndarray:
-    """(K, T) rows b_k S_k^-1 (e_k - A^-1 B), the weights over variance / b_k."""
-    free = block.n_exposed - float(block.solved.sum())
-    return (cells.exposed - block.solved) - (block.gamma * free)[:, None]
-
-
-def _wedge_weights(cells: designs.CellTable, block: _PeriodBlock) -> np.ndarray:
-    """(K, T) rows variance S_k^-1 (e_k - A^-1 B) of the exposure effect."""
-    scale = block.variance * block.scale / cells.count
-    return _contrast(cells, block) * scale[:, None]
+    return GlsEstimate(beta=beta, variance=variance, weights=weights), mu - means
 
 
 def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimate:
@@ -321,7 +280,13 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
             or the fixed effects do not reproduce the cell means.
     """
     _require_full_rank(cells)
-    fit, residual = (_fit_wedge if _is_wedge(cells) else _fit_parallel)(cells, comps)
+    a, b = comps.cell_variances(cells.m)
+    # no entry of the information exceeds clusters x periods / b, so a
+    # covariance too small for that bound to be finite is refused here,
+    # before 1 / b overflows in the fit
+    _require_positive(cells.n_clusters * cells.time.shape[1] / float(b.min()))
+    wedge = designs.kind_traits(cells.kind).periods == "wedge"
+    fit, residual = (_fit_wedge if wedge else _fit_parallel)(cells, a, b)
 
     # residual and outcome norms over the subject rows, cell by cell
     rows = cells.count * cells.m
@@ -336,7 +301,9 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     return fit
 
 
-def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> int:
+def _ddf_from_cells(
+    spec: DesignSpec, policy: str, cells: designs.CellTable, rank_x: int
+) -> int:
     """Denominator degrees of freedom under a named policy.
 
     residual: observations minus the design matrix rank.
@@ -348,10 +315,10 @@ def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> 
         and takes the between stratum, a wedge's exposure varies within
         clusters and takes the within stratum.
 
-    The cells' design rows must have full rank, as fit_cells checks, so
-    the rank is the kind's number of design columns and the rank of the
-    cluster-constant columns is their number, both read without a
-    design matrix.
+    rank_x is the design matrix rank, the fit's number of coefficients:
+    fit_cells refuses rows without full rank.  The rank of the
+    cluster-constant columns is their number, read without a design
+    matrix.
 
     Raises:
         ValueError: if the policy is unknown, does not apply to the
@@ -362,7 +329,6 @@ def _ddf_from_cells(spec: DesignSpec, policy: str, cells: designs.CellTable) -> 
     n = cells.n_observations
     periods = designs.kind_traits(spec.kind).periods
     wedge = periods == "wedge"
-    rank_x = cells.time.shape[1] + 1 if wedge else _PARALLEL_COLUMNS[periods]
 
     if policy == "residual":
         ddf = n - rank_x
@@ -415,7 +381,7 @@ def evaluate(
     # the tested effect is the last design column: a one-row Wald F
     b = fit.beta[-1]
     fvalue = float(b * (b / fit.variance))
-    ddf = _ddf_from_cells(spec, policy, cells)
+    ddf = _ddf_from_cells(spec, policy, cells, fit.beta.size)
     result = distributions.power_from_f(
         fvalue, 1, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
     )

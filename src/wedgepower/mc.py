@@ -109,8 +109,7 @@ def _contrast_projection(run: engine.Evaluation) -> tuple[float, float, float]:
     coefficient, the last diagonal entry of (X'V^-1X)^-1, which equals
     spread**2.
     """
-    cells = run.cells
-    weights = run.cell_weights()
+    cells, weights = run.cells, run.fit.weights
     a, b = run.components.cell_variances(cells.m)
     center = float(cells.count @ np.sum(weights * cells.mean, axis=1))
     variance = a * weights.sum(axis=1) ** 2 + b * np.sum(weights * weights, axis=1)

@@ -476,7 +476,7 @@ def test_simulation_weights_match_dense_weights(name):
     spec, params = get_preset(name)
     sampler = dense_oracle.StudySampler(spec, _components(spec, params))
     run = engine.evaluate(spec, params)
-    weights = sampler.row_weights(run.cells, run.cell_weights())
+    weights = sampler.row_weights(run.cells, run.fit.weights)
     np.testing.assert_allclose(
         weights, dense_oracle.contrast_weights(spec, params), rtol=1e-10, atol=1e-13
     )

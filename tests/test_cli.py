@@ -668,6 +668,30 @@ def test_vmatrix_refuses_what_power_refuses(capsys, tmp_path, kind, correlation)
     refusals_match_power(capsys, tmp_path, "vmatrix", kind, correlation)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "doc, design_effect",
+    [
+        (TestDeCommand.wedge_document("swd_xsec"), "1.137"),
+        (TestSpecDocuments().doc(), "1.500"),
+    ],
+    ids=["swd_xsec", "crt_post"],
+)
+def test_subnormal_variance_refused_in_one_line(capsys, tmp_path, doc, design_effect):
+    # a subnormal sigma_y_sq makes 1 / b overflow: power and mc refuse it
+    # with one line and no numpy warning, and de, which does not depend on
+    # the variance's scale, still answers
+    doc = {**doc, "correlation": {**doc["correlation"], "sigma_y_sq": 1e-310}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["power"], ["mc", "--reps", "100"]):
+        outcome = run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert outcome == (2, "", "error: information matrix is singular\n"), argv
+    code, out, err = run(capsys, "de", "--spec", str(path))
+    assert (code, err) == (0, "")
+    assert table_value(out, "design effect") == design_effect
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, fmt", [("de", "csv"), ("mc", "csv"), ("dataset", "json")]

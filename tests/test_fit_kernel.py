@@ -99,7 +99,7 @@ def einsum_spread(run):
     """sqrt(u . u), u the Cholesky factors L_k of the cell covariances
     applied to the weights, per pattern by einsum: the closed form's oracle."""
     factors = np.linalg.cholesky(cell_covariance(run))
-    per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
+    per_pattern = np.einsum("kts,kt->ks", factors, run.fit.weights)
     return math.sqrt(run.cells.count @ np.sum(per_pattern * per_pattern, axis=1))
 
 
@@ -122,10 +122,7 @@ def assert_kernel_matches_oracle(spec, params):
     scale = np.abs(cells.mean).max()
     np.testing.assert_allclose(fit.beta, beta, rtol=0.0, atol=RTOL * scale)
     assert fit.variance == pytest.approx(variance, rel=RTOL)
-    run = engine.Evaluation(
-        result=None, fit=fit, cells=cells, components=comps, contrast=""
-    )
-    assert_close(run.cell_weights(), weights)
+    assert_close(fit.weights, weights)
 
 
 RANK_MESSAGE = (
@@ -330,7 +327,8 @@ def test_projection_matches_einsum_oracle(name):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
     # a parallel kind inverts its p x p information once; a wedge absorbs
-    # its period block in closed form and inverts nothing
+    # its period block in closed form and inverts nothing.  The Monte
+    # Carlo check reads its cell weights off that one fit.
     calls = {"inv": 0, "solve": 0}
 
     def counted(fn_name):
@@ -345,6 +343,9 @@ def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
     for fn_name in calls:
         monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
     spec, params = get_preset(name)
-    engine.evaluate(spec, params)
     inverses = 0 if spec.kind in SWD_KINDS else 1
+    engine.evaluate(spec, params)
+    assert calls == {"inv": inverses, "solve": 0}
+    calls.update(inv=0, solve=0)
+    mc.empirical_power(mc.SimulationPlan(spec, params, replicates=1000, seed=1))
     assert calls == {"inv": inverses, "solve": 0}

@@ -152,7 +152,7 @@ class TestContrastProjection:
         # the per-pattern sum is the stacked u's norm to rounding
         assert spread == pytest.approx(math.sqrt(u @ u), rel=1e-15)
         sampler = dense_oracle.StudySampler(spec, run.components)
-        weights = sampler.row_weights(run.cells, run.cell_weights())
+        weights = sampler.row_weights(run.cells, run.fit.weights)
         dense_u = sampler.project(weights)
         assert spread**2 == pytest.approx(dense_u @ dense_u, rel=1e-10)
         assert spread**2 == pytest.approx(s2, rel=1e-10)
@@ -163,7 +163,7 @@ class TestContrastProjection:
 def stacked_projection(run) -> np.ndarray:
     """u: L_k' w_k stacked over the clusters in dataset order."""
     factors = np.linalg.cholesky(cell_covariance(run))
-    per_pattern = np.einsum("kts,kt->ks", factors, run.cell_weights())
+    per_pattern = np.einsum("kts,kt->ks", factors, run.fit.weights)
     return per_pattern[run.cells.cluster_pattern].ravel()
 
 
