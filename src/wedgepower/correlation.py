@@ -123,7 +123,7 @@ class VarianceComponents:
         """
         within = self.subject_by_time + self.residual
         b = self.cluster_by_time + within / sizes
-        if np.any(b <= 0.0) or (within <= 0.0 and np.any(sizes > 1)):
+        if np.less_equal(b, 0.0).any() or (within <= 0.0 and np.any(sizes > 1)):
             raise ValueError(
                 "cluster covariance is singular; the correlation parameters "
                 "leave no measurement-level variation"

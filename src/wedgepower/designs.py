@@ -43,8 +43,8 @@ __all__ = [
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
 # the most patterns x periods cells of a cell table; an evaluation or a
-# simulation holds about 41 to 59 bytes per cell of a wedge and 113 to
-# 137 of a parallel kind, so neither peaks above 400 MB
+# simulation holds about 41 to 55 bytes per cell of a wedge and 97 to
+# 113 of a parallel kind, so neither peaks above 290 MB
 _MAX_CELLS = 2_500_000
 # rows the dataset writers format at once
 _TEXT_BLOCK_ROWS = 65_536

@@ -10,14 +10,12 @@ Every fixed effect is constant within a cluster-period cell and the
 covariance is exchangeable within one, so the fit runs on the cell
 means of each run of interchangeable clusters (Hussey & Hughes 2007;
 Hooper et al. 2016): its cost follows runs times periods, not subjects.
-A parallel kind's 2 or 4 design columns are fitted as a dense p x p
-system.  A stepped wedge's intercept and period indicators span the
-same space as T free period means, whose block of the information is
-a multiple of I minus a multiple of J; that block is absorbed in
-closed form, so a wedge's fit costs O(runs x periods) and holds no
-array with a column per period.  The one fit gives the estimates, the
-tested coefficient's variance and its weights on the cell means, which
-the Monte Carlo check draws its contrast from.
+Every kind is one longitudinal model: T free period means plus q <= 3
+columns they do not span, the exposure last.  The period means are
+absorbed in closed form and only the q x q information is inverted, so
+the fit costs O(runs x periods).  It gives the estimates, the tested
+coefficient's variance and its weights on the cell means, which the
+Monte Carlo check draws its contrast from.
 """
 
 from __future__ import annotations
@@ -49,8 +47,6 @@ DDF_POLICIES = ("residual", "containment", "between_within")
 _FIT_RTOL = 1e-8
 # the tested design column of each period model, the last column
 _CONTRAST = {"post": "treated", "prepost": "treated_post", "wedge": "intervene"}
-# design columns of the parallel period models
-_PARALLEL_COLUMNS = {"post": 2, "prepost": 4}
 
 
 @dataclass(frozen=True)
@@ -58,19 +54,16 @@ class GlsEstimate:
     """Generalized least squares fit under a known covariance.
 
     Attributes:
-        beta: coefficient estimates of the design columns.  A parallel
-            kind's are its intercept, treated-arm indicator and, with two
-            periods, post-period indicator and their product; a wedge's
-            are its first period's mean, each later period's difference
-            from it, and the exposure effect.  The tested one is last.
+        beta: the first period's mean, the other columns' effects but
+            the tested one, each later period's difference from the
+            first, and the tested effect; for a parallel kind, its
+            intercept, arm, post indicator and exposure.
         variance: the tested coefficient's variance, the last diagonal
             entry of the inverse information.
         weights: (K, T) weights of the cell means in the tested
-            coefficient, which is sum_k count_k weights[k] . ybar_k.  Row
-            k is the last row of the inverse information times
-            X_k' S_k^-1 for a cluster of pattern k; a subject row's
-            weight is its cell's entry divided by the cell's subject
-            count.
+            coefficient, sum_k count_k weights[k] . ybar_k: row k is
+            fit_cells' C_k times the inverse's last column.  A subject
+            row's weight is its cell's entry over its subject count.
     """
 
     beta: np.ndarray
@@ -134,15 +127,12 @@ def _require_full_rank(cells: designs.CellTable) -> None:
     """Refuse cells whose design rows are rank deficient.
 
     The cells hold every distinct row of the subject-level design
-    matrix, so this is its rank, read off the exposure without an SVD.
-    A wedge's other columns, the intercept and an indicator for every
-    period after the first, span every function of the period, so its
-    rank is full exactly when exposure is not one: when two patterns
-    differ in exposure in some period.  A parallel or individually
-    randomized kind has both arms, so its 2 or 4 columns have full rank
-    and its exposure differs between the arms.  A deficient rank signals
-    a degenerate schedule, for example a single-step wedge whose
-    exposure flag duplicates a time indicator.
+    matrix, so this is its rank, read off the exposure without an SVD:
+    the period means span every function of the period and the arms
+    separate a parallel kind's other columns, so the rank is full
+    exactly when two patterns differ in exposure in some period.  A
+    deficient rank signals a degenerate schedule, for example a
+    single-step wedge whose exposure flag duplicates a time indicator.
     """
     exposed = cells.exposed
     if (exposed == exposed[0]).all():
@@ -153,126 +143,47 @@ def _require_full_rank(cells: designs.CellTable) -> None:
 
 
 def _require_positive(value: float) -> None:
-    # a pivot or a variance of a positive definite information; NaN and
-    # infinity come from a covariance too small to invert
+    # NaN and infinity come from a covariance too small to invert
     if not 0.0 < value < math.inf:
         raise ValueError("information matrix is singular")
 
 
-def _fit_parallel(
-    cells: designs.CellTable, a: np.ndarray, b: np.ndarray
-) -> tuple[GlsEstimate, np.ndarray]:
-    """The fit of a parallel kind's cells and its (K, T) fitted less modeled means.
+def _design_rows(cells: designs.CellTable, shift: float) -> np.ndarray:
+    """(q + 1, K, T): the 0/1 columns the period means do not span, then the means.
 
-    X holds an intercept, a treated-arm indicator and, for two-period
-    kinds, a post-period indicator plus their product, the exposure.
-    S_k = a J + b I has inverse (I - a / (b + T a) J) / b.  The
-    count-weighted S_k^-1 X_k of all patterns form one (p, K T) matrix,
-    so the information and the score, sum_k count_k X_k' S_k^-1
-    [X_k, ybar_k], are one matrix product each over the cell rows.  The
-    cell weights are S_k^-1 X_k times the last row of the inverse.
-    """
-    p = _PARALLEL_COLUMNS[designs.kind_traits(cells.kind).periods]
-    x = np.empty((*cells.time.shape, p))
-    x[..., 0] = 1.0
-    x[..., 1] = cells.group[:, None] == 2
-    if p == 4:
-        x[..., 2] = cells.time == 2
-    x[..., -1] = cells.exposed
-    gamma = a / (b + cells.time.shape[1] * a)
-    # the (K, T, p) arrays take 8 p bytes a cell: at most three live at once
-    precision_x = x - (gamma[:, None] * x.sum(axis=1))[:, None, :]
-    precision_x /= b[:, None, None]
-    weighted = (precision_x * cells.count[:, None, None]).reshape(-1, p).T
-    information = weighted @ x.reshape(-1, p)
-    score = weighted @ cells.mean.reshape(-1)
-    del weighted
-    try:
-        cov = np.linalg.inv(information)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("information matrix is singular") from exc
-    variance = float(cov[-1, -1])
-    _require_positive(variance)
-    beta = cov @ score
-    fit = GlsEstimate(beta=beta, variance=variance, weights=precision_x @ cov[-1])
-    return fit, x @ beta - cells.mean
-
-
-def _solve_periods(vector: np.ndarray, diagonal: float, shared: float) -> np.ndarray:
-    """A^-1 vector for A = diagonal I - shared J, by Sherman-Morrison."""
-    pivot = diagonal - vector.size * shared
-    return (vector + shared * float(vector.sum()) / pivot) / diagonal
-
-
-def _fit_wedge(
-    cells: designs.CellTable, a: np.ndarray, b: np.ndarray
-) -> tuple[GlsEstimate, np.ndarray]:
-    """The fit of a wedge's cells and its (K, T) fitted less modeled means.
-
-    The T period means span the intercept and period indicators.  With
-    S_k^-1 = (I - gamma_k J) / b_k their block of the information is
-    A = diagonal I - shared J, solved by Sherman-Morrison; B is the
-    cross block with the exposure and D its diagonal entry, so the
-    exposure effect has variance 1 / (D - B' A^-1 B) and cell weights
-    w_k = variance S_k^-1 (e_k - A^-1 B).  The effect is
-    theta = sum_k count_k w_k' ybar_k, and the period means are
-    A^-1 (s - B theta), s their score.  The period means absorb a
-    constant, so both are taken of the means less the first cell's,
-    which keeps a large common mean from cancelling; and s - B theta is
-    the score of the means less the exposure effect, formed from those
-    means, in which nothing large cancels.
-
-    Raises:
-        ValueError: if the information is singular: A's smallest
-            eigenvalue, diagonal - T shared, or the Schur complement
-            D - B' A^-1 B is not positive and finite.
+    Exposure last of the q; a pre-post kind's arm indicator first and,
+    for single measurements (T = 1), its post indicator next.  The
+    means are taken less shift.
     """
     exposed = cells.exposed
-    n_periods = exposed.shape[1]
-    gamma = a / (b + n_periods * a)
-    scale = cells.count / b
-    shrunk = scale * gamma
-    n_exposed = exposed.sum(axis=1)
-    diagonal, shared = float(scale.sum()), float(shrunk.sum())
-    _require_positive(diagonal - n_periods * shared)
-    # B = sum_k count_k S_k^-1 e_k, and D = sum_k count_k e_k' S_k^-1 e_k
-    cross = scale @ exposed - float(shrunk @ n_exposed)
-    solved = _solve_periods(cross, diagonal, shared)
-    exposure = float((scale - shrunk * n_exposed) @ n_exposed)
-    schur = exposure - float(cross @ solved)
-    _require_positive(schur)
-    variance = 1.0 / schur
-
-    # the rows b_k S_k^-1 (e_k - A^-1 B), scaled to the weights once
-    # theta is summed from them
-    free = n_exposed - float(solved.sum())
-    weights = (exposed - solved) - (gamma * free)[:, None]
-    shift = float(cells.mean[0, 0])
-    means = cells.mean - shift
-    products = (weights * means).sum(axis=1)
-    theta = float(scale @ products) * variance
-    weights *= (variance * scale / cells.count)[:, None]
-    means -= theta * exposed
-    score = scale @ means - float(shrunk @ means.sum(axis=1))
-    mu = _solve_periods(score, diagonal, shared)
-    # the first period's mean, each later period's difference from it
-    beta = np.empty(mu.size + 1)
-    beta[:-1] = mu - mu[0]
-    beta[0] = mu[0] + shift
-    beta[-1] = theta
-    return GlsEstimate(beta=beta, variance=variance, weights=weights), mu - means
+    prepost = designs.kind_traits(cells.kind).periods == "prepost"
+    single = prepost and exposed.shape[1] == 1
+    rows = np.empty((2 + prepost + single, *exposed.shape))
+    if prepost:
+        rows[0] = (cells.group == 2)[:, None]
+    if single:
+        rows[1] = cells.time == 2
+    rows[-2] = exposed
+    np.subtract(cells.mean, shift, out=rows[-1])
+    return rows
 
 
 def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimate:
     """GLS fit of the cell means under the subject-level covariance.
 
-    Each cluster contributes X_k' S_k^-1 X_k to the information and
-    X_k' S_k^-1 ybar_k to the score, where S_k is the covariance of its
-    cell means; this equals the fit of the subject rows because every
-    fixed effect is constant within a cell.  A wedge's period block is
-    absorbed in closed form, a parallel kind's p x p information is
-    inverted.  The modeled means must be exactly representable by the
-    fixed effects.
+    A cluster of pattern k adds X_k' S_k^-1 [X_k, ybar_k] to the
+    information and score, S_k = a_k J + b_k I the covariance of its
+    cell means: the fit of the subject rows, as every fixed effect is
+    constant within a cell.  The T period means are absorbed: S_k^-1
+    is 1 / b_k on a cluster's deviations from its own mean and
+    1 / (b_k + T a_k) on that mean, and A = sum_k count_k S_k^-1
+    inverts in the same two parts, so nothing cancels as T a_k outgrows
+    b_k.  With B the cross block of the q other columns X, the
+    contrasts C_k = S_k^-1 (X_k - A^-1 B) give the q x q information
+    sum_k count_k C_k' X_k, the score sum_k count_k C_k' ybar_k and the
+    cell weights, C_k times the inverse's last column.  The means are
+    less the first cell's, and S_k is scaled by the power of two that
+    brings the least b_k into [1/2, 1), so no sum overflows.
 
     Raises:
         ValueError: if the design rows are rank deficient (a degenerate
@@ -281,24 +192,82 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     """
     _require_full_rank(cells)
     a, b = comps.cell_variances(cells.m)
+    n_periods = cells.exposed.shape[1]
+    count = cells.count.astype(float)
+    least = float(b.min())
     # no entry of the information exceeds clusters x periods / b, so a
-    # covariance too small for that bound to be finite is refused here,
-    # before 1 / b overflows in the fit
-    _require_positive(cells.n_clusters * cells.time.shape[1] / float(b.min()))
-    wedge = designs.kind_traits(cells.kind).periods == "wedge"
-    fit, residual = (_fit_wedge if wedge else _fit_parallel)(cells, a, b)
-
-    # residual and outcome norms over the subject rows, cell by cell
-    rows = cells.count * cells.m
-    y_norm = math.sqrt(float(rows @ (cells.mean * cells.mean).sum(axis=1)))
-    misfit = math.sqrt(float(rows @ (residual * residual).sum(axis=1)))
-    if misfit > _FIT_RTOL * max(1.0, y_norm):
+    # covariance too small for that bound to be finite is refused here
+    _require_positive(float(np.add.reduce(count)) * n_periods / least)
+    scale = math.ldexp(1.0, -math.frexp(least)[1])
+    # count_k / b_k and count_k / (b_k + T a_k) and their shares of their
+    # sums, the within and mean parts of count_k S_k^-1 and A^-1
+    inner = b * scale
+    precision = np.divide(count, (inner, inner + (n_periods * scale) * a))
+    del a, b, inner
+    shares = precision / np.add.reduce(precision, 1)[:, None]
+    shift = float(cells.mean[0, 0])
+    rows = _design_rows(cells, shift)
+    q = rows.shape[0] - 1
+    x, means = rows[:q], rows[q]
+    # count_k C_k: each column's deviations from its pattern's mean less
+    # their within-share average, times count_k / b_k, plus its pattern
+    # means less their mean-share average, times count_k / (b_k + T a_k)
+    level = np.add.reduce(x, 2)
+    if n_periods > 1:
+        level /= n_periods
+        contrast = x - level[..., None]
+        contrast -= (shares[0] @ contrast)[:, None]
+        contrast *= precision[0][:, None]
+    level -= np.dot(level, shares[1])[:, None]
+    level *= precision[1]
+    if n_periods > 1:
+        contrast += level[..., None]
+    else:
+        # a single period is its pattern's mean, with no deviation from it
+        contrast = level[..., None]
+    del level, precision
+    flat = contrast.reshape(q, -1)
+    # X' C and C' ybar in one product with the long side second: a row
+    # over 10^4 cells or more wakes a BLAS thread that slows what follows
+    products = np.dot(rows.reshape(q + 1, -1), flat.T)
+    try:
+        cov = np.linalg.inv(products[:q].T)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("information matrix is singular") from exc
+    variance = float(cov[-1, -1]) / scale
+    _require_positive(variance)
+    theta = np.dot(cov, products[q])
+    # the period means of the means less the effects, then the residuals
+    x *= theta[:, None, None]
+    for i in range(q):
+        means -= x[i]
+    del x, rows
+    parts = np.dot(shares, means)
+    if n_periods > 1:
+        deviation, mean = np.add.reduce(parts, 1).tolist()
+        mu = parts[0] + (mean - deviation) / n_periods
+    else:
+        mu = parts[1]
+    means -= mu
+    # residual and outcome norms over the subject rows; the outcome's
+    # matters only once the residual's exceeds _FIT_RTOL
+    subjects = cells.count * cells.m
+    means *= means
+    misfit = math.sqrt(float(np.add.reduce(np.dot(subjects, means))))
+    del means
+    if misfit > _FIT_RTOL and misfit > _FIT_RTOL * math.sqrt(
+        float(np.add.reduce(np.dot(subjects, np.square(cells.mean))))
+    ):
         raise ValueError(
             "exemplary means are not reproduced by the fixed effects "
             f"(residual norm {misfit:.3e}); the cell means are inconsistent "
             "with the design model"
         )
-    return fit
+    # C_k times g, the inverse's last column, over count_k
+    weights = (cov[-1:] @ flat).reshape(contrast.shape[1:])
+    weights /= count[:, None]
+    beta = np.concatenate(((mu[0] + shift,), theta[:-1], mu[1:] - mu[0], theta[-1:]))
+    return GlsEstimate(beta=beta, variance=variance, weights=weights)
 
 
 def _ddf_from_cells(
@@ -378,9 +347,10 @@ def evaluate(
     policy = ddf_policy or default_ddf_policy(spec.kind)
     comps = variance_components(spec, params)
     fit = fit_cells(cells, comps)
-    # the tested effect is the last design column: a one-row Wald F
-    b = fit.beta[-1]
-    fvalue = float(b * (b / fit.variance))
+    # the tested effect is the last design column: a one-row Wald F, in
+    # Python floats, which overflow to an infinite F without a warning
+    effect = float(fit.beta[-1])
+    fvalue = effect * (effect / fit.variance)
     ddf = _ddf_from_cells(spec, policy, cells, fit.beta.size)
     result = distributions.power_from_f(
         fvalue, 1, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy

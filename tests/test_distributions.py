@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
@@ -224,6 +224,20 @@ def bgrat_reach(a: float) -> float:
     return min(200.0, -(a - 0.25) * math.log(0.7))
 
 
+def bgrat_inside(a: float, z: float) -> tuple[float, float]:
+    """bgrat_point(a, z), with x moved up by ulps until _ibeta's region test holds.
+
+    _ibeta tests the rounded 1 - x, whose relative error reaches 2.4e-9
+    at a = 4.4e9, so a z a relative 1e-9 inside the region can round to
+    a point outside it.
+    """
+    x, omx = bgrat_point(a, z)
+    while not (omx < 0.3 and (0.25 - a) * math.log1p(-omx) <= 200.0):
+        x = math.nextafter(x, 2.0)
+        omx = 1.0 - x
+    return x, omx
+
+
 def assert_routed_to_bgrat(a: float, x: float, omx: float) -> float:
     got = distributions._ibeta(a, 0.5, x, omx)
     assert got == distributions._bgrat(a, math.log1p(-omx))
@@ -236,9 +250,11 @@ class TestBgrat:
 
     @settings(max_examples=300, deadline=None)
     @given(log_a=st.floats(math.log10(15.0), math.log10(5e9)), log_share=st.floats(-12, 0))
+    # bgrat_point rounds this one to z = 200.0000000036, outside the region
+    @example(log_a=9.643734048000262, log_share=0.0)
     def test_matches_high_precision_over_its_region(self, log_a, log_share):
         a = 10**log_a
-        x, omx = bgrat_point(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
+        x, omx = bgrat_inside(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
         assume(omx > 0.0)
         got = assert_routed_to_bgrat(a, x, omx)
         want = mp_ibeta(a, 0.5, x)
@@ -249,7 +265,7 @@ class TestBgrat:
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(15.0, 500.0), log_share=st.floats(-12, 0))
     def test_agrees_with_the_continued_fraction_where_that_is_exact(self, a, log_share):
-        x, omx = bgrat_point(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
+        x, omx = bgrat_inside(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
         got = assert_routed_to_bgrat(a, x, omx)
         want = f_oracle.continued_fraction_ibeta(a, 0.5, x, omx)
         assert got == pytest.approx(want, rel=1e-13)

@@ -14,6 +14,7 @@ import pytest
 
 from scipy.linalg import block_diag
 
+from wedgepower import mc
 from wedgepower.correlation import CorrelationParams, derive_components
 from wedgepower.designs import (
     PRESETS,
@@ -330,6 +331,37 @@ def test_information_too_large_to_invert_is_refused(name):
     tiny = dataclasses.replace(params, sigma_y_sq=1e-310)
     with pytest.raises(ValueError, match="^information matrix is singular$"):
         analytic_power(spec, tiny)
+
+
+# the refusals a tiny sigma_y_sq may meet: an F or noncentrality too
+# large for the tail, or a covariance too small to invert
+TINY_VARIANCE_REFUSALS = (
+    "noncentrality must be finite",
+    "fvalue must be finite",
+    "information matrix is singular",
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_tiny_variance_answers_or_is_refused_by_name(name):
+    # sigma_y_sq = 10**-k for k up to 308: the fit's sums stay finite, so
+    # each call answers or refuses in one ValueError, with no numpy warning
+    spec, params = get_preset(name)
+    answered = []
+    for k in range(1, 309):
+        tiny = dataclasses.replace(params, sigma_y_sq=10.0**-k)
+        for call in (
+            lambda: evaluate(spec, tiny),
+            lambda: mc.empirical_power(mc.SimulationPlan(spec, tiny, replicates=200, seed=1)),
+        ):
+            try:
+                call()
+            except ValueError as exc:
+                assert str(exc).startswith(TINY_VARIANCE_REFUSALS), (k, str(exc))
+            else:
+                answered.append(k)
+    assert answered[:2] == [1, 1]
 
 
 class TestPowerAudit:

@@ -1,10 +1,10 @@
 """The cell-mean GLS kernel against the einsum and solve path it replaced.
 
-engine.fit_cells absorbs a wedge's period effects in closed form and
-forms a parallel kind's information and score as one matrix product
-each, inverting it once; it reads the design from the cells' exposure,
-and dense_oracle.cell_design builds the (K, T, p) design array the
-cell table used to hold, one broadcast per column group; mc sums
+engine.fit_cells absorbs every kind's period means in closed form and
+inverts the information of the q <= 3 columns they do not span, once;
+it reads the design from the cells' exposure, and
+dense_oracle.cell_design builds the (K, T, p) design array the cell
+table used to hold, one broadcast per column group; mc sums
 a_k (1'w_k)^2 + b_k |w_k|^2 over the patterns instead of projecting
 the cell weights on Cholesky factors; the full-rank check reads the
 exposure instead of running an SVD.  The slower path each replaced is
@@ -12,11 +12,14 @@ kept here as its oracle, run on that design array: the sums run in
 another order, so the tested variance and the cell weights must agree
 to 1e-12 relative, and every coefficient to 1e-12 relative to the
 largest cell mean; the design columns, exact 0/1 values, must be
-equal, and the refusal must match the SVD's rank exactly.
+equal, and the refusal must match the SVD's rank exactly.  A post-only
+fit is held to the exact rational variance instead, at cluster sizes
+where the einsum oracle's own 1 - gamma cancels.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -326,26 +329,46 @@ def test_projection_matches_einsum_oracle(name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
-    # a parallel kind inverts its p x p information once; a wedge absorbs
-    # its period block in closed form and inverts nothing.  The Monte
-    # Carlo check reads its cell weights off that one fit.
-    calls = {"inv": 0, "solve": 0}
+    # every kind absorbs its period means and inverts the information of
+    # its q <= 3 other columns once; no column per period comes back.
+    # The Monte Carlo check reads its cell weights off that one fit.
+    calls = {"inv": [], "solve": []}
 
     def counted(fn_name):
         original = getattr(np.linalg, fn_name)
 
-        def wrapper(*args, **kwargs):
-            calls[fn_name] += 1
-            return original(*args, **kwargs)
+        def wrapper(matrix, *args, **kwargs):
+            calls[fn_name].append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
 
         return wrapper
 
     for fn_name in calls:
         monkeypatch.setattr(np.linalg, fn_name, counted(fn_name))
     spec, params = get_preset(name)
-    inverses = 0 if spec.kind in SWD_KINDS else 1
-    engine.evaluate(spec, params)
-    assert calls == {"inv": inverses, "solve": 0}
-    calls.update(inv=0, solve=0)
-    mc.empirical_power(mc.SimulationPlan(spec, params, replicates=1000, seed=1))
-    assert calls == {"inv": inverses, "solve": 0}
+    for run in (
+        lambda: engine.evaluate(spec, params),
+        lambda: mc.empirical_power(mc.SimulationPlan(spec, params, replicates=1000, seed=1)),
+    ):
+        calls.update(inv=[], solve=[])
+        run()
+        assert len(calls["inv"]) == 1 and calls["solve"] == []
+        (shape,) = calls["inv"]
+        assert shape[0] == shape[1] <= 3
+
+
+def test_post_only_fit_is_exact_at_large_cluster_sizes():
+    # a cluster's one cell mean has variance a + b, and the difference of
+    # the arms' means of 5 and 4 clusters is the tested effect; a
+    # precision taken as (1 - gamma) / b cancels as a / b grows with the
+    # cluster size, 1 / (a + b) does not
+    spec, params = get_preset("example2")
+    assert spec.clusters_per_arm == (5, 4)
+    for exponent in range(10, 49):
+        sized = dataclasses.replace(spec, cluster_size=2**exponent)
+        cells = cell_table(sized)
+        comps = engine.variance_components(sized, params)
+        a, b = (float(v[0]) for v in comps.cell_variances(cells.m))
+        exact = (Fraction(a) + Fraction(b)) * (Fraction(1, 5) + Fraction(1, 4))
+        variance = engine.fit_cells(cells, comps).variance
+        assert abs(Fraction(variance) / exact - 1) <= 1e-15, exponent

@@ -80,6 +80,16 @@ def test_fit_and_projection_use_no_einsum():
     assert _lines_matching(r"einsum", "engine.py", "mc.py") == []
 
 
+def test_package_calls_no_numpy_2_only_function():
+    # pyproject.toml allows numpy >= 1.24, which has none of these
+    pattern = (
+        r"np\.(vecdot|matvec|vecmat|unstack|cumulative_sum|cumulative_prod"
+        r"|permute_dims|matrix_transpose|isdtype|concat)\b"
+    )
+    modules = sorted(path.name for path in SOURCE.glob("*.py"))
+    assert _lines_matching(pattern, *modules) == []
+
+
 def test_spread_factors_no_covariance():
     # the Monte Carlo spread is a_k (1'w_k)^2 + b_k |w_k|^2 per pattern:
     # no cell covariance is built or factored
