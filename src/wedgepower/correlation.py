@@ -135,9 +135,11 @@ def derive_components(params: CorrelationParams, family: Family) -> VarianceComp
     """Split the marginal variance into random effect components.
 
     The cluster share icc * sigma_y_sq splits into a persistent part
-    (weight cac) and a time-specific part; for cohort structures the
-    subject share (1 - icc) * sigma_y_sq splits the same way with
-    weight sac.
+    (weight cac) and a time-specific part; one occasion cannot tell the
+    two apart, so the single-occasion family reports the whole share as
+    cluster.  Only cohorts measure a subject twice, so only they split
+    the subject share (1 - icc) * sigma_y_sq the same way, with weight
+    sac, and the other families need sac = 0.
 
     Args:
         params: marginal correlation description.
@@ -146,50 +148,28 @@ def derive_components(params: CorrelationParams, family: Family) -> VarianceComp
     Returns:
         VarianceComponents summing to sigma_y_sq.
     """
+    if not isinstance(family, Family):
+        raise ValueError(f"unknown family {family!r}")
+    single, cohort = family is Family.SINGLE, family is Family.COHORT
+    if not cohort and params.sac != 0.0:
+        occasions = (
+            "for single-measurement structures"
+            if single
+            else "when no subject is measured twice"
+        )
+        raise ValueError(f"sac must be 0 {occasions} (got sac={params.sac!r})")
     s2 = params.sigma_y_sq
     cluster_share = params.icc * s2
     subject_share = (1.0 - params.icc) * s2
-
-    if family is Family.SINGLE:
-        # one occasion: persistent and time-specific cluster variance are
-        # indistinguishable, so the whole share is reported as cluster
-        if params.sac != 0.0:
-            raise ValueError(
-                "sac must be 0 for single-measurement structures "
-                f"(got sac={params.sac!r})"
-            )
-        return VarianceComponents(
-            cluster=cluster_share,
-            cluster_by_time=0.0,
-            subject=0.0,
-            subject_by_time=0.0,
-            residual=subject_share,
-        )
-
-    if family is Family.CROSS_SECTIONAL:
-        if params.sac != 0.0:
-            raise ValueError(
-                "sac must be 0 when no subject is measured twice "
-                f"(got sac={params.sac!r})"
-            )
-        return VarianceComponents(
-            cluster=params.cac * cluster_share,
-            cluster_by_time=(1.0 - params.cac) * cluster_share,
-            subject=0.0,
-            subject_by_time=0.0,
-            residual=subject_share,
-        )
-
-    if family is Family.COHORT:
-        return VarianceComponents(
-            cluster=params.cac * cluster_share,
-            cluster_by_time=(1.0 - params.cac) * cluster_share,
-            subject=params.sac * subject_share,
-            subject_by_time=(1.0 - params.sac) * subject_share,
-            residual=0.0,
-        )
-
-    raise ValueError(f"unknown family {family!r}")
+    # literal zeros, as a product with a -0.0 icc or sac would be -0.0
+    cac, sac = params.cac, params.sac
+    return VarianceComponents(
+        cluster=cluster_share if single else cac * cluster_share,
+        cluster_by_time=0.0 if single else (1.0 - cac) * cluster_share,
+        subject=sac * subject_share if cohort else 0.0,
+        subject_by_time=(1.0 - sac) * subject_share if cohort else 0.0,
+        residual=0.0 if cohort else subject_share,
+    )
 
 
 def build_cluster_v(

@@ -263,6 +263,10 @@ def inflate_sample_size(
     Returns:
         SamplePlan with raw and rounded-up observation and participant
         totals.
+
+    Raises:
+        ValueError: if an argument is out of range, or the plan's
+            observations are past the float range.
     """
     if not is_whole(n_unclustered):
         raise ValueError(f"n_unclustered must be an integer, got {n_unclustered!r}")
@@ -283,7 +287,17 @@ def inflate_sample_size(
             f"got {measurements_per_participant!r}"
         )
 
-    observations_raw = float(n_unclustered) * design_effect * observation_multiplier
+    try:
+        observations_raw = (
+            float(n_unclustered) * float(design_effect) * float(observation_multiplier)
+        )
+    except OverflowError:  # an int past the float range
+        observations_raw = math.inf
+    if observations_raw == math.inf:
+        raise ValueError(
+            "n_unclustered is too large: n_unclustered * design_effect * "
+            "observation_multiplier is past the float range"
+        )
     participants_raw = observations_raw / measurements_per_participant
     # tolerate float fuzz just below an integer before rounding up
     observations = math.ceil(observations_raw - 1e-9)

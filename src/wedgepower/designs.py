@@ -209,11 +209,18 @@ def _layout(spec: DesignSpec) -> _Layout:
     return _Layout(group, clusters, first, n_periods, size)
 
 
+def _exact_ints(values) -> bool:
+    # the fast paths for a size list: exact ints, no bools or numpy ints
+    return set(map(type, values)) <= {int}
+
+
 def _n_observations(layout: _Layout) -> int:
     # no per-cluster tuple: validate_spec reads this to refuse huge designs
-    if isinstance(layout.size, (tuple, list)):
-        return sum(map(int, layout.size)) * layout.n_periods
-    return int(layout.size) * sum(layout.clusters) * layout.n_periods
+    size = layout.size
+    if isinstance(size, (tuple, list)):
+        total = sum(size) if _exact_ints(size) else sum(map(int, size))
+        return total * layout.n_periods
+    return int(size) * sum(layout.clusters) * layout.n_periods
 
 
 # the count fields that may hold one count per entry, and all seven
@@ -241,6 +248,9 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
     if name == "clusters_per_step" and not listed:
         errors.append(f"{path}: must be a list, got {value!r}")
         return False
+    # a list of exact ints, each at least 1 if used, needs no entry loop
+    if listed and _exact_ints(value) and (not used or min(value, default=1) >= 1):
+        return True
     before = len(errors)
     for i, count in enumerate(value if listed else (value,)):
         whole = is_whole(count)

@@ -98,14 +98,6 @@ def default_ddf_policy(kind: str) -> str:
     return "containment" if traits.periods == "post" else "between_within"
 
 
-def _require_clustered(spec: DesignSpec, policy: str) -> None:
-    if not designs.kind_traits(spec.kind).clustered:
-        raise ValueError(
-            f"ddf policy {policy!r} needs a clustered design; use 'residual' "
-            f"for {spec.kind.value}"
-        )
-
-
 def variance_components(
     spec: DesignSpec, params: CorrelationParams
 ) -> VarianceComponents:
@@ -270,9 +262,7 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     return GlsEstimate(beta=beta, variance=variance, weights=weights)
 
 
-def _ddf_from_cells(
-    spec: DesignSpec, policy: str, cells: designs.CellTable, rank_x: int
-) -> int:
+def _ddf_from_cells(policy: str, cells: designs.CellTable, rank_x: int) -> int:
     """Denominator degrees of freedom under a named policy.
 
     residual: observations minus the design matrix rank.
@@ -285,9 +275,13 @@ def _ddf_from_cells(
         clusters and takes the within stratum.
 
     rank_x is the design matrix rank, the fit's number of coefficients:
-    fit_cells refuses rows without full rank.  The rank of the
-    cluster-constant columns is their number, read without a design
-    matrix.
+    fit_cells refuses rows without full rank.  The cluster-constant
+    columns are the intercept and a parallel kind's arm, which is also a
+    post-only kind's exposure, so the kind fixes their rank.  Every
+    other column varies within a cluster: a clustered kind measures each
+    cluster in every period, a wedge's first period is baseline and its
+    last exposed, and a pre-post cluster of arm 2 goes from unexposed to
+    exposed.
 
     Raises:
         ValueError: if the policy is unknown, does not apply to the
@@ -295,26 +289,21 @@ def _ddf_from_cells(
     """
     if policy not in DDF_POLICIES:
         raise ValueError(f"unknown ddf policy {policy!r}; choose from {DDF_POLICIES}")
+    traits = designs.kind_traits(cells.kind)
     n = cells.n_observations
-    periods = designs.kind_traits(spec.kind).periods
-    wedge = periods == "wedge"
-
     if policy == "residual":
         ddf = n - rank_x
+    elif not traits.clustered:
+        raise ValueError(
+            f"ddf policy {policy!r} needs a clustered design; use 'residual' "
+            f"for {cells.kind.value}"
+        )
     elif policy == "containment":
-        _require_clustered(spec, policy)
         ddf = n - cells.n_clusters
+    elif traits.periods == "wedge":
+        ddf = (n - rank_x) - (cells.n_clusters - 1)  # within: residual less between
     else:
-        _require_clustered(spec, policy)
-        # the intercept and a two-period arm indicator are constant within
-        # every cluster, and period indicators are not: a clustered kind
-        # measures each cluster in every period.  The tested column is
-        # constant when no cluster changes exposure.
-        exposed = cells.exposed
-        constant = 1 + int(periods == "prepost") + int((exposed == exposed[:, :1]).all())
-        between = cells.n_clusters - constant
-        within = (n - rank_x) - between
-        ddf = within if wedge else between
+        ddf = cells.n_clusters - 2  # between: clusters less intercept and arm
 
     if ddf < 1:
         raise ValueError(
@@ -351,7 +340,7 @@ def evaluate(
     # Python floats, which overflow to an infinite F without a warning
     effect = float(fit.beta[-1])
     fvalue = effect * (effect / fit.variance)
-    ddf = _ddf_from_cells(spec, policy, cells, fit.beta.size)
+    ddf = _ddf_from_cells(policy, cells, fit.beta.size)
     result = distributions.power_from_f(
         fvalue, 1, ddf, spec.alpha if alpha is None else alpha, ddf_policy=policy
     )

@@ -129,6 +129,19 @@ def test_cell_fit_matches_dense_fit(case):
         _assert_cell_covariance_matches_dense(spec, run)
 
 
+@settings(max_examples=300, deadline=None)
+@given(specs_and_params().filter(lambda case: case[0].kind not in RCT_KINDS))
+def test_exposure_is_cluster_constant_exactly_for_post_only_kinds(case):
+    # the between-within rule takes its count of cluster-constant columns
+    # from the kind catalog: the intercept, and a parallel kind's arm,
+    # which is a post-only kind's exposure.  Any other kind's exposure
+    # must change within some cluster, or the count is off by one
+    spec, _ = case
+    exposed = cell_table(spec).exposed
+    constant = bool((exposed == exposed[:, :1]).all())
+    assert constant is (designs.kind_traits(spec.kind).periods == "post")
+
+
 _BASE_MEANS = {spec.kind: spec.cell_means for spec, _ in PRESETS.values()}
 
 

@@ -20,6 +20,7 @@ from wedgepower.designs import (
     get_preset,
 )
 
+import cli_corpus
 from dense_oracle import assert_same_dataset, dataset_from_csv
 
 
@@ -171,6 +172,16 @@ class TestDeCommand:
         payload = json.loads(out)
         assert payload["design_effect"] == 1.0
         assert payload["plan"]["observations"] == 34
+
+    @pytest.mark.parametrize("name,exponent", [("example2", 400), ("example6", 308)])
+    def test_plan_past_the_float_range_is_one_error(self, capsys, name, exponent):
+        # 10**400 is no float; 10**308 is, but its plan overflows
+        code, out, err = run(
+            capsys, "de", "--preset", name, "--n-unclustered", str(10**exponent)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n_unclustered is too large")
+        assert err.count("\n") == 1
 
     def test_no_closed_form_for_mixed_sizes(self, capsys):
         code, _, err = run(capsys, "de", "--preset", "example2_51")
@@ -690,6 +701,14 @@ def test_subnormal_variance_refused_in_one_line(capsys, tmp_path, doc, design_ef
     code, out, err = run(capsys, "de", "--spec", str(path))
     assert (code, err) == (0, "")
     assert table_value(out, "design effect") == design_effect
+
+
+def test_output_corpus_ends_every_command_in_a_status():
+    # cli_corpus.py digests these commands' output to compare two
+    # checkouts; each must answer or refuse with status 2, never raise
+    argvs = list(cli_corpus.commands())
+    assert len(argvs) == 550
+    assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
 
 
 class TestUsageErrors:

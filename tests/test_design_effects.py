@@ -303,6 +303,16 @@ class TestInflateSampleSize:
         with pytest.raises(ValueError, match="measurements_per_participant"):
             inflate_sample_size(34, 1.2, measurements_per_participant=1.5)
 
+    @pytest.mark.parametrize(
+        "n_unclustered,multiplier",
+        [(10**400, 1), (10**308, 5)],
+        ids=["int_past_floats", "product_past_floats"],
+    )
+    def test_plan_past_the_float_range_is_refused(self, n_unclustered, multiplier):
+        # an int no float holds, and a finite one whose plan overflows
+        with pytest.raises(ValueError, match="n_unclustered is too large"):
+            inflate_sample_size(n_unclustered, 1.5, observation_multiplier=multiplier)
+
     @pytest.mark.parametrize("value", ["1.2", None, True, float("nan"), float("inf")])
     def test_non_real_inputs_name_the_argument(self, value):
         with pytest.raises(ValueError, match="design_effect must be a positive real"):

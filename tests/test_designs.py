@@ -268,6 +268,20 @@ class TestCounts:
         assert get_preset("example6")[0].n_clusters == 8
         assert get_preset("example7")[0].n_clusters == 6
 
+    @pytest.mark.parametrize("entry", [int, float, np.int64])
+    def test_size_list_entries_count_alike(self, entry):
+        # a list of exact ints skips validate_spec's entry loop and is
+        # summed at once; whole floats and numpy ints take the loop
+        spec = get_preset("example2_51")[0]
+        sizes = tuple(map(entry, spec.cluster_size))
+        sized = dataclasses.replace(spec, cluster_size=sizes)
+        assert validate_spec(sized) == []
+        assert type(sized.n_observations) is int and sized.n_observations == 51
+        zero = dataclasses.replace(spec, cluster_size=(*sizes[:-1], entry(0)))
+        assert validate_spec(zero) == [
+            f"design.cluster_size[7]: must be >= 1, got {entry(0)!r}"
+        ]
+
     def test_observations_up_to_two_to_the_53_are_accepted(self):
         # 4 clusters of 2**51: the largest count floats hold exactly
         spec = dataclasses.replace(
