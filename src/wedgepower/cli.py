@@ -265,7 +265,7 @@ def _power_payload(
         payload["audit"] = {
             "observations": run.cells.n_observations,
             "clusters": run.cells.n_clusters,
-            "times": int(run.cells.time.max()),
+            "times": spec.n_times,
             "contrast": run.contrast,
             "beta": run.fit.beta.tolist(),
             "components": dataclasses.asdict(run.components),

@@ -30,8 +30,8 @@ __all__ = [
     "MAX_MATRIX_ROWS",
 ]
 
-# guard against accidentally huge dense covariance matrices
-MAX_MATRIX_ROWS = 10_000
+# the most rows of a dense covariance; vmatrix prints them in any format in 1 GiB
+MAX_MATRIX_ROWS = 2_000
 
 
 class Family(str, enum.Enum):
@@ -181,7 +181,9 @@ def build_cluster_v(
     every other cluster lists its fresh subjects period by period.  Two
     measurements share the cluster variance, the cluster-by-time
     variance too when they share a period, and the subject variance when
-    they share a subject.
+    they share a subject.  The matrix is the one array built: the
+    cluster variance, then its same-period blocks, a cohort's
+    same-subject blocks and its diagonal written in place.
 
     Args:
         cells: the design's cell table; its family, periods and the
@@ -199,32 +201,27 @@ def build_cluster_v(
             f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
         )
     n_subjects = int(cells.m[np.cumsum(cells.count).searchsorted(cluster_index, "right")])
-    n_times = cells.time.shape[1]
+    n_times = cells.exposed.shape[1]
     size = n_subjects * n_times
     if size > MAX_MATRIX_ROWS:
         raise ValueError(
             f"cluster covariance would have {size} rows; limit is {MAX_MATRIX_ROWS}"
         )
+    matrix = np.full((size, size), comps.cluster)
+    # axes (row subject, row time, column subject, column time) in a
+    # cohort, else (row time, row subject, column time, column subject)
     if cells.family is Family.COHORT:
-        subject = np.repeat(np.arange(n_subjects), n_times)
-        time = np.tile(np.arange(n_times), n_subjects)
+        blocks = matrix.reshape(n_subjects, n_times, n_subjects, n_times)
+        same_time = blocks.transpose(1, 3, 0, 2)
+        subjects = np.arange(n_subjects)
+        blocks.transpose(0, 2, 1, 3)[subjects, subjects] = comps.cluster + comps.subject
     else:
-        # fresh subjects at every time: globally distinct subject labels
-        subject = np.arange(size)
-        time = np.repeat(np.arange(n_times), n_subjects)
-
-    same_subject = subject[:, None] == subject[None, :]
-    same_time = time[:, None] == time[None, :]
-    matrix = np.where(
-        same_subject & same_time,
-        comps.total,
-        np.where(
-            same_subject,
-            comps.cluster + comps.subject,
-            np.where(same_time, comps.cluster + comps.cluster_by_time, comps.cluster),
-        ),
-    )
-    return matrix.astype(float, copy=False)
+        blocks = matrix.reshape(n_times, n_subjects, n_times, n_subjects)
+        same_time = blocks.transpose(0, 2, 1, 3)
+    times = np.arange(n_times)
+    same_time[times, times] = comps.cluster + comps.cluster_by_time
+    np.fill_diagonal(matrix, comps.total)
+    return matrix
 
 
 def vcorr(v: np.ndarray) -> np.ndarray:

@@ -4,11 +4,11 @@ A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
 measurements happen, and the cell means under the alternative.
 cell_table turns it into the design's one cluster-by-period schedule:
-randomized group, time, exposure to the tested effect and cell means of
-each run of interchangeable clusters.  It holds no design matrix: the
-engine fits the table from its exposure, and exemplary_dataset expands
-it into one row per measurement whose outcome column holds the modeled
-mean.
+randomized group, first period, exposure to the tested effect and cell
+means of each run of interchangeable clusters.  It holds no design
+matrix: the engine fits the table from its exposure, and
+exemplary_dataset expands it into one row per measurement whose outcome
+column holds the modeled mean.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 # the most rows exemplary_dataset builds
 MAX_DATASET_ROWS = 1_000_000
 # the most patterns x periods cells of a cell table; an evaluation or a
-# simulation holds about 41 to 55 bytes per cell of a wedge and 97 to
+# simulation holds about 33 to 49 bytes per cell of a wedge and 93 to
 # 113 of a parallel kind, so neither peaks above 290 MB
 _MAX_CELLS = 2_500_000
 # rows the dataset writers format at once
@@ -149,11 +149,6 @@ class DesignSpec:
     def n_times(self) -> int:
         layout = _layout(self)
         return max(layout.first) + layout.n_periods - 1
-
-    @property
-    def n_clusters(self) -> int:
-        """Number of randomized units (for rct kinds, each subject)."""
-        return sum(_layout(self).clusters)
 
     @property
     def family(self) -> Family:
@@ -391,9 +386,10 @@ class CellTable:
     interchangeable for the analysis.  Pattern k is a run of count[k]
     such clusters that neighbour in dataset order; two runs may match,
     and a common cluster size makes each randomized group one run.  Its
-    T cells are the periods such a cluster is measured in: one for
-    post-only kinds, and one for individually randomized kinds, where
-    every randomized unit is one measurement.  The exposure flags are
+    T cells, T = exposed.shape[1], are the periods from first[k] on that
+    such a cluster is measured in: one for post-only kinds, and one for
+    individually randomized kinds, where every randomized unit is one
+    measurement.  The exposure flags are
     the values of the tested effect's design column; the kind fixes the
     other columns.
 
@@ -402,7 +398,7 @@ class CellTable:
         group: (K,) randomized group, as in ExemplaryDataset.arm.
         m: (K,) subjects per cell.
         count: (K,) clusters in the run.
-        time: (K, T) measurement time of each cell.
+        first: (K,) first period: 2 for rct_prepost's post units, else 1.
         exposed: (K, T) whether the tested effect applies in each cell.
         mean: (K, T) modeled cell means.
     """
@@ -411,7 +407,7 @@ class CellTable:
     group: np.ndarray
     m: np.ndarray
     count: np.ndarray
-    time: np.ndarray
+    first: np.ndarray
     exposed: np.ndarray
     mean: np.ndarray
 
@@ -428,7 +424,7 @@ class CellTable:
     @property
     def n_observations(self) -> int:
         """Number of measurements, the rows of the exemplary dataset."""
-        return int(self.count @ self.m) * self.time.shape[1]
+        return int(self.count @ self.m) * self.exposed.shape[1]
 
     @property
     def cluster_pattern(self) -> np.ndarray:
@@ -440,8 +436,9 @@ def cell_table(spec: DesignSpec) -> CellTable:
     """The design's one cluster-by-period schedule, in runs of clusters.
 
     The schedule rows of the kind's layout become arrays here, with
-    times, exposure and means: the engine fits the table, correlation
-    sizes covariance blocks from it and exemplary_dataset expands it.
+    first periods, exposure and means: the engine fits the table,
+    correlation sizes covariance blocks from it and exemplary_dataset
+    expands it.
     Splits each group's slice of a cluster size list where the size
     changes, which costs the length of the user's list.  The table is
     built for any valid spec, a degenerate step layout included; the
@@ -456,9 +453,9 @@ def cell_table(spec: DesignSpec) -> CellTable:
     if isinstance(layout.size, (tuple, list)):
         row = np.repeat(np.arange(group.size), layout.clusters)
         sizes = np.asarray(layout.size, dtype=np.int64)
-        first = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
-        chosen, m = row[first], sizes[first]
-        count = np.diff(first, append=sizes.size)
+        starts = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
+        chosen, m = row[starts], sizes[starts]
+        count = np.diff(starts, append=sizes.size)
     else:
         chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)
@@ -467,20 +464,22 @@ def cell_table(spec: DesignSpec) -> CellTable:
             f"cell table of {m.size} patterns x {layout.n_periods} periods exceeds "
             f"the limit of {_MAX_CELLS} cells"
         )
-    time = np.add.outer(np.array(layout.first), np.arange(layout.n_periods))
+    first = np.array(layout.first)
+    period = np.arange(layout.n_periods)
     means = spec.cell_means
     if traits.periods == "wedge":
-        exposed = time > spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
+        # a wedge's first period is 1
+        exposed = period >= spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
         # post-only kinds have one period, so the arm flag is (K, T)
         exposed = group[:, None] == 2
         if traits.periods == "prepost":
-            exposed = exposed & (time == 2)
+            exposed = exposed & (first[:, None] + period == 2)
         mean = np.array(
             [
-                [float(means[(a, t)]) for t in times]
-                for a, times in zip(layout.group, time.tolist())
+                [float(means[(a, f + t)]) for t in range(layout.n_periods)]
+                for a, f in zip(layout.group, layout.first)
             ]
         )
     return CellTable(
@@ -488,7 +487,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
         group=group[chosen],
         m=m,
         count=count,
-        time=time[chosen],
+        first=first[chosen],
         exposed=exposed[chosen],
         mean=mean[chosen],
     )
@@ -510,7 +509,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
             f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
         )
     cells = cell_table(spec)
-    n_periods = cells.time.shape[1]
+    n_periods = cells.exposed.shape[1]
     sizes = np.repeat(cells.m, cells.count)
     if cells.family is Family.COHORT:
         subject_cluster = np.repeat(np.arange(sizes.size), sizes)
@@ -527,7 +526,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
         arm=cells.group[pattern],
         cluster_id=cluster + 1,
         subject_id=subject,
-        time=cells.time[pattern, period],
+        time=cells.first[pattern] + period,
         intervene=cells.exposed.astype(np.int64)[pattern, period],
         mean=cells.mean[pattern, period],
     )

@@ -537,6 +537,7 @@ def _sweep_matters(
     omu: float,
     half_lam: float,
     tail_mode: float,
+    pois_mode: float,
     *,
     upper: bool,
     step: int,
@@ -548,7 +549,8 @@ def _sweep_matters(
     exceeds the mode's; where they grow none up to the far end of the
     Poisson mass, _FAR_SD standard deviations from the mode, exceeds the
     one there, and Bernstein's inequality bounds the mass beyond.  A sweep
-    whose largest tail plus that mass is at most _MIXTURE_TOL is skipped.
+    whose largest tail plus that mass is at most _MIXTURE_TOL, times the
+    mode's term where the sum is the power itself, is skipped.
     Otherwise the Poisson mass past the budget's end, bounded by a
     geometric series, times the largest tail past it, plus the mass
     beyond, bounds what the budget leaves out.
@@ -574,7 +576,7 @@ def _sweep_matters(
 
     grows = (step > 0) == upper
     largest = tail(far) if grows else tail_mode
-    if largest + beyond <= _MIXTURE_TOL:
+    if largest + beyond <= _MIXTURE_TOL * (pois_mode * tail_mode if upper else 1.0):
         return False
     rest = _poisson_pmf(end, half_lam) * ratio
     left_out = min(rest, 1.0) * (largest if grows else tail(end)) + beyond
@@ -598,7 +600,8 @@ def _mixture(
     t_j = I_u(a + j, b) - I_u(a + j + 1, b), which a two-term recurrence
     updates, so only the mode's tail costs a continued fraction.  Each
     sweep stops once the Poisson mass it has left, bounded by a geometric
-    series, times the largest tail it would meet is at most _MIXTURE_TOL.
+    series, times the largest tail it would meet is at most _MIXTURE_TOL,
+    of the sum so far where tails shrink along an upper sum's sweep.
     While _FAR_SD Poisson standard deviations fit in the term budget
     (half_lam up to 6.25e6) that happens within the budget, because the
     Poisson weights underflow there.  Beyond, _sweep_matters decides
@@ -631,7 +634,7 @@ def _mixture(
     total = pois_mode * tail_mode
     sweep_up = sweep_down = True
     if _FAR_SD * math.sqrt(half_lam) > _MIXTURE_MAX_TERMS:
-        args = (a, b, u, omu, half_lam, tail_mode)
+        args = (a, b, u, omu, half_lam, tail_mode, pois_mode)
         sweep_up = _sweep_matters(*args, upper=upper, step=1)
         sweep_down = _sweep_matters(*args, upper=upper, step=-1)
 
@@ -660,7 +663,7 @@ def _mixture(
         total += pois * tail
         # Poisson ratios below j are at most (j - 1) / half_lam < 1
         rest = pois * j / half_lam / (1.0 - (j - 1.0) / half_lam)
-        if rest * (tail if upper else 1.0) <= _MIXTURE_TOL:
+        if rest * (tail if upper else 1.0) <= _MIXTURE_TOL * (total if upper else 1.0):
             break
 
     return min(max(total, 0.0), 1.0)

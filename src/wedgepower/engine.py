@@ -154,7 +154,7 @@ def _design_rows(cells: designs.CellTable, shift: float) -> np.ndarray:
     if prepost:
         rows[0] = (cells.group == 2)[:, None]
     if single:
-        rows[1] = cells.time == 2
+        rows[1] = (cells.first == 2)[:, None]
     rows[-2] = exposed
     np.subtract(cells.mean, shift, out=rows[-1])
     return rows

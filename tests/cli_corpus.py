@@ -3,7 +3,9 @@
 The corpus covers every preset: `power` under the default and each
 named ddf policy, in every format, with and without `--audit`, at alpha
 0.05 and 0.01; `mc` at seeds 1-3 with 20,000 replicates; `de` as a
-table and as JSON; `dataset` as CSV; and `vmatrix` as a table.  The
+table and as JSON; `dataset` as a table and as CSV; and `vmatrix` in
+every format, as covariance and as correlation, at the first cluster
+and, for example2_51's size list, at its last too.  The
 digest is one SHA-256 over each command's argv, stdout, stderr and exit
 status, so two checkouts print the same digest exactly when every
 command's output is the same.  Compare a change with its parent by
@@ -44,8 +46,14 @@ def commands() -> Iterator[list[str]]:
             yield ["mc", *preset, "--seed", seed, "--reps", "20000"]
         for fmt in ("table", "json"):
             yield ["de", *preset, "--format", fmt]
-        yield ["dataset", *preset, "--format", "csv"]
-        yield ["vmatrix", *preset]
+        for fmt in ("table", "csv"):
+            yield ["dataset", *preset, "--format", fmt]
+        # example2_51's last cluster has 6 subjects, its first 7
+        last = [["--cluster-index", "8"]] if name == "example2_51" else []
+        for cluster in ([], *last):
+            for fmt in ("table", "json", "csv"):
+                for matrix in ([], ["--correlation"]):
+                    yield ["vmatrix", *preset, *cluster, "--format", fmt, *matrix]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

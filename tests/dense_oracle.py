@@ -401,10 +401,15 @@ def regrouped_cells(spec: DesignSpec) -> designs.CellTable:
         group=groups[first],
         m=sizes[first],
         count=count,
-        time=dataset.time[cell_rows],
+        first=dataset.time[cell_rows[:, 0]],
         exposed=x[cell_rows][..., contrast_column(spec)] == 1.0,
         mean=dataset.mean[cell_rows],
     )
+
+
+def cell_times(cells: designs.CellTable) -> np.ndarray:
+    """(K, T) measurement period of each cell: pattern k's first plus t."""
+    return cells.first[:, None] + np.arange(cells.exposed.shape[1])
 
 
 def cell_design(cells: designs.CellTable) -> tuple[tuple[str, ...], np.ndarray]:
@@ -417,7 +422,7 @@ def cell_design(cells: designs.CellTable) -> tuple[tuple[str, ...], np.ndarray]:
     (K, T, p) array the package's cell table held before its fit read
     the exposure alone.
     """
-    time = cells.time
+    time = cell_times(cells)
     if cells.kind in SWD_KINDS:
         names = ("intercept", *(f"time_{t}" for t in time[0, 1:]), "intervene")
         x = np.empty((*time.shape, len(names)))
@@ -599,14 +604,15 @@ def resolve_ddf(spec: DesignSpec, policy: str) -> int:
                 f"ddf policy {policy!r} needs a clustered design; use 'residual' "
                 f"for {spec.kind.value}"
             )
+        n_clusters = len(cluster_structure(spec, dataset))
         if policy == "containment":
-            ddf = n - spec.n_clusters
+            ddf = n - n_clusters
         else:
             flags = columns(spec)
             structure = cluster_structure(spec, dataset)
             const_idx = [j for j, (_, constant, _) in enumerate(flags) if constant]
             cluster_level = np.array([x[cb.row_start, const_idx] for cb in structure])
-            between = spec.n_clusters - int(np.linalg.matrix_rank(cluster_level))
+            between = n_clusters - int(np.linalg.matrix_rank(cluster_level))
             within = (n - rank_x) - between
             uses_between = flags[contrast_column(spec)][2]
             ddf = between if uses_between else within
@@ -669,7 +675,7 @@ class StudySampler:
     def row_weights(self, cells: designs.CellTable, cell_weights: np.ndarray) -> np.ndarray:
         """Spread each cluster's cell weights over its subject rows, by their times."""
         pattern = cells.cluster_pattern[self.cluster]
-        period = np.argmax(cells.time[pattern] == self.time[:, None], axis=1)
+        period = np.argmax(cell_times(cells)[pattern] == self.time[:, None], axis=1)
         return cell_weights[pattern, period] / cells.m[pattern]
 
     def project(self, weights: np.ndarray) -> np.ndarray:

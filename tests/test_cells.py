@@ -78,7 +78,7 @@ def specs_and_params(draw):
             shape = dict(clusters_per_arm=(draw(count), draw(count)))
     spec = DesignSpec(kind=kind, cell_means=means, **shape)
     if kind not in RCT_KINDS:
-        n_clusters = spec.n_clusters
+        n_clusters = sum(spec.clusters_per_arm or spec.clusters_per_step)
         size = st.integers(1, 4)
         if draw(st.booleans()):
             sizes = tuple(draw(size) for _ in range(n_clusters))
@@ -163,7 +163,8 @@ def size_list_specs(draw):
         shape = dict(clusters_per_arm=(draw(count), draw(count)))
     spec = DesignSpec(kind=kind, cell_means=_BASE_MEANS[kind], **shape)
     pair = st.sampled_from((draw(st.integers(1, 8)), draw(st.integers(1, 8))))
-    sizes = tuple(draw(pair) for _ in range(spec.n_clusters))
+    n_clusters = sum(spec.clusters_per_arm or spec.clusters_per_step)
+    sizes = tuple(draw(pair) for _ in range(n_clusters))
     cohort = dense_oracle.FAMILY[kind] is correlation.Family.COHORT
     params = CorrelationParams(
         sigma_y_sq=25.0,
@@ -269,13 +270,14 @@ def test_counts_match_cells_and_reference_dataset(case):
     cells = cell_table(spec)
     dataset = dense_oracle.reference_dataset(spec)
     rows = tuple(np.bincount(dataset.cluster_id)[1:].tolist())
-    n_periods = cells.time.shape[1]
+    n_periods = cells.exposed.shape[1]
     sizes = tuple(cells.m[cells.cluster_pattern].tolist())
     assert tuple(n * n_periods for n in sizes) == rows
     # the counts need no means: the benchmark reads them on mean-less specs
     for design in (spec, dataclasses.replace(spec, cell_means={})):
-        assert design.n_times == int(cells.time.max()) == int(dataset.time.max())
-        assert design.n_clusters == cells.n_clusters == cells.cluster_pattern.size
+        assert design.n_times == int(dense_oracle.cell_times(cells).max())
+        assert design.n_times == int(dataset.time.max())
+        assert cells.n_clusters == cells.cluster_pattern.size
         assert cells.n_clusters == len(rows)
         assert design.cluster_subject_counts() == sizes
         assert design.n_observations == cells.n_observations == dataset.n_rows
@@ -290,14 +292,89 @@ def test_cluster_blocks_match_dense_oracle(name):
     comps = _components(spec, params)
     for index in range(cells.cluster_pattern.size):
         block = correlation.build_cluster_v(cells, comps, index)
-        np.testing.assert_array_equal(block, dense_oracle.cluster_v(spec, comps, index))
+        dense = dense_oracle.cluster_v(spec, comps, index)
+        np.testing.assert_array_equal(block.view(np.uint64), dense.view(np.uint64))
+
+
+# zeros of either sign, as a signed zero must survive into the matrix
+_SHARE = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 0.99)
+
+
+@st.composite
+def covariance_cases(draw):
+    """Clustered designs of sizes 1-8, common or listed, with any shares."""
+    kind = draw(st.sampled_from([kind for kind in DesignKind if kind not in RCT_KINDS]))
+    count = st.integers(1, 3)
+    if kind in SWD_KINDS:
+        steps = draw(st.integers(2, 3))
+        shape = dict(
+            steps_k=steps,
+            baseline_b=draw(st.integers(1, 2)),
+            per_step_t=draw(st.integers(1, 2)),
+            clusters_per_step=tuple(draw(count) for _ in range(steps)),
+        )
+    else:
+        shape = dict(clusters_per_arm=(draw(count), draw(count)))
+    size = st.integers(1, 8)
+    if draw(st.booleans()):
+        n_clusters = sum(shape.get("clusters_per_arm") or shape["clusters_per_step"])
+        shape["cluster_size"] = tuple(draw(size) for _ in range(n_clusters))
+    else:
+        shape["cluster_size"] = draw(size)
+    cohort = dense_oracle.FAMILY[kind] is correlation.Family.COHORT
+    params = CorrelationParams(
+        sigma_y_sq=draw(st.sampled_from([5e-324, 1e300]) | st.floats(1e-3, 1e3)),
+        icc=draw(_SHARE),
+        cac=draw(_SHARE),
+        sac=draw(_SHARE) if cohort else draw(st.sampled_from([0.0, -0.0])),
+    )
+    return DesignSpec(kind=kind, cell_means=_BASE_MEANS[kind], **shape), params
+
+
+@settings(max_examples=100, deadline=None)
+@given(covariance_cases())
+def test_cluster_blocks_match_dense_oracle_bit_for_bit(case):
+    # as uint64, as assert_array_equal takes -0.0 for 0.0
+    spec, params = case
+    cells = cell_table(spec)
+    comps = _components(spec, params)
+    dataset = dense_oracle.reference_dataset(spec)
+    for index in range(cells.n_clusters):
+        block = correlation.build_cluster_v(cells, comps, index)
+        dense = dense_oracle.cluster_v(spec, comps, index, dataset)
+        np.testing.assert_array_equal(block.view(np.uint64), dense.view(np.uint64))
+
+
+def test_cluster_block_is_its_one_allocation():
+    # a cohort cluster of 1,200 rows: the matrix is built in place, with
+    # no masks or label arrays beside it
+    spec = DesignSpec(
+        kind=DesignKind.SWD_COHORT,
+        steps_k=2,
+        baseline_b=1,
+        per_step_t=1,
+        clusters_per_step=(1, 1),
+        cluster_size=400,
+        cell_means=_BASE_MEANS[DesignKind.SWD_COHORT],
+    )
+    params = CorrelationParams(sigma_y_sq=25.0, icc=0.1, cac=0.4, sac=0.6)
+    cells = cell_table(spec)
+    comps = _components(spec, params)
+    tracemalloc.start()
+    try:
+        block = correlation.build_cluster_v(cells, comps, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (1200, 1200)
+    assert peak <= 1.1 * block.nbytes
 
 
 def cell_covariance(run):
     """(K, T, T) covariance S_k = a_k J + b_k I of the cell means of a
     cluster of pattern k, from the variance components' a and b."""
     a, b = run.components.cell_variances(run.cells.m)
-    n_periods = run.cells.time.shape[1]
+    n_periods = run.cells.exposed.shape[1]
     return a[:, None, None] + b[:, None, None] * np.eye(n_periods)
 
 
@@ -360,8 +437,9 @@ class TestCellTable:
         n_patterns, n_periods = cells.exposed.shape
         names, _ = dense_oracle.cell_design(cells)
         assert len(names) == len(dense_oracle.columns(spec))
-        assert cells.mean.shape == cells.time.shape == (n_patterns, n_periods)
-        assert int(cells.count.sum()) == spec.n_clusters
+        assert cells.mean.shape == (n_patterns, n_periods)
+        assert cells.first.shape == (n_patterns,)
+        assert int(cells.count.sum()) == len(dense_oracle.cluster_structure(spec))
         assert int(np.sum(cells.count * cells.m) * n_periods) == spec.n_observations
         np.testing.assert_array_equal(
             np.bincount(cells.cluster_pattern, minlength=n_patterns), cells.count
@@ -553,7 +631,7 @@ def _last_cluster_v(spec, params):
 def test_evaluation_allocates_nothing_per_cluster(name, call):
     # a million clusters: one int64 per cluster alone would take 8 MB
     spec, params = _LARGE[name]
-    assert spec.n_clusters >= 10**6
+    assert cell_table(spec).n_clusters >= 10**6
     tracemalloc.start()
     try:
         call(spec, params)

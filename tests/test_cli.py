@@ -16,6 +16,7 @@ from wedgepower.designs import (
     MAX_DATASET_ROWS,
     PRESETS,
     decode_spec_document,
+    cell_table,
     exemplary_dataset,
     get_preset,
 )
@@ -231,7 +232,8 @@ class TestDeCommand:
         payload = json.loads(out)
         assert payload["formula"] == "hussey_hughes"
         spec, params, _ = decode_spec_document(doc)
-        unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
+        n_clusters = cell_table(spec).n_clusters
+        unclustered = 4.0 * params.sigma_y_sq / (n_clusters * spec.cluster_size)
         gls = engine.evaluate(spec, params).fit.variance
         assert payload["design_effect"] * unclustered == pytest.approx(gls, rel=1e-12)
 
@@ -707,7 +709,7 @@ def test_output_corpus_ends_every_command_in_a_status():
     # cli_corpus.py digests these commands' output to compare two
     # checkouts; each must answer or refuse with status 2, never raise
     argvs = list(cli_corpus.commands())
-    assert len(argvs) == 550
+    assert len(argvs) == 616
     assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
 
 

@@ -26,6 +26,7 @@ from wedgepower.designs import (
     DesignKind,
     DesignSpec,
     SpecValidationError,
+    cell_table,
     get_preset,
     validate_spec,
 )
@@ -36,7 +37,8 @@ EXACT_MATCH_TOL = 1e-12
 
 def assert_gls_variance(spec, params, value):
     """A wedge design effect times the per-comparison variance is GLS's."""
-    unclustered = 4.0 * params.sigma_y_sq / (spec.n_clusters * spec.cluster_size)
+    n_clusters = cell_table(spec).n_clusters
+    unclustered = 4.0 * params.sigma_y_sq / (n_clusters * spec.cluster_size)
     gls = engine.evaluate(spec, params).fit.variance
     assert value * unclustered == pytest.approx(gls, rel=EXACT_MATCH_TOL)
 

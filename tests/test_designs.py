@@ -40,6 +40,7 @@ from wedgepower.engine import analytic_power, evaluate, variance_components
 from dense_oracle import (
     assert_same_dataset,
     cell_design,
+    cell_times,
     cluster_structure,
     dataset_from_csv,
     design_matrix,
@@ -261,12 +262,12 @@ class TestCounts:
         assert exemplary_dataset(spec).n_rows == EXPECTED_ROWS[name]
 
     def test_cluster_counts(self):
-        assert get_preset("example1")[0].n_clusters == 34
-        assert get_preset("example2")[0].n_clusters == 9
-        assert get_preset("example3")[0].n_clusters == 128
-        assert get_preset("example4")[0].n_clusters == 12
-        assert get_preset("example6")[0].n_clusters == 8
-        assert get_preset("example7")[0].n_clusters == 6
+        assert cell_table(get_preset("example1")[0]).n_clusters == 34
+        assert cell_table(get_preset("example2")[0]).n_clusters == 9
+        assert cell_table(get_preset("example3")[0]).n_clusters == 128
+        assert cell_table(get_preset("example4")[0]).n_clusters == 12
+        assert cell_table(get_preset("example6")[0]).n_clusters == 8
+        assert cell_table(get_preset("example7")[0]).n_clusters == 6
 
     @pytest.mark.parametrize("entry", [int, float, np.int64])
     def test_size_list_entries_count_alike(self, entry):
@@ -373,7 +374,7 @@ class TestCounts:
             code, out, err = runs[name]
             assert (code, err) == (0, ""), name
             assert out
-        limit = "cluster covariance would have 12505 rows; limit is 10000"
+        limit = "cluster covariance would have 12505 rows; limit is 2000"
         assert runs["vmatrix"] == [2, "", f"error: {limit}\n"]
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -529,9 +530,9 @@ class TestExemplaryDataset:
         data = exemplary_dataset(spec)
         cells = cell_table(spec)
         pattern = cells.cluster_pattern[data.cluster_id - 1]
-        period = data.time - cells.time[pattern, 0]
+        period = data.time - cells.first[pattern]
         np.testing.assert_array_equal(data.arm, cells.group[pattern])
-        np.testing.assert_array_equal(data.time, cells.time[pattern, period])
+        np.testing.assert_array_equal(data.time, cell_times(cells)[pattern, period])
         np.testing.assert_array_equal(data.intervene, cells.exposed[pattern, period])
         np.testing.assert_array_equal(data.mean, cells.mean[pattern, period])
 
@@ -540,7 +541,8 @@ class TestExemplaryDataset:
         # 2 x 3602 x 3603 design array
         spec = wedge_spec(baseline_b=3600, clusters_per_step=(1, 1), cluster_size=1)
         cells = cell_table(spec)
-        assert cells.exposed.shape == cells.time.shape == cells.mean.shape == (2, 3602)
+        assert cells.exposed.shape == cells.mean.shape == (2, 3602)
+        assert cells.first.tolist() == [1, 1]
         assert not hasattr(cells, "x")
         data = exemplary_dataset(spec)
         assert data.n_rows == 7204

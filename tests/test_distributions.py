@@ -520,10 +520,32 @@ class TestNoncentralFCdf:
 
     def test_power_one_skips_sweeps_that_add_nothing(self):
         # example1 with means 1e6 apart: every tail a sweep could meet is
-        # below the tolerance, so neither sweep runs
-        calls, result = work_of(lambda: power_from_f(3.4e11, 1, 32, 0.05))
-        assert result.power == 1.0
-        assert calls < 5_000
+        # below the tolerance, so neither sweep runs; the complemented sum
+        # keeps that absolute rule where a power's own sum is relative
+        for lam, ddf in ((3.4e11, 32), (1e12, 109)):
+            calls, result = work_of(lambda: power_from_f(lam, 1, ddf, 0.05))
+            assert result.power == 1.0
+            assert calls < 5_000
+
+    def test_tiny_powers_past_the_term_budget_follow_their_growth_law(self):
+        # at alpha 1e-100 and ddf 5 the power grows as lambda^2.5; a skip
+        # rule of 1e-13 absolute dropped the sweeps from 1.26e7 on and
+        # read about 3,150 times too low there
+        lams = (1.2e7, 1.25e7, 1.26e7, 2e7, 1e8)
+        powers = [power_from_f(lam, 1, 5, 1e-100).power for lam in lams]
+        assert powers == sorted(powers)
+        for lam, power in zip(lams, powers):
+            law = powers[0] * (lam / lams[0]) ** 2.5
+            assert power == pytest.approx(law, rel=1e-4, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+    def test_tiny_powers_keep_their_relative_precision(self, lam):
+        # the downward sweep of an upper-tail sum stopped on 1e-13
+        # absolute, after one term where every tail is far below it, and
+        # read 30-50% low; a 60-digit mpmath mixture agrees with scipy here
+        result = power_from_f(lam, 1, 5, 1e-100)
+        want = stats.ncf.sf(result.fcrit, 1, 5, lam)
+        assert result.power == pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_large_noncentrality_stays_stable(self):
         # the mode-centered expansion must not underflow to garbage

@@ -33,6 +33,7 @@ from wedgepower.engine import (
 import f_oracle
 from dense_oracle import (
     FAMILY,
+    cell_times,
     design_matrix,
     gls_estimate,
     reference_dataset,
@@ -372,7 +373,7 @@ class TestPowerAudit:
         run = power_audit(spec, params)
         assert run.cells.n_observations == 90
         assert run.cells.n_clusters == 6
-        assert run.cells.time.max() == 3
+        assert cell_times(run.cells).max() == 3
         assert run.contrast == "intervene"
         assert run.result.ddf_policy == "between_within"
         assert run.result.power == pytest.approx(FROZEN["example7"][2], rel=POWER_REL)

@@ -30,7 +30,7 @@ from wedgepower import engine, mc
 from wedgepower.correlation import CorrelationParams, Family
 from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
 
-from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS, cell_design
+from dense_oracle import FAMILY, RCT_KINDS, SWD_KINDS, cell_design, cell_times
 from test_cells import cell_covariance
 
 RTOL = 1e-12
@@ -85,7 +85,7 @@ def einsum_fit(cells, comps):
 
 def column_loop_x(spec, cells):
     """(names, x) of a wedge's design columns, filled one column at a time."""
-    time = cells.time
+    time = cell_times(cells)
     exposed = time > spec.baseline_b + (cells.group[:, None] - 1) * spec.per_step_t
     columns = [("intercept", 1)]
     for t in time[0, 1:]:
@@ -177,7 +177,8 @@ def designs_and_params(draw):
     if kind not in RCT_KINDS:
         size = st.integers(1, 30)
         if draw(st.integers(0, 2)) == 0:
-            sizes = tuple(draw(size) for _ in range(spec.n_clusters))
+            n_clusters = sum(spec.clusters_per_arm or spec.clusters_per_step)
+            sizes = tuple(draw(size) for _ in range(n_clusters))
         else:
             sizes = draw(size)
         spec = dataclasses.replace(spec, cluster_size=sizes)
@@ -234,7 +235,7 @@ def long_wedges(draw):
     )
     pair = st.sampled_from((draw(st.integers(1, 50)), draw(st.integers(1, 50))))
     if draw(st.booleans()):
-        sizes = tuple(draw(pair) for _ in range(spec.n_clusters))
+        sizes = tuple(draw(pair) for _ in range(sum(spec.clusters_per_step)))
     else:
         sizes = draw(pair)
     params = CorrelationParams(

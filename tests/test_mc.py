@@ -15,7 +15,7 @@ import pytest
 
 from wedgepower import mc
 from wedgepower.correlation import CorrelationParams
-from wedgepower.designs import PRESETS, DesignKind, DesignSpec, get_preset
+from wedgepower.designs import PRESETS, DesignKind, DesignSpec, cell_table, get_preset
 from wedgepower.distributions import central_f_quantile
 from wedgepower.engine import analytic_power, evaluate
 from wedgepower.mc import EmpiricalPower, SimulationPlan, empirical_power
@@ -148,7 +148,7 @@ class TestContrastProjection:
         run = evaluate(spec, params)
         center, spread, s2 = mc._contrast_projection(run)
         u = stacked_projection(run)
-        assert u.size == spec.n_clusters * run.cells.time.shape[1]
+        assert u.size == run.cells.n_clusters * run.cells.exposed.shape[1]
         # the per-pattern sum is the stacked u's norm to rounding
         assert spread == pytest.approx(math.sqrt(u @ u), rel=1e-15)
         sampler = dense_oracle.StudySampler(spec, run.components)
@@ -268,7 +268,7 @@ class TestChunks:
         # 6,000 clusters by 25 periods: one normal per cell would be
         # 307M normals for this run
         spec = wide_wedge(500)
-        assert spec.n_clusters == 6_000
+        assert cell_table(spec).n_clusters == 6_000
         _, params = get_preset("example6")
         plan = SimulationPlan(spec=spec, params=params, replicates=2048, seed=1)
         drawn = count_normals(monkeypatch)
