@@ -13,6 +13,8 @@ sections).  --format offers only what a subcommand writes: table and
 json for de and mc, table and csv for dataset, and table, json and csv
 for power (--audit not as csv) and vmatrix.  Exit status is 0 on
 success, 2 on a validation or usage problem, 1 on an I/O failure.
+
+The parser is built once, at import, and every main call parses with it.
 """
 
 from __future__ import annotations
@@ -117,12 +119,12 @@ def _vmatrix_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with every subcommand or only the named one.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand; main parses with one copy.
 
-    A parser for one subcommand parses that subcommand's arguments, and
-    writes its help and errors, exactly as the full parser does; the
-    metavar keeps the full command list in its top-level usage line.
+    Nothing in it depends on the input, and parsing leaves it as it was,
+    so the module builds it once at import (_PARSER) and every main call
+    in the process reuses it.
     """
     parser = argparse.ArgumentParser(
         prog="wedgepower",
@@ -130,17 +132,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "stepped wedge trials.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = list(_SUBCOMMANDS)
-    else:
-        # a metavar would also replace `command` in the missing and
-        # unknown command errors, which only the full parser reports
-        metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        names = [command]
-    for name in names:
-        entry = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in _SUBCOMMANDS.items():
         entry.add_options(sub.add_parser(name, help=entry.help))
     return parser
 
@@ -400,14 +393,11 @@ _SUBCOMMANDS = {
         "one cluster's covariance matrix", _vmatrix_options, _cmd_vmatrix
     ),
 }
+_PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # only an exact subcommand name selects a one-command parser; the
-    # full parser answers everything else (help, version, a bad command)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _emit(_SUBCOMMANDS[args.command].run(args), args.out)
         return 0

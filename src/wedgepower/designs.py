@@ -164,7 +164,8 @@ class DesignSpec:
 
     @property
     def n_observations(self) -> int:
-        return _n_observations(_layout(self))
+        layout = _layout(self)
+        return _n_observations(layout, _exact_ints(layout.size))
 
 
 class _Layout(NamedTuple):
@@ -205,15 +206,16 @@ def _layout(spec: DesignSpec) -> _Layout:
 
 
 def _exact_ints(values) -> bool:
-    # the fast paths for a size list: exact ints, no bools or numpy ints
-    return set(map(type, values)) <= {int}
+    # the fast paths for a count list: exact ints, no bools or numpy ints
+    return isinstance(values, (list, tuple)) and set(map(type, values)) <= {int}
 
 
-def _n_observations(layout: _Layout) -> int:
-    # no per-cluster tuple: validate_spec reads this to refuse huge designs
+def _n_observations(layout: _Layout, exact: bool) -> int:
+    # no per-cluster tuple: validate_spec reads this to refuse huge designs;
+    # exact is _exact_ints of the size, which a size list sums as it stands
     size = layout.size
     if isinstance(size, (tuple, list)):
-        total = sum(size) if _exact_ints(size) else sum(map(int, size))
+        total = sum(size) if exact else sum(map(int, size))
         return total * layout.n_periods
     return int(size) * sum(layout.clusters) * layout.n_periods
 
@@ -228,8 +230,13 @@ _MISSING = {
 }
 
 
-def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
-    """Check one count field, as validate_spec describes; True if usable."""
+def _check_count_field(
+    errors: list[str], name: str, value, used: bool, exact: bool
+) -> bool:
+    """Check one count field, as validate_spec describes; True if usable.
+
+    exact is _exact_ints(value), which the caller takes once per field.
+    """
     path = f"design.{name}"
     if value is None:
         if used:
@@ -244,7 +251,7 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
         errors.append(f"{path}: must be a list, got {value!r}")
         return False
     # a list of exact ints, each at least 1 if used, needs no entry loop
-    if listed and _exact_ints(value) and (not used or min(value, default=1) >= 1):
+    if listed and exact and (not used or min(value, default=1) >= 1):
         return True
     before = len(errors)
     for i, count in enumerate(value if listed else (value,)):
@@ -268,8 +275,12 @@ def _count_errors(spec: DesignSpec) -> list[str]:
             f"got {spec.kind!r}"
         )
     used = _CATALOG[spec.kind].counts if known else ()
+    # one type pass over each list, for its check and the observation count
+    exact = {name: _exact_ints(getattr(spec, name)) for name in _COUNT_FIELDS}
     ok = {
-        name: _check_count_field(errors, name, getattr(spec, name), name in used)
+        name: _check_count_field(
+            errors, name, getattr(spec, name), name in used, exact[name]
+        )
         for name in _COUNT_FIELDS
     }
 
@@ -292,7 +303,7 @@ def _count_errors(spec: DesignSpec) -> list[str]:
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {n_clusters} clusters"
             )
-    n = _n_observations(layout) if not errors else 0
+    n = _n_observations(layout, exact["cluster_size"]) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors
@@ -453,9 +464,12 @@ def cell_table(spec: DesignSpec) -> CellTable:
     if isinstance(layout.size, (tuple, list)):
         row = np.repeat(np.arange(group.size), layout.clusters)
         sizes = np.asarray(layout.size, dtype=np.int64)
-        starts = np.flatnonzero(np.diff(row, prepend=-1) | np.diff(sizes, prepend=0))
-        chosen, m = row[starts], sizes[starts]
-        count = np.diff(starts, append=sizes.size)
+        # a run ends where the group or the size changes, and at the end
+        edge = np.ones(sizes.size + 1, dtype=bool)
+        edge[1:-1] = (row[1:] != row[:-1]) | (sizes[1:] != sizes[:-1])
+        edges = np.flatnonzero(edge)
+        starts = edges[:-1]
+        chosen, m, count = row[starts], sizes[starts], edges[1:] - starts
     else:
         chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)

@@ -5,13 +5,17 @@ named ddf policy, in every format, with and without `--audit`, at alpha
 0.05 and 0.01; `mc` at seeds 1-3 with 20,000 replicates; `de` as a
 table and as JSON; `dataset` as a table and as CSV; and `vmatrix` in
 every format, as covariance and as correlation, at the first cluster
-and, for example2_51's size list, at its last too.  The
+and, for example2_51's size list, at its last too.  It then pins the
+parser's own output: usage, top-level and per-command help, --version,
+and the usage errors for a missing or unknown command, an unknown
+option, a format the command does not write and a stray argument.  The
 digest is one SHA-256 over each command's argv, stdout, stderr and exit
-status, so two checkouts print the same digest exactly when every
-command's output is the same.  Compare a change with its parent by
-running this script on each:
+status, a usage exit's included, so two checkouts print the same
+digest exactly when every command's output is the same.  Compare a
+change with its parent by running this script on each, at one terminal
+width, since help wraps to it:
 
-    PYTHONPATH=src python tests/cli_corpus.py [--each]
+    COLUMNS=80 PYTHONPATH=src python tests/cli_corpus.py [--each]
 
 `--each` also prints one line per command: its status, its own digest
 and its argv, for finding the command whose output moved.
@@ -54,13 +58,38 @@ def commands() -> Iterator[list[str]]:
             for fmt in ("table", "json", "csv"):
                 for matrix in ([], ["--correlation"]):
                     yield ["vmatrix", *preset, *cluster, "--format", fmt, *matrix]
+    yield from parser_commands()
+
+
+def parser_commands() -> Iterator[list[str]]:
+    """Help, --version and usage errors, and the valid commands they vary."""
+    yield from ([], ["--help"], ["--version"], ["bogus"], ["pow"])
+    valid = {
+        "de": ["--n-unclustered", "34"],
+        "power": ["--audit"],
+        "mc": ["--reps", "300"],
+        "dataset": ["--format", "csv"],
+        "vmatrix": ["--correlation"],
+    }
+    for command, options in valid.items():
+        scenario = [command, "--preset", "example2"]
+        yield [command, "--help"]
+        yield [command, *options]
+        yield [*scenario, "--bogus"]
+        yield [*scenario, "--format", "xml"]
+        yield [*scenario, "stray"]
+        yield [*scenario, *options]
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """(exit status, stdout, stderr) of one command run through cli.main."""
+    """(exit status, stdout, stderr) of one command run through cli.main,
+    the status of a help, version or usage exit included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.main(argv)
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
     return status, out.getvalue(), err.getvalue()
 
 

@@ -11,6 +11,7 @@ the same schedule as the cells, must equal the oracle's row-by-row one.
 """
 
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -207,6 +208,24 @@ def test_runs_match_regrouped_patterns(case):
     assert runs.variance == pytest.approx(patterns.variance, rel=INFO_RTOL)
     scale = np.abs(cells.mean).max()
     np.testing.assert_allclose(runs.beta, patterns.beta, rtol=0.0, atol=INFO_RTOL * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size_list_specs())
+@example((_ALTERNATING, None))
+@example((dataclasses.replace(_ALTERNATING, cluster_size=(5,) * 8), None))
+@example((dataclasses.replace(_ALTERNATING, cluster_size=(5, 5, 5, 6, 6, 5, 5, 5)), None))
+def test_runs_are_maximal(case):
+    # each run is a longest stretch of neighbouring clusters with one
+    # group and one size: a run breaks at a group's end even when the
+    # size goes on
+    spec, _ = case
+    cells = cell_table(spec)
+    groups = [block.group for block in dense_oracle.cluster_structure(spec)]
+    keys = zip(groups, spec.cluster_subject_counts())
+    runs = [(g, m, len(list(run))) for (g, m), run in itertools.groupby(keys)]
+    assert list(zip(cells.group.tolist(), cells.m.tolist(), cells.count.tolist())) == runs
+    assert cells.count.dtype == cells.m.dtype == np.int64
 
 
 def test_alternating_sizes_make_more_runs_than_patterns():

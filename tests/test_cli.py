@@ -4,8 +4,12 @@ All commands run in-process through main(argv), with stdout and stderr
 captured by pytest.
 """
 
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -707,9 +711,10 @@ def test_subnormal_variance_refused_in_one_line(capsys, tmp_path, doc, design_ef
 
 def test_output_corpus_ends_every_command_in_a_status():
     # cli_corpus.py digests these commands' output to compare two
-    # checkouts; each must answer or refuse with status 2, never raise
+    # checkouts; each must answer or refuse with status 2, help and
+    # usage exits included, never raise
     argvs = list(cli_corpus.commands())
-    assert len(argvs) == 616
+    assert len(argvs) == 651
     assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
 
 
@@ -770,40 +775,22 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def command_corpus():
-    corpus = [(), ("--help",), ("--version",), ("bogus",), ("pow",)]
-    valid = {
-        "de": ("--n-unclustered", "34"),
-        "power": ("--audit",),
-        "mc": ("--reps", "300"),
-        "dataset": ("--format", "csv"),
-        "vmatrix": ("--correlation",),
-    }
-    for command, options in valid.items():
-        scenario = (command, "--preset", "example2")
-        corpus += [
-            (command, "--help"),
-            (command, *options),
-            scenario + ("--bogus",),
-            scenario + ("--format", "xml"),
-            scenario + ("stray",),
-            scenario + options,
-        ]
-    return corpus
+def fresh_process(argv):
+    """Exit status, stdout and stderr of one command in a new interpreter."""
+    source = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "wedgepower.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
-class TestOneCommandParser:
-    @pytest.mark.parametrize("argv", command_corpus(), ids=" ".join)
-    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
-        # the parser built for argv[0] alone must parse, run and fail
-        # exactly as the parser with every subcommand
-        one = outcome(capsys, argv)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-        assert outcome(capsys, argv) == one
-
+class TestSharedParser:
     def test_full_parser_names_the_command_argument(self, capsys):
-        # a metavar on the full parser would name {de,...} here instead
+        # a metavar on the parser would name {de,...} here instead
         code, _, err = outcome(capsys, ())
         assert code == 2
         assert err.endswith("error: the following arguments are required: command\n")
@@ -811,19 +798,75 @@ class TestOneCommandParser:
         assert code == 2
         assert "error: argument command: invalid choice: 'bogus'" in err
 
+    @pytest.mark.parametrize("argv", list(cli_corpus.parser_commands()), ids=" ".join)
+    def test_matches_a_new_parser(self, capsys, monkeypatch, argv):
+        # after commands that set every stateful option, the module's
+        # parser answers, helps and refuses as a newly built one does
+        power = ("power", "--preset", "example6", "--audit", "--format", "json")
+        outcome(capsys, (*power, "--alpha", "0.01", "--ddf-policy", "residual"))
+        outcome(capsys, ("mc", "--preset", "example2", "--seed", "5", "--reps", "300"))
+        shared = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        assert outcome(capsys, argv) == shared
+
+    def test_commands_build_no_parser(self, capsys, monkeypatch):
+        # the module's one parser serves every call, help and errors too
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        scenario = ("--preset", "example2")
+        commands = [
+            ("power", *scenario),
+            ("power", *scenario, "--audit", "--format", "json"),
+            ("mc", *scenario, "--reps", "100"),
+            ("de", *scenario),
+            ("dataset", *scenario, "--format", "csv"),
+            ("vmatrix", *scenario),
+            ("--help",),
+            ("power", "--help"),
+            ("power", *scenario, "--bogus"),
+        ]
+        for argv in commands:
+            outcome(capsys, argv)
+        assert built == []
+
     @pytest.mark.parametrize(
-        "argv, built",
+        "before, argv",
         [
-            (("power", "--preset", "example2"), 1),
-            (("mc", "--preset", "example2", "--reps", "100"), 1),
-            (("--help",), 5),
+            (
+                [("power", "--preset", "example6", "--audit", "--format", "json")],
+                ("power", "--preset", "example6", "--format", "json"),
+            ),
+            (
+                [("mc", "--preset", "example2", "--seed", "5", "--reps", "300")],
+                ("mc", "--preset", "example2", "--reps", "300"),
+            ),
+            (
+                [("power", "--preset", "example2", "--alpha", "0.01")],
+                ("power", "--preset", "example2"),
+            ),
+            (
+                [("power", "--preset", "example6", "--ddf-policy", "residual")],
+                ("power", "--preset", "example6"),
+            ),
+            (
+                [("de", "--preset", "example2"), ("de", "--help")],
+                ("de", "--preset", "example2", "--n-unclustered", "34"),
+            ),
+            (
+                [("power", "--preset", "example2"), ("power", "--format", "xml")],
+                ("power", "--preset", "example2", "--format", "csv"),
+            ),
         ],
+        ids=["audit", "seed", "alpha", "ddf-policy", "help", "usage-error"],
     )
-    def test_builds_only_the_invoked_subcommand(self, capsys, monkeypatch, argv, built):
-        calls = []
-        add = cli._add_scenario_options
-        monkeypatch.setattr(
-            cli, "_add_scenario_options", lambda *a: calls.append(a) or add(*a)
-        )
-        outcome(capsys, argv)
-        assert len(calls) == built
+    def test_no_state_carries_to_the_next_command(self, capsys, before, argv):
+        # the command after others in one process answers as in a new one
+        for earlier in before:
+            outcome(capsys, earlier)
+        assert outcome(capsys, argv) == fresh_process(argv)

@@ -268,7 +268,7 @@ class TestBgrat:
         x, omx = bgrat_inside(a, bgrat_reach(a) * (1.0 - 1e-9) * 10**log_share)
         got = assert_routed_to_bgrat(a, x, omx)
         want = f_oracle.continued_fraction_ibeta(a, 0.5, x, omx)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "a,omx",
@@ -285,7 +285,7 @@ class TestBgrat:
         omx = 1.0 - x
         monkeypatch.setattr(distributions, "_BGRAT_D", distributions._BGRAT_D[:7])
         got = assert_routed_to_bgrat(a, x, omx)
-        assert got == pytest.approx(float(mp_ibeta(a, 0.5, x)), rel=1e-13)
+        assert got == pytest.approx(float(mp_ibeta(a, 0.5, x)), rel=1e-13, abs=0.0)
 
     def test_region_edges_take_the_continued_fraction(self, monkeypatch):
         monkeypatch.setattr(distributions, "_bgrat", None)
@@ -755,7 +755,8 @@ class TestUpperTailSolve:
         [(1, 1), (1, 9), (2, 2), (3, 17), (10, 1), (5, 40), (1, 10**5), (10, 10**5)],
     )
     def test_null_power_is_alpha(self, ndf, ddf, alpha):
-        assert power_from_f(0.0, ndf, ddf, alpha).power == pytest.approx(alpha, rel=1e-10)
+        power = power_from_f(0.0, ndf, ddf, alpha).power
+        assert power == pytest.approx(alpha, rel=1e-10, abs=0.0)
 
     def test_alpha_with_no_representable_critical_value(self):
         # F(1, 1) exceeds 4e399 with probability 1e-200
