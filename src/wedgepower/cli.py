@@ -367,7 +367,9 @@ def _cmd_vmatrix(args) -> str:
         matrix = correlation.vcorr(matrix)
 
     if args.fmt == "json":
-        return json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n"
+        # json.dumps({"matrix": matrix.tolist()}, indent=2), built a row at a time
+        rows = (json.dumps(r.tolist(), indent=2).replace("\n", "\n    ") for r in matrix)
+        return '{\n  "matrix": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n"
     # one format string per row; "%.1f" % v never shortens as |v| grows on
     # either side of 0, so the extremes fix the table width
     if args.fmt == "csv":

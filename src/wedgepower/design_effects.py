@@ -312,26 +312,26 @@ def inflate_sample_size(
     )
 
 
-def _hussey_hughes(spec, params, n: int) -> DesignEffectResult:
+def _hussey_hughes(layout, params, n: int) -> DesignEffectResult:
     """Exact GLS design effect of an equal-size wedge (Hussey & Hughes 2007).
 
     Cluster-period means have covariance tau2*J + sigma2*I (sigma_y_sq
-    = 1; sac is 0 unless clusters are cohorts).  Step s of k has c_s
-    clusters exposed in e_s = (k - s + 1)*t of the T periods.  With
+    = 1; sac is 0 unless clusters are cohorts).  Group s has c_s
+    clusters, exposed from period x_s on: e_s = T - x_s periods.  With
     I = sum c_s, U = sum c_s*e_s, V = sum c_s*e_s**2 and
-    W = t * sum (c_1 + ... + c_s)**2,
+    W = sum (c_1 + ... + c_s)**2 * (x_{s+1} - x_s), x_{k+1} = T,
 
         Var = I*sigma2*(sigma2 + T*tau2)
               / ((I*U - W)*sigma2 + (U**2 + I*T*U - T*W - I*V)*tau2)
 
     and DE = Var*I*n/4 counts one comparison per cluster-period.
     """
-    k, t = int(spec.steps_k), int(spec.per_step_t)
-    counts = list(map(int, spec.clusters_per_step))
-    i, n_times = sum(counts), int(spec.baseline_b) + k * t
-    u = sum(c * (k - s) * t for s, c in enumerate(counts))
-    v = sum(c * ((k - s) * t) ** 2 for s, c in enumerate(counts))
-    w = t * sum(total * total for total in itertools.accumulate(counts))
+    counts, switch, n_times = layout.clusters, layout.switch, layout.n_periods
+    i = sum(counts)
+    u = sum(c * (n_times - x) for c, x in zip(counts, switch))
+    v = sum(c * (n_times - x) ** 2 for c, x in zip(counts, switch))
+    spans = (after - x for x, after in zip(switch, (*switch[1:], n_times)))
+    w = sum(total**2 * span for total, span in zip(itertools.accumulate(counts), spans))
     rho, cac, sac = float(params.icc), float(params.cac), float(params.sac)
     tau2 = cac * rho + sac * (1.0 - rho) / n
     sigma2 = (1.0 - cac) * rho + (1.0 - sac) * (1.0 - rho) / n
@@ -352,10 +352,10 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     the exact Hussey & Hughes variance.  Single-step wedges, unequal
     cluster sizes, and the counts and correlation inputs that power
     refuses are refused, the latter with its messages.  A size list or
-    a single step is named before a singular cluster covariance.  Cell
-    means are not read.
+    a single step is named before a singular cluster covariance.  Reads
+    the layout the count check returns, not the count fields or means.
     """
-    designs.ensure_counts(spec)
+    layout = designs.ensure_counts(spec)
     # sac is 0 unless a cluster is a cohort: variance_components refuses it
     comps = engine.variance_components(spec, params)
     traits = designs.kind_traits(spec.kind)
@@ -363,7 +363,7 @@ def design_effect_for(spec, params) -> DesignEffectResult:
         return DesignEffectResult(
             value=1.0, factors={}, baseline_r=None, formula="unclustered"
         )
-    size = spec.cluster_size
+    size = layout.size
     sizes = set(map(int, size)) if isinstance(size, (tuple, list)) else {int(size)}
     if len(sizes) != 1:
         raise ValueError(
@@ -375,16 +375,16 @@ def design_effect_for(spec, params) -> DesignEffectResult:
         return de_simple(n, params.icc)
     if traits.periods == "prepost":
         return de_ancova_prepost(n, params.icc, params.cac, params.sac)
-    k, b, t = spec.steps_k, spec.baseline_b, spec.per_step_t
+    k, b = len(layout.switch), layout.switch[0]
     if k < 2:
         raise ValueError(_ONE_STEP)
-    equal = len(set(spec.clusters_per_step)) == 1
+    equal = len(set(layout.clusters)) == 1
     cohort = traits.family is Family.COHORT
-    if equal and cohort and spec.n_times == 3:
+    if equal and cohort and layout.n_periods == 3:
         return de_three_measurement(n, params.icc, params.cac, params.sac)
     if equal and not cohort and params.cac == 1.0:
-        return de_stepped_wedge(k, b, t, n, params.icc)
+        return de_stepped_wedge(k, b, layout.switch[1] - b, n, params.icc)
     # the closed forms above check the covariance themselves, or meet no
     # singular one: their residual share (1 - icc) * sigma_y_sq is positive
     comps.cell_variances(n)
-    return _hussey_hughes(spec, params, n)
+    return _hussey_hughes(layout, params, n)

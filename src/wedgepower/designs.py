@@ -90,8 +90,6 @@ _CATALOG = {
     DesignKind.SWD_XSEC: KindTraits(_WEDGE, "wedge", True, _XSEC, _PHASES),
     DesignKind.SWD_COHORT: KindTraits(_WEDGE, "wedge", True, _COHORT, _PHASES),
 }
-# measurement periods of the parallel period models
-_PARALLEL_PERIODS = {"post": 1, "prepost": 2}
 RCT_KINDS = frozenset(kind for kind, row in _CATALOG.items() if not row.clustered)
 
 
@@ -169,11 +167,12 @@ class DesignSpec:
 
 
 class _Layout(NamedTuple):
-    """A design's schedule rows, one per randomized group, as counts."""
+    """A design's one schedule, a row per randomized group, as counts."""
 
     group: tuple[int, ...]  # as in ExemplaryDataset.arm
     clusters: tuple[int, ...]  # clusters the row stands for
     first: tuple[int, ...]  # the first of the row's T consecutive periods
+    switch: tuple[int, ...]  # the row's first exposed period of its T, from 0; T if none
     n_periods: int  # T, the periods each cluster is measured in
     size: int | tuple[int, ...]  # subjects per cluster-period
 
@@ -181,28 +180,31 @@ class _Layout(NamedTuple):
 def _layout(spec: DesignSpec) -> _Layout:
     """The one place a kind's count fields become groups, clusters and periods.
 
-    Individually randomized kinds make every subject a cluster of one
-    measured once, so they have one single-period row per arm-time
-    cell.  Reads no means; holds no list of periods, so its cost
-    follows the groups however many periods there are.
+    The count check builds it and returns it, so its callers read no
+    count field.  Individually randomized kinds make every subject a
+    cluster of one measured once: a single-period row per arm-time cell.
+    A wedge's step s switches after b + (s - 1) t periods, a parallel
+    kind's arm 2 in its last.  Reads no means; holds no list of periods,
+    so its cost follows the groups however many there are.
     """
     row = _CATALOG[spec.kind]
+    size = spec.cluster_size if row.clustered else 1
     if row.periods == "wedge":
-        group = tuple(range(1, int(spec.steps_k) + 1))
+        k, b, t = int(spec.steps_k), int(spec.baseline_b), int(spec.per_step_t)
+        group, switch = tuple(range(1, k + 1)), tuple(range(b, b + k * t, t))
         clusters = tuple(map(int, spec.clusters_per_step))
-        first = (1,) * len(group)
-        n_periods = int(spec.baseline_b) + int(spec.steps_k) * int(spec.per_step_t)
-    elif row.clustered:
-        group, first = (1, 2), (1, 1)
+        return _Layout(group, clusters, (1,) * k, switch, b + k * t, size)
+    last = 2 if row.periods == "prepost" else 1
+    if row.clustered:
+        group, first, n_periods = (1, 2), (1, 1), last
         clusters = tuple(map(int, spec.clusters_per_arm))
-        n_periods = _PARALLEL_PERIODS[row.periods]
     else:
-        periods = range(1, _PARALLEL_PERIODS[row.periods] + 1)
+        periods = range(1, last + 1)
         group = tuple(arm for arm in (1, 2) for _ in periods)
         clusters = (int(spec.per_group_n),) * len(group)
         first, n_periods = tuple(periods) * 2, 1
-    size = spec.cluster_size if row.clustered else 1
-    return _Layout(group, clusters, first, n_periods, size)
+    switch = tuple(last - f if g == 2 else n_periods for g, f in zip(group, first))
+    return _Layout(group, clusters, first, switch, n_periods, size)
 
 
 def _exact_ints(values) -> bool:
@@ -265,8 +267,8 @@ def _check_count_field(
     return len(errors) == before
 
 
-def _count_errors(spec: DesignSpec) -> list[str]:
-    """validate_spec's messages on the spec's kind and count fields."""
+def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
+    """validate_spec's kind and count messages, and the layout (set if none)."""
     errors: list[str] = []
     known = isinstance(spec.kind, DesignKind)
     if not known:
@@ -292,12 +294,10 @@ def _count_errors(spec: DesignSpec) -> list[str]:
                 f"steps_k={spec.steps_k}"
             )
             ok["clusters_per_step"] = False
-    size = spec.cluster_size
-    listed = isinstance(size, (list, tuple))
     counted = known and all(ok[name] for name in used if name != "cluster_size")
-    # one layout for both checks below, built only when one of them runs
-    layout = _layout(spec) if counted and (listed or not errors) else None
-    if "cluster_size" in used and counted and listed:
+    layout = _layout(spec) if counted else None
+    size = spec.cluster_size
+    if "cluster_size" in used and counted and isinstance(size, (list, tuple)):
         n_clusters = sum(layout.clusters)
         if len(size) != n_clusters:
             errors.append(
@@ -306,14 +306,18 @@ def _count_errors(spec: DesignSpec) -> list[str]:
     n = _n_observations(layout, exact["cluster_size"]) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
-    return errors
+    return errors, layout
 
 
-def ensure_counts(spec: DesignSpec) -> None:
-    """Raise validate_spec's kind and count errors, leaving means and alpha."""
-    errors = _count_errors(spec)
+def _checked(errors: list[str], layout: _Layout | None) -> _Layout:
     if errors:
         raise SpecValidationError(errors)
+    return layout
+
+
+def ensure_counts(spec: DesignSpec) -> _Layout:
+    """Raise validate_spec's kind and count errors; return the layout built."""
+    return _checked(*_count_errors(spec))
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:
@@ -331,7 +335,12 @@ def validate_spec(spec: DesignSpec) -> list[str]:
     too.  Each message starts with the path of the offending field,
     so callers can surface all problems at once rather than the first.
     """
-    errors = _count_errors(spec)
+    return _spec_errors(spec)[0]
+
+
+def _spec_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
+    # validate_spec's messages, with the layout of its count check
+    errors, layout = _count_errors(spec)
     means = spec.cell_means
     if not isinstance(means, Mapping):
         errors.append(f"design.means: must map cells to means, got {means!r}")
@@ -355,15 +364,12 @@ def validate_spec(spec: DesignSpec) -> list[str]:
         errors.append(
             f"analysis.alpha: must be a real number in (0, 1), got {spec.alpha!r}"
         )
+    return errors, layout
 
-    return errors
 
-
-def ensure_valid(spec: DesignSpec) -> DesignSpec:
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
-    return spec
+def ensure_valid(spec: DesignSpec) -> _Layout:
+    """Raise validate_spec's errors; return the layout its count check built."""
+    return _checked(*_spec_errors(spec))
 
 
 @dataclass(eq=False)
@@ -446,10 +452,10 @@ class CellTable:
 def cell_table(spec: DesignSpec) -> CellTable:
     """The design's one cluster-by-period schedule, in runs of clusters.
 
-    The schedule rows of the kind's layout become arrays here, with
-    first periods, exposure and means: the engine fits the table,
-    correlation sizes covariance blocks from it and exemplary_dataset
-    expands it.
+    The rows of the layout its validation builds become arrays, with
+    first periods, exposure (from each row's switch on) and means: the
+    engine fits the table, correlation sizes covariance blocks from it
+    and exemplary_dataset expands it.
     Splits each group's slice of a cluster size list where the size
     changes, which costs the length of the user's list.  The table is
     built for any valid spec, a degenerate step layout included; the
@@ -457,9 +463,11 @@ def cell_table(spec: DesignSpec) -> CellTable:
     patterns x periods cells is refused, from the counts, before any
     array is built.
     """
-    ensure_valid(spec)
-    traits = _CATALOG[spec.kind]
-    layout = _layout(spec)
+    return _cell_table(spec, ensure_valid(spec))
+
+
+def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
+    # cell_table of a valid spec, from the layout its validation built
     group = np.array(layout.group)
     if isinstance(layout.size, (tuple, list)):
         row = np.repeat(np.arange(group.size), layout.clusters)
@@ -478,30 +486,19 @@ def cell_table(spec: DesignSpec) -> CellTable:
             f"cell table of {m.size} patterns x {layout.n_periods} periods exceeds "
             f"the limit of {_MAX_CELLS} cells"
         )
-    first = np.array(layout.first)
-    period = np.arange(layout.n_periods)
+    exposed = np.arange(layout.n_periods) >= np.array(layout.switch)[:, None]
     means = spec.cell_means
-    if traits.periods == "wedge":
-        # a wedge's first period is 1
-        exposed = period >= spec.baseline_b + (group[:, None] - 1) * spec.per_step_t
+    if _CATALOG[spec.kind].periods == "wedge":
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
-        # post-only kinds have one period, so the arm flag is (K, T)
-        exposed = group[:, None] == 2
-        if traits.periods == "prepost":
-            exposed = exposed & (first[:, None] + period == 2)
-        mean = np.array(
-            [
-                [float(means[(a, f + t)]) for t in range(layout.n_periods)]
-                for a, f in zip(layout.group, layout.first)
-            ]
-        )
+        rows, periods = zip(layout.group, layout.first), range(layout.n_periods)
+        mean = np.array([[float(means[(a, f + t)]) for t in periods] for a, f in rows])
     return CellTable(
         kind=spec.kind,
         group=group[chosen],
         m=m,
         count=count,
-        first=first[chosen],
+        first=np.array(layout.first)[chosen],
         exposed=exposed[chosen],
         mean=mean[chosen],
     )
@@ -517,12 +514,13 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     MAX_DATASET_ROWS rows are refused from counts before any array is
     built.
     """
-    n_rows = ensure_valid(spec).n_observations
+    layout = ensure_valid(spec)
+    n_rows = _n_observations(layout, _exact_ints(layout.size))
     if n_rows > MAX_DATASET_ROWS:
         raise ValueError(
             f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
         )
-    cells = cell_table(spec)
+    cells = _cell_table(spec, layout)
     n_periods = cells.exposed.shape[1]
     sizes = np.repeat(cells.m, cells.count)
     if cells.family is Family.COHORT:

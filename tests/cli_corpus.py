@@ -5,7 +5,12 @@ named ddf policy, in every format, with and without `--audit`, at alpha
 0.05 and 0.01; `mc` at seeds 1-3 with 20,000 replicates; `de` as a
 table and as JSON; `dataset` as a table and as CSV; and `vmatrix` in
 every format, as covariance and as correlation, at the first cluster
-and, for example2_51's size list, at its last too.  It then pins the
+and, for example2_51's size list, at its last too.  No preset reaches
+the Hussey & Hughes closed form, so three spec documents that do, in
+SPEC_DOCUMENTS, run `de` as a table, as JSON and with a sample plan,
+and `power --audit`; they are written to a temporary directory and
+named relative to it, so argv and the digest do not depend on where
+it is (run the commands inside `spec_documents()`).  It then pins the
 parser's own output: usage, top-level and per-command help, --version,
 and the usage errors for a missing or unknown command, an unknown
 option, a format the command does not write and a stray argument.  The
@@ -26,11 +31,46 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
+import tempfile
 from collections.abc import Iterator
 
 from wedgepower import cli, engine
 from wedgepower.designs import PRESETS
+
+
+def _wedge(kind: str, clusters: list[int], size: int, **correlation) -> dict:
+    design = {
+        "kind": kind, "steps_k": len(clusters), "baseline_b": 1, "per_step_t": 1,
+        "clusters_per_step": clusters, "cluster_size": size, "means": [54.0, 59.0],
+    }
+    return {"design": design, "correlation": {"sigma_y_sq": 25.0, **correlation}}
+
+
+# wedges that take the Hussey & Hughes variance: cross-sectional at
+# cac 0.5, a cohort of 4 periods, and unequal steps
+SPEC_DOCUMENTS = {
+    "swd_xsec_cac05.json": _wedge("swd_xsec", [3, 3, 3], 8, icc=0.1, cac=0.5),
+    "swd_cohort_t4.json": _wedge("swd_cohort", [2, 2, 2], 5, icc=0.1, cac=0.4, sac=0.6),
+    "swd_steps_132.json": _wedge("swd_xsec", [1, 3, 2], 6, icc=0.1, cac=1.0),
+}
+
+
+@contextlib.contextmanager
+def spec_documents() -> Iterator[None]:
+    """Run the block in a temporary directory holding SPEC_DOCUMENTS."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        for name, doc in SPEC_DOCUMENTS.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        os.chdir(directory)
+        try:
+            yield
+        finally:
+            os.chdir(home)
 
 
 def commands() -> Iterator[list[str]]:
@@ -58,6 +98,12 @@ def commands() -> Iterator[list[str]]:
             for fmt in ("table", "json", "csv"):
                 for matrix in ([], ["--correlation"]):
                     yield ["vmatrix", *preset, *cluster, "--format", fmt, *matrix]
+    for name in SPEC_DOCUMENTS:
+        spec = ["--spec", name]
+        yield ["de", *spec]
+        yield ["de", *spec, "--format", "json"]
+        yield ["de", *spec, "--n-unclustered", "100"]
+        yield ["power", *spec, "--audit"]
     yield from parser_commands()
 
 
@@ -102,13 +148,14 @@ def main(args: list[str]) -> int:
     each = "--each" in args
     digest = hashlib.sha256()
     count = 0
-    for argv in commands():
-        status, out, err = run(argv)
-        record = _record(argv, status, out, err)
-        digest.update(record)
-        count += 1
-        if each:
-            print(status, hashlib.sha256(record).hexdigest()[:16], " ".join(argv))
+    with spec_documents():
+        for argv in commands():
+            status, out, err = run(argv)
+            record = _record(argv, status, out, err)
+            digest.update(record)
+            count += 1
+            if each:
+                print(status, hashlib.sha256(record).hexdigest()[:16], " ".join(argv))
     print(f"{count} commands")
     print(digest.hexdigest())
     return 0

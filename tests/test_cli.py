@@ -12,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wedgepower import cli, engine
+from wedgepower import cli, correlation, engine
 from wedgepower.cli import main
 from wedgepower.designs import (
     MAX_DATASET_ROWS,
@@ -405,6 +406,28 @@ class TestVmatrixCommand:
         assert rows[0][0] == 25.0
         assert rows[0][1] == 14.5
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("matrix", [[], ["--correlation"]])
+    def test_json_is_json_dumps_of_the_matrix(self, capsys, name, matrix):
+        # the JSON is written a row at a time, byte for byte what
+        # json.dumps writes for the whole matrix
+        spec, params = get_preset(name)
+        comps = engine.variance_components(spec, params)
+        expected = correlation.build_cluster_v(cell_table(spec), comps)
+        if matrix:
+            expected = correlation.vcorr(expected)
+        code, out, _ = run(capsys, "vmatrix", "--preset", name, "--format", "json", *matrix)
+        assert code == 0
+        assert out == json.dumps({"matrix": expected.tolist()}, indent=2) + "\n"
+
+    def test_json_of_a_matrix_of_mixed_signs(self, capsys, monkeypatch):
+        values = [[1.5, -0.0, -2.25e-300], [-7.0, 0.1, 5e-324], [1e308, -1.0 / 3.0, 2.0]]
+        mixed = np.array(values)
+        monkeypatch.setattr(correlation, "build_cluster_v", lambda *args: mixed)
+        code, out, _ = run(capsys, "vmatrix", "--preset", "example2", "--format", "json")
+        assert code == 0
+        assert out == json.dumps({"matrix": values}, indent=2) + "\n"
+
     def test_cluster_index_selects_size(self, capsys):
         code, out, _ = run(
             capsys, "vmatrix", "--preset", "example2_51", "--cluster-index", "3"
@@ -714,8 +737,9 @@ def test_output_corpus_ends_every_command_in_a_status():
     # checkouts; each must answer or refuse with status 2, help and
     # usage exits included, never raise
     argvs = list(cli_corpus.commands())
-    assert len(argvs) == 651
-    assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
+    assert len(argvs) == 663
+    with cli_corpus.spec_documents():
+        assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
 
 
 class TestUsageErrors:

@@ -5,6 +5,9 @@ definitions (Kronecker assembly of compound-symmetric blocks), so every
 frozen entry here is re-derivable by hand.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +24,20 @@ from wedgepower.correlation import (
 from wedgepower.designs import DesignKind, DesignSpec, cell_table, get_preset
 
 COMPONENT_TOL = 1e-12
+
+
+def assert_weight_recovered(component: float, share: float, weight: float) -> None:
+    """component is weight * share: its ratio to share is weight to COMPONENT_TOL.
+
+    That holds while the component is a normal float.  Below the normal
+    range the product underflows and keeps fewer significant bits, so
+    there a subnormal (or zero) component must lie within one subnormal
+    ulp of weight * share.
+    """
+    if component >= sys.float_info.min:
+        assert component / share == pytest.approx(weight, rel=COMPONENT_TOL, abs=0.0)
+    else:
+        assert abs(component - weight * share) <= math.ulp(0.0)
 
 
 def cs_matrix(size: int, diag: float, off: float) -> np.ndarray:
@@ -119,12 +136,12 @@ class TestDeriveComponents:
         comps = derive_components(params, Family.COHORT)
         cluster_share = comps.cluster + comps.cluster_by_time
         subject_share = comps.subject + comps.subject_by_time
-        assert cluster_share / comps.total == pytest.approx(icc, rel=COMPONENT_TOL)
-        assert comps.cluster / cluster_share == pytest.approx(cac, rel=COMPONENT_TOL)
+        assert cluster_share / comps.total == pytest.approx(
+            icc, rel=COMPONENT_TOL, abs=0.0
+        )
+        assert_weight_recovered(comps.cluster, cluster_share, cac)
         if subject_share > 0:
-            assert comps.subject / subject_share == pytest.approx(
-                sac, rel=COMPONENT_TOL
-            )
+            assert_weight_recovered(comps.subject, subject_share, sac)
 
 
 class TestBuildClusterV:

@@ -5,9 +5,10 @@ arithmetic (fractions.Fraction), so they hold to full float precision.
 """
 
 import dataclasses
+import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgepower import engine
@@ -41,6 +42,27 @@ def assert_gls_variance(spec, params, value):
     unclustered = 4.0 * params.sigma_y_sq / (n_clusters * spec.cluster_size)
     gls = engine.evaluate(spec, params).fit.variance
     assert value * unclustered == pytest.approx(gls, rel=EXACT_MATCH_TOL)
+
+
+def hussey_hughes_from_counts(spec, params, n):
+    """Hussey & Hughes's design effect of a wedge, from its count fields.
+
+    The oracle for design_effect_for's reading of the layout's switches:
+    step s of k (s from 0) has c_s clusters exposed in (k - s)*t of the
+    T = b + k*t periods, and W = t * sum (c_1 + ... + c_s)**2.
+    """
+    k, t = int(spec.steps_k), int(spec.per_step_t)
+    counts = list(map(int, spec.clusters_per_step))
+    i, n_times = sum(counts), int(spec.baseline_b) + k * t
+    u = sum(c * (k - s) * t for s, c in enumerate(counts))
+    v = sum(c * ((k - s) * t) ** 2 for s, c in enumerate(counts))
+    w = t * sum(total * total for total in itertools.accumulate(counts))
+    rho, cac, sac = float(params.icc), float(params.cac), float(params.sac)
+    tau2 = cac * rho + sac * (1.0 - rho) / n
+    sigma2 = (1.0 - cac) * rho + (1.0 - sac) * (1.0 - rho) / n
+    between = (u * u + i * n_times * u - n_times * w - i * v) * tau2
+    variance = i * sigma2 * (sigma2 + n_times * tau2) / ((i * u - w) * sigma2 + between)
+    return variance * i * n / 4.0
 
 
 class TestDeSimple:
@@ -432,6 +454,36 @@ class TestDesignEffectFor:
         )
         params = CorrelationParams(2.0, icc, cac, sac if cohort else 0.0)
         assert_gls_variance(spec, params, design_effect_for(spec, params).value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cohort=st.booleans(),
+        baseline=st.integers(1, 3),
+        per_step=st.integers(1, 3),
+        clusters=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        size=st.integers(1, 20),
+        icc=st.floats(0.0, 0.99),
+        cac=st.floats(0.0, 1.0),
+        sac=st.floats(0.0, 0.99),
+    )
+    def test_hussey_hughes_matches_the_count_formula_bit_for_bit(
+        self, cohort, baseline, per_step, clusters, size, icc, cac, sac
+    ):
+        spec = DesignSpec(
+            kind=DesignKind.SWD_COHORT if cohort else DesignKind.SWD_XSEC,
+            steps_k=len(clusters),
+            baseline_b=baseline,
+            per_step_t=per_step,
+            clusters_per_step=tuple(clusters),
+            cluster_size=size,
+        )
+        params = CorrelationParams(2.0, icc, cac, sac if cohort else 0.0)
+        result = design_effect_for(spec, params)
+        # equal steps keep the named formulas at T = 3 or cac = 1
+        assume(result.formula == "hussey_hughes")
+        expected = hussey_hughes_from_counts(spec, params, size)
+        assert result.value.hex() == expected.hex()
+        assert result.factors == {"gls_variance": result.value}
 
     @pytest.mark.parametrize(
         "name,changes,message",

@@ -390,9 +390,10 @@ class TestCounts:
             cell_table(spec)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_layout_is_built_at_most_twice(self, monkeypatch, name):
-        # the family comes from the kind catalog, so only the count check
-        # and cell_table (or the period count) build a layout
+    def test_layout_is_built_once_per_call(self, monkeypatch, name):
+        # the count check builds the one layout and returns it: cell_table,
+        # the dataset and the closed forms read it instead of building
+        # their own, and the family comes from the kind catalog
         built = []
         layout = designs._layout
 
@@ -413,8 +414,9 @@ class TestCounts:
 
         assert layouts(lambda spec, params: spec.family) == 0
         assert layouts(variance_components) == 0
-        assert layouts(evaluate) <= 2
-        assert layouts(design_effect_for) <= 2
+        assert layouts(evaluate) == 1
+        assert layouts(design_effect_for) == 1
+        assert layouts(lambda spec, params: exemplary_dataset(spec)) == 1
 
 
 class TestExemplaryDataset:

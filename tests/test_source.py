@@ -73,6 +73,24 @@ def test_evaluation_reads_runs_not_clusters():
     assert _lines_matching(pattern, *modules) == []
 
 
+def test_only_designs_reads_a_count_field():
+    # designs lays a spec out once, in the layout its count check
+    # returns; every other module reads the design's structure from
+    # that layout or the cell table, never from the count fields
+    fields = {
+        "steps_k", "baseline_b", "per_step_t", "clusters_per_step",
+        "clusters_per_arm", "per_group_n", "cluster_size",
+    }
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "designs.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert found == []
+
+
 def test_fit_and_projection_use_no_einsum():
     # an einsum of three operands without a path runs numpy's nested
     # loop, not BLAS: the fit and the Monte Carlo projection contract the
