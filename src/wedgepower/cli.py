@@ -24,11 +24,13 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__, correlation, design_effects, designs, engine, mc
 
 _FORMATS = ("table", "json", "csv")
+# rows of a cluster matrix that vmatrix formats at once
+_MATRIX_BLOCK_ROWS = 64
 
 
 def _add_scenario_options(
@@ -164,12 +166,12 @@ def _load_scenario(
     return spec, params, policy
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(blocks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
 
 
 def _table(rows: list[tuple[str, str]]) -> str:
@@ -200,11 +202,12 @@ def _cmd_de(args) -> str:
         # multiplies the observations; a cohort is measured every period
         per_comparison = result.formula in design_effects.PER_PERIOD_FORMULAS
         cohort = spec.family is correlation.Family.COHORT
+        n_times = spec.n_times
         plan = design_effects.inflate_sample_size(
             args.n_unclustered,
             result.value,
-            observation_multiplier=float(spec.n_times if per_comparison else 1),
-            measurements_per_participant=spec.n_times if cohort else 1,
+            observation_multiplier=float(n_times if per_comparison else 1),
+            measurements_per_participant=n_times if cohort else 1,
         )
 
     if args.fmt == "json":
@@ -258,7 +261,7 @@ def _power_payload(
         payload["audit"] = {
             "observations": run.cells.n_observations,
             "clusters": run.cells.n_clusters,
-            "times": spec.n_times,
+            "times": int(run.cells.first.max()) + run.cells.exposed.shape[1] - 1,
             "contrast": run.contrast,
             "beta": run.fit.beta.tolist(),
             "components": dataclasses.asdict(run.components),
@@ -353,7 +356,7 @@ def _cmd_dataset(args) -> str:
     return render(designs.exemplary_dataset(spec))
 
 
-def _cmd_vmatrix(args) -> str:
+def _cmd_vmatrix(args) -> Iterator[str]:
     spec, params, _ = _load_scenario(args)
     cells = designs.cell_table(spec)
     comps = engine.variance_components(spec, params)
@@ -365,25 +368,37 @@ def _cmd_vmatrix(args) -> str:
     matrix = correlation.build_cluster_v(cells, comps, args.cluster_index - 1)
     if args.correlation:
         matrix = correlation.vcorr(matrix)
+    return _matrix_text(matrix, args.fmt)
 
-    if args.fmt == "json":
-        # json.dumps({"matrix": matrix.tolist()}, indent=2), built a row at a time
-        rows = (json.dumps(r.tolist(), indent=2).replace("\n", "\n    ") for r in matrix)
-        return '{\n  "matrix": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n"
+
+def _matrix_text(matrix, fmt: str) -> Iterator[str]:
+    # the text one block of rows at a time, so that neither the whole text
+    # nor a list of every entry is held
+    starts = range(0, matrix.shape[0], _MATRIX_BLOCK_ROWS)
+    blocks = (matrix[i : i + _MATRIX_BLOCK_ROWS].tolist() for i in starts)
+    if fmt == "json":
+        # json.dumps({"matrix": matrix.tolist()}, indent=2)
+        yield '{\n  "matrix": [\n    '
+        for i, rows in enumerate(blocks):
+            text = (json.dumps(r, indent=2).replace("\n", "\n    ") for r in rows)
+            yield (",\n    " if i else "") + ",\n    ".join(text)
+        yield "\n  ]\n}\n"
+        return
     # one format string per row; "%.1f" % v never shortens as |v| grows on
     # either side of 0, so the extremes fix the table width
-    if args.fmt == "csv":
+    if fmt == "csv":
         line = ",".join(["%.17g"] * matrix.shape[1])
     else:
         width = max(len("%.1f" % v) for v in (matrix.min(), matrix.max()))
         line = "  ".join([f"%{width}.1f"] * matrix.shape[1])
-    return "".join(line % tuple(row) + "\n" for row in matrix.tolist())
+    for rows in blocks:
+        yield "".join(line % tuple(row) + "\n" for row in rows)
 
 
 class _Subcommand(NamedTuple):
     help: str
     add_options: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], str]
+    run: Callable[[argparse.Namespace], str | Iterable[str]]
 
 
 _SUBCOMMANDS = {
@@ -401,7 +416,8 @@ _PARSER = build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        _emit(_SUBCOMMANDS[args.command].run(args), args.out)
+        text = _SUBCOMMANDS[args.command].run(args)
+        _emit((text,) if isinstance(text, str) else text, args.out)
         return 0
     except designs.SpecValidationError as exc:
         for message in exc.errors:

@@ -14,6 +14,7 @@ column holds the modeled mean.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -225,6 +226,8 @@ def _n_observations(layout: _Layout, exact: bool) -> int:
 # the count fields that may hold one count per entry, and all seven
 _LISTED = ("clusters_per_arm", "clusters_per_step", "cluster_size")
 _COUNT_FIELDS = ("per_group_n", "steps_k", "baseline_b", "per_step_t", *_LISTED)
+# the count fields that may hold a single count
+_SINGLE = ("per_group_n", "steps_k", "baseline_b", "per_step_t", "cluster_size")
 _MISSING = {
     "clusters_per_arm": "exactly two cluster counts required, got None",
     "clusters_per_step": "required for stepped wedge kinds",
@@ -232,13 +235,8 @@ _MISSING = {
 }
 
 
-def _check_count_field(
-    errors: list[str], name: str, value, used: bool, exact: bool
-) -> bool:
-    """Check one count field, as validate_spec describes; True if usable.
-
-    exact is _exact_ints(value), which the caller takes once per field.
-    """
+def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
+    """Check one count field, as validate_spec describes; True if usable."""
     path = f"design.{name}"
     if value is None:
         if used:
@@ -252,9 +250,6 @@ def _check_count_field(
     if name == "clusters_per_step" and not listed:
         errors.append(f"{path}: must be a list, got {value!r}")
         return False
-    # a list of exact ints, each at least 1 if used, needs no entry loop
-    if listed and exact and (not used or min(value, default=1) >= 1):
-        return True
     before = len(errors)
     for i, count in enumerate(value if listed else (value,)):
         whole = is_whole(count)
@@ -277,24 +272,32 @@ def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
             f"got {spec.kind!r}"
         )
     used = _CATALOG[spec.kind].counts if known else ()
-    # one type pass over each list, for its check and the observation count
-    exact = {name: _exact_ints(getattr(spec, name)) for name in _COUNT_FIELDS}
-    ok = {
-        name: _check_count_field(
-            errors, name, getattr(spec, name), name in used, exact[name]
-        )
-        for name in _COUNT_FIELDS
-    }
+    refused = set()  # the used fields that are missing or malformed
+    for name in _COUNT_FIELDS:
+        value = getattr(spec, name)
+        # the common cases take no message check: None in a field the kind
+        # does not use, and in one it uses an exact int >= 1 where a single
+        # count may stand or a list of them (a pair for clusters_per_arm)
+        if value is None if name not in used else (
+            type(value) is int and value >= 1 and name in _SINGLE
+            or name in _LISTED
+            and _exact_ints(value)
+            and (name != "clusters_per_arm" or len(value) == 2)
+            and min(value, default=1) >= 1
+        ):
+            continue
+        if not _check_count_field(errors, name, value, name in used) and name in used:
+            refused.add(name)
 
-    if "steps_k" in used and ok["steps_k"] and ok["clusters_per_step"]:
+    if "steps_k" in used and not refused & {"steps_k", "clusters_per_step"}:
         cps = spec.clusters_per_step
         if len(cps) != spec.steps_k:
             errors.append(
                 f"design.clusters_per_step: length {len(cps)} does not match "
                 f"steps_k={spec.steps_k}"
             )
-            ok["clusters_per_step"] = False
-    counted = known and all(ok[name] for name in used if name != "cluster_size")
+            refused.add("clusters_per_step")
+    counted = known and refused <= {"cluster_size"}
     layout = _layout(spec) if counted else None
     size = spec.cluster_size
     if "cluster_size" in used and counted and isinstance(size, (list, tuple)):
@@ -303,7 +306,7 @@ def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {n_clusters} clusters"
             )
-    n = _n_observations(layout, exact["cluster_size"]) if not errors else 0
+    n = _n_observations(layout, _exact_ints(layout.size)) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors, layout
@@ -342,10 +345,12 @@ def _spec_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
     # validate_spec's messages, with the layout of its count check
     errors, layout = _count_errors(spec)
     means = spec.cell_means
-    if not isinstance(means, Mapping):
+    # the common case, a dict of the kind's cells to floats in range and a
+    # float alpha in (0, 1), takes no set, sort or is_real call
+    if type(means) is not dict and not isinstance(means, Mapping):
         errors.append(f"design.means: must map cells to means, got {means!r}")
         means = {}
-    elif not errors:
+    elif not errors and means.keys() != _CATALOG[spec.kind].mean_keys:
         got = set(means)
         expected = _CATALOG[spec.kind].mean_keys
         missing = sorted(expected - got)
@@ -355,12 +360,13 @@ def _spec_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
         if extra:
             errors.append(f"design.means: unexpected cells {extra}")
     for key, value in means.items():
-        if not is_real(value):
+        if not (isinstance(value, float) and math.isfinite(value) or is_real(value)):
             errors.append(
                 f"design.means[{key}]: must be a finite real number, got {value!r}"
             )
 
-    if not (is_real(spec.alpha) and 0.0 < spec.alpha < 1.0):
+    alpha = spec.alpha
+    if not (type(alpha) is float or is_real(alpha)) or not 0.0 < alpha < 1.0:
         errors.append(
             f"analysis.alpha: must be a real number in (0, 1), got {spec.alpha!r}"
         )
@@ -467,17 +473,20 @@ def cell_table(spec: DesignSpec) -> CellTable:
 
 
 def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
-    # cell_table of a valid spec, from the layout its validation built
-    group = np.array(layout.group)
+    # cell_table of a valid spec, from the layout its validation built; the
+    # group rows are chosen before any (K, T) array is built
+    group, first, switch = map(np.array, (layout.group, layout.first, layout.switch))
     if isinstance(layout.size, (tuple, list)):
         row = np.repeat(np.arange(group.size), layout.clusters)
         sizes = np.asarray(layout.size, dtype=np.int64)
         # a run ends where the group or the size changes, and at the end
-        edge = np.ones(sizes.size + 1, dtype=bool)
+        edge = np.empty(sizes.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
         edge[1:-1] = (row[1:] != row[:-1]) | (sizes[1:] != sizes[:-1])
-        edges = np.flatnonzero(edge)
+        edges = edge.nonzero()[0]
         starts = edges[:-1]
         chosen, m, count = row[starts], sizes[starts], edges[1:] - starts
+        group, first, switch = group[chosen], first[chosen], switch[chosen]
     else:
         chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)
@@ -486,22 +495,15 @@ def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
             f"cell table of {m.size} patterns x {layout.n_periods} periods exceeds "
             f"the limit of {_MAX_CELLS} cells"
         )
-    exposed = np.arange(layout.n_periods) >= np.array(layout.switch)[:, None]
+    exposed = np.arange(layout.n_periods) >= switch[:, None]
     means = spec.cell_means
     if _CATALOG[spec.kind].periods == "wedge":
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
         rows, periods = zip(layout.group, layout.first), range(layout.n_periods)
         mean = np.array([[float(means[(a, f + t)]) for t in periods] for a, f in rows])
-    return CellTable(
-        kind=spec.kind,
-        group=group[chosen],
-        m=m,
-        count=count,
-        first=np.array(layout.first)[chosen],
-        exposed=exposed[chosen],
-        mean=mean[chosen],
-    )
+        mean = mean[chosen]
+    return CellTable(spec.kind, group, m, count, first, exposed, mean)
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:

@@ -20,7 +20,6 @@ relative precision.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -63,8 +62,6 @@ _SADDLE_MIN = 10
 # the largest power of ten of ddf where the power keeps 1e-6 (README): the
 # noncentral mixture limits it, not the critical value
 _MAX_DDF = 10**10
-
-_log = logging.getLogger(__name__)
 
 
 def is_whole(value) -> bool:
@@ -130,7 +127,7 @@ def _log_beta(a: float, b: float) -> float:
     closed form, as in R's lbeta, because lgamma's large values cancel:
     lgamma(a + b) - lgamma(a) loses 1e-11 absolute at a = 5e4.
     """
-    p, q = min(a, b), max(a, b)
+    p, q = (a, b) if a <= b else (b, a)
     if q < 10.0:
         return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
     corr = _stirling_tail(q) - _stirling_tail(p + q)
@@ -181,7 +178,7 @@ def _betacf(a: float, b: float, x: float) -> float:
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
+    if -_CF_FPMIN < d < _CF_FPMIN:
         d = _CF_FPMIN
     d = 1.0 / d
     h = d
@@ -189,24 +186,24 @@ def _betacf(a: float, b: float, x: float) -> float:
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
+        if -_CF_FPMIN < d < _CF_FPMIN:
             d = _CF_FPMIN
         c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
+        if -_CF_FPMIN < c < _CF_FPMIN:
             c = _CF_FPMIN
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
+        if -_CF_FPMIN < d < _CF_FPMIN:
             d = _CF_FPMIN
         c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
+        if -_CF_FPMIN < c < _CF_FPMIN:
             c = _CF_FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -_CF_EPS < delta - 1.0 < _CF_EPS:
             return h
     raise ValueError(
         f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
@@ -450,7 +447,9 @@ def _beta_inverse(a: float, b: float, p: float) -> tuple[float, float]:
         if moved <= _INV_STEP_TOL * min(x, omx):
             return new
         x, omx = new if inside else halfway
-    _log.debug(
+    import logging  # here, its one use, so a process that never bisects skips it
+
+    logging.getLogger(__name__).debug(
         "incomplete beta inverse: Halley steps did not converge for a=%r, b=%r, "
         "p=%r; bisecting",
         a,
@@ -642,7 +641,8 @@ def _mixture(
     # tails grow toward 1
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
     for _ in range(_MIXTURE_MAX_TERMS if sweep_up else 0):
-        tail = min(max(tail + sign * t_term, 0.0), 1.0)
+        tail += sign * t_term
+        tail = 0.0 if tail < 0.0 else 1.0 if tail > 1.0 else tail
         t_term *= u * (a + j + b) / (a + j + 1.0)
         pois *= half_lam / (j + 1.0)
         j += 1
@@ -657,7 +657,8 @@ def _mixture(
     pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
     for _ in range(min(mode, _MIXTURE_MAX_TERMS) if sweep_down else 0):
         t_term *= (a + j) / (u * (a + j - 1.0 + b))
-        tail = min(max(tail - sign * t_term, 0.0), 1.0)
+        tail -= sign * t_term
+        tail = 0.0 if tail < 0.0 else 1.0 if tail > 1.0 else tail
         pois *= j / half_lam
         j -= 1
         total += pois * tail

@@ -127,7 +127,7 @@ def _require_full_rank(cells: designs.CellTable) -> None:
     single-step wedge whose exposure flag duplicates a time indicator.
     """
     exposed = cells.exposed
-    if (exposed == exposed[0]).all():
+    if not np.count_nonzero(exposed != exposed[0]):
         raise ValueError(
             "design matrix is rank deficient; the schedule does not separate "
             "the modeled effects (degenerate step layout)"
@@ -184,8 +184,7 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     """
     _require_full_rank(cells)
     a, b = comps.cell_variances(cells.m)
-    n_periods = cells.exposed.shape[1]
-    count = cells.count.astype(float)
+    n_periods, count = cells.exposed.shape[1], cells.count
     least = float(b.min())
     # no entry of the information exceeds clusters x periods / b, so a
     # covariance too small for that bound to be finite is refused here
@@ -258,7 +257,9 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     # C_k times g, the inverse's last column, over count_k
     weights = (cov[-1:] @ flat).reshape(contrast.shape[1:])
     weights /= count[:, None]
-    beta = np.concatenate(((mu[0] + shift,), theta[:-1], mu[1:] - mu[0], theta[-1:]))
+    beta = np.empty(q + n_periods)
+    beta[0], beta[1:q], beta[-1] = mu[0] + shift, theta[:-1], theta[-1]
+    np.subtract(mu[1:], mu[0], out=beta[q:-1])
     return GlsEstimate(beta=beta, variance=variance, weights=weights)
 
 

@@ -18,10 +18,16 @@ the differential tests:
 * ``continued_fraction_ibeta`` is ``_ibeta`` with its continued fraction
   at every shape, as it was before TOMS 708's BGRAT expansion took over
   I_x(a, 1/2) at large a and x near 1.
+* ``builtin_guards`` runs the F tails with the continued fraction, the
+  log beta and the mixture sweeps as they were before their
+  guards and clamps became comparisons: ``abs()`` in each Lentz guard,
+  ``min``/``max`` to order the shapes and clamp every tail.  The
+  arithmetic is the same, so the results must be equal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from unittest import mock
 
@@ -138,3 +144,129 @@ def power_from_f(fvalue: float, ndf: int, ddf: int, alpha: float) -> tuple[float
     """Critical value and power at level alpha, both through the lower tail."""
     fcrit = central_f_quantile(1.0 - alpha, ndf, ddf)
     return fcrit, 1.0 - noncentral_f_cdf(fcrit, ndf, ddf, ndf * fvalue)
+
+
+def lentz_betacf(a: float, b: float, x: float) -> float:
+    """``_betacf`` with an ``abs()`` call in each guard."""
+    fpmin, eps = distributions._CF_FPMIN, distributions._CF_EPS
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, distributions._CF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise ValueError(
+        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
+    )
+
+
+def minmax_log_beta(a: float, b: float) -> float:
+    """``_log_beta`` with its shapes ordered by ``min`` and ``max``."""
+    stirling = distributions._stirling_tail
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    corr = stirling(q) - stirling(p + q)
+    share = p / (p + q)
+    if p < 10.0:
+        corr += math.lgamma(p) + p - p * math.log(p + q)
+        return corr + (q - 0.5) * math.log1p(-share)
+    corr += stirling(p)
+    return (
+        distributions._LOG_SQRT_2PI
+        - 0.5 * math.log(q)
+        + corr
+        + (p - 0.5) * math.log(share)
+        + q * math.log1p(-share)
+    )
+
+
+def clamped_mixture(
+    a: float, b: float, u: float, omu: float, half_lam: float, *, upper: bool
+) -> float:
+    """``_mixture`` with each tail clamped to [0, 1] by ``min(max(...))``."""
+    tol, budget = distributions._MIXTURE_TOL, distributions._MIXTURE_MAX_TERMS
+    ibeta, pmf = distributions._ibeta, distributions._poisson_pmf
+    mode = int(half_lam)
+    pois_mode = pmf(mode, half_lam)
+    if upper:
+        tail_mode = ibeta(b, a + mode, omu, u)
+    else:
+        tail_mode = ibeta(a + mode, b, u, omu)
+    log_omu = math.log(omu) if omu <= 0.5 else math.log1p(-u)
+    log_t = (
+        (a + mode) * math.log(u)
+        + b * log_omu
+        - math.log(a + mode)
+        - distributions._log_beta(a + mode, b)
+    )
+    t_mode = math.exp(log_t)
+    sign = 1.0 if upper else -1.0
+    total = pois_mode * tail_mode
+    sweep_up = sweep_down = True
+    if distributions._FAR_SD * math.sqrt(half_lam) > budget:
+        args = (a, b, u, omu, half_lam, tail_mode, pois_mode)
+        sweep_up = distributions._sweep_matters(*args, upper=upper, step=1)
+        sweep_down = distributions._sweep_matters(*args, upper=upper, step=-1)
+
+    pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
+    for _ in range(budget if sweep_up else 0):
+        tail = min(max(tail + sign * t_term, 0.0), 1.0)
+        t_term *= u * (a + j + b) / (a + j + 1.0)
+        pois *= half_lam / (j + 1.0)
+        j += 1
+        total += pois * tail
+        rest = pois * half_lam / (j + 1.0) / (1.0 - half_lam / (j + 2.0))
+        if rest * (1.0 if upper else tail) <= tol:
+            break
+
+    pois, tail, t_term, j = pois_mode, tail_mode, t_mode, mode
+    for _ in range(min(mode, budget) if sweep_down else 0):
+        t_term *= (a + j) / (u * (a + j - 1.0 + b))
+        tail = min(max(tail - sign * t_term, 0.0), 1.0)
+        pois *= j / half_lam
+        j -= 1
+        total += pois * tail
+        rest = pois * j / half_lam / (1.0 - (j - 1.0) / half_lam)
+        if rest * (tail if upper else 1.0) <= tol * (total if upper else 1.0):
+            break
+
+    return min(max(total, 0.0), 1.0)
+
+
+@contextlib.contextmanager
+def builtin_guards():
+    """Run the F tails through ``lentz_betacf``, ``minmax_log_beta`` and
+    ``clamped_mixture``."""
+    with (
+        mock.patch.object(distributions, "_betacf", lentz_betacf),
+        mock.patch.object(distributions, "_log_beta", minmax_log_beta),
+        mock.patch.object(distributions, "_mixture", clamped_mixture),
+    ):
+        yield

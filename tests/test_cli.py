@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wedgepower import cli, correlation, engine
+from wedgepower import cli, correlation, designs, engine
 from wedgepower.cli import main
 from wedgepower.designs import (
     MAX_DATASET_ROWS,
@@ -34,6 +34,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def whole_matrix_text(matrix, fmt: str) -> str:
+    """vmatrix's text as formatted from the whole matrix at once."""
+    if fmt == "json":
+        return json.dumps({"matrix": matrix.tolist()}, indent=2) + "\n"
+    if fmt == "csv":
+        line = ",".join(["%.17g"] * matrix.shape[1])
+    else:
+        width = max(len("%.1f" % v) for v in (matrix.min(), matrix.max()))
+        line = "  ".join([f"%{width}.1f"] * matrix.shape[1])
+    return "".join(line % tuple(row) + "\n" for row in matrix.tolist())
 
 
 def table_value(out: str, label: str) -> str:
@@ -427,6 +439,76 @@ class TestVmatrixCommand:
         code, out, _ = run(capsys, "vmatrix", "--preset", "example2", "--format", "json")
         assert code == 0
         assert out == json.dumps({"matrix": values}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("size", [1, 64, 130])
+    @pytest.mark.parametrize("matrix", [[], ["--correlation"]])
+    def test_blocks_write_the_text_of_the_whole_matrix(
+        self, capsys, tmp_path, fmt, size, matrix
+    ):
+        # rows are formatted a block at a time, across block edges here; the
+        # text, on stdout or in a file, is what the whole matrix formats to
+        doc = {
+            "design": {
+                "kind": "crt_post",
+                "clusters_per_arm": [2, 2],
+                "cluster_size": size,
+                "means": [[59.0], [54.0]],
+            },
+            "correlation": {"sigma_y_sq": 23.3, "icc": 0.137},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        spec, params, _ = decode_spec_document(doc)
+        comps = engine.variance_components(spec, params)
+        expected = correlation.build_cluster_v(cell_table(spec), comps)
+        if matrix:
+            expected = correlation.vcorr(expected)
+        argv = ("vmatrix", "--spec", str(path), "--format", fmt, *matrix)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == whole_matrix_text(expected, fmt)
+        written = tmp_path / "matrix.txt"
+        assert run(capsys, *argv, "--out", str(written)) == (0, "", "")
+        assert written.read_text(encoding="utf-8") == out
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_json_of_a_full_size_cluster_holds_no_whole_text(self, tmp_path):
+        # 1,998 rows of 17-digit entries are 104 MB of JSON; written a block
+        # of rows at a time the process peaks near the 32 MB matrix, where
+        # the whole text and its row strings took it to about 260 MB
+        doc = {
+            "design": {
+                "kind": "crt_post",
+                "clusters_per_arm": [2, 2],
+                "cluster_size": 1998,
+                "means": [[59.0], [54.0]],
+            },
+            "correlation": {"sigma_y_sq": 23.3, "icc": 0.137},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from wedgepower import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        out = tmp_path / "matrix.json"
+        argv = ["vmatrix", "--spec", str(path), "--format", "json", "--out", str(out)]
+        source = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(source)},
+        )
+        code, peak_kib = map(int, done.stdout.split())
+        assert (code, done.stderr) == (0, "")
+        assert out.stat().st_size > 100e6
+        assert peak_kib < 160 * 1024
 
     def test_cluster_index_selects_size(self, capsys):
         code, out, _ = run(
@@ -894,3 +976,41 @@ class TestSharedParser:
         for earlier in before:
             outcome(capsys, earlier)
         assert outcome(capsys, argv) == fresh_process(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, layouts",
+    [
+        (("de", "--preset", "example7", "--n-unclustered", "100"), 2),
+        (("power", "--preset", "example6", "--audit", "--format", "json"), 1),
+    ],
+)
+def test_command_lays_its_design_out_once_per_need(capsys, monkeypatch, argv, layouts):
+    # the count check lays the design out; de reads its plan's period count
+    # once more, and power's audit takes it from the cell table it holds
+    built = []
+    layout = designs._layout
+
+    def counted(spec):
+        built.append(spec)
+        return layout(spec)
+
+    monkeypatch.setattr(designs, "_layout", counted)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(built) == layouts
+
+
+def test_import_leaves_logging_unloaded():
+    # only the inverse F's bisection fallback logs, so only it imports
+    # logging, which a fresh process would otherwise pay for on every command
+    source = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, wedgepower.cli; print('logging' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert (done.stdout, done.stderr) == ("False\n", "")

@@ -50,6 +50,7 @@ from dense_oracle import (
     contrast_column,
 )
 from dense_oracle import columns as dense_columns
+import spec_oracle
 
 COUNT_FIELDS = (
     "per_group_n",
@@ -859,6 +860,68 @@ def test_any_count_values_give_errors_never_exceptions(kind, counts):
     except SpecValidationError:
         return
     assert validate_spec(decoded) == []
+
+
+# one count entry: exact ints, the bools, numpy ints, whole and fractional
+# floats, zero, negatives and values no count takes
+COUNT_ENTRY = st.one_of(
+    st.integers(-2, 5),
+    st.booleans(),
+    st.integers(0, 5).map(np.int64),
+    st.integers(0, 5).map(float),
+    st.floats(-2.0, 6.0),
+    st.sampled_from([2**63, float("nan"), float("inf"), "3", None]),
+)
+# a count field: None, one entry, or a list or tuple of entries, and often
+# a tuple of exact ints >= 1 of any length, the common case of a list
+COUNT_VALUE = st.one_of(
+    st.none(),
+    COUNT_ENTRY,
+    st.lists(COUNT_ENTRY, max_size=5),
+    st.lists(COUNT_ENTRY, max_size=5).map(tuple),
+    st.lists(st.integers(1, 4), max_size=12).map(tuple),
+)
+MEAN_VALUE = st.one_of(
+    st.floats(),
+    st.floats(-100.0, 100.0).map(np.float64),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from([None, "54", 10**400]),
+)
+ALPHA = st.one_of(
+    st.floats(),
+    st.floats(0.0, 1.0).map(np.float64),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.sampled_from([0.05, None, "0.05", [0.05]]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_spec_check_matches_the_per_field_check_it_replaced(data):
+    # the common-case path gives every message and the layout of the
+    # per-field check, on specs that start valid and on anything else
+    if data.draw(st.booleans()):
+        spec, _ = get_preset(data.draw(st.sampled_from(sorted(PRESETS))))
+        fields = data.draw(st.lists(st.sampled_from(COUNT_FIELDS), max_size=2))
+        spec = dataclasses.replace(spec, **{f: data.draw(COUNT_VALUE) for f in fields})
+    else:
+        kind = data.draw(st.sampled_from([*DesignKind, "bogus"]))
+        counts = {field: data.draw(COUNT_VALUE) for field in COUNT_FIELDS}
+        spec = DesignSpec(kind=kind, **counts)
+    if data.draw(st.booleans()):
+        known = isinstance(spec.kind, DesignKind)
+        keys = sorted(designs.kind_traits(spec.kind).mean_keys) if known else []
+        means = {key: data.draw(MEAN_VALUE) for key in keys}
+        cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        means.update(data.draw(st.dictionaries(cells, MEAN_VALUE, max_size=2)))
+        means = data.draw(st.sampled_from([means, [1.0], None]))
+        spec = dataclasses.replace(spec, cell_means=means)
+    if data.draw(st.booleans()):
+        spec = dataclasses.replace(spec, alpha=data.draw(ALPHA))
+    assert validate_spec(spec) == spec_oracle.validate_spec(spec)
+    assert designs._count_errors(spec) == spec_oracle.count_errors(spec)
 
 
 # small designs of every correlation family, to decode with any values in

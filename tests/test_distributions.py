@@ -628,6 +628,27 @@ class TestPoissonWeight:
 
 
 class TestPowerFromF:
+    @pytest.mark.parametrize("ddf", [1, 2, 3, 5, 10, 30, 100, 10**3, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 1e-6])
+    def test_comparison_guards_match_the_builtin_calls(self, ddf, alpha):
+        # the Lentz guards, the shape order and the mixture clamps compare
+        # where abs, min and max were called: every figure is unchanged
+        noncentralities = (0.0, 1e-3, 0.3, 1.0, 3.0, 8.5, 30.0, 100.0, 1e3, 1e4)
+        got = [power_from_f(lam, 1, ddf, alpha) for lam in noncentralities]
+        with f_oracle.builtin_guards():
+            want = [power_from_f(lam, 1, ddf, alpha) for lam in noncentralities]
+        assert got == want
+
+    @pytest.mark.parametrize("ndf, ddf", [(1, 32), (3, 10**6), (5, 10**4)])
+    def test_cdf_clamps_match_the_builtin_calls(self, ndf, ddf):
+        # at x = 100 and noncentrality 300 the last two shapes' sweeps
+        # round a tail past 1, so the clamp binds there
+        points = [(x, lam) for x in (1.0, 3.0, 100.0) for lam in (3.0, 300.0)]
+        got = [noncentral_f_cdf(x, ndf, ddf, lam) for x, lam in points]
+        with f_oracle.builtin_guards():
+            want = [noncentral_f_cdf(x, ndf, ddf, lam) for x, lam in points]
+        assert got == want
+
     def test_null_fvalue_recovers_alpha(self):
         for alpha in (0.01, 0.05, 0.2):
             for ndf, ddf in ((1, 7), (1, 45), (3, 100)):
