@@ -231,4 +231,6 @@ def vcorr(v: np.ndarray) -> np.ndarray:
     if np.any(diag <= 0):
         raise ValueError("covariance matrix has nonpositive diagonal entries")
     scale = 1.0 / np.sqrt(diag)
-    return matrix * scale[:, None] * scale[None, :]
+    out = matrix * scale[:, None]
+    out *= scale[None, :]
+    return out

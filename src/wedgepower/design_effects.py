@@ -116,15 +116,18 @@ def cluster_mean_correlation(
     return min(max(r, min(rho_c, rho_s)), max(rho_c, rho_s))
 
 
-def _require_regular(cluster_size: int, icc: float, cac: float, sac: float) -> None:
+def _require_regular(
+    cluster_size: int, icc: float, cac: float, sac: float
+) -> tuple[float, float]:
     """Refuse the correlations whose cluster covariance power refuses.
 
-    A cohort's check serves fresh subjects at each time too: at sac = 0
-    its a and b are theirs.
+    Returns a and b of the cell means' covariance a J + b I at
+    sigma_y_sq = 1, as a design effect has no scale.  A cohort's a and b
+    serve fresh subjects at each time too: at sac = 0 they are theirs.
     """
     n = _check_cluster_size(cluster_size)
     comps = derive_components(CorrelationParams(1.0, icc, cac, sac), Family.COHORT)
-    comps.cell_variances(n)
+    return comps.cell_variances(n)
 
 
 def de_ancova_prepost(
@@ -312,17 +315,16 @@ def inflate_sample_size(
     )
 
 
-def _hussey_hughes(layout, params, n: int) -> DesignEffectResult:
+def _hussey_hughes(layout, a: float, b: float, n: int) -> DesignEffectResult:
     """Exact GLS design effect of an equal-size wedge (Hussey & Hughes 2007).
 
-    Cluster-period means have covariance tau2*J + sigma2*I (sigma_y_sq
-    = 1; sac is 0 unless clusters are cohorts).  Group s has c_s
-    clusters, exposed from period x_s on: e_s = T - x_s periods.  With
-    I = sum c_s, U = sum c_s*e_s, V = sum c_s*e_s**2 and
+    Cluster-period means have covariance a*J + b*I, Hussey & Hughes's
+    tau2 and sigma2: _require_regular's at cluster size n.  Group s has
+    c_s clusters, exposed from period x_s on: e_s = T - x_s periods.
+    With I = sum c_s, U = sum c_s*e_s, V = sum c_s*e_s**2 and
     W = sum (c_1 + ... + c_s)**2 * (x_{s+1} - x_s), x_{k+1} = T,
 
-        Var = I*sigma2*(sigma2 + T*tau2)
-              / ((I*U - W)*sigma2 + (U**2 + I*T*U - T*W - I*V)*tau2)
+        Var = I*b*(b + T*a) / ((I*U - W)*b + (U**2 + I*T*U - T*W - I*V)*a)
 
     and DE = Var*I*n/4 counts one comparison per cluster-period.
     """
@@ -332,11 +334,8 @@ def _hussey_hughes(layout, params, n: int) -> DesignEffectResult:
     v = sum(c * (n_times - x) ** 2 for c, x in zip(counts, switch))
     spans = (after - x for x, after in zip(switch, (*switch[1:], n_times)))
     w = sum(total**2 * span for total, span in zip(itertools.accumulate(counts), spans))
-    rho, cac, sac = float(params.icc), float(params.cac), float(params.sac)
-    tau2 = cac * rho + sac * (1.0 - rho) / n
-    sigma2 = (1.0 - cac) * rho + (1.0 - sac) * (1.0 - rho) / n
-    between = (u * u + i * n_times * u - n_times * w - i * v) * tau2
-    variance = i * sigma2 * (sigma2 + n_times * tau2) / ((i * u - w) * sigma2 + between)
+    between = (u * u + i * n_times * u - n_times * w - i * v) * a
+    variance = i * b * (b + n_times * a) / ((i * u - w) * b + between)
     value = variance * i * n / 4.0
     return DesignEffectResult(value, {"gls_variance": value}, None, "hussey_hughes")
 
@@ -351,13 +350,13 @@ def design_effect_for(spec, params) -> DesignEffectResult:
     three-measurement for a cohort at T = 3); every other wedge takes
     the exact Hussey & Hughes variance.  Single-step wedges, unequal
     cluster sizes, and the counts and correlation inputs that power
-    refuses are refused, the latter with its messages.  A size list or
-    a single step is named before a singular cluster covariance.  Reads
-    the layout the count check returns, not the count fields or means.
+    refuses at every variance are refused, the latter with its messages.
+    A size list or a single step is named before a singular covariance.
+    Reads the layout the count check returns, not the count fields or means.
     """
     layout = designs.ensure_counts(spec)
     # sac is 0 unless a cluster is a cohort: variance_components refuses it
-    comps = engine.variance_components(spec, params)
+    engine.variance_components(spec, params)
     traits = designs.kind_traits(spec.kind)
     if not traits.clustered:
         return DesignEffectResult(
@@ -384,7 +383,5 @@ def design_effect_for(spec, params) -> DesignEffectResult:
         return de_three_measurement(n, params.icc, params.cac, params.sac)
     if equal and not cohort and params.cac == 1.0:
         return de_stepped_wedge(k, b, layout.switch[1] - b, n, params.icc)
-    # the closed forms above check the covariance themselves, or meet no
-    # singular one: their residual share (1 - icc) * sigma_y_sq is positive
-    comps.cell_variances(n)
-    return _hussey_hughes(layout, params, n)
+    a, b = _require_regular(n, params.icc, params.cac, params.sac)
+    return _hussey_hughes(layout, a, b, n)

@@ -146,7 +146,7 @@ class DesignSpec:
 
     @property
     def n_times(self) -> int:
-        layout = _layout(self)
+        layout = _checked(*_layout_errors(self))
         return max(layout.first) + layout.n_periods - 1
 
     @property
@@ -156,14 +156,14 @@ class DesignSpec:
 
     def cluster_subject_counts(self) -> tuple[int, ...]:
         """One entry per cluster: its subjects (per time if cross-sectional)."""
-        layout = _layout(self)
+        layout = _checked(*_layout_errors(self))
         if isinstance(layout.size, (tuple, list)):
             return tuple(int(v) for v in layout.size)
         return (int(layout.size),) * sum(layout.clusters)
 
     @property
     def n_observations(self) -> int:
-        layout = _layout(self)
+        layout = _checked(*_layout_errors(self))
         return _n_observations(layout, _exact_ints(layout.size))
 
 
@@ -264,6 +264,15 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
 
 def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
     """validate_spec's kind and count messages, and the layout (set if none)."""
+    errors, layout = _layout_errors(spec)
+    n = _n_observations(layout, _exact_ints(layout.size)) if not errors else 0
+    if n > 2**53:
+        errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
+    return errors, layout
+
+
+def _layout_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
+    # _count_errors less its bound on the observations: the count properties
     errors: list[str] = []
     known = isinstance(spec.kind, DesignKind)
     if not known:
@@ -306,9 +315,6 @@ def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {n_clusters} clusters"
             )
-    n = _n_observations(layout, _exact_ints(layout.size)) if not errors else 0
-    if n > 2**53:
-        errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors, layout
 
 

@@ -334,7 +334,7 @@ def evaluate(
         alpha: type I error rate; defaults to spec.alpha.
     """
     cells = designs.cell_table(spec)
-    policy = ddf_policy or default_ddf_policy(spec.kind)
+    policy = default_ddf_policy(spec.kind) if ddf_policy is None else ddf_policy
     comps = variance_components(spec, params)
     fit = fit_cells(cells, comps)
     # the tested effect is the last design column: a one-row Wald F, in

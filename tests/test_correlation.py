@@ -314,6 +314,14 @@ class TestVcorr:
         corr = vcorr(np.array([[4.0, 1.0], [1.0, 9.0]]))
         assert corr[0, 1] == pytest.approx(1.0 / 6.0)
 
+    def test_scales_rows_then_columns_leaving_its_input(self):
+        v = preset_block("example5")
+        before = v.copy()
+        scale = 1.0 / np.sqrt(np.diag(v))
+        expected = v * scale[:, None] * scale[None, :]
+        assert vcorr(v).tobytes() == expected.tobytes()
+        assert v.tobytes() == before.tobytes()
+
     def test_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
             vcorr(np.array([[0.0, 0.0], [0.0, 1.0]]))

@@ -404,6 +404,15 @@ class TestDesignEffectFor:
         assert result.baseline_r is None
         assert_gls_variance(spec, params, result.value)
 
+    @pytest.mark.parametrize("sigma_y_sq", [5e-324, 1e-310, 1.0, 1e300])
+    def test_hussey_hughes_does_not_depend_on_the_variance_scale(self, sigma_y_sq):
+        # a variance whose a and b underflow at its own scale is not refused
+        spec, params = get_preset("example6")
+        params = CorrelationParams(sigma_y_sq, params.icc, 0.5)
+        result = design_effect_for(spec, params)
+        assert result.formula == "hussey_hughes"
+        assert result.value == 1.3242424242424242
+
     @pytest.mark.parametrize("preset", ["example6", "example7"])
     def test_single_step_wedge_rejected(self, preset):
         spec, params = get_preset(preset)
@@ -461,14 +470,17 @@ class TestDesignEffectFor:
         baseline=st.integers(1, 3),
         per_step=st.integers(1, 3),
         clusters=st.lists(st.integers(1, 4), min_size=2, max_size=5),
-        size=st.integers(1, 20),
-        icc=st.floats(0.0, 0.99),
+        size=st.integers(1, 10**6),
+        sigma_y_sq=st.sampled_from([5e-324, 1e-310, 2.0, 1e300]),
+        icc=st.floats(0.0, 0.999),
         cac=st.floats(0.0, 1.0),
         sac=st.floats(0.0, 0.99),
     )
     def test_hussey_hughes_matches_the_count_formula_bit_for_bit(
-        self, cohort, baseline, per_step, clusters, size, icc, cac, sac
+        self, cohort, baseline, per_step, clusters, size, sigma_y_sq, icc, cac, sac
     ):
+        # the covariance is taken at unit variance, so no scale of the
+        # variance, a subnormal one included, moves or refuses the value
         spec = DesignSpec(
             kind=DesignKind.SWD_COHORT if cohort else DesignKind.SWD_XSEC,
             steps_k=len(clusters),
@@ -477,7 +489,7 @@ class TestDesignEffectFor:
             clusters_per_step=tuple(clusters),
             cluster_size=size,
         )
-        params = CorrelationParams(2.0, icc, cac, sac if cohort else 0.0)
+        params = CorrelationParams(sigma_y_sq, icc, cac, sac if cohort else 0.0)
         result = design_effect_for(spec, params)
         # equal steps keep the named formulas at T = 3 or cac = 1
         assume(result.formula == "hussey_hughes")

@@ -309,6 +309,41 @@ class TestCounts:
         assert spec.n_observations == 2**63
         assert validate_spec(spec)[0].startswith(f"design: {2**63} observations")
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"cluster_size": -3}, "design.cluster_size: must be >= 1, got -3"),
+            ({"cluster_size": (3, 3)}, "design.cluster_size: 2 entries for 4 clusters"),
+            (
+                {"kind": DesignKind.SWD_XSEC, "clusters_per_arm": None,
+                 "baseline_b": 1, "per_step_t": 1, "clusters_per_step": (2, 2)},
+                "design.steps_k: required for this design kind",
+            ),
+        ],
+        ids=["negative_size", "short_size_list", "wedge_without_steps"],
+    )
+    def test_count_properties_refuse_what_the_count_check_refuses(
+        self, changes, message
+    ):
+        # they once laid out the raw fields: -12 observations, sizes for
+        # 2 of 4 clusters, or a TypeError on a missing step count
+        spec = DesignSpec(
+            kind=DesignKind.CRT_POST,
+            clusters_per_arm=(2, 2),
+            cluster_size=3,
+            cell_means={(1, 1): 59.0, (2, 1): 54.0},
+        )
+        spec = dataclasses.replace(spec, **changes)
+        reads = {
+            "n_times": lambda: spec.n_times,
+            "n_observations": lambda: spec.n_observations,
+            "cluster_subject_counts": spec.cluster_subject_counts,
+        }
+        for name, read in reads.items():
+            with pytest.raises(SpecValidationError) as caught:
+                read()
+            assert caught.value.errors == [message], name
+
     def test_times(self):
         assert get_preset("example2")[0].n_times == 1
         assert get_preset("example4")[0].n_times == 2

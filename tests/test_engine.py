@@ -8,6 +8,7 @@ test_distributions.  Both routes were cross-checked independently.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from wedgepower.engine import (
     power_audit,
 )
 
+import eval_corpus
 import f_oracle
 from dense_oracle import (
     FAMILY,
@@ -196,9 +198,15 @@ class TestDdfPolicies:
             with pytest.raises(ValueError, match="residual"):
                 preset_ddf("example1", policy)
 
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            preset_ddf("example2", "satterthwaite")
+    @pytest.mark.parametrize("policy", ["satterthwaite", ""])
+    def test_unknown_policy(self, policy):
+        # an empty name is refused by name too, not taken for the default
+        message = f"unknown ddf policy {policy!r}; choose from"
+        with pytest.raises(ValueError, match=message):
+            preset_ddf("example2", policy)
+        spec, params = get_preset("example2")
+        with pytest.raises(ValueError, match=message):
+            analytic_power(spec, params, ddf_policy=policy)
 
     def test_exhausted_ddf(self):
         spec = DesignSpec(
@@ -409,3 +417,32 @@ def test_power_matches_lower_tail_oracle(name):
             assert result.power == pytest.approx(power, abs=1e-12)
             checked += 1
     assert checked >= 2
+
+
+def test_evaluation_corpus_ends_every_case_in_a_value_or_a_refusal():
+    # eval_corpus.py digests these cases to compare two checkouts; it
+    # covers every kind, ddf policy and size shape, and each case
+    # answers or refuses with a ValueError, in good time, never raises
+    cases = list(eval_corpus.cases())
+    assert len(cases) == 592
+    assert {case.spec.kind for case in cases} == set(DesignKind)
+    assert {case.policy for case in cases} == {None, *DDF_POLICIES}
+    assert {case.alpha for case in cases} == {0.05, 1e-6}
+
+    def shape(size):
+        if isinstance(size, int):
+            return "common"
+        return "equal" if len(set(size)) == 1 else "mixed"
+
+    shapes = {
+        (case.spec.kind, shape(case.spec.cluster_size))
+        for case in cases
+        if case.spec.cluster_size is not None
+    }
+    clustered = {kind for kind, _ in shapes}
+    assert clustered == set(DesignKind) - {DesignKind.RCT_POST, DesignKind.RCT_PREPOST}
+    assert len(shapes) == 3 * len(clustered)
+    for case in cases:
+        start = time.perf_counter()
+        eval_corpus.record(case)
+        assert time.perf_counter() - start < 5.0, case.label

@@ -363,6 +363,11 @@ class TestEmpiricalPower:
         )
         assert result.ddf == 52
 
+    @pytest.mark.parametrize("policy", ["satterthwaite", ""])
+    def test_unknown_ddf_policy_refused(self, policy):
+        with pytest.raises(ValueError, match=f"unknown ddf policy {policy!r}"):
+            empirical_power(preset_plan("example2", 10, ddf_policy=policy))
+
     def test_single_replicate(self):
         result = empirical_power(preset_plan("example1", 1, seed=0))
         assert result.estimate in (0.0, 1.0)
