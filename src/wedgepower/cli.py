@@ -14,7 +14,9 @@ json for de and mc, table and csv for dataset, and table, json and csv
 for power (--audit not as csv) and vmatrix.  Exit status is 0 on
 success, 2 on a validation or usage problem, 1 on an I/O failure.
 
-The parser is built once, at import, and every main call parses with it.
+The parser is built once, at import.  A command is parsed once, by its
+subcommand's parser alone; the top-level parser answers only help,
+--version and usage errors.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     Nothing in it depends on the input, and parsing leaves it as it was,
     so the module builds it once at import (_PARSER) and every main call
-    in the process reuses it.
+    in the process reuses it.  Its `_commands` maps each subcommand's
+    name to that subcommand's parser, which main parses a command with.
     """
     parser = argparse.ArgumentParser(
         prog="wedgepower",
@@ -135,8 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._commands = {}
     for name, entry in _SUBCOMMANDS.items():
-        entry.add_options(sub.add_parser(name, help=entry.help))
+        command = parser._commands[name] = sub.add_parser(name, help=entry.help)
+        entry.add_options(command)
     return parser
 
 
@@ -413,8 +418,28 @@ _SUBCOMMANDS = {
 _PARSER = build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace _PARSER.parse_args(argv) gives, parsing a command once.
+
+    A subcommand's parser takes the arguments after its name, as the
+    top-level parser would hand them over.  The top-level parser parses
+    the rest: no command or an unknown one, which it answers or refuses;
+    arguments the subcommand leaves unrecognized, which it refuses with
+    its own usage; and any argument holding "--=".  One that starts with
+    it abbreviates both --help and --version, and the top-level scan
+    refuses it as ambiguous before the subcommand's parser sees it.
+    """
+    command = _PARSER._commands.get(argv[0]) if argv else None
+    if command is not None and "--=" not in " ".join(argv):
+        args, unrecognized = command.parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         text = _SUBCOMMANDS[args.command].run(args)
         _emit((text,) if isinstance(text, str) else text, args.out)

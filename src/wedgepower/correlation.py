@@ -10,6 +10,7 @@ covariance matrix of one cluster.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,8 @@ __all__ = [
 
 # the most rows of a dense covariance; vmatrix prints them in any format in 1 GiB
 MAX_MATRIX_ROWS = 2_000
+# below it a float is subnormal and keeps fewer than 53 significant bits
+_LEAST_NORMAL = sys.float_info.min
 
 
 class Family(str, enum.Enum):
@@ -120,13 +123,24 @@ class VarianceComponents:
             ValueError: if the subject-level covariance is singular: its
                 periods are collinear (b <= 0), or several subjects share
                 a cell with no measurement-level variance between them.
+                Or if sigma_y_sq is too small for the cell variances to be
+                represented: some b falls below the least normal float,
+                where it keeps too few digits or none.  A total variance
+                below it rounds every component to a grid too coarse to
+                tell a zero b from a positive one, so it names the scale.
         """
         within = self.subject_by_time + self.residual
         b = self.cluster_by_time + within / sizes
-        if np.count_nonzero(b <= 0.0) or (within <= 0.0 and np.any(sizes > 1)):
+        shared = within <= 0.0 and np.any(sizes > 1)
+        if np.count_nonzero(b < _LEAST_NORMAL) or shared:
+            if self.total >= _LEAST_NORMAL and (np.count_nonzero(b <= 0.0) or shared):
+                raise ValueError(
+                    "cluster covariance is singular; the correlation parameters "
+                    "leave no measurement-level variation"
+                )
             raise ValueError(
-                "cluster covariance is singular; the correlation parameters "
-                "leave no measurement-level variation"
+                "sigma_y_sq is too small for the cell variances to be "
+                "represented in floating point"
             )
         return self.cluster + self.subject / sizes, b
 

@@ -221,10 +221,17 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     # X' C and C' ybar in one product with the long side second: a row
     # over 10^4 cells or more wakes a BLAS thread that slows what follows
     products = np.dot(rows.reshape(q + 1, -1), flat.T)
-    try:
-        cov = np.linalg.inv(products[:q].T)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("information matrix is singular") from exc
+    if q == 1:
+        # a 1 x 1 information inverts in floats, as LAPACK would
+        information = float(products[0, 0])
+        if information == 0.0:
+            raise ValueError("information matrix is singular")
+        cov = np.array([[1.0 / information]])
+    else:
+        try:
+            cov = np.linalg.inv(products[:q].T)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("information matrix is singular") from exc
     variance = float(cov[-1, -1]) / scale
     _require_positive(variance)
     theta = np.dot(cov, products[q])

@@ -13,7 +13,8 @@ named relative to it, so argv and the digest do not depend on where
 it is (run the commands inside `spec_documents()`).  It then pins the
 parser's own output: usage, top-level and per-command help, --version,
 and the usage errors for a missing or unknown command, an unknown
-option, a format the command does not write and a stray argument.  The
+option, a format the command does not write, a stray argument and a
+top-level option after a command.  The
 digest is one SHA-256 over each command's argv, stdout, stderr and exit
 status, a usage exit's included, so two checkouts print the same
 digest exactly when every command's output is the same.  Compare a
@@ -125,6 +126,10 @@ def parser_commands() -> Iterator[list[str]]:
         yield [*scenario, "--format", "xml"]
         yield [*scenario, "stray"]
         yield [*scenario, *options]
+    # top-level options after a command: --version, its abbreviation, and
+    # "--=", which abbreviates both --help and --version
+    example = ["power", "--preset", "example2"]
+    yield from ([*example, "--version"], [*example, "--ver"], [*example, "--=x"])
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -799,16 +799,24 @@ def test_vmatrix_refuses_what_power_refuses(capsys, tmp_path, kind, correlation)
     ],
     ids=["swd_xsec", "crt_post"],
 )
-def test_subnormal_variance_refused_in_one_line(capsys, tmp_path, doc, design_effect):
-    # a subnormal sigma_y_sq makes 1 / b overflow: power and mc refuse it
-    # with one line and no numpy warning, and de, which does not depend on
-    # the variance's scale, still answers
-    doc = {**doc, "correlation": {**doc["correlation"], "sigma_y_sq": 1e-310}}
+@pytest.mark.parametrize("sigma_y_sq", [1e-310, 5e-324])
+def test_subnormal_variance_refused_in_one_line(
+    capsys, tmp_path, doc, design_effect, sigma_y_sq
+):
+    # a subnormal sigma_y_sq leaves the cell variances subnormal or zero:
+    # power and mc refuse it by name, in one line and with no numpy
+    # warning, and de, which does not depend on the variance's scale,
+    # still answers
+    doc = {**doc, "correlation": {**doc["correlation"], "sigma_y_sq": sigma_y_sq}}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
+    message = (
+        "error: sigma_y_sq is too small for the cell variances to be "
+        "represented in floating point\n"
+    )
     for argv in (["power"], ["mc", "--reps", "100"]):
         outcome = run(capsys, argv[0], "--spec", str(path), *argv[1:])
-        assert outcome == (2, "", "error: information matrix is singular\n"), argv
+        assert outcome == (2, "", message), argv
     code, out, err = run(capsys, "de", "--spec", str(path))
     assert (code, err) == (0, "")
     assert table_value(out, "design effect") == design_effect
@@ -819,7 +827,7 @@ def test_output_corpus_ends_every_command_in_a_status():
     # checkouts; each must answer or refuse with status 2, help and
     # usage exits included, never raise
     argvs = list(cli_corpus.commands())
-    assert len(argvs) == 663
+    assert len(argvs) == 666
     with cli_corpus.spec_documents():
         assert {cli_corpus.run(argv)[0] for argv in argvs} <= {0, 2}
 
@@ -881,6 +889,19 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def record_parses(monkeypatch):
+    """The list each parse_known_args call appends its parser to."""
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return parsed
+
+
 def fresh_process(argv):
     """Exit status, stdout and stderr of one command in a new interpreter."""
     source = Path(cli.__file__).resolve().parents[1]
@@ -907,13 +928,53 @@ class TestSharedParser:
     @pytest.mark.parametrize("argv", list(cli_corpus.parser_commands()), ids=" ".join)
     def test_matches_a_new_parser(self, capsys, monkeypatch, argv):
         # after commands that set every stateful option, the module's
-        # parser answers, helps and refuses as a newly built one does
+        # parser answers, helps and refuses as a newly built one does, on
+        # the subcommand's parser and on the top-level one alike
         power = ("power", "--preset", "example6", "--audit", "--format", "json")
         outcome(capsys, (*power, "--alpha", "0.01", "--ddf-policy", "residual"))
         outcome(capsys, ("mc", "--preset", "example2", "--seed", "5", "--reps", "300"))
         shared = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh = cli.build_parser()
+        monkeypatch.setattr(cli, "_PARSER", fresh)
+        parsed = record_parses(monkeypatch)
         assert outcome(capsys, argv) == shared
+        assert parsed and set(parsed) <= {fresh, *fresh._commands.values()}
+
+    def test_each_command_is_parsed_once_by_its_own_parser(self, monkeypatch):
+        # the subcommand's parser takes the arguments after the command's
+        # name; only no command or an unknown one, arguments the command
+        # leaves unrecognized, and "--=", which the top-level parser refuses
+        # as ambiguous, reach the top-level parser
+        scenario = ["--preset", "example2"]
+        top_level = [
+            [], ["--help"], ["--version"], ["bogus"], ["pow"],
+            *([name, *scenario, extra] for name in cli._SUBCOMMANDS
+              for extra in ("--bogus", "stray")),
+            *(["power", *scenario, extra] for extra in ("--version", "--ver", "--=x")),
+        ]
+        parsed = record_parses(monkeypatch)
+        reached = []
+        with cli_corpus.spec_documents():
+            for argv in cli_corpus.commands():
+                parsed.clear()
+                status = cli_corpus.run(argv)[0]
+                if cli._PARSER in parsed:
+                    assert status == 2 or argv in (["--help"], ["--version"]), argv
+                    reached.append(argv)
+                else:
+                    assert parsed == [cli._PARSER._commands[argv[0]]], argv
+        assert reached == top_level
+
+    def test_each_command_parses_as_the_top_level_parser_parses_it(self):
+        # the namespace holds the command's name and its options, as the
+        # top-level parser's own parse gives them
+        for argv in cli_corpus.commands():
+            if argv and argv[0] in cli._SUBCOMMANDS and "--help" not in argv:
+                try:
+                    expected = vars(cli._PARSER.parse_args(argv))
+                except SystemExit:
+                    continue
+                assert vars(cli._parse(argv)) == expected, argv
 
     def test_commands_build_no_parser(self, capsys, monkeypatch):
         # the module's one parser serves every call, help and errors too

@@ -5,6 +5,7 @@ definitions (Kronecker assembly of compound-symmetric blocks), so every
 frozen entry here is re-derivable by hand.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -21,6 +22,7 @@ from wedgepower.correlation import (
     derive_components,
     vcorr,
 )
+from wedgepower import design_effects, engine, mc
 from wedgepower.designs import DesignKind, DesignSpec, cell_table, get_preset
 
 COMPONENT_TOL = 1e-12
@@ -142,6 +144,52 @@ class TestDeriveComponents:
         assert_weight_recovered(comps.cluster, cluster_share, cac)
         if subject_share > 0:
             assert_weight_recovered(comps.subject, subject_share, sac)
+
+
+class TestCellVariances:
+    TOO_SMALL = (
+        "sigma_y_sq is too small for the cell variances to be represented "
+        "in floating point"
+    )
+    SINGULAR = (
+        "cluster covariance is singular; the correlation parameters leave "
+        "no measurement-level variation"
+    )
+
+    @pytest.mark.parametrize("sigma_y_sq", [5e-324, 1e-310])
+    def test_subnormal_scale_is_named(self, sigma_y_sq):
+        # at 5e-324 b rounds to zero, at 1e-310 it is subnormal: either way
+        # the scale, not the correlations, is at fault, for power and mc
+        # alike, and the scale-free design effect still answers
+        spec, params = get_preset("example6")
+        params = dataclasses.replace(params, cac=0.5)
+        tiny = dataclasses.replace(params, sigma_y_sq=sigma_y_sq)
+        comps = derive_components(tiny, Family.CROSS_SECTIONAL)
+        with pytest.raises(ValueError, match=f"^{self.TOO_SMALL}$"):
+            comps.cell_variances(cell_table(spec).m)
+        for call in (
+            lambda: engine.evaluate(spec, tiny),
+            lambda: mc.empirical_power(mc.SimulationPlan(spec, tiny, replicates=10, seed=1)),
+        ):
+            with pytest.raises(ValueError, match=f"^{self.TOO_SMALL}$"):
+                call()
+        assert design_effects.design_effect_for(spec, tiny) == (
+            design_effects.design_effect_for(spec, params)
+        )
+
+    def test_singular_correlations_keep_their_text(self):
+        # cac = sac = 1 leaves a cohort no measurement-level variation
+        spec, params = get_preset("example7")
+        singular = dataclasses.replace(params, cac=1.0, sac=1.0)
+        comps = derive_components(singular, Family.COHORT)
+        with pytest.raises(ValueError, match=f"^{self.SINGULAR}$"):
+            comps.cell_variances(cell_table(spec).m)
+        for call in (
+            lambda: engine.evaluate(spec, singular),
+            lambda: design_effects.design_effect_for(spec, singular),
+        ):
+            with pytest.raises(ValueError, match=f"^{self.SINGULAR}$"):
+                call()
 
 
 class TestBuildClusterV:

@@ -332,22 +332,37 @@ class TestAnalyticPower:
         assert p48 < p51 < p54
 
 
-@pytest.mark.parametrize("name", ["example2", "example5", "example6", "example7"])
-def test_information_too_large_to_invert_is_refused(name):
-    # a subnormal variance makes 1 / b overflow: both the dense inverse
-    # and the absorbed period block refuse it by name, not with a NaN
+@pytest.mark.parametrize(
+    "name, exponent",
+    [("example2", 1019), ("example5", 1018), ("example6", 1018), ("example7", 1018)],
+)
+def test_information_too_large_to_invert_is_refused(name, exponent):
+    # a variance just above the subnormal range leaves b normal but makes
+    # the bound clusters x periods / b overflow: the inverse of q = 1 and
+    # of q >= 2 columns both refuse it by name, not with a NaN
     spec, params = get_preset(name)
-    tiny = dataclasses.replace(params, sigma_y_sq=1e-310)
+    tiny = dataclasses.replace(params, sigma_y_sq=2.0**-exponent)
     with pytest.raises(ValueError, match="^information matrix is singular$"):
         analytic_power(spec, tiny)
 
 
+@pytest.mark.parametrize("name", ["example2", "example5", "example6", "example7"])
+def test_subnormal_variance_is_refused_by_its_scale(name):
+    # a subnormal variance leaves the cell variances subnormal or zero
+    spec, params = get_preset(name)
+    tiny = dataclasses.replace(params, sigma_y_sq=1e-310)
+    with pytest.raises(ValueError, match="^sigma_y_sq is too small for the cell"):
+        analytic_power(spec, tiny)
+
+
 # the refusals a tiny sigma_y_sq may meet: an F or noncentrality too
-# large for the tail, or a covariance too small to invert
+# large for the tail, a covariance too small to invert, or cell
+# variances too small to represent
 TINY_VARIANCE_REFUSALS = (
     "noncentrality must be finite",
     "fvalue must be finite",
     "information matrix is singular",
+    "sigma_y_sq is too small",
 )
 
 
