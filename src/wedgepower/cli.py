@@ -266,7 +266,7 @@ def _power_payload(
         payload["audit"] = {
             "observations": run.cells.n_observations,
             "clusters": run.cells.n_clusters,
-            "times": int(run.cells.first.max()) + run.cells.exposed.shape[1] - 1,
+            "times": run.cells.exposed.shape[1],
             "contrast": run.contrast,
             "beta": run.fit.beta.tolist(),
             "components": dataclasses.asdict(run.components),

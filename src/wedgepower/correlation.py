@@ -35,6 +35,9 @@ __all__ = [
 MAX_MATRIX_ROWS = 2_000
 # below it a float is subnormal and keeps fewer than 53 significant bits
 _LEAST_NORMAL = sys.float_info.min
+SCALE_TOO_SMALL = (
+    "sigma_y_sq is too small for the cell variances to be represented in floating point"
+)
 
 
 class Family(str, enum.Enum):
@@ -138,10 +141,7 @@ class VarianceComponents:
                     "cluster covariance is singular; the correlation parameters "
                     "leave no measurement-level variation"
                 )
-            raise ValueError(
-                "sigma_y_sq is too small for the cell variances to be "
-                "represented in floating point"
-            )
+            raise ValueError(SCALE_TOO_SMALL)
         return self.cluster + self.subject / sizes, b
 
 
@@ -200,8 +200,8 @@ def build_cluster_v(
     same-subject blocks and its diagonal written in place.
 
     Args:
-        cells: the design's cell table; its family, periods and the
-            cluster's subjects per cell fix the matrix layout.
+        cells: the design's cell table; its family and the cluster's
+            subjects per cell and periods fix the matrix layout.
         comps: variance components from derive_components.
         cluster_index: which cluster, 0-based in dataset order; sizes
             can differ when the design carries a per-cluster size list.
@@ -214,8 +214,7 @@ def build_cluster_v(
         raise ValueError(
             f"cluster_index must lie in [0, {n_clusters - 1}], got {cluster_index}"
         )
-    n_subjects = int(cells.m[np.cumsum(cells.count).searchsorted(cluster_index, "right")])
-    n_times = cells.exposed.shape[1]
+    n_subjects, n_times = cells.unit_cells(cluster_index)
     size = n_subjects * n_times
     if size > MAX_MATRIX_ROWS:
         raise ValueError(

@@ -4,11 +4,10 @@ A DesignSpec fixes the structure of a two-arm parallel or stepped wedge
 trial: who is randomized, how many clusters and subjects there are, when
 measurements happen, and the cell means under the alternative.
 cell_table turns it into the design's one cluster-by-period schedule:
-randomized group, first period, exposure to the tested effect and cell
-means of each run of interchangeable clusters.  It holds no design
-matrix: the engine fits the table from its exposure, and
-exemplary_dataset expands it into one row per measurement whose outcome
-column holds the modeled mean.
+randomized group, exposure to the tested effect and cell means of each
+run of interchangeable clusters.  It holds no design matrix: the engine
+fits the table from its exposure, and exemplary_dataset expands it into
+one row per measurement whose outcome column holds the modeled mean.
 """
 
 from __future__ import annotations
@@ -146,8 +145,7 @@ class DesignSpec:
 
     @property
     def n_times(self) -> int:
-        layout = _checked(*_layout_errors(self))
-        return max(layout.first) + layout.n_periods - 1
+        return _checked(*_layout_errors(self)).n_periods
 
     @property
     def family(self) -> Family:
@@ -157,14 +155,15 @@ class DesignSpec:
     def cluster_subject_counts(self) -> tuple[int, ...]:
         """One entry per cluster: its subjects (per time if cross-sectional)."""
         layout = _checked(*_layout_errors(self))
+        if _units_are_measurements(self.kind):
+            return (1,) * _n_observations(layout)
         if isinstance(layout.size, (tuple, list)):
             return tuple(int(v) for v in layout.size)
         return (int(layout.size),) * sum(layout.clusters)
 
     @property
     def n_observations(self) -> int:
-        layout = _checked(*_layout_errors(self))
-        return _n_observations(layout, _exact_ints(layout.size))
+        return _n_observations(_checked(*_layout_errors(self)))
 
 
 class _Layout(NamedTuple):
@@ -172,8 +171,7 @@ class _Layout(NamedTuple):
 
     group: tuple[int, ...]  # as in ExemplaryDataset.arm
     clusters: tuple[int, ...]  # clusters the row stands for
-    first: tuple[int, ...]  # the first of the row's T consecutive periods
-    switch: tuple[int, ...]  # the row's first exposed period of its T, from 0; T if none
+    switch: tuple[int, ...]  # the row's first exposed period, from 0; T if none
     n_periods: int  # T, the periods each cluster is measured in
     size: int | tuple[int, ...]  # subjects per cluster-period
 
@@ -182,30 +180,29 @@ def _layout(spec: DesignSpec) -> _Layout:
     """The one place a kind's count fields become groups, clusters and periods.
 
     The count check builds it and returns it, so its callers read no
-    count field.  Individually randomized kinds make every subject a
-    cluster of one measured once: a single-period row per arm-time cell.
-    A wedge's step s switches after b + (s - 1) t periods, a parallel
-    kind's arm 2 in its last.  Reads no means; holds no list of periods,
-    so its cost follows the groups however many there are.
+    count field.  Every cluster is measured in all T periods.  A wedge's
+    step s switches after b + (s - 1) t periods, a parallel kind's arm 2
+    in its last, and an individually randomized kind is its clustered
+    twin: one cluster per arm, of per_group_n subjects a period.  Reads
+    no means; its cost follows the groups however many there are.
     """
     row = _CATALOG[spec.kind]
-    size = spec.cluster_size if row.clustered else 1
     if row.periods == "wedge":
         k, b, t = int(spec.steps_k), int(spec.baseline_b), int(spec.per_step_t)
         group, switch = tuple(range(1, k + 1)), tuple(range(b, b + k * t, t))
         clusters = tuple(map(int, spec.clusters_per_step))
-        return _Layout(group, clusters, (1,) * k, switch, b + k * t, size)
-    last = 2 if row.periods == "prepost" else 1
-    if row.clustered:
-        group, first, n_periods = (1, 2), (1, 1), last
-        clusters = tuple(map(int, spec.clusters_per_arm))
-    else:
-        periods = range(1, last + 1)
-        group = tuple(arm for arm in (1, 2) for _ in periods)
-        clusters = (int(spec.per_group_n),) * len(group)
-        first, n_periods = tuple(periods) * 2, 1
-    switch = tuple(last - f if g == 2 else n_periods for g, f in zip(group, first))
-    return _Layout(group, clusters, first, switch, n_periods, size)
+        return _Layout(group, clusters, switch, b + k * t, spec.cluster_size)
+    n_periods = 2 if row.periods == "prepost" else 1
+    clusters = tuple(map(int, spec.clusters_per_arm)) if row.clustered else (1, 1)
+    size = spec.cluster_size if row.clustered else int(spec.per_group_n)
+    return _Layout((1, 2), clusters, (n_periods, n_periods - 1), n_periods, size)
+
+
+def _units_are_measurements(kind: DesignKind) -> bool:
+    # an individually randomized kind, laid out as its clustered twin at
+    # icc 0, randomizes subjects measured once: the clusters it counts, its
+    # cluster ids and one cluster's covariance are its measurements'
+    return not _CATALOG[kind].clustered
 
 
 def _exact_ints(values) -> bool:
@@ -213,12 +210,12 @@ def _exact_ints(values) -> bool:
     return isinstance(values, (list, tuple)) and set(map(type, values)) <= {int}
 
 
-def _n_observations(layout: _Layout, exact: bool) -> int:
+def _n_observations(layout: _Layout) -> int:
     # no per-cluster tuple: validate_spec reads this to refuse huge designs;
-    # exact is _exact_ints of the size, which a size list sums as it stands
+    # a size list of exact ints sums as it stands
     size = layout.size
     if isinstance(size, (tuple, list)):
-        total = sum(size) if exact else sum(map(int, size))
+        total = sum(size) if _exact_ints(size) else sum(map(int, size))
         return total * layout.n_periods
     return int(size) * sum(layout.clusters) * layout.n_periods
 
@@ -265,7 +262,7 @@ def _check_count_field(errors: list[str], name: str, value, used: bool) -> bool:
 def _count_errors(spec: DesignSpec) -> tuple[list[str], _Layout | None]:
     """validate_spec's kind and count messages, and the layout (set if none)."""
     errors, layout = _layout_errors(spec)
-    n = _n_observations(layout, _exact_ints(layout.size)) if not errors else 0
+    n = _n_observations(layout) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors, layout
@@ -414,20 +411,17 @@ class CellTable:
     clusters that share a randomized group and a cell size are
     interchangeable for the analysis.  Pattern k is a run of count[k]
     such clusters that neighbour in dataset order; two runs may match,
-    and a common cluster size makes each randomized group one run.  Its
-    T cells, T = exposed.shape[1], are the periods from first[k] on that
-    such a cluster is measured in: one for post-only kinds, and one for
-    individually randomized kinds, where every randomized unit is one
-    measurement.  The exposure flags are
-    the values of the tested effect's design column; the kind fixes the
-    other columns.
+    and a common cluster size makes each randomized group one run, as
+    in an individually randomized kind's clustered twin.  Its T cells,
+    T = exposed.shape[1], are the periods 1..T every cluster is measured
+    in.  The exposure flags are the values of the tested effect's design
+    column; the kind fixes the other columns.
 
     Attributes:
         kind: the design kind, whose catalog row fixes the design columns.
         group: (K,) randomized group, as in ExemplaryDataset.arm.
         m: (K,) subjects per cell.
         count: (K,) clusters in the run.
-        first: (K,) first period: 2 for rct_prepost's post units, else 1.
         exposed: (K, T) whether the tested effect applies in each cell.
         mean: (K, T) modeled cell means.
     """
@@ -436,7 +430,6 @@ class CellTable:
     group: np.ndarray
     m: np.ndarray
     count: np.ndarray
-    first: np.ndarray
     exposed: np.ndarray
     mean: np.ndarray
 
@@ -447,7 +440,9 @@ class CellTable:
 
     @property
     def n_clusters(self) -> int:
-        """Number of randomized units (for rct kinds, each subject)."""
+        """Number of randomized units (for rct kinds, each measurement)."""
+        if _units_are_measurements(self.kind):
+            return self.n_observations
         return int(self.count.sum())
 
     @property
@@ -457,23 +452,29 @@ class CellTable:
 
     @property
     def cluster_pattern(self) -> np.ndarray:
-        """(n_clusters,) pattern of each cluster, in dataset order."""
+        """(count.sum(),) pattern of each cluster of the table, in dataset order."""
         return np.repeat(np.arange(self.count.size), self.count)
+
+    def unit_cells(self, index: int) -> tuple[int, int]:
+        """(subjects per cell, periods) of randomized unit index, 0-based."""
+        if _units_are_measurements(self.kind):
+            return 1, 1
+        pattern = np.cumsum(self.count).searchsorted(index, "right")
+        return int(self.m[pattern]), self.exposed.shape[1]
 
 
 def cell_table(spec: DesignSpec) -> CellTable:
     """The design's one cluster-by-period schedule, in runs of clusters.
 
     The rows of the layout its validation builds become arrays, with
-    first periods, exposure (from each row's switch on) and means: the
-    engine fits the table, correlation sizes covariance blocks from it
-    and exemplary_dataset expands it.
-    Splits each group's slice of a cluster size list where the size
-    changes, which costs the length of the user's list.  The table is
-    built for any valid spec, a degenerate step layout included; the
-    engine refuses that when it fits.  A table of more than _MAX_CELLS
-    patterns x periods cells is refused, from the counts, before any
-    array is built.
+    exposure (from each row's switch on) and means: the engine fits the
+    table, correlation sizes covariance blocks from it and
+    exemplary_dataset expands it.  Splits each group's slice of a
+    cluster size list where the size changes, which costs the length of
+    the user's list.  The table is built for any valid spec, a
+    degenerate step layout included; the engine refuses that when it
+    fits.  A table of more than _MAX_CELLS patterns x periods cells is
+    refused, from the counts, before any array is built.
     """
     return _cell_table(spec, ensure_valid(spec))
 
@@ -481,7 +482,7 @@ def cell_table(spec: DesignSpec) -> CellTable:
 def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
     # cell_table of a valid spec, from the layout its validation built; the
     # group rows are chosen before any (K, T) array is built
-    group, first, switch = map(np.array, (layout.group, layout.first, layout.switch))
+    group, switch = np.array(layout.group), np.array(layout.switch)
     if isinstance(layout.size, (tuple, list)):
         row = np.repeat(np.arange(group.size), layout.clusters)
         sizes = np.asarray(layout.size, dtype=np.int64)
@@ -492,7 +493,7 @@ def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
         edges = edge.nonzero()[0]
         starts = edges[:-1]
         chosen, m, count = row[starts], sizes[starts], edges[1:] - starts
-        group, first, switch = group[chosen], first[chosen], switch[chosen]
+        group, switch = group[chosen], switch[chosen]
     else:
         chosen, count = slice(None), np.array(layout.clusters, np.int64)
         m = np.full(group.size, int(layout.size), np.int64)
@@ -506,10 +507,10 @@ def _cell_table(spec: DesignSpec, layout: _Layout) -> CellTable:
     if _CATALOG[spec.kind].periods == "wedge":
         mean = np.where(exposed, float(means[(1, 0)]), float(means[(0, 0)]))
     else:
-        rows, periods = zip(layout.group, layout.first), range(layout.n_periods)
-        mean = np.array([[float(means[(a, f + t)]) for t in periods] for a, f in rows])
-        mean = mean[chosen]
-    return CellTable(spec.kind, group, m, count, first, exposed, mean)
+        periods = range(1, layout.n_periods + 1)
+        rows = [[float(means[(a, t)]) for t in periods] for a in layout.group]
+        mean = np.array(rows)[chosen]
+    return CellTable(spec.kind, group, m, count, exposed, mean)
 
 
 def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
@@ -523,7 +524,7 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     built.
     """
     layout = ensure_valid(spec)
-    n_rows = _n_observations(layout, _exact_ints(layout.size))
+    n_rows = _n_observations(layout)
     if n_rows > MAX_DATASET_ROWS:
         raise ValueError(
             f"exemplary dataset would have {n_rows} rows; limit is {MAX_DATASET_ROWS}"
@@ -544,9 +545,9 @@ def exemplary_dataset(spec: DesignSpec) -> ExemplaryDataset:
     return ExemplaryDataset(
         kind=spec.kind.value,
         arm=cells.group[pattern],
-        cluster_id=cluster + 1,
+        cluster_id=subject if _units_are_measurements(spec.kind) else cluster + 1,
         subject_id=subject,
-        time=cells.first[pattern] + period,
+        time=period + 1,
         intervene=cells.exposed.astype(np.int64)[pattern, period],
         mean=cells.mean[pattern, period],
     )

@@ -10,18 +10,19 @@ Every fixed effect is constant within a cluster-period cell and the
 covariance is exchangeable within one, so the fit runs on the cell
 means of each run of interchangeable clusters (Hussey & Hughes 2007;
 Hooper et al. 2016): its cost follows runs times periods, not subjects.
-Every kind is one longitudinal model: T free period means plus q <= 3
-columns they do not span, the exposure last.  The period means are
-absorbed in closed form and only the q x q information is inverted, so
-the fit costs O(runs x periods).  It gives the estimates, the tested
-coefficient's variance and its weights on the cell means, which the
-Monte Carlo check draws its contrast from.
+Every kind is one longitudinal model, an individually randomized one as
+its clustered twin: T free period means plus q <= 2 columns they do not
+span, the exposure last.  The period means are absorbed in closed form
+and only the q x q information is inverted, so the fit costs O(runs x
+periods).  It gives the estimates, the tested coefficient's variance
+and its weights on the cell means, which the Monte Carlo check draws
+its contrast from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,10 +55,9 @@ class GlsEstimate:
     """Generalized least squares fit under a known covariance.
 
     Attributes:
-        beta: the first period's mean, the other columns' effects but
-            the tested one, each later period's difference from the
-            first, and the tested effect; for a parallel kind, its
-            intercept, arm, post indicator and exposure.
+        beta: the first period's mean, the arm's effect for a
+            pre-post kind, each later period's difference from the
+            first, and the tested effect.
         variance: the tested coefficient's variance, the last diagonal
             entry of the inverse information.
         weights: (K, T) weights of the cell means in the tested
@@ -134,27 +134,16 @@ def _require_full_rank(cells: designs.CellTable) -> None:
         )
 
 
-def _require_positive(value: float) -> None:
-    # NaN and infinity come from a covariance too small to invert
-    if not 0.0 < value < math.inf:
-        raise ValueError("information matrix is singular")
-
-
 def _design_rows(cells: designs.CellTable, shift: float) -> np.ndarray:
     """(q + 1, K, T): the 0/1 columns the period means do not span, then the means.
 
-    Exposure last of the q; a pre-post kind's arm indicator first and,
-    for single measurements (T = 1), its post indicator next.  The
-    means are taken less shift.
+    q <= 2: a pre-post kind's arm, then the exposure; the means less shift.
     """
     exposed = cells.exposed
     prepost = designs.kind_traits(cells.kind).periods == "prepost"
-    single = prepost and exposed.shape[1] == 1
-    rows = np.empty((2 + prepost + single, *exposed.shape))
+    rows = np.empty((2 + prepost, *exposed.shape))
     if prepost:
         rows[0] = (cells.group == 2)[:, None]
-    if single:
-        rows[1] = (cells.first == 2)[:, None]
     rows[-2] = exposed
     np.subtract(cells.mean, shift, out=rows[-1])
     return rows
@@ -170,7 +159,7 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     is 1 / b_k on a cluster's deviations from its own mean and
     1 / (b_k + T a_k) on that mean, and A = sum_k count_k S_k^-1
     inverts in the same two parts, so nothing cancels as T a_k outgrows
-    b_k.  With B the cross block of the q other columns X, the
+    b_k.  With B the cross block of the q <= 2 other columns X, the
     contrasts C_k = S_k^-1 (X_k - A^-1 B) give the q x q information
     sum_k count_k C_k' X_k, the score sum_k count_k C_k' ybar_k and the
     cell weights, C_k times the inverse's last column.  The means are
@@ -179,8 +168,9 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
 
     Raises:
         ValueError: if the design rows are rank deficient (a degenerate
-            step layout), the covariance or the information is singular,
-            or the fixed effects do not reproduce the cell means.
+            step layout), the covariance is singular or too small for
+            floats, the information is singular, or the fixed effects do
+            not reproduce the cell means.
     """
     _require_full_rank(cells)
     a, b = comps.cell_variances(cells.m)
@@ -188,7 +178,8 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
     least = float(b.min())
     # no entry of the information exceeds clusters x periods / b, so a
     # covariance too small for that bound to be finite is refused here
-    _require_positive(float(np.add.reduce(count)) * n_periods / least)
+    if not float(np.add.reduce(count)) * n_periods / least < math.inf:
+        raise ValueError(correlation.SCALE_TOO_SMALL)
     scale = math.ldexp(1.0, -math.frexp(least)[1])
     # count_k / b_k and count_k / (b_k + T a_k) and their shares of their
     # sums, the within and mean parts of count_k S_k^-1 and A^-1
@@ -233,7 +224,8 @@ def fit_cells(cells: designs.CellTable, comps: VarianceComponents) -> GlsEstimat
         except np.linalg.LinAlgError as exc:
             raise ValueError("information matrix is singular") from exc
     variance = float(cov[-1, -1]) / scale
-    _require_positive(variance)
+    if not 0.0 < variance < math.inf:
+        raise ValueError("information matrix is singular")
     theta = np.dot(cov, products[q])
     # the period means of the means less the effects, then the residuals
     x *= theta[:, None, None]
@@ -286,10 +278,9 @@ def _ddf_from_cells(policy: str, cells: designs.CellTable, rank_x: int) -> int:
     fit_cells refuses rows without full rank.  The cluster-constant
     columns are the intercept and a parallel kind's arm, which is also a
     post-only kind's exposure, so the kind fixes their rank.  Every
-    other column varies within a cluster: a clustered kind measures each
-    cluster in every period, a wedge's first period is baseline and its
-    last exposed, and a pre-post cluster of arm 2 goes from unexposed to
-    exposed.
+    other column varies within a cluster, measured in every period: a
+    wedge's first period is baseline and its last exposed, and a
+    pre-post cluster of arm 2 goes from unexposed to exposed.
 
     Raises:
         ValueError: if the policy is unknown, does not apply to the
@@ -343,7 +334,15 @@ def evaluate(
     cells = designs.cell_table(spec)
     policy = default_ddf_policy(spec.kind) if ddf_policy is None else ddf_policy
     comps = variance_components(spec, params)
-    fit = fit_cells(cells, comps)
+    try:
+        fit = fit_cells(cells, comps)
+    except ValueError:
+        # rounded components may hide a singular covariance: decide from its
+        # shares at unit variance, as design_effect_for, behind the rank check
+        _require_full_rank(cells)
+        unit = replace(params, sigma_y_sq=1.0)
+        variance_components(spec, unit).cell_variances(cells.m)
+        raise
     # the tested effect is the last design column: a one-row Wald F, in
     # Python floats, which overflow to an infinite F without a warning
     effect = float(fit.beta[-1])

@@ -372,27 +372,39 @@ def _cluster_groups(spec: DesignSpec) -> list[int]:
     return groups
 
 
+def twin_clusters(spec: DesignSpec, dataset: ExemplaryDataset) -> np.ndarray:
+    """0-based cluster of each dataset row in the cell table's layout.
+
+    An individually randomized design's rows are grouped by arm, as in
+    its clustered twin; any other design's by their cluster id.
+    """
+    return (dataset.arm if spec.kind in RCT_KINDS else dataset.cluster_id) - 1
+
+
 def regrouped_cells(spec: DesignSpec) -> designs.CellTable:
     """The cell table as built by listing every cluster and regrouping.
 
     Each cluster's (randomized group, subjects per cell) pair is keyed
     and regrouped with np.unique, so the patterns are the distinct pairs
     sorted by group, then size, wherever their clusters sit in dataset
-    order.  A pattern's cells are its first cluster's dataset rows, one
-    per time.  Cluster sizes must give a full-rank design matrix.
+    order.  An individually randomized design's subjects are grouped by
+    arm, into its clustered twin's one cluster per arm.  A pattern's
+    cells are its first cluster's dataset rows, one per time.  Cluster
+    sizes must give a full-rank design matrix.
     """
     dataset = reference_dataset(spec)
     x = design_matrix(spec, dataset)
-    blocks = cluster_structure(spec, dataset)
-    groups = np.array([block.group for block in blocks])
-    sizes = np.array(spec.cluster_subject_counts())
+    unit = twin_clusters(spec, dataset)
+    starts = np.flatnonzero(np.r_[True, unit[1:] != unit[:-1]])
+    n_rows = np.diff(np.r_[starts, unit.size])
+    groups = dataset.arm[starts]
+    sizes = n_rows // period_count(spec)
     _, first, count = np.unique(
         groups * (sizes.max() + 1) + sizes, return_index=True, return_counts=True
     )
     cell_rows = []
     for index in first:
-        block = blocks[index]
-        rows = np.arange(block.row_start, block.row_start + block.n_rows)
+        rows = np.arange(starts[index], starts[index] + n_rows[index])
         _, at_time = np.unique(dataset.time[rows], return_index=True)
         cell_rows.append(rows[at_time])
     cell_rows = np.array(cell_rows)
@@ -401,15 +413,14 @@ def regrouped_cells(spec: DesignSpec) -> designs.CellTable:
         group=groups[first],
         m=sizes[first],
         count=count,
-        first=dataset.time[cell_rows[:, 0]],
         exposed=x[cell_rows][..., contrast_column(spec)] == 1.0,
         mean=dataset.mean[cell_rows],
     )
 
 
 def cell_times(cells: designs.CellTable) -> np.ndarray:
-    """(K, T) measurement period of each cell: pattern k's first plus t."""
-    return cells.first[:, None] + np.arange(cells.exposed.shape[1])
+    """(K, T) measurement period of each cell: its period index, from 1."""
+    return np.broadcast_to(np.arange(1, cells.exposed.shape[1] + 1), cells.exposed.shape)
 
 
 def cell_design(cells: designs.CellTable) -> tuple[tuple[str, ...], np.ndarray]:
@@ -646,13 +657,20 @@ def cell_averaging(time: np.ndarray) -> np.ndarray:
 def cell_covariances(
     spec: DesignSpec, comps: VarianceComponents, cells: designs.CellTable
 ) -> np.ndarray:
-    """(K, T, T) A V A' of the first cluster of each pattern, from its dense block."""
+    """(K, T, T) A V A' of the first cluster of each pattern, from its dense block.
+
+    An individually randomized design's cluster is its clustered twin's,
+    an arm's subjects, whose block is built from their labels here.
+    """
     dataset = reference_dataset(spec)
+    unit = twin_clusters(spec, dataset)
     out = []
     for pattern in range(cells.m.size):
         index = int(np.flatnonzero(cells.cluster_pattern == pattern)[0])
-        average = cell_averaging(dataset.time[dataset.cluster_id == index + 1])
-        out.append(average @ cluster_v(spec, comps, index, dataset) @ average.T)
+        rows = unit == index
+        average = cell_averaging(dataset.time[rows])
+        block = label_covariance(dataset.subject_id[rows], dataset.time[rows], comps)
+        out.append(average @ block @ average.T)
     return np.array(out)
 
 
@@ -663,7 +681,7 @@ class StudySampler:
         dataset = reference_dataset(spec)
         self.mu = dataset.mean
         self.n = dataset.n_rows
-        self.cluster = dataset.cluster_id - 1
+        self.cluster = twin_clusters(spec, dataset)
         self.time = dataset.time
         self.slices: list[slice] = []
         self.chol: list[np.ndarray] = []

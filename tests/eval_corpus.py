@@ -20,7 +20,12 @@ each:
     PYTHONPATH=src python tests/eval_corpus.py [--each]
 
 `--each` also prints one line per case: its own digest and its label,
-for finding the case whose result moved.
+for finding the case whose result moved.  `--values` also prints, under
+each case's label, the repr of its power, noncentrality, contrast
+variance and beta, or its refusal, so a diff of two checkouts' output
+shows how far a moved case moved:
+
+    PYTHONPATH=src python tests/eval_corpus.py --values
 """
 
 from __future__ import annotations
@@ -142,6 +147,21 @@ def record(case: Case) -> bytes:
     return b"\1".join(parts) + b"\2"
 
 
+def values(case: Case) -> str:
+    """The repr of a case's power, noncentrality, variance and beta, or its refusal."""
+    try:
+        run = evaluate(case.spec, case.params, ddf_policy=case.policy, alpha=case.alpha)
+    except ValueError as exc:
+        return f"  evaluate refused: {exc}"
+    result, fit = run.result, run.fit
+    return "\n".join([
+        f"  power {result.power!r}",
+        f"  noncentrality {result.noncentrality!r}",
+        f"  variance {fit.variance!r}",
+        f"  beta {fit.beta.tolist()!r}",
+    ])
+
+
 def main(args: list[str]) -> int:
     each = "--each" in args
     digest = hashlib.sha256()
@@ -152,6 +172,10 @@ def main(args: list[str]) -> int:
         count += 1
         if each:
             print(hashlib.sha256(data).hexdigest()[:16], case.label)
+        if "--values" in args:
+            if not each:
+                print(case.label)
+            print(values(case))
     print(f"{count} cases")
     print(digest.hexdigest())
     return 0

@@ -96,7 +96,7 @@ def count_errors(spec: DesignSpec):
             errors.append(
                 f"design.cluster_size: {len(size)} entries for {n_clusters} clusters"
             )
-    n = designs._n_observations(layout, exact["cluster_size"]) if not errors else 0
+    n = designs._n_observations(layout) if not errors else 0
     if n > 2**53:
         errors.append(f"design: {n} observations, more than floats count exactly (2**53)")
     return errors, layout

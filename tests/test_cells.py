@@ -289,14 +289,20 @@ def test_counts_match_cells_and_reference_dataset(case):
     cells = cell_table(spec)
     dataset = dense_oracle.reference_dataset(spec)
     rows = tuple(np.bincount(dataset.cluster_id)[1:].tolist())
-    n_periods = cells.exposed.shape[1]
-    sizes = tuple(cells.m[cells.cluster_pattern].tolist())
-    assert tuple(n * n_periods for n in sizes) == rows
+    units = [cells.unit_cells(index) for index in range(cells.n_clusters)]
+    assert tuple(n * n_periods for n, n_periods in units) == rows
+    sizes = tuple(n for n, _ in units)
+    if spec.kind in RCT_KINDS:
+        # the clustered twin's one cluster per arm randomizes each measurement
+        assert cells.count.tolist() == [1, 1]
+        assert sizes == (1,) * dataset.n_rows
+    else:
+        assert cells.n_clusters == cells.cluster_pattern.size
+        assert sizes == tuple(cells.m[cells.cluster_pattern].tolist())
     # the counts need no means: the benchmark reads them on mean-less specs
     for design in (spec, dataclasses.replace(spec, cell_means={})):
         assert design.n_times == int(dense_oracle.cell_times(cells).max())
         assert design.n_times == int(dataset.time.max())
-        assert cells.n_clusters == cells.cluster_pattern.size
         assert cells.n_clusters == len(rows)
         assert design.cluster_subject_counts() == sizes
         assert design.n_observations == cells.n_observations == dataset.n_rows
@@ -309,9 +315,10 @@ def test_cluster_blocks_match_dense_oracle(name):
     spec, params = get_preset(name)
     cells = cell_table(spec)
     comps = _components(spec, params)
-    for index in range(cells.cluster_pattern.size):
+    dataset = dense_oracle.reference_dataset(spec)
+    for index in range(cells.n_clusters):
         block = correlation.build_cluster_v(cells, comps, index)
-        dense = dense_oracle.cluster_v(spec, comps, index)
+        dense = dense_oracle.cluster_v(spec, comps, index, dataset)
         np.testing.assert_array_equal(block.view(np.uint64), dense.view(np.uint64))
 
 
@@ -457,8 +464,8 @@ class TestCellTable:
         names, _ = dense_oracle.cell_design(cells)
         assert len(names) == len(dense_oracle.columns(spec))
         assert cells.mean.shape == (n_patterns, n_periods)
-        assert cells.first.shape == (n_patterns,)
-        assert int(cells.count.sum()) == len(dense_oracle.cluster_structure(spec))
+        np.testing.assert_array_equal(dense_oracle.cell_times(cells)[:, 0], 1)
+        assert cells.n_clusters == len(dense_oracle.cluster_structure(spec))
         assert int(np.sum(cells.count * cells.m) * n_periods) == spec.n_observations
         np.testing.assert_array_equal(
             np.bincount(cells.cluster_pattern, minlength=n_patterns), cells.count
@@ -497,13 +504,19 @@ class TestCellTable:
         unkeyed = dataclasses.replace(spec, cell_means={})
         assert designs.validate_spec(unkeyed) == [f"design.means: missing cells {keys}"]
 
-    def test_individual_randomization_uses_one_pattern_per_cell(self):
+    def test_individual_randomization_is_laid_out_as_its_clustered_twin(self):
+        # one cluster of 32 subjects per arm and period, as crt_prepost_xsec
+        # would lay it out, while each of the 128 measurements stays a
+        # randomized unit of one subject in one period
         spec, _ = get_preset("example3")
         cells = cell_table(spec)
-        assert cells.exposed.shape == (4, 1)
-        assert dense_oracle.cell_design(cells)[1].shape == (4, 1, 4)
-        assert cells.count.tolist() == [32] * 4
-        assert cells.m.tolist() == [1] * 4
+        assert cells.exposed.tolist() == [[False, False], [False, True]]
+        assert dense_oracle.cell_design(cells)[1].shape == (2, 2, 4)
+        assert cells.count.tolist() == [1, 1]
+        assert cells.m.tolist() == [32, 32]
+        assert cells.n_clusters == cells.n_observations == 128
+        assert spec.cluster_subject_counts() == (1,) * 128
+        assert [cells.unit_cells(i) for i in (0, 127)] == [(1, 1), (1, 1)]
 
 
 def _hussey_hughes_variance(spec, params):

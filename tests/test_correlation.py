@@ -109,6 +109,13 @@ class TestDeriveComponents:
         with pytest.raises(ValueError):
             derive_components(params, Family.CROSS_SECTIONAL)
 
+    @pytest.mark.parametrize("family", ["cohort", None, 1])
+    def test_unknown_family_is_refused(self, family):
+        # a family's value is not the family: only Family members are known
+        params = CorrelationParams(sigma_y_sq=25.0, icc=0.1)
+        with pytest.raises(ValueError, match=f"^unknown family {family!r}$"):
+            derive_components(params, family)
+
     def test_zero_icc(self):
         comps = derive_components(
             CorrelationParams(sigma_y_sq=25.0, icc=0.0), Family.SINGLE

@@ -48,6 +48,7 @@ from dense_oracle import (
     reference_table,
     switch_threshold,
     contrast_column,
+    twin_clusters,
 )
 from dense_oracle import columns as dense_columns
 import spec_oracle
@@ -567,8 +568,8 @@ class TestExemplaryDataset:
         # the dataset expands the table; its exposure is the table's
         data = exemplary_dataset(spec)
         cells = cell_table(spec)
-        pattern = cells.cluster_pattern[data.cluster_id - 1]
-        period = data.time - cells.first[pattern]
+        pattern = cells.cluster_pattern[twin_clusters(spec, data)]
+        period = data.time - 1
         np.testing.assert_array_equal(data.arm, cells.group[pattern])
         np.testing.assert_array_equal(data.time, cell_times(cells)[pattern, period])
         np.testing.assert_array_equal(data.intervene, cells.exposed[pattern, period])
@@ -580,7 +581,7 @@ class TestExemplaryDataset:
         spec = wedge_spec(baseline_b=3600, clusters_per_step=(1, 1), cluster_size=1)
         cells = cell_table(spec)
         assert cells.exposed.shape == cells.mean.shape == (2, 3602)
-        assert cells.first.tolist() == [1, 1]
+        assert cell_times(cells)[:, 0].tolist() == [1, 1]
         assert not hasattr(cells, "x")
         data = exemplary_dataset(spec)
         assert data.n_rows == 7204
@@ -806,6 +807,22 @@ class TestDecodeSpecDocument:
     def test_non_mapping_document(self):
         with pytest.raises(SpecValidationError):
             decode_spec_document([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "section,message",
+        [
+            ("design", "design: required object"),
+            ("correlation", "correlation: required object"),
+            ("analysis", "analysis: must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [None, [1, 2], "text", 3])
+    def test_non_object_section_is_named(self, section, message, value):
+        doc = self.make_doc()
+        doc[section] = value
+        with pytest.raises(SpecValidationError) as info:
+            decode_spec_document(doc)
+        assert message in info.value.errors
 
     @pytest.mark.parametrize(
         "kind,field,value,path",

@@ -24,6 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import betaincinv
 
 import f_oracle
 from f_oracle import regularized_incomplete_beta
@@ -588,6 +589,11 @@ class TestNoncentralFCdf:
         with pytest.raises(ValueError):
             noncentral_f_cdf(1.0, 2, 9, float("nan"))
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, "1.0", True])
+    def test_non_finite_or_non_real_x_is_refused(self, x):
+        with pytest.raises(ValueError, match="^x must be a finite real number, got "):
+            noncentral_f_cdf(x, 2, 9, 4.0)
+
     @settings(max_examples=150)
     @given(
         x=st.floats(0.05, 20.0),
@@ -910,6 +916,17 @@ class TestDdfLimit:
 
 
 class TestTStart:
+    def test_upper_power_law_start_matches_scipy(self):
+        # a small second shape puts the root near 1, where the start is
+        # the power law in 1 - x; integer df reach it only when the t
+        # start is unusable, so the inverse is called directly
+        start, start_omx = distributions._beta_start(20.0, 0.7, 0.9)
+        assert start_omx < 0.5 < start
+        x, omx = distributions._beta_inverse(20.0, 0.7, 0.9)
+        want = float(betaincinv(20.0, 0.7, 0.9))
+        assert x == pytest.approx(want, rel=1e-15)
+        assert omx == pytest.approx(1.0 - want, rel=1e-12)
+
     @pytest.mark.parametrize("ddf", ORACLE_DDF)
     def test_matches_the_nr_start(self, ddf, monkeypatch):
         def figures():

@@ -17,6 +17,7 @@ from scipy.linalg import block_diag
 
 from wedgepower import mc
 from wedgepower.correlation import CorrelationParams, derive_components
+from wedgepower.design_effects import design_effect_for
 from wedgepower.designs import (
     PRESETS,
     DesignKind,
@@ -339,10 +340,12 @@ class TestAnalyticPower:
 def test_information_too_large_to_invert_is_refused(name, exponent):
     # a variance just above the subnormal range leaves b normal but makes
     # the bound clusters x periods / b overflow: the inverse of q = 1 and
-    # of q >= 2 columns both refuse it by name, not with a NaN
+    # of q >= 2 columns both refuse it by its scale, not with a NaN, as
+    # the covariance is regular at any larger one
     spec, params = get_preset(name)
     tiny = dataclasses.replace(params, sigma_y_sq=2.0**-exponent)
-    with pytest.raises(ValueError, match="^information matrix is singular$"):
+    with pytest.raises(ValueError, match="^sigma_y_sq is too small for the cell "
+                       "variances to be represented in floating point$"):
         analytic_power(spec, tiny)
 
 
@@ -353,6 +356,37 @@ def test_subnormal_variance_is_refused_by_its_scale(name):
     tiny = dataclasses.replace(params, sigma_y_sq=1e-310)
     with pytest.raises(ValueError, match="^sigma_y_sq is too small for the cell"):
         analytic_power(spec, tiny)
+
+
+@pytest.mark.parametrize("sigma_y_sq", [5e-324, 1e-310, 25.0])
+def test_singular_cohort_is_refused_alike_by_every_route(sigma_y_sq):
+    # at cac = sac = 1 a cohort's cell covariance is singular at every
+    # scale; below a normal sigma_y_sq the rounded components cannot show
+    # it, so power and mc decide it from the shares, as de does
+    spec, params = get_preset("example7")
+    singular = dataclasses.replace(params, sigma_y_sq=sigma_y_sq, cac=1.0, sac=1.0)
+    plan = mc.SimulationPlan(spec, singular, replicates=10, seed=1)
+    for route in (
+        lambda: evaluate(spec, singular),
+        lambda: mc.empirical_power(plan),
+        lambda: design_effect_for(spec, singular),
+    ):
+        with pytest.raises(ValueError, match="^cluster covariance is singular; "):
+            route()
+
+
+@pytest.mark.parametrize("sigma_y_sq", [5e-324, 1e-310])
+def test_regular_covariance_keeps_the_scale_refusal(sigma_y_sq):
+    # at cac 0.5 the covariance is regular: power and mc name the scale,
+    # and the scale-free design effect answers
+    spec, params = get_preset("example6")
+    tiny = dataclasses.replace(params, sigma_y_sq=sigma_y_sq, cac=0.5)
+    plan = mc.SimulationPlan(spec, tiny, replicates=10, seed=1)
+    for route in (lambda: evaluate(spec, tiny), lambda: mc.empirical_power(plan)):
+        with pytest.raises(ValueError, match="^sigma_y_sq is too small for the cell"):
+            route()
+    regular = dataclasses.replace(tiny, sigma_y_sq=25.0)
+    assert design_effect_for(spec, tiny) == design_effect_for(spec, regular)
 
 
 # the refusals a tiny sigma_y_sq may meet: an F or noncentrality too

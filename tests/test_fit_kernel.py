@@ -328,16 +328,16 @@ def test_projection_matches_einsum_oracle(name):
     assert spread == pytest.approx(einsum_spread(run), rel=RTOL)
 
 
-# the presets whose fit keeps q >= 2 columns besides the period means:
-# the pre-post kinds' arm (and, for single measurements, post) indicators
-# beside the exposure; every other preset keeps the exposure alone
+# the presets whose fit keeps q = 2 columns besides the period means:
+# the pre-post kinds' arm indicator beside the exposure; every other
+# preset keeps the exposure alone
 SEVERAL_COLUMNS = {"example3", "example3_124", "example4", "example5"}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
     # every kind absorbs its period means and inverts the information of
-    # its q <= 3 other columns once, q = 1 in floats without LAPACK; no
+    # its q <= 2 other columns once, q = 1 in floats without LAPACK; no
     # column per period comes back.  The Monte Carlo check reads its cell
     # weights off that one fit.
     calls = {"inv": [], "solve": []}
@@ -362,8 +362,7 @@ def test_one_inverse_and_no_solve_per_evaluation(monkeypatch, name):
         run()
         assert calls["solve"] == []
         if name in SEVERAL_COLUMNS:
-            (shape,) = calls["inv"]
-            assert 2 <= shape[0] == shape[1] <= 3
+            assert calls["inv"] == [(2, 2)]
         else:
             assert calls["inv"] == []
 
